@@ -12,8 +12,13 @@ Two convex-position conditions drive everything downstream:
 * **weak hyperbolicity**: the origin does *not* lie in the convex hull of any
   ``2m`` of them.
 
-A configuration satisfying both is *admissible*.  Hull membership is decided
-by linear programming; all tolerances are explicit parameters.
+A configuration satisfying both is *admissible*.  The Siegel condition is
+decided by one hull-distance LP.  For weak hyperbolicity, one batched SVD
+bounds the hull distance of every ``2m``-subset from below by
+``sigma_min / (2m)``; only the subsets that bound leaves inside the tie band
+go to the LP, in lexicographic order.  Every LP distance is recomputed from
+the weights the solver returned, so a distance comes with a hull point as its
+witness.  All tolerances are explicit parameters.
 
 Conventions used throughout the package:
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,8 +46,13 @@ from .errors import NumericalError, StructuralError
 KINDS = ("classical", "mixed-m1", "mixed-general")
 
 #: Factor defining the "degeneracy band": hull distances in
-#: ``(tol, DEGENERACY_BAND * tol]`` are treated as ties and flagged.
+#: ``(tol / DEGENERACY_BAND, DEGENERACY_BAND * tol]`` are treated as ties and
+#: flagged (see :func:`in_tie_band`).
 DEGENERACY_BAND = 10.0
+
+#: Subsets per batched SVD in :func:`check_weak_hyperbolicity`.  Bounds the
+#: memory for large C(n, 2m) and the work done before an early exit.
+_SUBSET_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +104,7 @@ class Configuration:
         if self.kind == "mixed-m1":
             if m != 1:
                 raise StructuralError("mixed-m1 requires m = 1")
-            if not isinstance(self.s, int) or self.s < 1:
+            if not _is_int(self.s) or self.s < 1:
                 raise StructuralError("mixed-m1 requires a positive integer s")
         elif self.s is not None:
             raise StructuralError(f"kind {self.kind!r} does not take s")
@@ -105,6 +115,8 @@ class Configuration:
             raise StructuralError(f"weights_a must have length {self.w_count}")
         if wb.shape != (n,):
             raise StructuralError(f"weights_b must have length {n}")
+        if not (np.all(np.isfinite(wa)) and np.all(np.isfinite(wb))):
+            raise StructuralError("form weights must be finite")
         if (self.w_count and np.any(wa <= 0)) or np.any(wb <= 0):
             raise StructuralError("form weights must be strictly positive")
         object.__setattr__(self, "weights_a", wa)
@@ -161,6 +173,11 @@ class Configuration:
         return Configuration(self.lambdas[:, comps], kind="classical")
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool (``True`` is an ``int`` in Python)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AdmissibilityReport:
     """Outcome of the admissibility decision for one configuration."""
@@ -196,8 +213,12 @@ def hull_distance(points: np.ndarray) -> float:
 
         min u  s.t.  -u <= (sum_i t_i p_i)_d <= u,  sum t = 1,  t >= 0.
 
-    Returns 0 (up to solver accuracy) iff the origin is a convex combination
-    of the rows.
+    The value returned is not the LP objective but ``max |sum_i t_i p_i|``
+    for the weights ``t`` the solver returned, clipped to ``t >= 0`` and
+    renormalised: an upper bound on the distance with a hull point as its
+    witness.  The objective alone reads 0 for hulls that miss the origin by
+    less than the solver's feasibility tolerance; the recomputed distance
+    does not.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -209,11 +230,16 @@ def hull_distance(points: np.ndarray) -> float:
     a_ub = np.block([[pts.T, -ones], [-pts.T, -ones]])
     b_ub = np.zeros(2 * d)
     a_eq = np.concatenate([np.ones(p), [0.0]]).reshape(1, -1)
+    # At HiGHS's default primal feasibility tolerance (1e-7) the returned
+    # vertex can lie twice as far from the origin as the optimum when the
+    # hull passes within 1e-8 of it; 1e-10 is the smallest value HiGHS takes.
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * (p + 1), method="highs")
+                  bounds=[(0, None)] * (p + 1), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise NumericalError(f"hull-distance LP failed: {res.message}")
-    return max(float(res.fun), 0.0)
+    t = np.clip(res.x[:p], 0.0, None)
+    return float(np.max(np.abs(pts.T @ (t / t.sum()))))
 
 
 def origin_in_hull(points: np.ndarray, tol: float = 1e-9) -> bool:
@@ -234,6 +260,15 @@ def _realify_matrix(matrix: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
+def in_tie_band(dist: float, tol: float) -> bool:
+    """Whether a hull distance is a tie at ``tol``.
+
+    The band is ``(tol / DEGENERACY_BAND, DEGENERACY_BAND * tol]``: too close
+    to the cut for the verdict ``dist <= tol`` to be trusted either way.
+    """
+    return tol / DEGENERACY_BAND < dist <= DEGENERACY_BAND * tol
+
+
 def check_siegel(cfg: Configuration, tol: float = 1e-9) -> tuple[bool, float]:
     """Siegel condition: 0 in H(Lambda).  Returns (verdict, hull distance)."""
     dist = hull_distance(cfg.realified_lambdas())
@@ -246,18 +281,34 @@ def check_weak_hyperbolicity(
     """Weak hyperbolicity: 0 not in the hull of any 2m of the lambda_j.
 
     Returns ``(ok, violating_subset, degenerate)``.  The first subset (in
-    lexicographic order) whose hull contains the origin is reported;
-    ``degenerate`` is set when some subset's hull passes within the
-    degeneracy band ``(tol, 10*tol]`` of the origin without containing it.
+    lexicographic order) whose hull passes within ``tol`` of the origin is
+    reported, and ``degenerate`` is set when its hull distance lies in the
+    tie band ``(tol / 10, 10 * tol]`` (:func:`in_tie_band`).  With no such
+    subset, ``degenerate`` is set when any subset's hull distance lies in
+    the band.
+
+    For the square matrix P of a subset's 2m realified rows, every hull
+    point P^T t satisfies ``|P^T t|_inf >= |P^T t|_2 / sqrt(2m) >=
+    sigma_min(P) / (2m)``.  One batched SVD per block of subsets evaluates
+    that bound, less a rounding allowance; a subset whose bound exceeds the
+    band is neither a violator nor a tie and needs no LP.
     """
     pts = cfg.realified_lambdas()
+    size = 2 * cfg.m
+    # A backward-stable SVD gets each singular value to within a small
+    # multiple of size * eps * sigma_max.
+    allowance = 16 * size * np.finfo(float).eps
+    subsets = combinations(range(cfg.n), size)
     degenerate = False
-    for subset in combinations(range(cfg.n), 2 * cfg.m):
-        dist = hull_distance(pts[list(subset)])
-        if dist <= tol:
-            return False, subset, False
-        if dist <= DEGENERACY_BAND * tol:
-            degenerate = True
+    while block := list(islice(subsets, _SUBSET_BLOCK)):
+        sigma = np.linalg.svd(pts[np.array(block)], compute_uv=False)
+        bound = (sigma[:, -1] - allowance * sigma[:, 0]) / size
+        for i in np.flatnonzero(bound <= DEGENERACY_BAND * tol):
+            subset = block[i]
+            dist = hull_distance(pts[list(subset)])
+            if dist <= tol:
+                return False, subset, in_tie_band(dist, tol)
+            degenerate = degenerate or in_tie_band(dist, tol)
     return True, None, degenerate
 
 
@@ -272,12 +323,12 @@ def check_admissible(cfg: Configuration, tol: float = 1e-9) -> AdmissibilityRepo
     """Decide admissibility (Siegel + weak hyperbolicity) of a configuration.
 
     Ties at the tolerance boundary — hull distances inside the band
-    ``(tol, 10*tol]`` on either test — set the ``degenerate`` flag and make
-    the final verdict "not admissible", since downstream rank guarantees
-    need strict admissibility.
+    ``(tol / 10, 10 * tol]`` (:func:`in_tie_band`) on either test — set the
+    ``degenerate`` flag and make the final verdict "not admissible", since
+    downstream rank guarantees need strict admissibility.
     """
     siegel, siegel_dist = check_siegel(cfg, tol)
-    degenerate = 0.1 * tol < siegel_dist <= DEGENERACY_BAND * tol
+    degenerate = in_tie_band(siegel_dist, tol)
     wh, violating, wh_degenerate = check_weak_hyperbolicity(cfg, tol)
     return AdmissibilityReport(
         siegel=siegel,
@@ -355,23 +406,24 @@ def configuration_from_dict(data: dict) -> Configuration:
         raise StructuralError(f"missing configuration fields: {sorted(missing)}")
 
     m, n = data["m"], data["n"]
-    if not isinstance(m, int) or not isinstance(n, int):
-        raise StructuralError("m and n must be integers")
+    if not _is_int(m) or not _is_int(n) or m < 1 or n < 1:
+        raise StructuralError("m and n must be positive integers")
     raw = data["lambdas"]
     if not isinstance(raw, list) or len(raw) != n:
         raise StructuralError(f"lambdas must be a list of {n} rows")
-    lam = np.empty((n, m), dtype=complex)
+    entries = []
     for j, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != m:
             raise StructuralError(f"lambdas[{j}] must be a list of {m} [re, im] pairs")
         for k, pair in enumerate(row):
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(x, (int, float)) for x in pair)):
+            if not isinstance(pair, list) or len(pair) != 2:
                 raise StructuralError(f"lambdas[{j}][{k}] must be a [re, im] pair")
-            lam[j, k] = complex(pair[0], pair[1])
+            re, im = (_real(x, f"lambdas[{j}][{k}]") for x in pair)
+            entries.append(complex(re, im))
+    lam = np.array(entries, dtype=complex).reshape(n, m)
 
     s = data.get("s")
-    if s is not None and not isinstance(s, int):
+    if s is not None and not _is_int(s):
         raise StructuralError("s must be an integer")
     wa = data.get("weights_a")
     wb = data.get("weights_b")
@@ -379,9 +431,25 @@ def configuration_from_dict(data: dict) -> Configuration:
         lam,
         kind=data["kind"],
         s=s,
-        weights_a=None if wa is None else np.asarray(wa, dtype=float),
-        weights_b=None if wb is None else np.asarray(wb, dtype=float),
+        weights_a=None if wa is None else _real_vector(wa, "weights_a"),
+        weights_b=None if wb is None else _real_vector(wb, "weights_b"),
     )
+
+
+def _real(value, name: str) -> float:
+    """A JSON number as a float; bools, other types and overflow are rejected."""
+    if not (_is_int(value) or isinstance(value, float)):
+        raise StructuralError(f"{name} must hold numbers, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise StructuralError(f"{name} holds a number out of range") from exc
+
+
+def _real_vector(values, name: str) -> np.ndarray:
+    if not isinstance(values, list):
+        raise StructuralError(f"{name} must be a list of numbers")
+    return np.array([_real(x, name) for x in values], dtype=float)
 
 
 def configuration_to_dict(cfg: Configuration) -> dict:

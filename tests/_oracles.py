@@ -35,14 +35,20 @@ def origin_in_hull_brute(points, tol: float = 1e-9) -> bool:
     return False
 
 
+def first_subset_around_origin_brute(points, size: int, tol: float = 1e-9):
+    """Lexicographically first ``size``-subset whose hull holds the origin, or None."""
+    pts = np.asarray(points, dtype=float)
+    for subset in combinations(range(pts.shape[0]), size):
+        if origin_in_hull_brute(pts[list(subset)], tol):
+            return subset
+    return None
+
+
 def admissible_brute(points, m: int, tol: float = 1e-9) -> tuple[bool, bool]:
     """(siegel, weak_hyperbolicity) for realified lambdas, hull checks only."""
     pts = np.asarray(points, dtype=float)
     siegel = origin_in_hull_brute(pts, tol)
-    weak = all(
-        not origin_in_hull_brute(pts[list(subset)], tol)
-        for subset in combinations(range(pts.shape[0]), 2 * m)
-    )
+    weak = first_subset_around_origin_brute(pts, 2 * m, tol) is None
     return siegel, weak
 
 

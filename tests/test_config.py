@@ -1,5 +1,6 @@
 """Admissibility, regularity ranks and configuration serialization."""
 
+import copy
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momentangle.config
 from momentangle import (
     Configuration,
     StructuralError,
@@ -21,7 +23,7 @@ from momentangle import (
     load_configuration,
     origin_in_hull,
 )
-from _oracles import admissible_brute, origin_in_hull_brute
+from _oracles import admissible_brute, first_subset_around_origin_brute, origin_in_hull_brute
 from conftest import roots_of_unity
 
 
@@ -66,6 +68,25 @@ def test_degeneracy_band_rejects_near_boundary():
     assert not report.admissible
 
 
+@pytest.mark.parametrize("eps, violator", [(9e-9, False), (5e-9, False), (5e-10, True)])
+def test_degeneracy_band_flags_rotated_near_ties(eps, violator):
+    # The segment [a u + eps v, -b u + eps v] misses the origin by at most
+    # eps |v|_inf, in (tol, 10 tol] or (tol / 10, tol] for tol = 1e-9.
+    # Rotated off the axes, the LP objective alone reads 0 for all of them,
+    # below the solver's default feasibility tolerance.
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        u = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+        a, b = rng.uniform(0.5, 2.0, size=2)
+        v = 1j * u
+        lam = np.array([a * u + eps * v, -b * u + eps * v, v, -0.7 * v + 0.01 * u]).reshape(4, 1)
+        report = check_admissible(Configuration(lambdas=lam, kind="classical"))
+        assert report.weak_hyperbolicity != violator
+        assert report.violating_subset == ((0, 1) if violator else None)
+        assert report.degenerate
+        assert not report.admissible
+
+
 def test_hull_distance_matches_hand_values():
     assert hull_distance(np.array([[1.0, 0.0], [-1.0, 0.0]])) <= 1e-12
     triangle = np.array([[1.0, 1.0], [2.0, 1.0], [1.0, 2.0]])
@@ -86,6 +107,44 @@ def test_lp_verdicts_match_brute_hull_oracle(seed):
     siegel_b, weak_b = admissible_brute(cfg.realified_lambdas(), m)
     assert siegel == siegel_b
     assert weak == weak_b
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["antipodal", "even-roots"]))
+@settings(max_examples=40, deadline=None)
+def test_weak_hyperbolicity_matches_brute_on_planted_violators(seed, design):
+    # Gaussian configurations never violate weak hyperbolicity; these do, so
+    # the subsets the SVD bound cannot clear reach the LP.
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 3))
+    if design == "antipodal":
+        n = int(rng.integers(max(4, 2 * m + 1), 9))
+        lam = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+        a, b = sorted(rng.choice(n, size=2, replace=False))
+        lam[b] = -rng.uniform(0.5, 2.0) * lam[a]
+    else:
+        # Odd powers of even roots: lambda_{j + n/2} = -lambda_j up to scale.
+        n = 2 * int(rng.integers(m + 1, 5))
+        phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))
+        lam = roots_of_unity(n, (1, 3)[:m]) * phases * rng.uniform(0.5, 2.0, size=(n, 1))
+    cfg = Configuration(lambdas=lam, kind="classical")
+    ok, subset, degenerate = check_weak_hyperbolicity(cfg)
+    pts = cfg.realified_lambdas()
+    _, weak = admissible_brute(pts, m)
+    assert not ok and not weak
+    assert subset == first_subset_around_origin_brute(pts, 2 * m)
+    assert not degenerate
+
+
+def test_generic_configuration_needs_no_weak_hyperbolicity_lp(monkeypatch):
+    rng = np.random.default_rng(12)
+    lam = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
+    calls = []
+    hull_distance_lp = momentangle.config.hull_distance
+    monkeypatch.setattr(momentangle.config, "hull_distance",
+                        lambda pts: calls.append(pts) or hull_distance_lp(pts))
+    verdict = check_weak_hyperbolicity(Configuration(lambdas=lam, kind="classical"))
+    assert verdict == (True, None, False)
+    assert len(calls) == 0
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -179,6 +238,72 @@ def test_loader_rejects_malformed_documents(tmp_path):
     }))
     with pytest.raises(StructuralError):
         load_configuration(str(bad))
+
+
+def test_boundary_rejects_bools_and_non_finite_numbers(pentagon, mixed_s2):
+    for weights in ([np.nan] * 5, [1.0, 1.0, np.inf, 1.0, 1.0]):
+        with pytest.raises(StructuralError):
+            Configuration(lambdas=pentagon.lambdas, weights_b=weights)
+    with pytest.raises(StructuralError):
+        Configuration(lambdas=pentagon.lambdas, kind="mixed-m1", s=True)
+
+    valid = configuration_to_dict(mixed_s2)
+    bad_docs = [{**valid, "s": True}, {**valid, "m": True},
+                {**valid, "weights_b": [True] * 5}]
+    for entry in ([True, False], [10**400, 0]):
+        doc = copy.deepcopy(valid)
+        doc["lambdas"][2][0] = entry
+        bad_docs.append(doc)
+    for doc in bad_docs:
+        with pytest.raises(StructuralError):
+            configuration_from_dict(doc)
+
+
+# Integers stay small: a large ``s`` is legal and allocates that many
+# default weights.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+_VALID_DOCS = [
+    configuration_to_dict(Configuration(lambdas=roots_of_unity(5, (1,)), kind="mixed-m1", s=2)),
+    configuration_to_dict(Configuration(lambdas=roots_of_unity(7, (1, 2)), kind="mixed-general")),
+]
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _paths(child, prefix + (key,))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_documents_load_or_raise_structural_error(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(_VALID_DOCS)))
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            doc = data.draw(_JSON_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(_JSON_VALUES)
+    try:
+        cfg = configuration_from_dict(doc)
+    except StructuralError:
+        return
+    assert cfg.s is None or type(cfg.s) is int
+    for array in (cfg.lambdas, cfg.weights_a, cfg.weights_b):
+        assert np.all(np.isfinite(array))
+    again = configuration_from_dict(configuration_to_dict(cfg))
+    np.testing.assert_array_equal(again.lambdas, cfg.lambdas)
 
 
 def test_brute_hull_oracle_self_check():
