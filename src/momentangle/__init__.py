@@ -25,12 +25,9 @@ from .errors import (
 )
 from .forms import (
     FormEvaluation,
-    KernelVector,
     RankTrichotomy,
     alpha_on_frame,
-    brute_force_contact_volume,
     closed_form_kernel_vector,
-    closed_form_kernel_vectors,
     contact_volume,
     contact_volume_scale,
     coordinate_weights,
@@ -45,12 +42,11 @@ from .forms import (
     null_quadric_value,
     numerical_kernel,
     orientation_sign,
-    permutation_sum_contact_volume,
     rank_trichotomy,
     subspace_angle,
     symplectic_leaf_rank,
 )
-from .pfaffian import pfaffian, pfaffian_naive
+from .pfaffian import pfaffian
 from .topology import CyclicWeights, DiffeoType, classify, count_diffeo_types, normalize_configuration
 from .toric import (
     CEstimate,

@@ -34,20 +34,12 @@ from itertools import product
 
 import numpy as np
 
-from .config import Configuration
+from .config import Configuration, in_tie_band
 from .errors import NumericalError, StructuralError
-from .variety import (
-    DEFAULT_TOL,
-    DUPLICATE_TOL,
-    VarietyPoint,
-    certify,
-    realify,
-)
+from .variety import DEFAULT_TOL, VarietyPoint, _is_duplicate, certify, realify
 
 UNIT_TOL = 1e-12
 DEFAULT_BRANCH_TOL = 1e-8
-#: |F_k| within a factor of this of the branch tolerance flags the verdict
-NEAR_BRANCH_BAND = 10.0
 
 
 @dataclass(frozen=True)
@@ -177,8 +169,8 @@ class FiberCount:
 
     ``count`` is 2^l with l the number of quadric values |F_k| above ``tol``
     at the rescaled point; ``near_branch`` flags directions where some |F_k|
-    falls within a factor 10 of the tolerance (on either side), i.e. where
-    the zero/nonzero split is not trustworthy.
+    falls in the tie band of the tolerance (:func:`.config.in_tie_band`),
+    i.e. where the zero/nonzero split is not trustworthy.
     """
 
     count: int
@@ -196,7 +188,7 @@ def fiber_count(cfg: Configuration, direction,
     r = float(1.0 / np.sqrt(1.0 + np.sum(np.abs(F))))
     mags = np.abs(F) * r**2
     live = int(np.count_nonzero(mags > tol))
-    near = bool(np.any((mags > tol / NEAR_BRANCH_BAND) & (mags <= tol * NEAR_BRANCH_BAND)))
+    near = bool(np.any(in_tie_band(mags, tol)))
     return FiberCount(
         count=2**live,
         radius=r,
@@ -237,10 +229,7 @@ def fiber_points(cfg: Configuration, direction,
     for combo in product(*choices):
         coords = realify(np.concatenate([np.array(combo), r * zhat]))
         point = certify(cfg, coords, tol=certify_tol)
-        if not any(
-            np.linalg.norm(point.coordinates - q.coordinates) < DUPLICATE_TOL
-            for q in found
-        ):
+        if not _is_duplicate(point.coordinates, [q.coordinates for q in found]):
             found.append(point)
     return found
 
@@ -250,10 +239,7 @@ def sign_orbit(cfg: Configuration, point: VarietyPoint) -> list[VarietyPoint]:
     out: list[VarietyPoint] = []
     for signs in product((1.0, -1.0), repeat=cfg.m):
         moved = sign_act(cfg, point, np.array(signs))
-        if not any(
-            np.linalg.norm(moved.coordinates - q.coordinates) < DUPLICATE_TOL
-            for q in out
-        ):
+        if not _is_duplicate(moved.coordinates, [q.coordinates for q in out]):
             out.append(moved)
     return out
 

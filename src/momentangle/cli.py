@@ -21,11 +21,13 @@ from __future__ import annotations
 import argparse
 import sys
 from datetime import datetime, timezone
+from functools import cache
 
 import numpy as np
 
 from . import __version__
 from .config import (
+    DEFAULT_RANK_TOL,
     check_admissible,
     check_mixed_admissible,
     configuration_to_dict,
@@ -56,8 +58,7 @@ VOLUME_ZERO_FACTOR = 1e-9
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except StructuralError as exc:
@@ -68,7 +69,9 @@ def main(argv=None) -> int:
         return EXIT_FAIL
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="momentangle",
         description="Verification toolkit for links of Hermitian quadric intersections.",
@@ -87,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20, help="samples per stratum")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--rank-tol", type=float, default=1e-8)
+    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     _common_flags(p)
     p.set_defaults(func=cmd_verify)
 
@@ -126,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--rank-tol", type=float, default=1e-8)
+    p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--pattern", help="comma-separated w indices to pin to zero "
                                      "(mixed-general)")
     p.add_argument("--null-stratum", action="store_true",
@@ -139,8 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", metavar="PATH", help="write a canonical JSON report")
-    p.add_argument("--text", action="store_true",
-                   help="print the text summary (default; kept for symmetry)")
     p.add_argument("--timestamp", default=None,
                    help="timestamp embedded in reports (default: current UTC time)")
 

@@ -26,9 +26,13 @@ Conventions used throughout the package:
   ``lambda_j``;
 * complex data is realified by interleaving: ``z -> (Re z, Im z)`` per
   complex coordinate, in coordinate order;
-* numerical rank = number of singular values exceeding
-  ``rank_tol * sigma_max``; complex ranks are computed as half the real rank
-  of the realified matrix.
+* numerical rank = number of singular values exceeding ``rank_tol`` times
+  the largest one (:func:`numerical_rank`, default :data:`DEFAULT_RANK_TOL`);
+  every rank in the package goes through it, and complex ranks are computed
+  as half the real rank of the realified matrix;
+* one tie band, ``(cut / 10, 10 * cut]`` (:func:`in_tie_band`), flags every
+  verdict too close to its cut to trust: hull distances here, singular
+  values in :mod:`.forms`, quadric magnitudes in :mod:`.actions`.
 """
 
 from __future__ import annotations
@@ -49,6 +53,9 @@ KINDS = ("classical", "mixed-m1", "mixed-general")
 #: ``(tol / DEGENERACY_BAND, DEGENERACY_BAND * tol]`` are treated as ties and
 #: flagged (see :func:`in_tie_band`).
 DEGENERACY_BAND = 10.0
+
+#: Relative numerical-rank cut (see :func:`numerical_rank`).
+DEFAULT_RANK_TOL = 1e-8
 
 #: Subsets per batched SVD in :func:`check_weak_hyperbolicity`.  Bounds the
 #: memory for large C(n, 2m) and the work done before an early exit.
@@ -247,11 +254,19 @@ def origin_in_hull(points: np.ndarray, tol: float = 1e-9) -> bool:
     return hull_distance(points) <= tol
 
 
-def _numerical_rank(matrix: np.ndarray, rank_tol: float) -> int:
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+def rank_cut(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> float:
+    """The cut of :func:`numerical_rank`: ``rank_tol`` times the largest value, 0 if none."""
+    return float(rank_tol * sigma[0]) if len(sigma) else 0.0
+
+
+def numerical_rank(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Number of singular values strictly above :func:`rank_cut`.
+
+    ``sigma`` is in the descending order ``np.linalg.svd`` returns, so
+    callers that also need the singular vectors keep their one SVD.  Empty
+    or all-zero input has rank 0; a value exactly at the cut does not count.
+    """
+    return int(np.count_nonzero(sigma > rank_cut(sigma, rank_tol)))
 
 
 def _realify_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -260,13 +275,14 @@ def _realify_matrix(matrix: np.ndarray) -> np.ndarray:
     return np.block([[re, -im], [im, re]])
 
 
-def in_tie_band(dist: float, tol: float) -> bool:
-    """Whether a hull distance is a tie at ``tol``.
+def in_tie_band(value, tol: float):
+    """Whether ``value`` is a tie at the cut ``tol``.
 
     The band is ``(tol / DEGENERACY_BAND, DEGENERACY_BAND * tol]``: too close
-    to the cut for the verdict ``dist <= tol`` to be trusted either way.
+    to the cut for the verdict ``value <= tol`` to be trusted either way.
+    Elementwise for arrays; a bool for a Python float.
     """
-    return tol / DEGENERACY_BAND < dist <= DEGENERACY_BAND * tol
+    return (tol / DEGENERACY_BAND < value) & (value <= DEGENERACY_BAND * tol)
 
 
 def check_siegel(cfg: Configuration, tol: float = 1e-9) -> tuple[bool, float]:
@@ -312,11 +328,11 @@ def check_weak_hyperbolicity(
     return True, None, degenerate
 
 
-def hull_dimension(cfg: Configuration, rank_tol: float = 1e-8) -> int:
+def hull_dimension(cfg: Configuration, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Affine dimension of the convex hull of the lambda_j in R^{2m}."""
     pts = cfg.realified_lambdas()
-    centered = pts - pts.mean(axis=0)
-    return _numerical_rank(centered, rank_tol)
+    sigma = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+    return numerical_rank(sigma, rank_tol)
 
 
 def check_admissible(cfg: Configuration, tol: float = 1e-9) -> AdmissibilityReport:
@@ -356,7 +372,7 @@ def check_mixed_admissible(cfg: Configuration, tol: float = 1e-9) -> MixedAdmiss
 
 
 def check_regularity_rank(
-    cfg: Configuration, subset: Iterable[int], rank_tol: float = 1e-8
+    cfg: Configuration, subset: Iterable[int], rank_tol: float = DEFAULT_RANK_TOL
 ) -> int:
     """Complex rank of the (m+1) x |J| matrix with columns (lambda_j, 1), j in J.
 
@@ -369,8 +385,8 @@ def check_regularity_rank(
     if not J or J[0] < 0 or J[-1] >= cfg.n:
         raise StructuralError("subset must be a nonempty subset of range(n)")
     block = np.vstack([cfg.lambdas[J].T, np.ones(len(J))])
-    real_rank = _numerical_rank(_realify_matrix(block), rank_tol)
-    return real_rank // 2
+    sigma = np.linalg.svd(_realify_matrix(block), compute_uv=False)
+    return numerical_rank(sigma, rank_tol) // 2
 
 
 # ---------------------------------------------------------------------------

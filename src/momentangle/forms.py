@@ -37,36 +37,36 @@ vanishing of the contact volume — happens exactly on {w = 0} (the embedded
 classical link, of real codimension 2s).  For s = 1 the two loci coincide.
 
 ``contact_volume`` evaluates ``alpha ^ (dalpha)^k`` (k = (dim-1)/2) on the
-point's oriented orthonormal frame via the Pfaffian expansion
+point's oriented orthonormal frame, with a_i = alpha(e_i) and
+M = dalpha(e_i, e_j).  Its expansion in the d minors of M is the first-row
+expansion of one bordered Pfaffian:
 
-    k! * sum_i (-1)^(i+1) alpha(e_i) Pf(M with row/col i removed),
+    k! * sum_i (-1)^(i+1) a_i Pf(M with row/col i removed)
+        = k! * Pf([[0, a^T], [-a, M]]),
 
-which is the Hodge star of the confoliation form in the induced metric.
+so the volume costs one Householder Pfaffian of a (d+1) x (d+1) matrix.  It
+is the Hodge star of the confoliation form in the induced metric.
 
-Numerical-rank note: ranks use the relative rule (sigma > rank_tol *
-sigma_max).  That rule is meaningless for matrices that vanish identically in
-exact arithmetic — a pure-roundoff matrix is "full rank" relative to itself —
-so quantities expected to vanish (the leaf 2-form below) are reported as raw
-magnitudes for the caller to compare against an input-derived scale.
+Numerical-rank note: ranks use the relative rule of
+:func:`.config.numerical_rank`, and singular values in the tie band
+(:func:`.config.in_tie_band`) around its cut set ``indeterminate``.  That rule
+is meaningless for matrices that vanish identically in exact arithmetic — a
+pure-roundoff matrix is "full rank" relative to itself — so quantities
+expected to vanish (the leaf 2-form below) are reported as raw magnitudes for
+the caller to compare against an input-derived scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from math import asin, factorial
 
 import numpy as np
 
-from .config import Configuration
+from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band, numerical_rank, rank_cut
 from .errors import NumericalError, StructuralError
-from .pfaffian import pfaffian, pfaffian_naive
-from .variety import VarietyPoint, complexify, realify
-
-DEFAULT_RANK_TOL = 1e-8
-DEFAULT_ZERO_TOL = 1e-8
-#: singular values within this factor of the rank cut flag the result
-INDETERMINATE_BAND = 10.0
+from .pfaffian import pfaffian
+from .variety import DEFAULT_ZERO_TOL, VarietyPoint, complexify, realify
 
 
 @dataclass(frozen=True)
@@ -81,14 +81,6 @@ class FormEvaluation:
     contact_volume: float
     trichotomy: str  # "contact" | "defect2" | "deep"
     indeterminate: bool
-
-
-@dataclass(frozen=True)
-class KernelVector:
-    """A closed-form element of ker(dalpha|_T) with its parameters."""
-
-    parameters: tuple  # (T_1, ..., T_m, mu)
-    ambient_vector: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -181,19 +173,6 @@ def closed_form_kernel_vector(cfg: Configuration, coords, T, mu: float) -> np.nd
     return realify(np.concatenate([vw, vz]))
 
 
-def closed_form_kernel_vectors(
-    cfg: Configuration, point: VarietyPoint, T, mu: float
-) -> KernelVector:
-    """Package the explicit kernel vector at a certified point.
-
-    Thin wrapper over :func:`closed_form_kernel_vector` that keeps the
-    parameters next to the ambient vector for reporting.
-    """
-    vec = closed_form_kernel_vector(cfg, point.coordinates, T, mu)
-    T_arr = np.atleast_1d(np.asarray(T, dtype=complex))
-    return KernelVector(parameters=tuple(T_arr) + (float(mu),), ambient_vector=vec)
-
-
 def null_quadric_value(cfg: Configuration, coords) -> complex:
     """sum_r w_r^2 for a mixed-m1 point (the stratum function)."""
     if cfg.kind != "mixed-m1":
@@ -212,37 +191,24 @@ def kernel_family_basis(
     """
     coords = np.asarray(coords, dtype=float)
     w = complexify(coords)[: cfg.w_count]
-    cols = []
     if cfg.kind == "classical":
-        for k in range(cfg.m):
-            e = np.zeros(cfg.m, dtype=complex)
-            e[k] = 1.0
-            cols.append(closed_form_kernel_vector(cfg, coords, e, 0.0))
-            cols.append(closed_form_kernel_vector(cfg, coords, 1j * e, 0.0))
-        cols.append(closed_form_kernel_vector(cfg, coords, np.zeros(cfg.m, dtype=complex), 1.0))
-    elif cfg.kind == "mixed-m1":
+        mu_column = closed_form_kernel_vector(cfg, coords, np.zeros(cfg.m, dtype=complex), 1.0)
+        return np.column_stack([_leaf_span(cfg, coords), mu_column])
+    if cfg.kind == "mixed-m1":
         if np.any(np.abs(w) > zero_tol):
             # Valid for every w != 0: on the null cone it degenerates to
             # T = 0, mu = -2 sum|w|^2, still a nonzero kernel vector.
             T = np.conj(np.sum(w**2))
             mu = -2.0 * float(np.sum(np.abs(w) ** 2))
-            cols.append(closed_form_kernel_vector(cfg, coords, T, mu))
-        else:
-            cols.append(closed_form_kernel_vector(cfg, coords, 1.0 + 0j, 0.0))
-            cols.append(closed_form_kernel_vector(cfg, coords, 1j, 0.0))
-            cols.append(closed_form_kernel_vector(cfg, coords, 0j, 1.0))
-    else:
-        zero = np.abs(w) <= zero_tol
-        for k in np.nonzero(zero)[0]:
-            e = np.zeros(cfg.m, dtype=complex)
-            e[k] = 1.0
-            cols.append(closed_form_kernel_vector(cfg, coords, e, 0.0))
-            cols.append(closed_form_kernel_vector(cfg, coords, 1j * e, 0.0))
-        T_mu = np.zeros(cfg.m, dtype=complex)
-        live = ~zero
-        T_mu[live] = -0.5 * np.conj(w[live]) / w[live]
-        cols.append(closed_form_kernel_vector(cfg, coords, T_mu, 1.0))
-    return np.column_stack(cols)
+            return np.column_stack([closed_form_kernel_vector(cfg, coords, T, mu)])
+        return np.column_stack([closed_form_kernel_vector(cfg, coords, T, mu)
+                                for T, mu in ((1.0 + 0j, 0.0), (1j, 0.0), (0j, 1.0))])
+    zero = np.abs(w) <= zero_tol
+    T_mu = np.zeros(cfg.m, dtype=complex)
+    live = ~zero
+    T_mu[live] = -0.5 * np.conj(w[live]) / w[live]
+    mu_column = closed_form_kernel_vector(cfg, coords, T_mu, 1.0)
+    return np.column_stack([_leaf_span(cfg, coords, np.flatnonzero(zero)), mu_column])
 
 
 def expected_kernel_dims(
@@ -260,18 +226,6 @@ def expected_kernel_dims(
     return 2 * zeros + 1, 2 * zeros
 
 
-def _rank_with_flag(matrix: np.ndarray, rank_tol: float) -> tuple[int, bool]:
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0, False
-    cut = rank_tol * sigma[0]
-    rank = int(np.count_nonzero(sigma > cut))
-    borderline = np.any(
-        (sigma > cut / INDETERMINATE_BAND) & (sigma <= cut * INDETERMINATE_BAND)
-    )
-    return rank, bool(borderline)
-
-
 def kernel_analysis(
     cfg: Configuration,
     point: VarietyPoint,
@@ -280,28 +234,24 @@ def kernel_analysis(
     """Kernel dimensions, restricted rank and contact volume at a point.
 
     Everything is computed in the coordinates of the point's orthonormal
-    tangent frame.  Singular values within a factor 10 of the rank cut set
-    ``indeterminate`` instead of silently rounding the verdict.
+    tangent frame.  Singular values in the tie band of the rank cut
+    (:func:`.config.in_tie_band`) set ``indeterminate`` instead of silently
+    rounding the verdict.
     """
     d = point.tangent_frame.shape[1]
     a = alpha_on_frame(cfg, point)
     dmat = dalpha_on_frame(cfg, point)
 
-    rank_d, flag_d = _rank_with_flag(dmat, rank_tol)
-    ker_dim = d - rank_d
-
-    stacked = np.vstack([dmat, a])
-    rank_s, flag_s = _rank_with_flag(stacked, rank_tol)
-    cap_dim = d - rank_s
-
     # dalpha restricted to ker alpha (alpha never vanishes on these links)
-    norm_a = np.linalg.norm(a)
-    if norm_a == 0.0:
+    if np.linalg.norm(a) == 0.0:
         raise NumericalError("alpha vanished on the tangent frame")
     _, _, vh = np.linalg.svd(a.reshape(1, -1))
     ker_alpha = vh[1:].T
-    restricted = ker_alpha.T @ dmat @ ker_alpha
-    rank_r, flag_r = _rank_with_flag(restricted, rank_tol)
+
+    sigmas = [np.linalg.svd(matrix, compute_uv=False)
+              for matrix in (dmat, np.vstack([dmat, a]), ker_alpha.T @ dmat @ ker_alpha)]
+    rank_d, rank_s, rank_r = (numerical_rank(sigma, rank_tol) for sigma in sigmas)
+    indeterminate = any(np.any(in_tie_band(sigma, rank_cut(sigma, rank_tol))) for sigma in sigmas)
 
     if rank_r == d - 1:
         label = "contact"
@@ -313,12 +263,12 @@ def kernel_analysis(
     return FormEvaluation(
         alpha_on_frame=a,
         dalpha_on_frame=dmat,
-        ker_dalpha_dim=ker_dim,
-        ker_alpha_cap_ker_dalpha_dim=cap_dim,
+        ker_dalpha_dim=d - rank_d,
+        ker_alpha_cap_ker_dalpha_dim=d - rank_s,
         rank_dalpha_on_ker_alpha=rank_r,
-        contact_volume=_volume_from_frame_data(a, dmat, pfaffian),
+        contact_volume=_volume_from_frame_data(a, dmat),
         trichotomy=label,
-        indeterminate=flag_d or flag_s or flag_r,
+        indeterminate=indeterminate,
     )
 
 
@@ -342,8 +292,7 @@ def rank_trichotomy(
     if evaluation.trichotomy == "defect2":
         stacked = np.vstack([evaluation.dalpha_on_frame, evaluation.alpha_on_frame])
         _, sigma, vh = np.linalg.svd(stacked)
-        rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-        basis = point.tangent_frame @ vh[rank:].T
+        basis = point.tangent_frame @ vh[numerical_rank(sigma, rank_tol):].T
         return RankTrichotomy("defect2", evaluation.rank_dalpha_on_ker_alpha, 2, basis)
     return RankTrichotomy("deep", evaluation.rank_dalpha_on_ker_alpha, 0, None)
 
@@ -352,7 +301,7 @@ def contact_volume(cfg: Configuration, point: VarietyPoint) -> float:
     """alpha ^ (dalpha)^k on the oriented orthonormal tangent frame."""
     a = alpha_on_frame(cfg, point)
     dmat = dalpha_on_frame(cfg, point)
-    return _volume_from_frame_data(a, dmat, pfaffian)
+    return _volume_from_frame_data(a, dmat)
 
 
 def contact_volume_scale(cfg: Configuration) -> float:
@@ -362,94 +311,13 @@ def contact_volume_scale(cfg: Configuration) -> float:
     return factorial(k) * float(np.max(wt)) ** k
 
 
-def _volume_from_frame_data(a: np.ndarray, dmat: np.ndarray, pf) -> float:
+def _volume_from_frame_data(a: np.ndarray, dmat: np.ndarray) -> float:
+    """k! * Pf([[0, a^T], [-a, M]]), the bordered form of the minor expansion."""
     d = a.size
     if d % 2 == 0:
         raise StructuralError("contact volume needs an odd frame dimension")
-    k = (d - 1) // 2
-    keep = np.arange(d)
-    total = 0.0
-    for i in range(d):
-        if a[i] == 0.0:
-            continue
-        rest = np.delete(keep, i)
-        minor = dmat[np.ix_(rest, rest)]
-        total += (-1.0) ** i * a[i] * pf(minor)
-    return float(factorial(k) * total)
-
-
-def brute_force_contact_volume(a, dmat) -> float:
-    """Exterior-algebra evaluation of alpha ^ (dalpha)^k by recursive wedge
-    expansion, independent of the Householder Pfaffian path.
-
-    The 2-form power is evaluated through the first-principles recursion
-    W(S) = k * sum_p (-1)^(p+1) M[s_0, s_p] W(S minus {s_0, s_p}) obtained by
-    expanding one wedge factor at a time; no Pfaffian identity is invoked.
-    Exponential cost — intended for frame dimensions up to ~11.
-    """
-    a = np.asarray(a, dtype=float)
-    m = np.asarray(dmat, dtype=float)
-    d = a.size
-    if d % 2 == 0:
-        raise StructuralError("odd dimension required")
-
-    memo: dict[tuple[int, ...], float] = {(): 1.0}
-
-    def wedge_power(indices: tuple[int, ...]) -> float:
-        if indices in memo:
-            return memo[indices]
-        k = len(indices) // 2
-        first, rest = indices[0], indices[1:]
-        total = 0.0
-        for pos, j in enumerate(rest):
-            minor = rest[:pos] + rest[pos + 1 :]
-            total += (-1.0) ** pos * m[first, j] * wedge_power(minor)
-        memo[indices] = k * total
-        return memo[indices]
-
-    out = 0.0
-    everything = tuple(range(d))
-    for i in range(d):
-        rest = everything[:i] + everything[i + 1 :]
-        out += (-1.0) ** i * a[i] * wedge_power(rest)
-    return float(out)
-
-
-def permutation_sum_contact_volume(a, dmat) -> float:
-    """Literal definition of the wedge evaluation as a signed permutation sum.
-
-    (1/2^k) sum_sigma sgn(sigma) a[s0] prod_i M[s(2i-1), s(2i)].  Factorial
-    cost; used to pin the normalization of the other two evaluators in
-    dimensions <= 7.
-    """
-    a = np.asarray(a, dtype=float)
-    m = np.asarray(dmat, dtype=float)
-    d = a.size
-    k = (d - 1) // 2
-    total = 0.0
-    for perm in permutations(range(d)):
-        term = _perm_sign(perm) * a[perm[0]]
-        for i in range(k):
-            term *= m[perm[2 * i + 1], perm[2 * i + 2]]
-        total += term
-    return float(total / 2.0**k)
-
-
-def _perm_sign(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    bordered = np.block([[np.zeros((1, 1)), a[None, :]], [-a[:, None], dmat]])
+    return float(factorial((d - 1) // 2) * pfaffian(bordered))
 
 
 def subspace_angle(span_a: np.ndarray, span_b: np.ndarray) -> float:
@@ -475,20 +343,15 @@ def _orth(matrix: np.ndarray) -> np.ndarray:
     if matrix.ndim != 2 or matrix.size == 0:
         return np.zeros((matrix.shape[0] if matrix.ndim == 2 else 0, 0))
     u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    rank = int(np.count_nonzero(s > max(matrix.shape) * np.finfo(float).eps * s[0])) if s[0] > 0 else 0
-    return u[:, :rank]
+    return u[:, : numerical_rank(s, max(matrix.shape) * np.finfo(float).eps)]
 
 
 def numerical_kernel(
     cfg: Configuration, point: VarietyPoint, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
     """Ambient orthonormal basis of ker(dalpha|_T), from the SVD of dalpha."""
-    dmat = dalpha_on_frame(cfg, point)
-    _, sigma, vh = np.linalg.svd(dmat)
-    if sigma[0] == 0.0:
-        return point.tangent_frame
-    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-    return point.tangent_frame @ vh[rank:].T
+    _, sigma, vh = np.linalg.svd(dalpha_on_frame(cfg, point))
+    return point.tangent_frame @ vh[numerical_rank(sigma, rank_tol):].T
 
 
 def kernel_family_angle(
@@ -521,31 +384,27 @@ def symplectic_leaf_rank(
     """
     if cfg.kind != "classical":
         raise StructuralError("symplectic leaves are defined for classical links")
-    span = _leaf_span(cfg, point)
-    sigma = np.linalg.svd(span, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+    sigma = np.linalg.svd(_leaf_span(cfg, point.coordinates), compute_uv=False)
+    return numerical_rank(sigma, rank_tol)
 
 
 def leaf_two_form_magnitude(cfg: Configuration, point: VarietyPoint) -> float:
     """max |dalpha(v_a, v_b)| over the leaf vectors — identically 0 in exact
     arithmetic (dalpha is totally degenerate on the leaves)."""
-    span = _leaf_span(cfg, point)
+    span = _leaf_span(cfg, point.coordinates)
     wt = coordinate_weights(cfg)
     x, y = span[0::2, :], span[1::2, :]
     gram = 4.0 * (x.T @ (wt[:, None] * y))
     return float(np.abs(gram - gram.T).max())
 
 
-def _leaf_span(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
-    cols = []
-    for k in range(cfg.m):
-        e = np.zeros(cfg.m, dtype=complex)
-        e[k] = 1.0
-        cols.append(closed_form_kernel_vector(cfg, point.coordinates, e, 0.0))
-        cols.append(closed_form_kernel_vector(cfg, point.coordinates, 1j * e, 0.0))
-    return np.column_stack(cols)
+def _leaf_span(cfg: Configuration, coords, components=None) -> np.ndarray:
+    """Columns v(e_k, 0), v(i e_k, 0) for each k in ``components`` (all k by default)."""
+    eye = np.eye(cfg.m, dtype=complex)
+    ks = range(cfg.m) if components is None else components
+    cols = [closed_form_kernel_vector(cfg, coords, phase * eye[k], 0.0)
+            for k in ks for phase in (1.0, 1j)]
+    return np.column_stack(cols) if cols else np.zeros((len(coords), 0))
 
 
 def orientation_sign(cfg: Configuration, reference: VarietyPoint) -> float:

@@ -1,10 +1,9 @@
 """Pfaffians of real skew-symmetric matrices.
 
-``pfaffian`` is the production path: reduce to skew tridiagonal form with
-Householder reflections (each reflector flips the sign, since
-Pf(P A P^T) = det(P) Pf(A)), then multiply the superdiagonal entries in even
-positions.  ``pfaffian_naive`` is the recursive cofactor expansion, kept as
-an independent small-dimension oracle.
+``pfaffian`` reduces to skew tridiagonal form with Householder reflections
+(each reflector flips the sign, since Pf(P A P^T) = det(P) Pf(A)), then
+multiplies the superdiagonal entries in even positions (Wimmer, ACM TOMS
+38(4), 2012, Algorithm 923).
 """
 
 from __future__ import annotations
@@ -50,32 +49,3 @@ def pfaffian(matrix) -> float:
         sign = -sign
 
     return float(sign * np.prod(a[np.arange(0, n - 1, 2), np.arange(1, n, 2)]))
-
-
-def pfaffian_naive(matrix) -> float:
-    """Pfaffian by recursive expansion along the first row.
-
-    Exponential; intended as an oracle for dimensions up to ~10.  Minors are
-    memoized on index tuples, which keeps repeated sub-Pfaffians cheap.
-    """
-    a = _validate_skew(matrix)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    if n % 2 == 1:
-        return 0.0
-
-    memo: dict[tuple[int, ...], float] = {(): 1.0}
-
-    def expand(indices: tuple[int, ...]) -> float:
-        if indices in memo:
-            return memo[indices]
-        first, rest = indices[0], indices[1:]
-        total = 0.0
-        for pos, j in enumerate(rest):
-            minor = rest[:pos] + rest[pos + 1 :]
-            total += (-1.0) ** pos * a[first, j] * expand(minor)
-        memo[indices] = total
-        return total
-
-    return float(expand(tuple(range(n))))

@@ -38,12 +38,17 @@ from itertools import combinations
 import numpy as np
 from scipy.optimize import linprog
 
-from .config import Configuration, check_admissible, check_mixed_admissible, hull_distance
+from .config import (
+    Configuration,
+    check_admissible,
+    check_mixed_admissible,
+    hull_distance,
+    numerical_rank,
+)
 from .errors import NumericalError, ProjectionError, StructuralError
 from .variety import VarietyPoint, certify, project_to_variety, realify, sample_points
 
 FEASIBILITY_TOL = 1e-9
-RANK_TOL = 1e-8
 VERTEX_ENUMERATION_MAX_DIM = 8
 
 
@@ -153,15 +158,6 @@ def _equality_rows(lambdas: np.ndarray, rhs: np.ndarray, total: float):
     return A, b
 
 
-def _matrix_rank(matrix: np.ndarray, rank_tol: float = RANK_TOL) -> int:
-    if matrix.size == 0:
-        return 0
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
-
-
 def _support(A: np.ndarray, b: np.ndarray, tol: float) -> list[int] | None:
     """Coordinates that are positive somewhere on {t >= 0, At = b}.
 
@@ -196,11 +192,11 @@ def _support(A: np.ndarray, b: np.ndarray, tol: float) -> list[int] | None:
 def _enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """All basic feasible solutions of {t >= 0, At = b}, deduplicated/sorted."""
     n = A.shape[1]
-    r = _matrix_rank(A)
+    r = numerical_rank(np.linalg.svd(A, compute_uv=False))
     found: list[np.ndarray] = []
     for cols in combinations(range(n), r):
         sub = A[:, cols]
-        if _matrix_rank(sub) < r:
+        if numerical_rank(np.linalg.svd(sub, compute_uv=False)) < r:
             continue
         sol, *_ = np.linalg.lstsq(sub, b, rcond=None)
         if np.min(sol, initial=0.0) < -1e-11:
@@ -224,7 +220,7 @@ def _build_polytope(A: np.ndarray, b: np.ndarray,
     if support is None:
         return PolytopeDescription(n, equalities, inequalities,
                                    vertices=np.zeros((0, n)), dim=-1)
-    dim = len(support) - _matrix_rank(A[:, support]) if support else 0
+    dim = len(support) - numerical_rank(np.linalg.svd(A[:, support], compute_uv=False))
     vertices = _enumerate_vertices(A, b, tol) if n <= VERTEX_ENUMERATION_MAX_DIM else None
     if vertices is not None:
         for v in vertices:

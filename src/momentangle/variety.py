@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Configuration
+from .config import DEFAULT_RANK_TOL, Configuration, numerical_rank
 from .errors import (
     ProjectionError,
     SamplingBudgetError,
@@ -37,7 +37,6 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
-DEFAULT_RANK_TOL = 1e-8
 DEFAULT_ZERO_TOL = 1e-8
 DUPLICATE_TOL = 1e-6
 MAX_HALVINGS = 30
@@ -138,23 +137,17 @@ def system_jacobian(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
     zy = coords[2 * s + 1 :: 2]
 
     # z block of the quadric rows: d|z_j|^2 = (2x_j, 2y_j), scaled by lambda
-    for k in range(m if cfg.kind != "mixed-m1" else 1):
-        if cfg.kind == "mixed-m1":
-            lam = cfg.lambdas[:, 0]
-        else:
-            lam = cfg.lambdas[:, k]
+    for k in range(m):
+        lam = cfg.lambdas[:, k]
         jac[2 * k, 2 * s + 0 :: 2] = 2.0 * lam.real * zx
         jac[2 * k, 2 * s + 1 :: 2] = 2.0 * lam.real * zy
         jac[2 * k + 1, 2 * s + 0 :: 2] = 2.0 * lam.imag * zx
         jac[2 * k + 1, 2 * s + 1 :: 2] = 2.0 * lam.imag * zy
 
-    # w block: d(w^2) with w = wx + i wy is (2wx, -2wy; 2wy, 2wx)
     if cfg.kind == "mixed-m1":
-        jac[0, 0 : 2 * s : 2] = 2.0 * wx
-        jac[0, 1 : 2 * s : 2] = -2.0 * wy
-        jac[1, 0 : 2 * s : 2] = 2.0 * wy
-        jac[1, 1 : 2 * s : 2] = 2.0 * wx
+        jac[0:2, 0 : 2 * s] = _square_sum_rows(wx, wy)
     elif cfg.kind == "mixed-general":
+        # _square_sum_rows entries, one 2x2 block per w_k; scalar writes are faster here
         for k in range(m):
             jac[2 * k, 2 * k] = 2.0 * wx[k]
             jac[2 * k, 2 * k + 1] = -2.0 * wy[k]
@@ -163,6 +156,19 @@ def system_jacobian(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
 
     jac[-1] = 2.0 * coords
     return jac
+
+
+def _square_sum_rows(wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
+    """Rows (Re, Im) of d(sum w_r^2) over the interleaved w coordinates.
+
+    d(w^2) with w = wx + i wy is (2wx, -2wy; 2wy, 2wx) per coordinate.
+    """
+    rows = np.empty((2, 2 * wx.size))
+    rows[0, 0::2] = 2.0 * wx
+    rows[0, 1::2] = -2.0 * wy
+    rows[1, 0::2] = 2.0 * wy
+    rows[1, 1::2] = 2.0 * wx
+    return rows
 
 
 def project_to_variety(
@@ -236,7 +242,7 @@ def certify(
         )
     jac = system_jacobian(cfg, coords)
     _, sigma, vh = np.linalg.svd(jac, full_matrices=True)
-    rank = int(np.count_nonzero(sigma > rank_tol * sigma[0])) if sigma[0] > 0 else 0
+    rank = numerical_rank(sigma, rank_tol)
     if rank != cfg.equation_count:
         raise SingularPointError(
             f"singular point: Jacobian rank {rank} < {cfg.equation_count}"
@@ -264,9 +270,7 @@ def certify(
 def jacobian_rank(cfg: Configuration, point: VarietyPoint, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the real Jacobian at a point."""
     sigma = np.linalg.svd(system_jacobian(cfg, point.coordinates), compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0:
-        return 0
-    return int(np.count_nonzero(sigma > rank_tol * sigma[0]))
+    return numerical_rank(sigma, rank_tol)
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
@@ -281,6 +285,7 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
 
 
 def _is_duplicate(coords: np.ndarray, accepted: list[np.ndarray]) -> bool:
+    """Whether ``coords`` lies within DUPLICATE_TOL of an accepted vector."""
     return any(np.linalg.norm(coords - other) < DUPLICATE_TOL for other in accepted)
 
 
@@ -374,11 +379,7 @@ def _sample(
 
         def jacobian(x):
             extra = np.zeros((2, dim))
-            wx, wy = x[0 : 2 * s : 2], x[1 : 2 * s : 2]
-            extra[0, 0 : 2 * s : 2] = 2.0 * wx
-            extra[0, 1 : 2 * s : 2] = -2.0 * wy
-            extra[1, 0 : 2 * s : 2] = 2.0 * wy
-            extra[1, 1 : 2 * s : 2] = 2.0 * wx
+            extra[:, 0 : 2 * s] = _square_sum_rows(x[0 : 2 * s : 2], x[1 : 2 * s : 2])
             return np.vstack([system_jacobian(cfg, x), extra])
     else:
         def residual(x):

@@ -5,7 +5,7 @@ combinatorics, so that failures in the library cannot be masked by shared
 machinery.
 """
 
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import numpy as np
@@ -90,3 +90,113 @@ def c_exact(lambdas) -> float:
     """
     lam = np.asarray(lambdas, dtype=complex)
     return 1.0 / (1.0 + float(np.max(np.sum(np.abs(lam), axis=1))))
+
+
+def _validate_skew(matrix) -> np.ndarray:
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected a square matrix")
+    if a.size and float(np.abs(a + a.T).max()) > 1e-12 * max(1.0, float(np.abs(a).max())):
+        raise ValueError("matrix is not skew-symmetric")
+    return a
+
+
+def pfaffian_naive(matrix) -> float:
+    """Pfaffian by recursive expansion along the first row.
+
+    Exponential; intended as an oracle for dimensions up to ~10.  Minors are
+    memoized on index tuples, which keeps repeated sub-Pfaffians cheap.
+    """
+    a = _validate_skew(matrix)
+    n = a.shape[0]
+    if n % 2 == 1:
+        return 0.0
+
+    memo: dict[tuple[int, ...], float] = {(): 1.0}
+
+    def expand(indices: tuple[int, ...]) -> float:
+        if indices in memo:
+            return memo[indices]
+        first, rest = indices[0], indices[1:]
+        total = 0.0
+        for pos, j in enumerate(rest):
+            minor = rest[:pos] + rest[pos + 1 :]
+            total += (-1.0) ** pos * a[first, j] * expand(minor)
+        memo[indices] = total
+        return total
+
+    return float(expand(tuple(range(n))))
+
+
+def brute_force_contact_volume(a, dmat) -> float:
+    """Exterior-algebra evaluation of alpha ^ (dalpha)^k by recursive wedge
+    expansion, independent of the Householder Pfaffian path.
+
+    The 2-form power is evaluated through the first-principles recursion
+    W(S) = k * sum_p (-1)^(p+1) M[s_0, s_p] W(S minus {s_0, s_p}) obtained by
+    expanding one wedge factor at a time; no Pfaffian identity is invoked.
+    Exponential cost — intended for frame dimensions up to ~11.
+    """
+    a = np.asarray(a, dtype=float)
+    m = np.asarray(dmat, dtype=float)
+    d = a.size
+    if d % 2 == 0:
+        raise ValueError("odd dimension required")
+
+    memo: dict[tuple[int, ...], float] = {(): 1.0}
+
+    def wedge_power(indices: tuple[int, ...]) -> float:
+        if indices in memo:
+            return memo[indices]
+        k = len(indices) // 2
+        first, rest = indices[0], indices[1:]
+        total = 0.0
+        for pos, j in enumerate(rest):
+            minor = rest[:pos] + rest[pos + 1 :]
+            total += (-1.0) ** pos * m[first, j] * wedge_power(minor)
+        memo[indices] = k * total
+        return memo[indices]
+
+    out = 0.0
+    everything = tuple(range(d))
+    for i in range(d):
+        rest = everything[:i] + everything[i + 1 :]
+        out += (-1.0) ** i * a[i] * wedge_power(rest)
+    return float(out)
+
+
+def permutation_sum_contact_volume(a, dmat) -> float:
+    """Literal definition of the wedge evaluation as a signed permutation sum.
+
+    (1/2^k) sum_sigma sgn(sigma) a[s0] prod_i M[s(2i-1), s(2i)].  Factorial
+    cost; used to pin the normalization of the other two evaluators in
+    dimensions <= 7.
+    """
+    a = np.asarray(a, dtype=float)
+    m = np.asarray(dmat, dtype=float)
+    d = a.size
+    k = (d - 1) // 2
+    total = 0.0
+    for perm in permutations(range(d)):
+        term = _perm_sign(perm) * a[perm[0]]
+        for i in range(k):
+            term *= m[perm[2 * i + 1], perm[2 * i + 2]]
+        total += term
+    return float(total / 2.0**k)
+
+
+def _perm_sign(perm: tuple[int, ...]) -> int:
+    seen = [False] * len(perm)
+    sign = 1
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign

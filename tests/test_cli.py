@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from momentangle import cli
 from momentangle.cli import main
 from momentangle.config import Configuration, configuration_to_dict
 
@@ -288,6 +289,32 @@ def test_reports_are_byte_identical_for_identical_manifests(tmp_path, pentagon):
     assert main(argv + ["--json", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert b"NaN" not in first.read_bytes()
+
+
+def test_main_reuses_one_parser_without_carrying_flags(tmp_path, mixed_general_m2):
+    """Reports from calls in a row equal those from calls on a fresh parser."""
+    path = write_config(tmp_path, mixed_general_m2)
+    runs = [
+        ["sample", path, "--samples", "3", "--pattern", "0,1"],
+        ["sample", path, "--samples", "3"],
+        ["check", path, "--tol", "1e-8"],
+        ["check", path],
+    ]
+
+    def report(argv, name):
+        out = tmp_path / name
+        assert main(argv + ["--timestamp", "T", "--json", str(out)]) == 0
+        return out.read_bytes()
+
+    in_a_row = [report(argv, f"row{i}.json") for i, argv in enumerate(runs)]
+    assert cli._build_parser() is cli._build_parser()
+    single = []
+    for i, argv in enumerate(runs):
+        cli._build_parser.cache_clear()
+        single.append(report(argv, f"single{i}.json"))
+    assert in_a_row == single
+    assert json.loads(in_a_row[1])["result"]["points"][0]["zero_pattern"] == []
+    assert json.loads(in_a_row[3])["manifest"]["tolerances"] == {"tol": 1e-9}
 
 
 def test_report_embeds_config_hash(tmp_path, pentagon, mixed_s1):

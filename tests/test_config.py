@@ -23,6 +23,7 @@ from momentangle import (
     load_configuration,
     origin_in_hull,
 )
+from momentangle.config import DEGENERACY_BAND, in_tie_band, numerical_rank
 from _oracles import admissible_brute, first_subset_around_origin_brute, origin_in_hull_brute
 from conftest import roots_of_unity
 
@@ -85,6 +86,26 @@ def test_degeneracy_band_flags_rotated_near_ties(eps, violator):
         assert report.violating_subset == ((0, 1) if violator else None)
         assert report.degenerate
         assert not report.admissible
+
+
+def test_numerical_rank_edge_cases():
+    assert numerical_rank(np.array([])) == 0
+    assert numerical_rank(np.zeros(3)) == 0
+    # 0.5 lies exactly at the cut 0.5 * 1.0 and does not count
+    assert numerical_rank(np.array([1.0, 0.5, 0.25]), 0.5) == 1
+    assert numerical_rank(np.array([2.0, 1.0, 1e-9])) == 2
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-8, 0.3])
+def test_tie_band_edges(tol):
+    low, high = tol / DEGENERACY_BAND, DEGENERACY_BAND * tol
+    assert in_tie_band(low, tol) is False
+    assert in_tie_band(high, tol) is True
+    assert in_tie_band(tol, tol) is True
+    values = np.array([np.nextafter(low, 0.0), low, np.nextafter(low, 1.0), tol,
+                       high, np.nextafter(high, np.inf)])
+    np.testing.assert_array_equal(in_tie_band(values, tol),
+                                  [False, False, True, True, True, False])
 
 
 def test_hull_distance_matches_hand_values():

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from momentangle import (
     NumericalError,
     StructuralError,
-    brute_force_contact_volume,
     closed_form_kernel_vector,
-    closed_form_kernel_vectors,
     contact_volume,
     contact_volume_scale,
     coordinate_weights,
@@ -25,12 +23,15 @@ from momentangle import (
     null_quadric_value,
     numerical_kernel,
     orientation_sign,
-    permutation_sum_contact_volume,
     rank_trichotomy,
     subspace_angle,
     symplectic_leaf_rank,
     system_jacobian,
 )
+from momentangle.config import DEGENERACY_BAND
+from momentangle.forms import _volume_from_frame_data
+
+from _oracles import brute_force_contact_volume, permutation_sum_contact_volume
 
 
 def alpha_oracle(cfg, point, vector):
@@ -122,9 +123,22 @@ def test_closed_form_vectors_mixed_general(mixed_general_m2, batch):
     assert np.abs(system_jacobian(mixed_general_m2, point.coordinates) @ vec).max() < 1e-9
     for column in point.tangent_frame.T:
         assert eval_dalpha(mixed_general_m2, vec, column) == pytest.approx(0.0, abs=1e-9)
-    packaged = closed_form_kernel_vectors(mixed_general_m2, point, T, mu)
-    assert packaged.parameters[-1] == mu
-    np.testing.assert_array_equal(packaged.ambient_vector, vec)
+
+
+@pytest.mark.parametrize("rank_tol, indeterminate", [
+    # every nonzero singular value lies inside (cut / 10, 10 * cut]
+    (0.3, True),
+    # sigma_max of dalpha just above cut / 10, then just at or below it
+    (DEGENERACY_BAND * (1 - 1e-9), True),
+    (DEGENERACY_BAND * (1 + 1e-9), False),
+])
+def test_indeterminate_follows_the_tie_band(pentagon, batch, rank_tol, indeterminate):
+    point = batch(pentagon, 1)[0]
+    ev = kernel_analysis(pentagon, point, rank_tol)
+    assert ev.indeterminate is indeterminate
+    if rank_tol < 1.0:
+        # the flag does not move the verdicts: the ranks are the default ones
+        assert (ev.ker_dalpha_dim, ev.ker_alpha_cap_ker_dalpha_dim) == (3, 2)
 
 
 def test_kernel_dims_classical(pentagon, hexagon_m2, batch):
@@ -226,9 +240,7 @@ def test_volume_engines_agree_on_random_data():
             m = rng.normal(size=(d, d))
             m = m - m.T
             fast = pytest.approx(brute_force_contact_volume(a, m), rel=1e-9, abs=1e-12)
-            from momentangle.forms import _volume_from_frame_data
-            from momentangle import pfaffian
-            assert _volume_from_frame_data(a, m, pfaffian) == fast
+            assert _volume_from_frame_data(a, m) == fast
     # permutation-sum oracle is factorially slow; check it once at d = 5
     a = rng.normal(size=5)
     m = rng.normal(size=(5, 5))
