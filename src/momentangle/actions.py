@@ -198,8 +198,7 @@ def fiber_count(cfg: Configuration, direction,
 
 
 def fiber_points(cfg: Configuration, direction,
-                 tol: float = DEFAULT_BRANCH_TOL,
-                 certify_tol: float = DEFAULT_TOL) -> list[VarietyPoint]:
+                 tol: float = DEFAULT_BRANCH_TOL) -> list[VarietyPoint]:
     """All preimages of a direction, by exhaustive sign-choice construction.
 
     Builds w_k = +-sqrt(-F_k) for every k with |F_k| > tol (w_k = 0 on the
@@ -228,7 +227,7 @@ def fiber_points(cfg: Configuration, direction,
     found: list[VarietyPoint] = []
     for combo in product(*choices):
         coords = realify(np.concatenate([np.array(combo), r * zhat]))
-        point = certify(cfg, coords, tol=certify_tol)
+        point = certify(cfg, coords)
         if not _is_duplicate(point.coordinates, [q.coordinates for q in found]):
             found.append(point)
     return found

@@ -371,6 +371,8 @@ def cmd_cover(args) -> int:
         if flat.size != 2 * cfg.n:
             raise StructuralError(f"direction needs {2 * cfg.n} numbers (re,im pairs)")
         directions.append(flat[0::2] + 1j * flat[1::2])
+    elif args.samples < 1:
+        raise StructuralError("count must be positive")
     else:
         rng = np.random.Generator(np.random.Philox(key=np.array(
             [args.seed % (1 << 64), 0], dtype=np.uint64)))

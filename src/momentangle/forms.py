@@ -44,8 +44,8 @@ expansion of one bordered Pfaffian:
     k! * sum_i (-1)^(i+1) a_i Pf(M with row/col i removed)
         = k! * Pf([[0, a^T], [-a, M]]),
 
-so the volume costs one Householder Pfaffian of a (d+1) x (d+1) matrix.  It
-is the Hodge star of the confoliation form in the induced metric.
+so the volume costs one Pfaffian of a (d+1) x (d+1) matrix.  It is the
+Hodge star of the confoliation form in the induced metric.
 
 Numerical-rank note: ranks use the relative rule of
 :func:`.config.numerical_rank`, and singular values in the tie band
@@ -66,7 +66,7 @@ import numpy as np
 from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band, numerical_rank, rank_cut
 from .errors import NumericalError, StructuralError
 from .pfaffian import pfaffian
-from .variety import DEFAULT_ZERO_TOL, VarietyPoint, complexify, realify
+from .variety import ZERO_TOL, VarietyPoint, complexify, realify
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,7 @@ def null_quadric_value(cfg: Configuration, coords) -> complex:
     return complex(np.sum(w**2))
 
 
-def kernel_family_basis(
-    cfg: Configuration, coords, zero_tol: float = DEFAULT_ZERO_TOL
-) -> np.ndarray:
+def kernel_family_basis(cfg: Configuration, coords) -> np.ndarray:
     """Closed-form basis of ker(dalpha|_T) at a point, one column per vector.
 
     The parameter count depends on the stratum; see the module docstring for
@@ -195,7 +193,7 @@ def kernel_family_basis(
         mu_column = closed_form_kernel_vector(cfg, coords, np.zeros(cfg.m, dtype=complex), 1.0)
         return np.column_stack([_leaf_span(cfg, coords), mu_column])
     if cfg.kind == "mixed-m1":
-        if np.any(np.abs(w) > zero_tol):
+        if np.any(np.abs(w) > ZERO_TOL):
             # Valid for every w != 0: on the null cone it degenerates to
             # T = 0, mu = -2 sum|w|^2, still a nonzero kernel vector.
             T = np.conj(np.sum(w**2))
@@ -203,7 +201,7 @@ def kernel_family_basis(
             return np.column_stack([closed_form_kernel_vector(cfg, coords, T, mu)])
         return np.column_stack([closed_form_kernel_vector(cfg, coords, T, mu)
                                 for T, mu in ((1.0 + 0j, 0.0), (1j, 0.0), (0j, 1.0))])
-    zero = np.abs(w) <= zero_tol
+    zero = np.abs(w) <= ZERO_TOL
     T_mu = np.zeros(cfg.m, dtype=complex)
     live = ~zero
     T_mu[live] = -0.5 * np.conj(w[live]) / w[live]
@@ -211,18 +209,16 @@ def kernel_family_basis(
     return np.column_stack([_leaf_span(cfg, coords, np.flatnonzero(zero)), mu_column])
 
 
-def expected_kernel_dims(
-    cfg: Configuration, point: VarietyPoint, zero_tol: float = DEFAULT_ZERO_TOL
-) -> tuple[int, int]:
+def expected_kernel_dims(cfg: Configuration, point: VarietyPoint) -> tuple[int, int]:
     """Stratum dimension table: (dim ker dalpha|_T, dim ker alpha cap ker dalpha)."""
     if cfg.kind == "classical":
         return 2 * cfg.m + 1, 2 * cfg.m
     if cfg.kind == "mixed-m1":
         w = point.w_block(cfg)
-        degenerate = bool(np.all(np.abs(w) <= zero_tol))
+        degenerate = bool(np.all(np.abs(w) <= ZERO_TOL))
         return (3, 2) if degenerate else (1, 0)
     w = point.w_block(cfg)
-    zeros = int(np.count_nonzero(np.abs(w) <= zero_tol))
+    zeros = int(np.count_nonzero(np.abs(w) <= ZERO_TOL))
     return 2 * zeros + 1, 2 * zeros
 
 
@@ -354,15 +350,11 @@ def numerical_kernel(
     return point.tangent_frame @ vh[numerical_rank(sigma, rank_tol):].T
 
 
-def kernel_family_angle(
-    cfg: Configuration,
-    point: VarietyPoint,
-    rank_tol: float = DEFAULT_RANK_TOL,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-) -> float:
+def kernel_family_angle(cfg: Configuration, point: VarietyPoint,
+                        rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Largest principal angle between the closed-form kernel family and the
     numerically computed kernel of dalpha on the tangent frame."""
-    family = kernel_family_basis(cfg, point.coordinates, zero_tol)
+    family = kernel_family_basis(cfg, point.coordinates)
     numeric = numerical_kernel(cfg, point, rank_tol)
     return subspace_angle(family, numeric)
 

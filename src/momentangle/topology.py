@@ -14,6 +14,12 @@ variables) is determined by partial sums around the cycle,
 
 as the connected sum of the sphere products S^{2d_j+s-1} x S^{2n-2d_j+s-2}.
 
+The number N(n) of weight cycles of total n, up to rotation (and
+reflection), is counted by Burnside's lemma for each odd length L: a rotation
+by k fixes C(n g/L - 1, g - 1) compositions, g = gcd(k, L), when L | n g and
+none otherwise; each of the L reflections fixes sum_p C((n - p)/2 - 1,
+(L - 1)/2 - 1), over the middle part p = n (mod 2).
+
 Everything here is exact integer/stdlib combinatorics except the circle walk,
 which uses a fixed angular tolerance.
 """
@@ -22,7 +28,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb, gcd
 
 import numpy as np
 
@@ -32,10 +38,6 @@ from .errors import StructuralError
 ANGULAR_TOL = 1e-9
 
 EQUIVALENCES = ("rotation", "rotation+reflection")
-
-
-def _min_rotation(seq: tuple[int, ...]) -> tuple[int, ...]:
-    return min(tuple(seq[i:] + seq[:i]) for i in range(len(seq)))
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,8 @@ class CyclicWeights:
 
     def canonical(self) -> "CyclicWeights":
         """Lexicographically minimal rotation — the cyclic normal form."""
-        return CyclicWeights(_min_rotation(self.weights))
+        w = self.weights
+        return CyclicWeights(min(w[i:] + w[:i] for i in range(len(w))))
 
 
 @dataclass(frozen=True)
@@ -207,10 +210,11 @@ def normalize_configuration(
 def count_diffeo_types(n: int, equivalence: str = "rotation") -> int:
     """Number N(n) of weight cycles with total n, up to the chosen equivalence.
 
-    Enumerates all compositions of n into an odd number (>= 3) of positive
-    parts and counts distinct canonical forms under rotation (optionally also
-    reflection).  Exhaustive — fine for the desk-scale n where this is used
-    (2^(n-1) compositions).
+    Burnside's lemma for each odd length L = 3, 5, ..., n: the fixed
+    compositions sum_k C(n g/L - 1, g - 1) over the rotations k with
+    g = gcd(k, L) and L | n g, plus, for ``"rotation+reflection"``,
+    L * sum_{p = n mod 2} C((n - p)/2 - 1, (L - 1)/2 - 1) over the
+    reflections, divided by the group order L (or 2L).  Nothing is enumerated.
     """
     if not isinstance(n, int) or n < 3:
         raise StructuralError("n must be an integer >= 3")
@@ -219,13 +223,16 @@ def count_diffeo_types(n: int, equivalence: str = "rotation") -> int:
     if n <= 3:
         warnings.warn(f"counting below the n > 3 hypothesis (n = {n})", stacklevel=2)
 
-    canonical: set[tuple[int, ...]] = set()
+    total = 0
     for length in range(3, n + 1, 2):
-        for cuts in combinations(range(1, n), length - 1):
-            bounds = (0, *cuts, n)
-            comp = tuple(bounds[i + 1] - bounds[i] for i in range(length))
-            rep = _min_rotation(comp)
-            if equivalence == "rotation+reflection":
-                rep = min(rep, _min_rotation(comp[::-1]))
-            canonical.add(rep)
-    return len(canonical)
+        fixed = sum(comb(n * g // length - 1, g - 1)
+                    for g in (gcd(k, length) for k in range(length))
+                    if n * g % length == 0)
+        order = length
+        if equivalence == "rotation+reflection":
+            half = (length - 1) // 2
+            fixed += length * sum(comb((n - p) // 2 - 1, half - 1)
+                                  for p in range(2 - n % 2, n - 2 * half + 1, 2))
+            order *= 2
+        total += fixed // order
+    return total

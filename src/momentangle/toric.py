@@ -50,6 +50,7 @@ from .variety import VarietyPoint, certify, project_to_variety, realify, sample_
 
 FEASIBILITY_TOL = 1e-9
 VERTEX_ENUMERATION_MAX_DIM = 8
+MAX_DESCENT_STEPS = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,13 +159,8 @@ def _equality_rows(lambdas: np.ndarray, rhs: np.ndarray, total: float):
     return A, b
 
 
-def _support(A: np.ndarray, b: np.ndarray, tol: float) -> list[int] | None:
-    """Coordinates that are positive somewhere on {t >= 0, At = b}.
-
-    Returns None when the polytope is empty.  Tries one simultaneous
-    interior LP (max delta with t_j >= delta) before falling back to n
-    per-coordinate maximizations.
-    """
+def _interior_margin(A: np.ndarray, b: np.ndarray) -> float | None:
+    """max delta with t_j >= delta on {t >= 0, At = b}; None when the set is empty."""
     n = A.shape[1]
     c = np.zeros(n + 1)
     c[-1] = -1.0
@@ -172,9 +168,18 @@ def _support(A: np.ndarray, b: np.ndarray, tol: float) -> list[int] | None:
     A_eq = np.hstack([A, np.zeros((A.shape[0], 1))])
     res = _solve_lp(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b,
                     bounds=[(0, None)] * n + [(None, None)])
-    if res.status == 2:
+    return None if res.status == 2 else float(res.x[-1])
+
+
+def _support(A: np.ndarray, b: np.ndarray, tol: float) -> list[int] | None:
+    """Coordinates that are positive somewhere on {t >= 0, At = b}, or None
+    when it is empty: all n when :func:`_interior_margin` exceeds ``tol``,
+    otherwise from n per-coordinate maximizations."""
+    n = A.shape[1]
+    margin = _interior_margin(A, b)
+    if margin is None:
         return None
-    if res.x is not None and res.x[-1] > tol:
+    if margin > tol:
         return list(range(n))
 
     support = []
@@ -262,6 +267,11 @@ def fiber_polytope(cfg: Configuration, w,
     ``w`` is the complex m-vector of a moment-map value; |w|^2 < 1 required.
     May legitimately be empty (w outside the moment image).
     """
+    return _build_polytope(*_fiber_rows(cfg, w), tol)
+
+
+def _fiber_rows(cfg: Configuration, w):
+    """Equality rows and right-hand sides of the fiber polytope at w."""
     if cfg.kind != "mixed-general":
         raise StructuralError("fiber polytopes are defined for mixed-general links")
     w = np.atleast_1d(np.asarray(w, dtype=complex))
@@ -270,8 +280,7 @@ def fiber_polytope(cfg: Configuration, w,
     wsq = float(np.sum(np.abs(w) ** 2))
     if wsq >= 1.0:
         raise StructuralError("|w|^2 < 1 is required")
-    A, b = _equality_rows(cfg.lambdas, -(w**2), 1.0 - wsq)
-    return _build_polytope(A, b, tol)
+    return _equality_rows(cfg.lambdas, -(w**2), 1.0 - wsq)
 
 
 def moment_map(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
@@ -331,12 +340,7 @@ def moment_image_check(
     )
 
 
-def estimate_c(
-    cfg: Configuration,
-    samples: int = 200,
-    seed: int = 0,
-    max_descent_steps: int = 400,
-) -> CEstimate:
+def estimate_c(cfg: Configuration, samples: int = 200, seed: int = 0) -> CEstimate:
     """Estimate c = inf sum |z_j|^2 over the link, from above.
 
     Draws certified samples, takes the best, and refines it by projected
@@ -363,7 +367,7 @@ def estimate_c(
 
     eta = 0.1
     steps = 0
-    for _ in range(max_descent_steps):
+    for _ in range(MAX_DESCENT_STEPS):
         grad = np.zeros_like(x)
         grad[z_start:] = 2.0 * x[z_start:]
         moved = False
@@ -389,18 +393,15 @@ def estimate_c(
                      samples_used=len(pts), descent_steps=steps)
 
 
-def star_shaped_check(
-    cfg: Configuration,
-    samples: int = 50,
-    ray_steps: int = 20,
-    seed: int = 0,
-    tol: float = FEASIBILITY_TOL,
-) -> StarShapedReport:
+def star_shaped_check(cfg: Configuration, samples: int = 50, ray_steps: int = 20,
+                      seed: int = 0) -> StarShapedReport:
     """Check the moment image is star-shaped about 0 on a sampled ray grid.
 
     For each sampled point's moment value w and each radial factor r on a
-    uniform [0, 1] grid, the fiber polytope at r*w must be nonempty (LP
-    feasibility).  Violations are reported as (ray index, r) witnesses.
+    uniform [0, 1] grid, the fiber polytope at r*w must be nonempty.  Each
+    grid point is one feasibility LP, the first LP of :func:`fiber_polytope`;
+    no polytope is built and no vertex is enumerated.  Violations are
+    reported as (ray index, r) witnesses.
     """
     if cfg.kind != "mixed-general":
         raise StructuralError("star_shaped_check is defined for mixed-general links")
@@ -410,8 +411,7 @@ def star_shaped_check(
     for i, point in enumerate(pts):
         w = moment_map(cfg, point)
         for r in grid:
-            poly_feasible = not fiber_polytope(cfg, r * w, tol).is_empty
-            if not poly_feasible:
+            if _interior_margin(*_fiber_rows(cfg, r * w)) is None:
                 violations.append((i, float(r)))
     return StarShapedReport(
         rays_checked=len(pts),

@@ -37,7 +37,7 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
-DEFAULT_ZERO_TOL = 1e-8
+ZERO_TOL = 1e-8
 DUPLICATE_TOL = 1e-6
 MAX_HALVINGS = 30
 
@@ -224,7 +224,6 @@ def certify(
     coords: np.ndarray,
     tol: float = DEFAULT_TOL,
     rank_tol: float = DEFAULT_RANK_TOL,
-    zero_tol: float = DEFAULT_ZERO_TOL,
 ) -> VarietyPoint:
     """Certify an ambient point as a regular point of the link.
 
@@ -258,7 +257,7 @@ def certify(
         raise SingularPointError("degenerate orientation basis")
 
     w = complexify(coords)[: cfg.w_count]
-    pattern = tuple(int(k) for k in np.nonzero(np.abs(w) <= zero_tol)[0])
+    pattern = tuple(int(k) for k in np.nonzero(np.abs(w) <= ZERO_TOL)[0])
     return VarietyPoint(
         coordinates=coords,
         residual_norm=res_norm,

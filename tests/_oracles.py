@@ -81,6 +81,29 @@ def necklace_total(n: int) -> int:
     return sum(necklace_count(n, length) for length in range(3, n + 1, 2))
 
 
+def weight_cycles_brute(n: int, equivalence: str = "rotation") -> int:
+    """Weight cycles of total n by enumeration of all 2^(n-1) compositions.
+
+    Every composition of n into an odd number (>= 3) of positive parts is
+    reduced to its lexicographically least rotation (and, for
+    ``"rotation+reflection"``, the least of that and the reversed form's);
+    the count is the number of distinct representatives.
+    """
+    def least_rotation(seq):
+        return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+    canonical = set()
+    for length in range(3, n + 1, 2):
+        for cuts in combinations(range(1, n), length - 1):
+            bounds = (0, *cuts, n)
+            comp = tuple(bounds[i + 1] - bounds[i] for i in range(length))
+            rep = least_rotation(comp)
+            if equivalence == "rotation+reflection":
+                rep = min(rep, least_rotation(comp[::-1]))
+            canonical.add(rep)
+    return len(canonical)
+
+
 def c_exact(lambdas) -> float:
     """Closed-form infimum of sum |z|^2 on a mixed-general link.
 
@@ -130,7 +153,7 @@ def pfaffian_naive(matrix) -> float:
 
 def brute_force_contact_volume(a, dmat) -> float:
     """Exterior-algebra evaluation of alpha ^ (dalpha)^k by recursive wedge
-    expansion, independent of the Householder Pfaffian path.
+    expansion, independent of the library's Pfaffian.
 
     The 2-form power is evaluated through the first-principles recursion
     W(S) = k * sum_p (-1)^(p+1) M[s_0, s_p] W(S minus {s_0, s_p}) obtained by

@@ -206,6 +206,15 @@ def test_cover_rejects_classical(tmp_path, pentagon, capsys):
     assert main(["cover", path, "--samples", "1"]) == 2
 
 
+@pytest.mark.parametrize("samples", ["0", "-2"])
+def test_cover_rejects_non_positive_samples(tmp_path, mixed_general_m1, capsys, samples):
+    path = write_config(tmp_path, mixed_general_m1)
+    report = tmp_path / "cover.json"
+    assert main(["cover", path, "--samples", samples, "--json", str(report)]) == 2
+    assert "count must be positive" in capsys.readouterr().err
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------------------
 # count
 # ---------------------------------------------------------------------------

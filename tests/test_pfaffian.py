@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle import pfaffian
+from momentangle import StructuralError, pfaffian
 
 from _oracles import pfaffian_naive
 
@@ -74,3 +74,30 @@ def test_swap_antisymmetry(seed, d):
     swapped[[0, 1]] = swapped[[1, 0]]
     swapped[:, [0, 1]] = swapped[:, [1, 0]]
     assert pfaffian(swapped) == pytest.approx(-pfaffian(mat), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_entries(bad):
+    mat = np.array([[0.0, bad], [-bad, 0.0]])
+    with pytest.raises(StructuralError, match="non-finite"):
+        pfaffian(mat)
+    big = random_skew(np.random.default_rng(3), 6)
+    big[1, 4], big[4, 1] = bad, -bad
+    with pytest.raises(StructuralError, match="non-finite"):
+        pfaffian(big)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6, 8, 10]),
+       st.floats(0.0, 0.9))
+@settings(max_examples=80, deadline=None)
+def test_matches_naive_with_zero_patterns(seed, d, density):
+    """Symmetric zero patterns leave columns already reduced at interior
+    steps, where no reflector is applied and the sign must not flip."""
+    rng = np.random.default_rng(seed)
+    mat = random_skew(rng, d)
+    holes = np.triu(rng.random((d, d)) < density, 1)
+    mat[holes | holes.T] = 0.0
+    before = mat.copy()
+    scale = max(1.0, float(np.linalg.norm(mat, 2))) ** (d // 2)
+    assert pfaffian(mat) == pytest.approx(pfaffian_naive(mat), rel=1e-9, abs=1e-12 * scale)
+    np.testing.assert_array_equal(mat, before)

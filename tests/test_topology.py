@@ -1,5 +1,7 @@
 """Weight cycles, normal forms and the sphere-product classifier."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from momentangle import (
     count_diffeo_types,
     normalize_configuration,
 )
-from _oracles import necklace_count, necklace_total
+from _oracles import necklace_count, necklace_total, weight_cycles_brute
 
 
 def directions(*degrees):
@@ -135,6 +137,19 @@ def test_count_matches_necklace_oracle(n):
 def test_reflection_count_bounded_by_rotation_count():
     for n in range(4, 11):
         assert count_diffeo_types(n, "rotation+reflection") <= count_diffeo_types(n)
+
+
+@pytest.mark.parametrize("equivalence", ["rotation", "rotation+reflection"])
+@pytest.mark.parametrize("n", range(3, 15))
+def test_count_matches_brute_enumeration(n, equivalence):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # n = 3 is below the hypothesis
+        count = count_diffeo_types(n, equivalence)
+    assert count == weight_cycles_brute(n, equivalence)
+
+
+def test_count_at_large_n_matches_necklace_total():
+    assert count_diffeo_types(60) == necklace_total(60)
 
 
 def test_count_validation():

@@ -14,6 +14,7 @@ from momentangle import (
     moment_image_check,
     moment_map,
     star_shaped_check,
+    toric,
 )
 from _oracles import c_exact
 from conftest import roots_of_unity
@@ -150,3 +151,26 @@ def test_star_shaped_grid(mixed_general_m2):
     assert report.rays_checked == 6
     assert report.steps_per_ray == 8
     assert report.violations == ()
+
+
+def test_star_shaped_check_only_solves_feasibility(mixed_general_m2, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("star_shaped_check built a polytope")
+
+    monkeypatch.setattr(toric, "_build_polytope", forbidden)
+    monkeypatch.setattr(toric, "_enumerate_vertices", forbidden)
+    assert star_shaped_check(mixed_general_m2, samples=2, ray_steps=3, seed=0).passed
+
+
+def test_feasibility_lp_agrees_with_fiber_polytope(mixed_general_m2):
+    """The star check's emptiness verdict is the fiber polytope's, on moment
+    values inside and outside the image."""
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for _ in range(30):
+        w = rng.normal(size=2) + 1j * rng.normal(size=2)
+        w *= rng.uniform(0.05, 0.99) / np.linalg.norm(w)
+        empty = toric._interior_margin(*toric._fiber_rows(mixed_general_m2, w)) is None
+        assert empty == fiber_polytope(mixed_general_m2, w).is_empty
+        verdicts.add(empty)
+    assert verdicts == {True, False}
