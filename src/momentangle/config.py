@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, islice
 from typing import Iterable, Sequence
 
@@ -164,6 +165,33 @@ class Configuration:
     @property
     def manifold_dim(self) -> int:
         return self.ambient_real_dim - self.equation_count
+
+    @cached_property
+    def quadrics(self) -> np.ndarray:
+        """The link as real quadrics: symmetric ``S_e``, shape ``(equations, dim, dim)``.
+
+        Equation ``e`` reads ``x^T S_e x = d_e`` on the interleaved real
+        vector ``x`` (w block first), in the row order of
+        :func:`.variety.evaluate_system`: a (Re, Im) pair per complex
+        quadric, then the sphere, the only row with ``d_e = 1``
+        (``S = I``).  ``|z_j|^2`` is ``x_j^2 + y_j^2`` and
+        ``w^2 = (x^2 - y^2) + i (2 x y)``.  Built once, read-only.
+        """
+        dim, s = self.ambient_real_dim, self.w_count
+        quads = np.zeros((self.equation_count, dim, dim))
+        z = np.arange(2 * s, dim)
+        lam = np.repeat(self.lambdas, 2, axis=0)  # one row per real z coordinate
+        for k in range(self.equation_count // 2):
+            quads[2 * k, z, z] = lam[:, k].real
+            quads[2 * k + 1, z, z] = lam[:, k].imag
+        for r in range(s):  # w_r^2 joins quadric r (mixed-general) or the one quadric
+            k = r if self.kind == "mixed-general" else 0
+            x, y = 2 * r, 2 * r + 1
+            quads[2 * k, x, x], quads[2 * k, y, y] = 1.0, -1.0
+            quads[2 * k + 1, x, y] = quads[2 * k + 1, y, x] = 1.0
+        quads[-1] = np.eye(dim)
+        quads.flags.writeable = False
+        return quads
 
     def realified_lambdas(self) -> np.ndarray:
         """The lambda_j as rows of a real (n, 2m) matrix (interleaved Re/Im)."""

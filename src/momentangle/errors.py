@@ -27,10 +27,14 @@ class SingularPointError(NumericalError):
 class SamplingBudgetError(NumericalError):
     """Fewer certified points than requested within the retry budget.
 
-    The points that did certify are attached so partial results are not lost.
+    The points that did certify are attached so partial results are not lost,
+    and ``outcomes`` counts the attempts and why the rejected ones failed
+    (keys ``attempts``, ``not_converged``, ``line_search_stalls``,
+    ``singular``, ``duplicates``).
     """
 
-    def __init__(self, message, points, requested):
+    def __init__(self, message, points, requested, outcomes):
         super().__init__(message)
         self.points = points
         self.requested = requested
+        self.outcomes = outcomes

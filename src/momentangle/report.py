@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 def format_float(value: float) -> str:
     """Render a float with 17 significant digits (round-trip exact)."""
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite value in report: {value}")
     if value == 0.0:
         value = 0.0  # normalize -0.0
@@ -34,13 +35,15 @@ def canonical_json(obj) -> str:
 
 
 def _write(obj, out: list[str]) -> None:
-    if obj is None:
+    if isinstance(obj, float):  # the common case; np.float64 is a float too
+        out.append(format_float(obj))
+    elif obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, np.floating):
         out.append(format_float(float(obj)))
     elif isinstance(obj, (complex, np.complexfloating)):
         out.append(f"[{format_float(obj.real)},{format_float(obj.imag)}]")
@@ -49,12 +52,15 @@ def _write(obj, out: list[str]) -> None:
     elif isinstance(obj, np.ndarray):
         _write(obj.tolist(), out)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
+        if obj and all(isinstance(item, float) for item in obj):
+            out.append("[" + ",".join(map(format_float, obj)) + "]")
+        else:
+            out.append("[")
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(",")
+                _write(item, out)
+            out.append("]")
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):

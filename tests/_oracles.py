@@ -115,6 +115,135 @@ def c_exact(lambdas) -> float:
     return 1.0 / (1.0 + float(np.max(np.sum(np.abs(lam), axis=1))))
 
 
+def system_oracle(cfg, coords):
+    """Link residuals rebuilt from the complex defining equations."""
+    coords = np.asarray(coords, dtype=float)
+    values = coords[0::2] + 1j * coords[1::2]
+    w, z = values[: cfg.w_count], values[cfg.w_count:]
+    rows = []
+    if cfg.kind == "classical":
+        for k in range(cfg.m):
+            g = np.sum(cfg.lambdas[:, k] * np.abs(z) ** 2)
+            rows += [g.real, g.imag]
+    elif cfg.kind == "mixed-m1":
+        g = np.sum(w**2) + np.sum(cfg.lambdas[:, 0] * np.abs(z) ** 2)
+        rows += [g.real, g.imag]
+    else:
+        for k in range(cfg.m):
+            g = w[k] ** 2 + np.sum(cfg.lambdas[:, k] * np.abs(z) ** 2)
+            rows += [g.real, g.imag]
+    rows.append(np.sum(np.abs(w) ** 2) + np.sum(np.abs(z) ** 2) - 1.0)
+    return np.array(rows)
+
+
+def _square_rows(wx, wy):
+    """(Re, Im) rows of d(sum w_r^2): (2wx, -2wy; 2wy, 2wx) per coordinate."""
+    rows = np.empty((2, 2 * wx.size))
+    rows[0, 0::2], rows[0, 1::2] = 2.0 * wx, -2.0 * wy
+    rows[1, 0::2], rows[1, 1::2] = 2.0 * wy, 2.0 * wx
+    return rows
+
+
+def jacobian_oracle(cfg, coords):
+    """Real Jacobian of :func:`system_oracle`, written out per kind."""
+    coords = np.asarray(coords, dtype=float)
+    s = cfg.w_count
+    jac = np.zeros((len(system_oracle(cfg, coords)), coords.size))
+    zx, zy = coords[2 * s::2], coords[2 * s + 1::2]
+    wx, wy = coords[0:2 * s:2], coords[1:2 * s:2]
+    for k in range(cfg.lambdas.shape[1]):
+        lam = cfg.lambdas[:, k]
+        jac[2 * k, 2 * s::2], jac[2 * k, 2 * s + 1::2] = 2.0 * lam.real * zx, 2.0 * lam.real * zy
+        jac[2 * k + 1, 2 * s::2], jac[2 * k + 1, 2 * s + 1::2] = 2.0 * lam.imag * zx, 2.0 * lam.imag * zy
+    if cfg.kind == "mixed-m1":
+        jac[0:2, 0:2 * s] = _square_rows(wx, wy)
+    elif cfg.kind == "mixed-general":
+        for k in range(s):
+            jac[2 * k:2 * k + 2, 2 * k:2 * k + 2] = _square_rows(wx[k:k + 1], wy[k:k + 1])
+    jac[-1] = 2.0 * coords
+    return jac
+
+
+def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
+                     rank_tol=1e-8, max_attempts_per_point=50):
+    """Certified samples by the plain sequential loop, one attempt at a time.
+
+    Attempt ``i`` starts from a Gaussian drawn from the Philox stream keyed by
+    ``(seed, i)``, normalised, with the ``pinned`` real coordinates held at
+    zero; ``null_sum`` appends Re/Im of ``sum_r w_r^2 = 0`` to the system.
+    Gauss-Newton takes ``lstsq`` steps, halved until the residual 2-norm
+    drops (at most 30 times, 100 iterations, infinity norm <= ``tol``).  A
+    point is kept when the link's Jacobian has full rank (per-point SVD) and
+    it is not within 1e-6 of a kept point.  Returns ``(coords, frame,
+    zero_pattern)`` per point, the frame oriented so that
+    ``det [J^T | frame] > 0``.
+    """
+    dim, s = cfg.ambient_real_dim, cfg.w_count
+    free = np.setdiff1d(np.arange(dim), list(pinned))
+
+    def embed(y):
+        x = np.zeros(dim)
+        x[free] = y
+        return x
+
+    def residual(y):
+        x = embed(y)
+        extra = [np.sum((x[0:2 * s:2] + 1j * x[1:2 * s:2]) ** 2)] if null_sum else []
+        return np.concatenate([system_oracle(cfg, x), [v for g in extra for v in (g.real, g.imag)]])
+
+    def jacobian(y):
+        x = embed(y)
+        jac = jacobian_oracle(cfg, x)
+        if null_sum:
+            extra = np.zeros((2, dim))
+            extra[:, 0:2 * s] = _square_rows(x[0:2 * s:2], x[1:2 * s:2])
+            jac = np.vstack([jac, extra])
+        return jac[:, free]
+
+    def project(y):
+        r = residual(y)
+        for _ in range(100):
+            if np.linalg.norm(r, np.inf) <= tol:
+                return y
+            step = np.linalg.lstsq(jacobian(y), -r, rcond=None)[0]
+            base, scale = np.linalg.norm(r), 1.0
+            for _halving in range(31):
+                r_new = residual(y + scale * step)
+                if np.linalg.norm(r_new) < base:
+                    y, r = y + scale * step, r_new
+                    break
+                scale *= 0.5
+            else:
+                return None
+        return y if np.linalg.norm(r, np.inf) <= tol else None
+
+    found = []
+    for attempt in range(count * max_attempts_per_point):
+        if len(found) == count:
+            break
+        key = np.array([seed % (1 << 64), attempt % (1 << 64)], dtype=np.uint64)
+        start = np.random.Generator(np.random.Philox(key=key)).normal(size=free.size)
+        y = project(start / np.linalg.norm(start))
+        if y is None:
+            continue
+        x = embed(y)
+        if np.linalg.norm(system_oracle(cfg, x), np.inf) > tol:
+            continue
+        jac = jacobian_oracle(cfg, x)
+        _, sigma, vh = np.linalg.svd(jac)
+        eq = jac.shape[0]
+        if np.count_nonzero(sigma > rank_tol * sigma[0]) != eq:
+            continue
+        frame = vh[eq:].T.copy()
+        if np.linalg.det(np.column_stack([jac.T, frame])) < 0:
+            frame[:, -1] = -frame[:, -1]
+        if any(np.linalg.norm(x - other) < 1e-6 for other, _, _ in found):
+            continue
+        w = x[0:2 * s:2] + 1j * x[1:2 * s:2]
+        found.append((x, frame, tuple(int(k) for k in np.nonzero(np.abs(w) <= 1e-8)[0])))
+    return found
+
+
 def _validate_skew(matrix) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -8,6 +8,10 @@ determinism is checked at the byte level.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +288,19 @@ def test_sample_bad_pattern_exits_two(tmp_path, mixed_general_m2, capsys):
     assert main(["sample", path, "--pattern", "7"]) == 2
 
 
+@pytest.mark.parametrize("command", ["sample", "verify"])
+@pytest.mark.parametrize("flags", [
+    ["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"], ["--tol", "-1"],
+    ["--rank-tol", "nan"], ["--rank-tol", "2"], ["--rank-tol", "-1"],
+])
+def test_tolerances_outside_their_range_exit_two(tmp_path, pentagon, capsys, command, flags):
+    path = write_config(tmp_path, pentagon)
+    report = tmp_path / "report.json"
+    assert main([command, path, "--samples", "2", *flags, "--json", str(report)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------------------
 # report determinism
 # ---------------------------------------------------------------------------
@@ -347,3 +364,20 @@ def test_same_config_same_hash_across_paths(tmp_path, pentagon):
     hash_a = json.loads(out_a.read_text())["manifest"]["config_hash"]
     hash_b = json.loads(out_b.read_text())["manifest"]["config_hash"]
     assert hash_a == hash_b
+
+
+def test_sample_report_is_identical_across_blas_thread_counts(tmp_path, mixed_general_m2):
+    """Two fresh interpreters, one and two BLAS threads, the same report bytes."""
+    path = write_config(tmp_path, mixed_general_m2)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        report = tmp_path / f"threads{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "momentangle.cli", "sample", path,
+                        "--pattern", "0", "--samples", "60",
+                        "--timestamp", "2024-01-01T00:00:00Z", "--json", str(report)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]

@@ -101,6 +101,13 @@ def test_canonical_json_rejects_unknown_types():
         canonical_json(object())
 
 
+def test_canonical_json_golden_mixed_list():
+    # The bytes the writer produced before its float fast path.
+    obj = {"b": [np.float64(0.1), -0.0, 1, True, np.bool_(False), np.int64(3), 1 + 2j,
+                 np.arange(2.0)], "a": None}
+    assert canonical_json(obj) == '{"a":null,"b":[0.10000000000000001,0,1,true,false,3,[1,2],[0,1]]}'
+
+
 def test_canonical_json_tuple_matches_list():
     assert canonical_json((1, 2)) == canonical_json([1, 2]) == "[1,2]"
 

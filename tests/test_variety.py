@@ -1,5 +1,7 @@
 """Sampling, projection and certification on the link varieties."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,25 +22,7 @@ from momentangle import (
     system_jacobian,
 )
 
-
-def system_oracle(cfg, coords):
-    """Residuals rebuilt from the defining equations, no shared code paths."""
-    values = complexify(np.asarray(coords, dtype=float))
-    w, z = values[: cfg.w_count], values[cfg.w_count:]
-    rows = []
-    if cfg.kind == "classical":
-        for k in range(cfg.m):
-            g = np.sum(cfg.lambdas[:, k] * np.abs(z) ** 2)
-            rows += [g.real, g.imag]
-    elif cfg.kind == "mixed-m1":
-        g = np.sum(w**2) + np.sum(cfg.lambdas[:, 0] * np.abs(z) ** 2)
-        rows += [g.real, g.imag]
-    else:
-        for k in range(cfg.m):
-            g = w[k] ** 2 + np.sum(cfg.lambdas[:, k] * np.abs(z) ** 2)
-            rows += [g.real, g.imag]
-    rows.append(np.sum(np.abs(w) ** 2) + np.sum(np.abs(z) ** 2) - 1.0)
-    return np.array(rows)
+from _oracles import sample_reference, system_oracle
 
 
 @pytest.mark.parametrize("fixture", ["pentagon", "mixed_s2", "mixed_general_m2"])
@@ -151,6 +135,14 @@ def test_sampling_budget_error():
     with pytest.raises(SamplingBudgetError) as info:
         sample_with_zero_pattern(cfg, (0, 1), 2, seed=0, max_attempts_per_point=3)
     assert info.value.requested == 2
+    outcomes = info.value.outcomes
+    assert outcomes["attempts"] == 6
+    rejected = sum(v for key, v in outcomes.items() if key != "attempts")
+    assert rejected == outcomes["attempts"] - len(info.value.points)
+    # The stratum is empty, so no attempt gets past the projection.
+    assert outcomes["not_converged"] + outcomes["line_search_stalls"] == 6
+    for words in ("not converged", "line search stalls", "singular", "duplicates"):
+        assert words in str(info.value)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=2, max_size=10))
@@ -160,3 +152,81 @@ def test_realify_complexify_round_trip(values):
         values = values + [0.0]
     coords = np.asarray(values)
     np.testing.assert_array_equal(realify(complexify(coords)), coords)
+
+
+# Every fixture with every stratum kind: generic points, each --pattern
+# subset of the w block, and the null quadric of the mixed-m1 links.
+W_COUNTS = {"pentagon": 0, "hexagon_m2": 0, "mixed_s1": 1, "mixed_s2": 2,
+            "mixed_general_m1": 1, "mixed_general_m2": 2, "mixed_general_m3": 3}
+STRATA = [(name, None) for name in W_COUNTS]
+STRATA += [(name, K) for name, s in W_COUNTS.items()
+           for size in range(1, s + 1) for K in combinations(range(s), size)]
+STRATA += [("mixed_s1", "null"), ("mixed_s2", "null")]
+
+
+def _draw(cfg, stratum, count, seed):
+    if stratum is None:
+        return sample_points(cfg, count, seed=seed)
+    return sample_with_zero_pattern(cfg, None if stratum == "null" else stratum, count, seed=seed)
+
+
+@pytest.mark.parametrize("fixture, stratum", STRATA)
+def test_block_sampler_matches_sequential_reference(fixture, stratum, request):
+    cfg = request.getfixturevalue(fixture)
+    if stratum is None:
+        reference = sample_reference(cfg, 30, seed=4)
+    elif stratum == "null" and cfg.s >= 2:
+        reference = sample_reference(cfg, 30, seed=4, null_sum=True)
+    else:
+        K = range(cfg.s) if stratum == "null" else stratum
+        reference = sample_reference(cfg, 30, seed=4, pinned=[c for k in K for c in (2 * k, 2 * k + 1)])
+    points = _draw(cfg, stratum, 30, seed=4)
+    assert len(points) == len(reference) == 30
+    for point, (coords, _, pattern) in zip(points, reference):
+        np.testing.assert_allclose(point.coordinates, coords, rtol=0, atol=1e-9)
+        assert point.zero_pattern == pattern
+
+
+@pytest.mark.parametrize("fixture, stratum", STRATA)
+def test_prefixes_do_not_depend_on_block_size(fixture, stratum, request):
+    cfg = request.getfixturevalue(fixture)
+    long = _draw(cfg, stratum, 40, seed=6)
+    for k in (1, 7):
+        for a, b in zip(_draw(cfg, stratum, k, seed=6), long[:k], strict=True):
+            np.testing.assert_array_equal(a.coordinates, b.coordinates)
+            np.testing.assert_array_equal(a.tangent_frame, b.tangent_frame)
+            assert a.zero_pattern == b.zero_pattern
+
+
+@pytest.mark.parametrize("fixture", list(W_COUNTS))
+def test_quadric_matrices_give_the_defining_equations(fixture, request):
+    cfg = request.getfixturevalue(fixture)
+    quads = cfg.quadrics
+    assert quads.shape == (cfg.equation_count, cfg.ambient_real_dim, cfg.ambient_real_dim)
+    np.testing.assert_array_equal(quads, quads.transpose(0, 2, 1))
+    assert not quads.flags.writeable
+    assert cfg.quadrics is quads
+    rhs = np.zeros(cfg.equation_count)
+    rhs[-1] = 1.0
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        x = rng.normal(size=cfg.ambient_real_dim)
+        np.testing.assert_allclose(np.einsum("a,eab,b->e", x, quads, x) - rhs,
+                                   system_oracle(cfg, x), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tol, rank_tol", [
+    (np.inf, 1e-8), (np.nan, 1e-8), (0.0, 1e-8), (-1.0, 1e-8),
+    (1e-10, np.nan), (1e-10, 2.0), (1e-10, -1.0), (1e-10, 0.0), (1e-10, 1.0),
+])
+def test_tolerances_are_checked_at_the_boundary(pentagon, mixed_s2, batch, tol, rank_tol):
+    coords = batch(pentagon, 1)[0].coordinates
+    with pytest.raises(StructuralError):
+        sample_points(pentagon, 1, tol=tol, rank_tol=rank_tol)
+    with pytest.raises(StructuralError):
+        sample_with_zero_pattern(mixed_s2, (0,), 1, tol=tol, rank_tol=rank_tol)
+    with pytest.raises(StructuralError):
+        certify(pentagon, coords, tol=tol, rank_tol=rank_tol)
+    if tol != 1e-10:
+        with pytest.raises(StructuralError):
+            project_to_variety(pentagon, coords, tol=tol)
