@@ -76,12 +76,6 @@ def complexify(coords: np.ndarray) -> np.ndarray:
     return coords[0::2] + 1j * coords[1::2]
 
 
-def split_blocks(cfg: Configuration, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split an ambient real vector into complex (w, z) blocks."""
-    values = complexify(coords)
-    return values[: cfg.w_count], values[cfg.w_count :]
-
-
 @dataclass(frozen=True, eq=False)
 class VarietyPoint:
     """A certified point of a quadric link.

@@ -188,8 +188,11 @@ def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
 
     def residual(y):
         x = embed(y)
-        extra = [np.sum((x[0:2 * s:2] + 1j * x[1:2 * s:2]) ** 2)] if null_sum else []
-        return np.concatenate([system_oracle(cfg, x), [v for g in extra for v in (g.real, g.imag)]])
+        rows = system_oracle(cfg, x)
+        if null_sum:
+            total = np.sum((x[0:2 * s:2] + 1j * x[1:2 * s:2]) ** 2)
+            rows = np.concatenate([rows, [total.real, total.imag]])
+        return rows
 
     def jacobian(y):
         x = embed(y)
