@@ -26,6 +26,7 @@ from .errors import (
 from .forms import (
     FormEvaluation,
     RankTrichotomy,
+    StackEvaluation,
     alpha_on_frame,
     closed_form_kernel_vector,
     contact_volume,
@@ -34,6 +35,7 @@ from .forms import (
     dalpha_on_frame,
     eval_alpha,
     eval_dalpha,
+    evaluate_stack,
     expected_kernel_dims,
     kernel_analysis,
     kernel_family_angle,

@@ -30,24 +30,17 @@ from .config import (
     DEFAULT_RANK_TOL,
     check_admissible,
     check_mixed_admissible,
+    check_tolerances,
     configuration_to_dict,
     load_configuration,
 )
 from .errors import NumericalError, ProjectionError, SamplingBudgetError, StructuralError
-from .forms import (
-    contact_volume_scale,
-    expected_kernel_dims,
-    kernel_analysis,
-    kernel_family_angle,
-    leaf_two_form_magnitude,
-    orientation_sign,
-    symplectic_leaf_rank,
-)
+from .forms import contact_volume_scale, evaluate_stack, orientation_sign
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
 from .toric import gale_transform
 from .actions import fiber_count, fiber_points
-from .variety import jacobian_rank, sample_points, sample_with_zero_pattern
+from .variety import sample_points, sample_with_zero_pattern
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -171,6 +164,7 @@ def _emit(args, manifest: RunManifest, result: dict) -> None:
 
 def cmd_check(args) -> int:
     cfg = load_configuration(args.config)
+    check_tolerances(args.tol)
     cfg_dict = configuration_to_dict(cfg)
     manifest = _manifest(args, "check", cfg_dict, {"tol": args.tol})
 
@@ -232,15 +226,6 @@ def _verification_cases(cfg, samples, seed, tol, rank_tol):
     return cases
 
 
-def _volume_should_vanish(cfg, point) -> bool:
-    """Whether the contact volume is exactly zero at this point's stratum."""
-    if cfg.kind == "classical":
-        return True
-    if cfg.kind == "mixed-m1":
-        return len(point.zero_pattern) == cfg.w_count
-    return len(point.zero_pattern) > 0
-
-
 def cmd_verify(args) -> int:
     cfg = load_configuration(args.config)
     cfg_dict = configuration_to_dict(cfg)
@@ -248,43 +233,38 @@ def cmd_verify(args) -> int:
                          {"tol": args.tol, "rank_tol": args.rank_tol})
 
     cases = _verification_cases(cfg, args.samples, args.seed, args.tol, args.rank_tol)
-    checks: dict[str, list[int]] = {}
+    checks: dict[str, tuple[int, int]] = {}
 
-    def record(name: str, ok: bool) -> None:
-        slot = checks.setdefault(name, [0, 0])
-        slot[0] += int(ok)
-        slot[1] += 1
+    def record(name: str, ok: np.ndarray) -> None:
+        """(passed, total) of one check over the points it applies to; none, no entry."""
+        if ok.size:
+            checks[name] = (int(np.count_nonzero(ok)), ok.size)
 
     kappa = 0.0
     if cfg.kind != "classical":
         kappa = orientation_sign(cfg, cases[0][1][0])
     zero_scale = VOLUME_ZERO_FACTOR * contact_volume_scale(cfg)
 
-    for name, points in cases:
-        for point in points:
-            record("jacobian rank maximal",
-                   jacobian_rank(cfg, point, args.rank_tol) == cfg.equation_count)
-            evaluation = kernel_analysis(cfg, point, args.rank_tol)
-            expected = expected_kernel_dims(cfg, point)
-            record("kernel dimensions per stratum",
-                   (evaluation.ker_dalpha_dim,
-                    evaluation.ker_alpha_cap_ker_dalpha_dim) == expected)
-            record("closed-form kernel family agreement",
-                   kernel_family_angle(cfg, point, args.rank_tol) < ANGLE_LIMIT)
-            if cfg.kind == "classical":
-                record("contact volume vanishes (total degeneracy)",
-                       abs(evaluation.contact_volume) <= zero_scale)
-                record(f"Poisson leaf rank {2 * cfg.m}",
-                       symplectic_leaf_rank(cfg, point, args.rank_tol) == 2 * cfg.m)
-                record("leaf 2-form degeneracy",
-                       leaf_two_form_magnitude(cfg, point) <= 1e-8)
-            elif _volume_should_vanish(cfg, point):
-                record("contact volume vanishes on degenerate strata",
-                       abs(evaluation.contact_volume) <= zero_scale)
-            else:
-                record("contact volume positive off degenerate strata",
-                       kappa * evaluation.contact_volume > 0)
-            record("no indeterminate ranks", not evaluation.indeterminate)
+    points = [point for _, case_points in cases for point in case_points]
+    ev = evaluate_stack(cfg, points, args.rank_tol)
+    volume = ev.contact_volume
+    record("jacobian rank maximal", ev.jacobian_rank == cfg.equation_count)
+    record("kernel dimensions per stratum",
+           (ev.ker_dalpha_dim == ev.expected_kernel_dims[:, 0])
+           & (ev.ker_alpha_cap_ker_dalpha_dim == ev.expected_kernel_dims[:, 1]))
+    record("closed-form kernel family agreement", ev.family_angle < ANGLE_LIMIT)
+    if cfg.kind == "classical":
+        record("contact volume vanishes (total degeneracy)", np.abs(volume) <= zero_scale)
+        record(f"Poisson leaf rank {2 * cfg.m}", ev.leaf_rank == 2 * cfg.m)
+        record("leaf 2-form degeneracy", ev.leaf_two_form_magnitude <= 1e-8)
+    else:
+        # The volume vanishes exactly where ker dalpha jumps: the strata with
+        # ker alpha cap ker dalpha != 0 in the dimension table.
+        vanish = ev.expected_kernel_dims[:, 1] > 0
+        record("contact volume vanishes on degenerate strata",
+               np.abs(volume[vanish]) <= zero_scale)
+        record("contact volume positive off degenerate strata", kappa * volume[~vanish] > 0)
+    record("no indeterminate ranks", ~ev.indeterminate)
 
     all_ok = True
     result: dict = {"cases": [name for name, _ in cases], "checks": {}}
@@ -336,6 +316,7 @@ def cmd_classify(args) -> int:
 
 def cmd_gale(args) -> int:
     cfg = load_configuration(args.config)
+    check_tolerances(args.tol)
     cfg_dict = configuration_to_dict(cfg)
     manifest = _manifest(args, "gale", cfg_dict, {"tol": args.tol, "c": args.c})
 
@@ -359,6 +340,7 @@ def cmd_gale(args) -> int:
 
 def cmd_cover(args) -> int:
     cfg = load_configuration(args.config)
+    check_tolerances(args.tol)
     cfg_dict = configuration_to_dict(cfg)
     manifest = _manifest(args, "cover", cfg_dict, {"tol": args.tol})
 

@@ -38,6 +38,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations, islice
@@ -282,19 +283,31 @@ def origin_in_hull(points: np.ndarray, tol: float = 1e-9) -> bool:
     return hull_distance(points) <= tol
 
 
-def rank_cut(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """The cut of :func:`numerical_rank`: ``rank_tol`` times the largest value, 0 if none."""
-    return float(rank_tol * sigma[0]) if len(sigma) else 0.0
+def rank_cut(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
+    """The cut of :func:`numerical_rank`: ``rank_tol`` times the largest value, 0 if none.
+
+    Acts on the last axis: a float for one row of values, an array of cuts
+    (one per row) for a stack of shape ``(..., k)``.
+    """
+    if np.ndim(sigma) == 1:
+        return float(rank_tol * sigma[0]) if len(sigma) else 0.0
+    sigma = np.asarray(sigma, dtype=float)
+    return rank_tol * sigma[..., 0] if sigma.shape[-1] else np.zeros(sigma.shape[:-1])
 
 
-def numerical_rank(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> int:
+def numerical_rank(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
     """Number of singular values strictly above :func:`rank_cut`.
 
     ``sigma`` is in the descending order ``np.linalg.svd`` returns, so
     callers that also need the singular vectors keep their one SVD.  Empty
     or all-zero input has rank 0; a value exactly at the cut does not count.
+    An int for one row of values; for a stack ``(..., k)``, such as the
+    stacked output of ``np.linalg.svd``, an int array of shape ``(...)``.
     """
-    return int(np.count_nonzero(sigma > rank_cut(sigma, rank_tol)))
+    cut = rank_cut(sigma, rank_tol)
+    if np.ndim(sigma) == 1:
+        return int(np.count_nonzero(sigma > cut))
+    return np.count_nonzero(np.asarray(sigma) > cut[..., None], axis=-1)
 
 
 def _realify_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -311,6 +324,18 @@ def in_tie_band(value, tol: float):
     Elementwise for arrays; a bool for a Python float.
     """
     return (tol / DEGENERACY_BAND < value) & (value <= DEGENERACY_BAND * tol)
+
+
+def check_tolerances(tol: float, rank_tol: float = DEFAULT_RANK_TOL) -> None:
+    """Reject a ``tol`` that is not finite and positive, or a ``rank_tol`` outside (0, 1).
+
+    The boundary check for every tolerance that comes from outside the
+    program (the command line, or a caller of the sampling functions).
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise StructuralError(f"tol must be finite and positive, got {tol!r}")
+    if not 0 < rank_tol < 1:
+        raise StructuralError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
 
 
 def check_siegel(cfg: Configuration, tol: float = 1e-9) -> tuple[bool, float]:

@@ -47,6 +47,19 @@ expansion of one bordered Pfaffian:
 so the volume costs one Pfaffian of a (d+1) x (d+1) matrix.  It is the
 Hodge star of the confoliation form in the induced metric.
 
+Stacked evaluation: every certified point of a configuration has the same
+frame dimension d = ``manifold_dim``, so :func:`evaluate_stack` takes the
+points of a whole ``verify`` run, from every stratum, as frames (N, D, d).
+alpha and dalpha are two batched products; each rank (Jacobian, dalpha,
+[dalpha; alpha], dalpha on ker alpha, leaf span) is one SVD of a stack;
+the numerical kernel comes from the same SVD of dalpha that gives its rank,
+kept at width d with zero columns; the closed-form family is one array of
+(T, mu) parameters, zero-padded to a width fixed by the kind (v(0, 0) = 0).
+Only the bordered Pfaffians are one LAPACK call per point.  The one-point
+functions (:func:`kernel_analysis`, :func:`kernel_family_angle`,
+:func:`contact_volume`, ...) are the N = 1 case of the same code, so a
+point's values do not depend on the stack it is evaluated in.
+
 Numerical-rank note: ranks use the relative rule of
 :func:`.config.numerical_rank`, and singular values in the tie band
 (:func:`.config.in_tie_band`) around its cut set ``indeterminate``.  That rule
@@ -59,14 +72,14 @@ the caller to compare against an input-derived scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, factorial
+from math import factorial
 
 import numpy as np
 
 from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band, numerical_rank, rank_cut
 from .errors import NumericalError, StructuralError
 from .pfaffian import pfaffian
-from .variety import ZERO_TOL, VarietyPoint, complexify, realify
+from .variety import ZERO_TOL, VarietyPoint, _jacobian_ranks, complexify, realify
 
 
 @dataclass(frozen=True)
@@ -129,20 +142,27 @@ def eval_dalpha(cfg: Configuration, u, v) -> float:
 
 def alpha_on_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
     """Vector of alpha(e_i) over the point's tangent frame columns."""
-    frame = point.tangent_frame
-    wt = coordinate_weights(cfg)
-    p = point.coordinates
-    return 2.0 * ((wt * p[0::2]) @ frame[1::2, :] - (wt * p[1::2]) @ frame[0::2, :])
+    return _alpha_stack(cfg, point.coordinates[None], point.tangent_frame[None])[0]
 
 
 def dalpha_on_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
     """Skew matrix M[i, j] = dalpha(e_i, e_j) over the tangent frame."""
-    frame = point.tangent_frame
+    return _dalpha_stack(cfg, point.tangent_frame[None])[0]
+
+
+def _alpha_stack(cfg: Configuration, coords: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """alpha on every frame column: ``(N, d)`` for points ``(N, D)`` and frames ``(N, D, d)``."""
     wt = coordinate_weights(cfg)
-    x = frame[0::2, :]
-    y = frame[1::2, :]
-    m = 4.0 * (x.T @ (wt[:, None] * y))
-    return m - m.T
+    x, y = frames[:, 0::2, :], frames[:, 1::2, :]
+    return 2.0 * ((wt * coords[:, 0::2])[:, None, :] @ y
+                  - (wt * coords[:, 1::2])[:, None, :] @ x)[:, 0]
+
+
+def _dalpha_stack(cfg: Configuration, frames: np.ndarray) -> np.ndarray:
+    """dalpha on every pair of frame columns: skew ``(N, d, d)``."""
+    wt = coordinate_weights(cfg)
+    m = 4.0 * (frames[:, 0::2, :].transpose(0, 2, 1) @ (wt[:, None] * frames[:, 1::2, :]))
+    return m - m.transpose(0, 2, 1)
 
 
 def closed_form_kernel_vector(cfg: Configuration, coords, T, mu: float) -> np.ndarray:
@@ -151,26 +171,34 @@ def closed_form_kernel_vector(cfg: Configuration, coords, T, mu: float) -> np.nd
     ``T`` is a complex scalar for m = 1 kinds and a length-m complex vector
     for mixed-general / classical with m > 1; ``mu`` is real.
     """
-    coords = np.asarray(coords, dtype=float)
-    values = complexify(coords)
-    w, z = values[: cfg.w_count], values[cfg.w_count :]
     T_arr = np.atleast_1d(np.asarray(T, dtype=complex))
     if cfg.kind == "mixed-m1":
         if T_arr.shape != (1,):
             raise StructuralError("mixed-m1 takes a single complex T")
     elif T_arr.shape != (cfg.m,):
         raise StructuralError(f"expected {cfg.m} components in T")
+    coords = np.asarray(coords, dtype=float)[None]
+    return _kernel_vectors(cfg, coords, T_arr[None, None], np.array([[float(mu)]]))[0, :, 0]
 
-    c = 2.0 * np.real(cfg.lambdas @ T_arr) + mu
-    vz = -1j * c * z / cfg.weights_b
 
+def _kernel_vectors(cfg: Configuration, coords: np.ndarray, T: np.ndarray,
+                    mu: np.ndarray) -> np.ndarray:
+    """v(T, mu) for ``c`` parameter pairs per point: ``(N, D, c)``.
+
+    ``coords`` is ``(N, D)``, ``T`` complex ``(N, c, 1)`` for mixed-m1 and
+    ``(N, c, m)`` otherwise, ``mu`` real ``(N, c)``.
+    """
+    values = complexify(coords)[:, None, :]
+    w, z = values[..., : cfg.w_count], values[..., cfg.w_count :]
+    coef = 2.0 * np.real(T @ cfg.lambdas.T) + mu[..., None]
+    vz = -1j * coef * z / cfg.weights_b
     if cfg.kind == "classical":
-        vw = np.zeros(0, dtype=complex)
+        vw = np.zeros(vz.shape[:-1] + (0,), dtype=complex)
     elif cfg.kind == "mixed-m1":
-        vw = -1j * (2.0 * np.conj(T_arr[0]) * np.conj(w) + mu * w) / cfg.weights_a
+        vw = -1j * (2.0 * np.conj(T) * np.conj(w) + mu[..., None] * w) / cfg.weights_a
     else:
-        vw = -1j * (2.0 * np.conj(w) * np.conj(T_arr) + mu * w) / cfg.weights_a
-    return realify(np.concatenate([vw, vz]))
+        vw = -1j * (2.0 * np.conj(w) * np.conj(T) + mu[..., None] * w) / cfg.weights_a
+    return realify(np.concatenate([vw, vz], axis=-1)).transpose(0, 2, 1)
 
 
 def null_quadric_value(cfg: Configuration, coords) -> complex:
@@ -187,39 +215,124 @@ def kernel_family_basis(cfg: Configuration, coords) -> np.ndarray:
     The parameter count depends on the stratum; see the module docstring for
     the resulting dimensions.
     """
-    coords = np.asarray(coords, dtype=float)
-    w = complexify(coords)[: cfg.w_count]
-    if cfg.kind == "classical":
-        mu_column = closed_form_kernel_vector(cfg, coords, np.zeros(cfg.m, dtype=complex), 1.0)
-        return np.column_stack([_leaf_span(cfg, coords), mu_column])
+    coords = np.asarray(coords, dtype=float)[None]
+    T, mu = _family_parameters(cfg, coords)
+    used = (T[0] != 0).any(axis=1) | (mu[0] != 0)
+    return _kernel_vectors(cfg, coords, T[:, used], mu[:, used])[0]
+
+
+def _zero_mask(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
+    """``(N, w_count)``: which w coordinates of each point vanish (within ZERO_TOL)."""
+    return np.abs(complexify(coords)[:, : cfg.w_count]) <= ZERO_TOL
+
+
+def _family_parameters(cfg: Configuration, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T, mu) of the closed-form kernel family at a stack of points ``(N, D)``.
+
+    Every point gets the same number of columns c (3 for mixed-m1, 2m+1
+    otherwise); a column (T, mu) = (0, 0) is padding, as v(0, 0) = 0:
+
+    * classical: v(e_k, 0), v(i e_k, 0) for every k, then v(0, 1);
+    * mixed-m1 with w = 0: v(1, 0), v(i, 0), v(0, 1);
+    * mixed-m1 with some w_r != 0: only the last column,
+      v(conj(sum w^2), -2 sum |w|^2), valid on the null cone too, where it
+      degenerates to T = 0;
+    * mixed-general: v(e_k, 0), v(i e_k, 0) for each vanishing w_k, then
+      v(T, 1) with T_k = -conj(w_k) / (2 w_k) on the others and 0 on them.
+    """
+    zero = _zero_mask(cfg, coords)
+    w = complexify(coords)[:, : cfg.w_count]
     if cfg.kind == "mixed-m1":
-        if np.any(np.abs(w) > ZERO_TOL):
-            # Valid for every w != 0: on the null cone it degenerates to
-            # T = 0, mu = -2 sum|w|^2, still a nonzero kernel vector.
-            T = np.conj(np.sum(w**2))
-            mu = -2.0 * float(np.sum(np.abs(w) ** 2))
-            return np.column_stack([closed_form_kernel_vector(cfg, coords, T, mu)])
-        return np.column_stack([closed_form_kernel_vector(cfg, coords, T, mu)
-                                for T, mu in ((1.0 + 0j, 0.0), (1j, 0.0), (0j, 1.0))])
-    zero = np.abs(w) <= ZERO_TOL
-    T_mu = np.zeros(cfg.m, dtype=complex)
-    live = ~zero
-    T_mu[live] = -0.5 * np.conj(w[live]) / w[live]
-    mu_column = closed_form_kernel_vector(cfg, coords, T_mu, 1.0)
-    return np.column_stack([_leaf_span(cfg, coords, np.flatnonzero(zero)), mu_column])
+        T, mu = np.zeros((len(coords), 3, 1), dtype=complex), np.zeros((len(coords), 3))
+        on = zero.all(axis=1)
+        T[on, 0], T[on, 1], mu[on, 2] = 1.0, 1j, 1.0
+        T[~on, 2, 0] = np.conj(np.sum(w[~on] ** 2, axis=1))
+        mu[~on, 2] = -2.0 * np.sum(np.abs(w[~on]) ** 2, axis=1)
+        return T, mu
+    leaves = zero if cfg.kind == "mixed-general" else np.ones((len(coords), cfg.m), dtype=bool)
+    k = np.arange(cfg.m)
+    T = np.zeros((len(coords), 2 * cfg.m + 1, cfg.m), dtype=complex)
+    T[:, 2 * k, k], T[:, 2 * k + 1, k] = leaves, 1j * leaves
+    mu = np.zeros(T.shape[:2])
+    mu[:, -1] = 1.0
+    if cfg.kind == "mixed-general":
+        np.divide(-0.5 * np.conj(w), w, out=T[:, -1], where=~zero)
+    return T, mu
+
+
+def _family_stack(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
+    """The padded closed-form kernel family at a stack of points: ``(N, D, c)``."""
+    return _kernel_vectors(cfg, coords, *_family_parameters(cfg, coords))
 
 
 def expected_kernel_dims(cfg: Configuration, point: VarietyPoint) -> tuple[int, int]:
     """Stratum dimension table: (dim ker dalpha|_T, dim ker alpha cap ker dalpha)."""
+    return tuple(_expected_dims(cfg, _zero_mask(cfg, point.coordinates[None]))[0].tolist())
+
+
+def _expected_dims(cfg: Configuration, zero: np.ndarray) -> np.ndarray:
+    """The dimension table for each row of a zero mask: ``(N, 2)``."""
     if cfg.kind == "classical":
-        return 2 * cfg.m + 1, 2 * cfg.m
-    if cfg.kind == "mixed-m1":
-        w = point.w_block(cfg)
-        degenerate = bool(np.all(np.abs(w) <= ZERO_TOL))
-        return (3, 2) if degenerate else (1, 0)
-    w = point.w_block(cfg)
-    zeros = int(np.count_nonzero(np.abs(w) <= ZERO_TOL))
-    return 2 * zeros + 1, 2 * zeros
+        cap = np.full(len(zero), 2 * cfg.m)
+    elif cfg.kind == "mixed-m1":
+        cap = np.where(zero.all(axis=1), 2, 0)
+    else:
+        cap = 2 * np.count_nonzero(zero, axis=1)
+    return np.column_stack([cap + 1, cap])
+
+
+@dataclass(frozen=True)
+class _KernelStack:
+    """:func:`kernel_analysis` for a stack of points, with the kernel of dalpha."""
+
+    alpha: np.ndarray  # (N, d)
+    dalpha: np.ndarray  # (N, d, d)
+    rank_dalpha: np.ndarray
+    rank_stacked: np.ndarray  # rank of [dalpha; alpha]
+    rank_restricted: np.ndarray  # rank of dalpha on ker alpha
+    indeterminate: np.ndarray
+    kernel: np.ndarray  # (N, D, d): ker dalpha in ambient coordinates, zero columns first
+
+    @property
+    def trichotomy(self) -> list[str]:
+        d = self.alpha.shape[1]
+        return ["contact" if r == d - 1 else "defect2" if r == d - 3 else "deep"
+                for r in self.rank_restricted.tolist()]
+
+
+def _dalpha_kernels(frames: np.ndarray, dmat: np.ndarray, rank_tol: float):
+    """One full SVD of each dalpha: its singular values, ranks and masked kernel.
+
+    The kernel is ``frames @ V^T`` with the first ``rank`` columns zeroed,
+    so every point keeps the fixed width d and the span is exactly the
+    numerical kernel.
+    """
+    _, sigma, vh = np.linalg.svd(dmat)
+    rank = numerical_rank(sigma, rank_tol)
+    keep = np.arange(sigma.shape[-1]) >= rank[:, None]
+    return sigma, rank, (frames @ vh.transpose(0, 2, 1)) * keep[:, None, :]
+
+
+def _kernel_stack(cfg: Configuration, coords: np.ndarray, frames: np.ndarray,
+                  rank_tol: float) -> _KernelStack:
+    """Kernel ranks and tie flags of (alpha, dalpha) on a stack of frames."""
+    a = _alpha_stack(cfg, coords, frames)
+    dmat = _dalpha_stack(cfg, frames)
+    # dalpha restricted to ker alpha (alpha never vanishes on these links)
+    if not a.any(axis=1).all():
+        raise NumericalError("alpha vanished on the tangent frame")
+    ker_alpha = np.linalg.svd(a[:, None, :])[2][:, 1:].transpose(0, 2, 1)
+    sigma_d, rank_d, kernel = _dalpha_kernels(frames, dmat, rank_tol)
+    sigmas = [sigma_d,
+              np.linalg.svd(np.concatenate([dmat, a[:, None, :]], axis=1), compute_uv=False),
+              np.linalg.svd(ker_alpha.transpose(0, 2, 1) @ dmat @ ker_alpha, compute_uv=False)]
+    indeterminate = np.zeros(len(a), dtype=bool)
+    for sigma in sigmas:
+        indeterminate |= in_tie_band(sigma, rank_cut(sigma, rank_tol)[:, None]).any(axis=1)
+    return _KernelStack(alpha=a, dalpha=dmat, rank_dalpha=rank_d,
+                        rank_stacked=numerical_rank(sigmas[1], rank_tol),
+                        rank_restricted=numerical_rank(sigmas[2], rank_tol),
+                        indeterminate=indeterminate, kernel=kernel)
 
 
 def kernel_analysis(
@@ -234,37 +347,76 @@ def kernel_analysis(
     (:func:`.config.in_tie_band`) set ``indeterminate`` instead of silently
     rounding the verdict.
     """
+    ks = _kernel_stack(cfg, point.coordinates[None], point.tangent_frame[None], rank_tol)
     d = point.tangent_frame.shape[1]
-    a = alpha_on_frame(cfg, point)
-    dmat = dalpha_on_frame(cfg, point)
-
-    # dalpha restricted to ker alpha (alpha never vanishes on these links)
-    if np.linalg.norm(a) == 0.0:
-        raise NumericalError("alpha vanished on the tangent frame")
-    _, _, vh = np.linalg.svd(a.reshape(1, -1))
-    ker_alpha = vh[1:].T
-
-    sigmas = [np.linalg.svd(matrix, compute_uv=False)
-              for matrix in (dmat, np.vstack([dmat, a]), ker_alpha.T @ dmat @ ker_alpha)]
-    rank_d, rank_s, rank_r = (numerical_rank(sigma, rank_tol) for sigma in sigmas)
-    indeterminate = any(np.any(in_tie_band(sigma, rank_cut(sigma, rank_tol))) for sigma in sigmas)
-
-    if rank_r == d - 1:
-        label = "contact"
-    elif rank_r == d - 3:
-        label = "defect2"
-    else:
-        label = "deep"
-
     return FormEvaluation(
-        alpha_on_frame=a,
-        dalpha_on_frame=dmat,
-        ker_dalpha_dim=d - rank_d,
-        ker_alpha_cap_ker_dalpha_dim=d - rank_s,
-        rank_dalpha_on_ker_alpha=rank_r,
-        contact_volume=_volume_from_frame_data(a, dmat),
-        trichotomy=label,
-        indeterminate=indeterminate,
+        alpha_on_frame=ks.alpha[0],
+        dalpha_on_frame=ks.dalpha[0],
+        ker_dalpha_dim=d - int(ks.rank_dalpha[0]),
+        ker_alpha_cap_ker_dalpha_dim=d - int(ks.rank_stacked[0]),
+        rank_dalpha_on_ker_alpha=int(ks.rank_restricted[0]),
+        contact_volume=_volume_from_frame_data(ks.alpha[0], ks.dalpha[0]),
+        trichotomy=ks.trichotomy[0],
+        indeterminate=bool(ks.indeterminate[0]),
+    )
+
+
+@dataclass(frozen=True)
+class StackEvaluation:
+    """Every per-point quantity ``momentangle verify`` checks, for N points.
+
+    Each array has one entry per point, in the order given.  The leaf
+    fields are set for classical configurations only.
+    """
+
+    jacobian_rank: np.ndarray
+    ker_dalpha_dim: np.ndarray
+    ker_alpha_cap_ker_dalpha_dim: np.ndarray
+    rank_dalpha_on_ker_alpha: np.ndarray
+    expected_kernel_dims: np.ndarray  # (N, 2)
+    trichotomy: tuple[str, ...]
+    indeterminate: np.ndarray
+    contact_volume: np.ndarray
+    family_angle: np.ndarray
+    leaf_rank: np.ndarray | None
+    leaf_two_form_magnitude: np.ndarray | None
+
+
+def evaluate_stack(
+    cfg: Configuration,
+    points: list[VarietyPoint],
+    rank_tol: float = DEFAULT_RANK_TOL,
+) -> StackEvaluation:
+    """:func:`kernel_analysis`, :func:`kernel_family_angle`, the Jacobian rank
+    and, on classical links, the leaf checks, for a stack of points at once.
+
+    Every certified point of a configuration has frame dimension
+    ``manifold_dim``, so all strata stack together: each SVD runs once over
+    the stack, the closed-form family is built once for all points, and
+    only the bordered Pfaffians run point by point.  A point's results do
+    not depend on the other points in the stack.
+    """
+    coords = np.array([p.coordinates for p in points], dtype=float)
+    frames = np.array([p.tangent_frame for p in points], dtype=float)
+    d = frames.shape[2]
+    ks = _kernel_stack(cfg, coords, frames, rank_tol)
+    family = _family_stack(cfg, coords)
+    leaf_rank = leaf_magnitude = None
+    if cfg.kind == "classical":  # the first 2m columns span the leaf
+        leaf_rank = _leaf_ranks(family[..., : 2 * cfg.m], rank_tol)
+        leaf_magnitude = _leaf_magnitudes(cfg, family[..., : 2 * cfg.m])
+    return StackEvaluation(
+        jacobian_rank=_jacobian_ranks(cfg, coords, rank_tol),
+        ker_dalpha_dim=d - ks.rank_dalpha,
+        ker_alpha_cap_ker_dalpha_dim=d - ks.rank_stacked,
+        rank_dalpha_on_ker_alpha=ks.rank_restricted,
+        expected_kernel_dims=_expected_dims(cfg, _zero_mask(cfg, coords)),
+        trichotomy=tuple(ks.trichotomy),
+        indeterminate=ks.indeterminate,
+        contact_volume=_volumes(ks.alpha, ks.dalpha),
+        family_angle=_largest_angles(_orth(family), ks.kernel),
+        leaf_rank=leaf_rank,
+        leaf_two_form_magnitude=leaf_magnitude,
     )
 
 
@@ -295,9 +447,7 @@ def rank_trichotomy(
 
 def contact_volume(cfg: Configuration, point: VarietyPoint) -> float:
     """alpha ^ (dalpha)^k on the oriented orthonormal tangent frame."""
-    a = alpha_on_frame(cfg, point)
-    dmat = dalpha_on_frame(cfg, point)
-    return _volume_from_frame_data(a, dmat)
+    return _volume_from_frame_data(alpha_on_frame(cfg, point), dalpha_on_frame(cfg, point))
 
 
 def contact_volume_scale(cfg: Configuration) -> float:
@@ -309,11 +459,20 @@ def contact_volume_scale(cfg: Configuration) -> float:
 
 def _volume_from_frame_data(a: np.ndarray, dmat: np.ndarray) -> float:
     """k! * Pf([[0, a^T], [-a, M]]), the bordered form of the minor expansion."""
-    d = a.size
+    return float(_volumes(a[None], dmat[None])[0])
+
+
+def _volumes(a: np.ndarray, dmat: np.ndarray) -> np.ndarray:
+    """:func:`_volume_from_frame_data` for a stack ``(N, d)``, ``(N, d, d)``.
+
+    The bordered matrices are built at once; each Pfaffian is one LAPACK call.
+    """
+    n, d = a.shape
     if d % 2 == 0:
         raise StructuralError("contact volume needs an odd frame dimension")
-    bordered = np.block([[np.zeros((1, 1)), a[None, :]], [-a[:, None], dmat]])
-    return float(factorial((d - 1) // 2) * pfaffian(bordered))
+    bordered = np.zeros((n, d + 1, d + 1))
+    bordered[:, 0, 1:], bordered[:, 1:, 0], bordered[:, 1:, 1:] = a, -a, dmat
+    return factorial((d - 1) // 2) * np.array([pfaffian(b) for b in bordered])
 
 
 def subspace_angle(span_a: np.ndarray, span_b: np.ndarray) -> float:
@@ -323,40 +482,51 @@ def subspace_angle(span_a: np.ndarray, span_b: np.ndarray) -> float:
     tiny angles where the arccos of singular values loses all precision.
     Symmetric when the spans have equal dimension.
     """
-    qa = _orth(span_a)
-    qb = _orth(span_b)
-    if qa.shape[1] == 0:
+    span_a, span_b = (np.asarray(span, dtype=float) for span in (span_a, span_b))
+    if span_a.size == 0:
         return 0.0
-    if qb.shape[1] == 0:
+    if span_b.size == 0:
         return float(np.pi / 2)
-    resid = qa - qb @ (qb.T @ qa)
-    s = np.linalg.svd(resid, compute_uv=False)
-    return float(asin(min(1.0, float(s[0]))))
+    return float(_largest_angles(_orth(span_a[None]), _orth(span_b[None]))[0])
 
 
-def _orth(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.size == 0:
-        return np.zeros((matrix.shape[0] if matrix.ndim == 2 else 0, 0))
-    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-    return u[:, : numerical_rank(s, max(matrix.shape) * np.finfo(float).eps)]
+def _largest_angles(qa: np.ndarray, qb: np.ndarray) -> np.ndarray:
+    """sin(theta) = ||(I - Q_B Q_B^T) Q_A||_2 for stacks of orthonormal bases.
+
+    Zero columns in either basis leave its span, and the angle, unchanged.
+    """
+    resid = qa - qb @ (qb.transpose(0, 2, 1) @ qa)
+    return np.arcsin(np.minimum(1.0, np.linalg.svd(resid, compute_uv=False)[:, 0]))
+
+
+def _orth(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal bases of the spans of a stack ``(N, D, c)``, width c kept.
+
+    Columns beyond each matrix's numerical rank (``rank_tol = max(D, c)
+    * eps``) are zero.
+    """
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    rank = numerical_rank(s, max(stack.shape[1:]) * np.finfo(float).eps)
+    return u * (np.arange(s.shape[-1]) < rank[:, None])[:, None, :]
 
 
 def numerical_kernel(
     cfg: Configuration, point: VarietyPoint, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
     """Ambient orthonormal basis of ker(dalpha|_T), from the SVD of dalpha."""
-    _, sigma, vh = np.linalg.svd(dalpha_on_frame(cfg, point))
-    return point.tangent_frame @ vh[numerical_rank(sigma, rank_tol):].T
+    frames = point.tangent_frame[None]
+    _, rank, kernel = _dalpha_kernels(frames, _dalpha_stack(cfg, frames), rank_tol)
+    return kernel[0][:, int(rank[0]):]
 
 
 def kernel_family_angle(cfg: Configuration, point: VarietyPoint,
                         rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Largest principal angle between the closed-form kernel family and the
     numerically computed kernel of dalpha on the tangent frame."""
-    family = kernel_family_basis(cfg, point.coordinates)
-    numeric = numerical_kernel(cfg, point, rank_tol)
-    return subspace_angle(family, numeric)
+    frames = point.tangent_frame[None]
+    kernel = _dalpha_kernels(frames, _dalpha_stack(cfg, frames), rank_tol)[2]
+    family = _family_stack(cfg, point.coordinates[None])
+    return float(_largest_angles(_orth(family), kernel)[0])
 
 
 def symplectic_leaf_rank(
@@ -374,29 +544,30 @@ def symplectic_leaf_rank(
     the one transported from R^{2m} by the action.  Use
     :func:`leaf_two_form_magnitude` to check the vanishing.
     """
-    if cfg.kind != "classical":
-        raise StructuralError("symplectic leaves are defined for classical links")
-    sigma = np.linalg.svd(_leaf_span(cfg, point.coordinates), compute_uv=False)
-    return numerical_rank(sigma, rank_tol)
+    return int(_leaf_ranks(_leaf_span(cfg, point), rank_tol)[0])
 
 
 def leaf_two_form_magnitude(cfg: Configuration, point: VarietyPoint) -> float:
     """max |dalpha(v_a, v_b)| over the leaf vectors — identically 0 in exact
     arithmetic (dalpha is totally degenerate on the leaves)."""
-    span = _leaf_span(cfg, point.coordinates)
+    return float(_leaf_magnitudes(cfg, _leaf_span(cfg, point))[0])
+
+
+def _leaf_span(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
+    """The leaf vectors v(e_k, 0), v(i e_k, 0) at a classical point: ``(1, D, 2m)``."""
+    if cfg.kind != "classical":
+        raise StructuralError("symplectic leaves are defined for classical links")
+    return _family_stack(cfg, point.coordinates[None])[..., : 2 * cfg.m]
+
+
+def _leaf_ranks(leaf: np.ndarray, rank_tol: float) -> np.ndarray:
+    return numerical_rank(np.linalg.svd(leaf, compute_uv=False), rank_tol)
+
+
+def _leaf_magnitudes(cfg: Configuration, leaf: np.ndarray) -> np.ndarray:
     wt = coordinate_weights(cfg)
-    x, y = span[0::2, :], span[1::2, :]
-    gram = 4.0 * (x.T @ (wt[:, None] * y))
-    return float(np.abs(gram - gram.T).max())
-
-
-def _leaf_span(cfg: Configuration, coords, components=None) -> np.ndarray:
-    """Columns v(e_k, 0), v(i e_k, 0) for each k in ``components`` (all k by default)."""
-    eye = np.eye(cfg.m, dtype=complex)
-    ks = range(cfg.m) if components is None else components
-    cols = [closed_form_kernel_vector(cfg, coords, phase * eye[k], 0.0)
-            for k in ks for phase in (1.0, 1j)]
-    return np.column_stack(cols) if cols else np.zeros((len(coords), 0))
+    gram = 4.0 * (leaf[:, 0::2, :].transpose(0, 2, 1) @ (wt[:, None] * leaf[:, 1::2, :]))
+    return np.abs(gram - gram.transpose(0, 2, 1)).max(axis=(1, 2))
 
 
 def orientation_sign(cfg: Configuration, reference: VarietyPoint) -> float:

@@ -36,12 +36,11 @@ and :func:`certify` are the one-row case of the same code.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_RANK_TOL, Configuration, numerical_rank
+from .config import DEFAULT_RANK_TOL, Configuration, check_tolerances, numerical_rank
 from .errors import (
     NumericalError,
     ProjectionError,
@@ -62,18 +61,18 @@ _ATTEMPT_BLOCK = 256
 
 
 def realify(values: np.ndarray) -> np.ndarray:
-    """Interleave a complex vector into (Re, Im, Re, Im, ...)."""
+    """Interleave a complex vector into (Re, Im, Re, Im, ...), along the last axis."""
     values = np.asarray(values, dtype=complex)
-    out = np.empty(2 * values.size)
-    out[0::2] = values.real
-    out[1::2] = values.imag
+    out = np.empty(values.shape[:-1] + (2 * values.shape[-1],))
+    out[..., 0::2] = values.real
+    out[..., 1::2] = values.imag
     return out
 
 
 def complexify(coords: np.ndarray) -> np.ndarray:
     """Inverse of :func:`realify`."""
     coords = np.asarray(coords, dtype=float)
-    return coords[0::2] + 1j * coords[1::2]
+    return coords[..., 0::2] + 1j * coords[..., 1::2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,13 +112,6 @@ def _ambient(cfg: Configuration, coords) -> np.ndarray:
             f"expected ambient vector of length {cfg.ambient_real_dim}, got {coords.shape}"
         )
     return coords
-
-
-def _check_tolerances(tol: float, rank_tol: float = DEFAULT_RANK_TOL) -> None:
-    if not (math.isfinite(tol) and tol > 0):
-        raise StructuralError(f"tol must be finite and positive, got {tol!r}")
-    if not 0 < rank_tol < 1:
-        raise StructuralError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
 
 
 def _link(
@@ -279,7 +271,7 @@ def project_to_variety(
     achieved if ``tol`` (on the infinity norm) is not reached within
     ``max_iter`` iterations.
     """
-    _check_tolerances(tol)
+    check_tolerances(tol)
     X, R, status = _project_block(*_link(cfg), _ambient(cfg, start)[None], tol, max_iter)
     if status[0] != _CONVERGED:
         raise _projection_error(status[0], R[0], max_iter)
@@ -305,8 +297,8 @@ def _certify_block(
     w_moduli = np.hypot(X[:, 0 : 2 * s : 2], X[:, 1 : 2 * s : 2])
 
     out: list[VarietyPoint | NumericalError] = []
-    for i, res_norm in enumerate(res_norms.tolist()):
-        rank = numerical_rank(sigma[i], rank_tol)
+    for i, (res_norm, rank) in enumerate(zip(res_norms.tolist(),
+                                             numerical_rank(sigma, rank_tol).tolist())):
         if res_norm > tol:
             out.append(ProjectionError(
                 f"residual {res_norm:.3e} exceeds certification tolerance {tol:.1e}",
@@ -338,17 +330,22 @@ def certify(
     Jacobian to have full rank (2m+1 rows, or 3 for mixed-m1), and returns
     the point together with its oriented orthonormal tangent frame.
     """
-    _check_tolerances(tol, rank_tol)
+    check_tolerances(tol, rank_tol)
     point = _certify_block(cfg, _ambient(cfg, coords)[None], tol, rank_tol)[0]
     if isinstance(point, NumericalError):
         raise point
     return point
 
 
+def _jacobian_ranks(cfg: Configuration, X: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Numerical ranks of the real Jacobians at the rows of ``X``, one stacked SVD."""
+    jac, _ = _evaluate(*_link(cfg), X)
+    return numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_tol)
+
+
 def jacobian_rank(cfg: Configuration, point: VarietyPoint, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the real Jacobian at a point."""
-    sigma = np.linalg.svd(system_jacobian(cfg, point.coordinates), compute_uv=False)
-    return numerical_rank(sigma, rank_tol)
+    return int(_jacobian_ranks(cfg, _ambient(cfg, point.coordinates)[None], rank_tol)[0])
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
@@ -445,7 +442,7 @@ def _sample(
 ) -> list[VarietyPoint]:
     if count < 1:
         raise StructuralError("count must be positive")
-    _check_tolerances(tol, rank_tol)
+    check_tolerances(tol, rank_tol)
     dim = cfg.ambient_real_dim
     free = np.setdiff1d(np.arange(dim), pinned_coords or [])
     grad, rhs = _link(cfg, free, null_sum)

@@ -6,7 +6,7 @@ machinery.
 """
 
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -355,3 +355,158 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
+
+
+def pfaffian_parlett_reid(matrix) -> float:
+    """Pfaffian by skew Gaussian elimination (Parlett-Reid) with pivoting.
+
+    Row/column k+1 is swapped with the largest entry of column k below the
+    diagonal, then the trailing block is reduced by the rank-2 update of
+    Wimmer's ``pfaffian_LTL``.  O(n^3), and independent of LAPACK.
+    """
+    a = _validate_skew(matrix).copy()
+    n = a.shape[0]
+    if n % 2 == 1:
+        return 0.0
+    value = 1.0
+    for k in range(0, n - 1, 2):
+        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if p != k + 1:
+            a[[k + 1, p]] = a[[p, k + 1]]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            value = -value
+        if a[k + 1, k] == 0.0:
+            return 0.0
+        value *= a[k, k + 1]
+        if k + 2 < n:
+            tau = a[k, k + 2:] / a[k, k + 1]
+            a[k + 2:, k + 2:] += np.outer(tau, a[k + 2:, k + 1]) - np.outer(a[k + 2:, k + 1], tau)
+    return float(value)
+
+
+ZERO_TOL = 1e-8  # a w coordinate below this modulus counts as zero
+
+
+def _form_weights(cfg):
+    return np.concatenate([cfg.weights_a, cfg.weights_b])
+
+
+def _rank_and_tie(sigma, rank_tol):
+    """Rank (values strictly above rank_tol * max) and whether one lies in (cut/10, 10 cut]."""
+    cut = rank_tol * sigma[0] if len(sigma) else 0.0
+    return int(np.count_nonzero(sigma > cut)), bool(np.any((cut / 10 < sigma) & (sigma <= 10 * cut)))
+
+
+def kernel_vector_reference(cfg, coords, T, mu):
+    """v(T, mu) at one point, realified: the per-kind formula of the module docstring."""
+    values = np.asarray(coords, dtype=float)[0::2] + 1j * np.asarray(coords, dtype=float)[1::2]
+    w, z = values[: cfg.w_count], values[cfg.w_count:]
+    T = np.atleast_1d(np.asarray(T, dtype=complex))
+    vz = -1j * (2.0 * np.real(cfg.lambdas @ T) + mu) * z / cfg.weights_b
+    if cfg.kind == "classical":
+        vw = np.zeros(0, dtype=complex)
+    elif cfg.kind == "mixed-m1":
+        vw = -1j * (2.0 * np.conj(T[0]) * np.conj(w) + mu * w) / cfg.weights_a
+    else:
+        vw = -1j * (2.0 * np.conj(w) * np.conj(T) + mu * w) / cfg.weights_a
+    v = np.concatenate([vw, vz])
+    out = np.empty(2 * v.size)
+    out[0::2], out[1::2] = v.real, v.imag
+    return out
+
+
+def _leaf_columns(cfg, coords, components):
+    eye = np.eye(cfg.m, dtype=complex)
+    return [kernel_vector_reference(cfg, coords, phase * eye[k], 0.0)
+            for k in components for phase in (1.0, 1j)]
+
+
+def kernel_family_reference(cfg, coords):
+    """Closed-form kernel basis at one point, one column per (T, mu) of its stratum."""
+    coords = np.asarray(coords, dtype=float)
+    w = (coords[0::2] + 1j * coords[1::2])[: cfg.w_count]
+    if cfg.kind == "classical":
+        cols = _leaf_columns(cfg, coords, range(cfg.m))
+        cols.append(kernel_vector_reference(cfg, coords, np.zeros(cfg.m), 1.0))
+    elif cfg.kind == "mixed-m1":
+        if np.any(np.abs(w) > ZERO_TOL):
+            cols = [kernel_vector_reference(cfg, coords, np.conj(np.sum(w**2)),
+                                            -2.0 * float(np.sum(np.abs(w) ** 2)))]
+        else:
+            cols = [kernel_vector_reference(cfg, coords, T, mu)
+                    for T, mu in ((1.0, 0.0), (1j, 0.0), (0j, 1.0))]
+    else:
+        zero = np.abs(w) <= ZERO_TOL
+        T = np.zeros(cfg.m, dtype=complex)
+        T[~zero] = -0.5 * np.conj(w[~zero]) / w[~zero]
+        cols = _leaf_columns(cfg, coords, np.flatnonzero(zero))
+        cols.append(kernel_vector_reference(cfg, coords, T, 1.0))
+    return np.column_stack(cols)
+
+
+def _orth_reference(matrix):
+    u, s, _ = np.linalg.svd(matrix, full_matrices=False)
+    return u[:, : np.count_nonzero(s > max(matrix.shape) * np.finfo(float).eps * s[0])]
+
+
+def point_checks_reference(cfg, point, rank_tol=1e-8):
+    """Every per-point quantity ``verify`` checks, one point at a time.
+
+    The per-point path: the Jacobian rebuilt and ranked by its own SVD;
+    alpha and dalpha on the frame; one SVD each for dalpha, [dalpha; alpha]
+    and dalpha on ker alpha (ranks and tie flags); the numerical kernel from
+    a second full SVD of dalpha; the family angle from orthonormalised spans;
+    the contact volume as k! times the Parlett-Reid Pfaffian of the bordered
+    matrix; on classical links the leaf rank and leaf 2-form magnitude.
+    """
+    coords, frame = point.coordinates, point.tangent_frame
+    d = frame.shape[1]
+    wt = _form_weights(cfg)
+    x, y = frame[0::2, :], frame[1::2, :]
+    a = 2.0 * ((wt * coords[0::2]) @ y - (wt * coords[1::2]) @ x)
+    m = 4.0 * (x.T @ (wt[:, None] * y))
+    dmat = m - m.T
+    ker_alpha = np.linalg.svd(a.reshape(1, -1))[2][1:].T
+    ranks, ties = zip(*(_rank_and_tie(np.linalg.svd(matrix, compute_uv=False), rank_tol)
+                        for matrix in (dmat, np.vstack([dmat, a]),
+                                       ker_alpha.T @ dmat @ ker_alpha)))
+    rank_d, rank_s, rank_r = ranks
+
+    _, sigma, vh = np.linalg.svd(dmat)
+    numeric = frame @ vh[_rank_and_tie(sigma, rank_tol)[0]:].T
+    qa, qb = _orth_reference(kernel_family_reference(cfg, coords)), _orth_reference(numeric)
+    resid = qa - qb @ (qb.T @ qa)
+    angle = float(np.arcsin(min(1.0, np.linalg.svd(resid, compute_uv=False)[0])))
+
+    bordered = np.block([[np.zeros((1, 1)), a[None, :]], [-a[:, None], dmat]])
+    k = (d - 1) // 2
+    volume = float(factorial(k) * pfaffian_parlett_reid(bordered))
+
+    w = (coords[0::2] + 1j * coords[1::2])[: cfg.w_count]
+    zeros = int(np.count_nonzero(np.abs(w) <= ZERO_TOL))
+    if cfg.kind == "classical":
+        expected = (2 * cfg.m + 1, 2 * cfg.m)
+    elif cfg.kind == "mixed-m1":
+        expected = (3, 2) if zeros == cfg.w_count else (1, 0)
+    else:
+        expected = (2 * zeros + 1, 2 * zeros)
+
+    checks = {
+        "jacobian_rank": _rank_and_tie(
+            np.linalg.svd(jacobian_oracle(cfg, coords), compute_uv=False), rank_tol)[0],
+        "ker_dalpha_dim": d - rank_d,
+        "ker_alpha_cap_ker_dalpha_dim": d - rank_s,
+        "rank_dalpha_on_ker_alpha": rank_r,
+        "expected_kernel_dims": expected,
+        "trichotomy": "contact" if rank_r == d - 1 else "defect2" if rank_r == d - 3 else "deep",
+        "indeterminate": any(ties),
+        "contact_volume": volume,
+        "family_angle": angle,
+    }
+    if cfg.kind == "classical":
+        leaf = np.column_stack(_leaf_columns(cfg, coords, range(cfg.m)))
+        checks["leaf_rank"] = _rank_and_tie(np.linalg.svd(leaf, compute_uv=False), rank_tol)[0]
+        lx, ly = leaf[0::2, :], leaf[1::2, :]
+        gram = 4.0 * (lx.T @ (wt[:, None] * ly))
+        checks["leaf_two_form_magnitude"] = float(np.abs(gram - gram.T).max())
+    return checks

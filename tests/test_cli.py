@@ -288,16 +288,29 @@ def test_sample_bad_pattern_exits_two(tmp_path, mixed_general_m2, capsys):
     assert main(["sample", path, "--pattern", "7"]) == 2
 
 
-@pytest.mark.parametrize("command", ["sample", "verify"])
-@pytest.mark.parametrize("flags", [
+TOLERANCE_FLAGS = [
     ["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"], ["--tol", "-1"],
     ["--rank-tol", "nan"], ["--rank-tol", "2"], ["--rank-tol", "-1"],
+]
+
+
+@pytest.mark.parametrize("flags, command", [
+    *(pytest.param(flags, command, id=f"flags{i}-{command}")
+      for command in ("sample", "verify") for i, flags in enumerate(TOLERANCE_FLAGS)),
+    # check, gale and cover take --tol only
+    *(pytest.param(flags, command, id=f"flags{i}-{command}")
+      for command in ("check", "gale", "cover") for i, flags in enumerate(TOLERANCE_FLAGS[:4])),
 ])
-def test_tolerances_outside_their_range_exit_two(tmp_path, pentagon, capsys, command, flags):
-    path = write_config(tmp_path, pentagon)
+def test_tolerances_outside_their_range_exit_two(tmp_path, pentagon, mixed_general_m2, capsys,
+                                                  command, flags):
+    # cover is defined on mixed-general links only
+    path = write_config(tmp_path, mixed_general_m2 if command == "cover" else pentagon)
     report = tmp_path / "report.json"
-    assert main([command, path, "--samples", "2", *flags, "--json", str(report)]) == 2
-    assert "error:" in capsys.readouterr().err
+    samples = ["--samples", "2"] if command in ("sample", "verify", "cover") else []
+    assert main([command, path, *samples, *flags, "--json", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
     assert not report.exists()
 
 
@@ -366,18 +379,32 @@ def test_same_config_same_hash_across_paths(tmp_path, pentagon):
     assert hash_a == hash_b
 
 
-def test_sample_report_is_identical_across_blas_thread_counts(tmp_path, mixed_general_m2):
-    """Two fresh interpreters, one and two BLAS threads, the same report bytes."""
-    path = write_config(tmp_path, mixed_general_m2)
+def _reports_across_blas_thread_counts(tmp_path, argv):
+    """The report of ``argv`` from two fresh interpreters, one and two BLAS threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):
         report = tmp_path / f"threads{threads}.json"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        subprocess.run([sys.executable, "-m", "momentangle.cli", "sample", path,
-                        "--pattern", "0", "--samples", "60",
+        subprocess.run([sys.executable, "-m", "momentangle.cli", *argv,
                         "--timestamp", "2024-01-01T00:00:00Z", "--json", str(report)],
                        env=env, check=True, capture_output=True, timeout=120)
         reports.append(report.read_bytes())
-    assert reports[0] == reports[1]
+    return reports
+
+
+def test_sample_report_is_identical_across_blas_thread_counts(tmp_path, mixed_general_m2):
+    """Two fresh interpreters, one and two BLAS threads, the same report bytes."""
+    path = write_config(tmp_path, mixed_general_m2)
+    first, second = _reports_across_blas_thread_counts(
+        tmp_path, ["sample", path, "--pattern", "0", "--samples", "60"])
+    assert first == second
+
+
+def test_verify_report_is_identical_across_blas_thread_counts(tmp_path, mixed_general_m3):
+    """The stacked verification gives the same report bytes on one and two BLAS threads."""
+    path = write_config(tmp_path, mixed_general_m3)
+    first, second = _reports_across_blas_thread_counts(tmp_path, ["verify", path, "--samples", "5"])
+    assert first == second
+    assert json.loads(first)["result"]["all_passed"] is True

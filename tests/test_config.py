@@ -23,7 +23,7 @@ from momentangle import (
     load_configuration,
     origin_in_hull,
 )
-from momentangle.config import DEGENERACY_BAND, in_tie_band, numerical_rank
+from momentangle.config import DEGENERACY_BAND, in_tie_band, numerical_rank, rank_cut
 from _oracles import admissible_brute, first_subset_around_origin_brute, origin_in_hull_brute
 from conftest import roots_of_unity
 
@@ -94,6 +94,39 @@ def test_numerical_rank_edge_cases():
     # 0.5 lies exactly at the cut 0.5 * 1.0 and does not count
     assert numerical_rank(np.array([1.0, 0.5, 0.25]), 0.5) == 1
     assert numerical_rank(np.array([2.0, 1.0, 1e-9])) == 2
+
+
+@st.composite
+def singular_value_stacks(draw):
+    """Descending non-negative rows, some empty, all-zero or holding the cut itself."""
+    shape = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)))
+    width = draw(st.integers(0, 5))
+    rank_tol = draw(st.sampled_from([1e-8, 0.25, 0.5]))
+    rows = []
+    for _ in range(int(np.prod(shape))):
+        kind = draw(st.sampled_from(["random", "zero", "at-cut"]))
+        row = np.sort(draw(st.lists(st.floats(0.0, 1e3), min_size=width, max_size=width)))[::-1]
+        if kind == "zero":
+            row = np.zeros(width)
+        elif kind == "at-cut" and width >= 2:
+            row[1:] = np.minimum(row[1:], rank_tol * row[0])
+            row[draw(st.integers(1, width - 1))] = rank_tol * row[0]
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(*shape, width), rank_tol
+
+
+@given(singular_value_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stacked_rank_equals_row_by_row(case):
+    """One rank rule over the last axis: a stack ranks as its rows do one by one."""
+    sigma, rank_tol = case
+    rows = sigma.reshape(int(np.prod(sigma.shape[:-1])), sigma.shape[-1])
+    ranks = numerical_rank(sigma, rank_tol)
+    cuts = rank_cut(sigma, rank_tol)
+    assert ranks.shape == cuts.shape == sigma.shape[:-1]
+    assert ranks.reshape(-1).tolist() == [numerical_rank(row, rank_tol) for row in rows]
+    assert cuts.reshape(-1).tolist() == [rank_cut(row, rank_tol) for row in rows]
+    assert all(type(numerical_rank(row, rank_tol)) is int for row in rows)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-8, 0.3])

@@ -15,6 +15,7 @@ from momentangle import (
     dalpha_on_frame,
     eval_alpha,
     eval_dalpha,
+    evaluate_stack,
     expected_kernel_dims,
     kernel_analysis,
     kernel_family_angle,
@@ -28,10 +29,21 @@ from momentangle import (
     symplectic_leaf_rank,
     system_jacobian,
 )
-from momentangle.config import DEGENERACY_BAND
+from momentangle.cli import _verification_cases
+from momentangle.config import DEFAULT_RANK_TOL, DEGENERACY_BAND
 from momentangle.forms import _volume_from_frame_data
 
-from _oracles import brute_force_contact_volume, permutation_sum_contact_volume
+from _oracles import (
+    brute_force_contact_volume,
+    permutation_sum_contact_volume,
+    point_checks_reference,
+)
+from test_acceptance import PFAFFIAN_REL_TOL
+
+FIXTURES = ["pentagon", "hexagon_m2", "mixed_s1", "mixed_s2", "mixed_general_m1",
+            "mixed_general_m2", "mixed_general_m3"]
+EXACT_FIELDS = ["jacobian_rank", "ker_dalpha_dim", "ker_alpha_cap_ker_dalpha_dim",
+                "rank_dalpha_on_ker_alpha", "trichotomy", "indeterminate"]
 
 
 def alpha_oracle(cfg, point, vector):
@@ -199,6 +211,40 @@ def test_kernel_family_matches_svd_kernel(mixed_s1, mixed_general_m2, batch):
             assert basis.shape[1] == numeric.shape[1]
             assert subspace_angle(basis, numeric) < 1e-6
             assert kernel_family_angle(cfg, point) < 1e-6
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_stacked_evaluation_matches_per_point_oracle(fixture, request):
+    """Every stratum ``verify`` samples, 20 points each, stacked in one call.
+
+    Counts, flags and labels equal the per-point oracle's; volumes agree to
+    PFAFFIAN_REL_TOL (relative, or of the volume scale where they vanish)
+    and family angles to 1e-12 rad.  Evaluated alone, a point gets exactly
+    the values it gets inside the stack.
+    """
+    cfg = request.getfixturevalue(fixture)
+    cases = _verification_cases(cfg, 20, 0, 1e-10, DEFAULT_RANK_TOL)
+    points = [point for _, case_points in cases for point in case_points]
+    stack = evaluate_stack(cfg, points)
+    scale = contact_volume_scale(cfg)
+    classical = cfg.kind == "classical"
+    for i, point in enumerate(points):
+        ref = point_checks_reference(cfg, point)
+        for field in EXACT_FIELDS + ["leaf_rank"] * classical:
+            assert getattr(stack, field)[i] == ref[field], (field, i)
+        assert tuple(stack.expected_kernel_dims[i]) == ref["expected_kernel_dims"]
+        assert stack.contact_volume[i] == pytest.approx(
+            ref["contact_volume"], rel=PFAFFIAN_REL_TOL, abs=PFAFFIAN_REL_TOL * scale)
+        assert abs(stack.family_angle[i] - ref["family_angle"]) <= 1e-12
+        if classical:
+            assert abs(stack.leaf_two_form_magnitude[i] - ref["leaf_two_form_magnitude"]) <= 1e-12
+
+        alone = evaluate_stack(cfg, [point])
+        for field in EXACT_FIELDS + ["expected_kernel_dims", "contact_volume", "family_angle",
+                                     *("leaf_rank", "leaf_two_form_magnitude") * classical]:
+            np.testing.assert_array_equal(getattr(alone, field)[0], getattr(stack, field)[i])
+    if not classical:
+        assert stack.leaf_rank is None and stack.leaf_two_form_magnitude is None
 
 
 def test_rank_trichotomy_details(pentagon, mixed_s1, mixed_general_m2, batch):

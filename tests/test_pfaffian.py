@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from momentangle import StructuralError, pfaffian
 
-from _oracles import pfaffian_naive
+from _oracles import pfaffian_naive, pfaffian_parlett_reid
 
 
 def random_skew(rng, d):
@@ -101,3 +101,6 @@ def test_matches_naive_with_zero_patterns(seed, d, density):
     scale = max(1.0, float(np.linalg.norm(mat, 2))) ** (d // 2)
     assert pfaffian(mat) == pytest.approx(pfaffian_naive(mat), rel=1e-9, abs=1e-12 * scale)
     np.testing.assert_array_equal(mat, before)
+    # the elimination oracle that the stacked contact volumes are checked against
+    assert pfaffian_parlett_reid(mat) == pytest.approx(pfaffian_naive(mat), rel=1e-9,
+                                                       abs=1e-12 * scale)
