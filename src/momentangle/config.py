@@ -283,31 +283,28 @@ def origin_in_hull(points: np.ndarray, tol: float = 1e-9) -> bool:
     return hull_distance(points) <= tol
 
 
-def rank_cut(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
-    """The cut of :func:`numerical_rank`: ``rank_tol`` times the largest value, 0 if none.
+def rank_cut(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """The cut of :func:`numerical_rank`: ``rank_tol`` times the largest value.
 
-    Acts on the last axis: a float for one row of values, an array of cuts
-    (one per row) for a stack of shape ``(..., k)``.
+    Acts on the last axis of ``sigma`` and keeps it: for values ``(..., k)``
+    the cuts have shape ``(..., 1)``, ready to compare against ``sigma``.
+    Empty rows, which have nothing to cut, give shape ``(..., 0)``.
     """
-    if np.ndim(sigma) == 1:
-        return float(rank_tol * sigma[0]) if len(sigma) else 0.0
-    sigma = np.asarray(sigma, dtype=float)
-    return rank_tol * sigma[..., 0] if sigma.shape[-1] else np.zeros(sigma.shape[:-1])
+    return rank_tol * np.asarray(sigma, dtype=float)[..., :1]
 
 
 def numerical_rank(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
-    """Number of singular values strictly above :func:`rank_cut`.
+    """Number of singular values strictly above :func:`rank_cut`, along the last axis.
 
     ``sigma`` is in the descending order ``np.linalg.svd`` returns, so
-    callers that also need the singular vectors keep their one SVD.  Empty
-    or all-zero input has rank 0; a value exactly at the cut does not count.
-    An int for one row of values; for a stack ``(..., k)``, such as the
-    stacked output of ``np.linalg.svd``, an int array of shape ``(...)``.
+    callers that also need the singular vectors keep their one SVD, and a
+    stack ``(..., k)`` such as the stacked output of ``np.linalg.svd``
+    gives an integer array of shape ``(...)``; one row gives a NumPy integer.
+    Empty or all-zero rows have rank 0; a value exactly at the cut does not
+    count.
     """
-    cut = rank_cut(sigma, rank_tol)
-    if np.ndim(sigma) == 1:
-        return int(np.count_nonzero(sigma > cut))
-    return np.count_nonzero(np.asarray(sigma) > cut[..., None], axis=-1)
+    sigma = np.asarray(sigma, dtype=float)
+    return (sigma > rank_cut(sigma, rank_tol)).sum(axis=-1)
 
 
 def _realify_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -385,7 +382,7 @@ def hull_dimension(cfg: Configuration, rank_tol: float = DEFAULT_RANK_TOL) -> in
     """Affine dimension of the convex hull of the lambda_j in R^{2m}."""
     pts = cfg.realified_lambdas()
     sigma = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-    return numerical_rank(sigma, rank_tol)
+    return int(numerical_rank(sigma, rank_tol))
 
 
 def check_admissible(cfg: Configuration, tol: float = 1e-9) -> AdmissibilityReport:
@@ -439,7 +436,7 @@ def check_regularity_rank(
         raise StructuralError("subset must be a nonempty subset of range(n)")
     block = np.vstack([cfg.lambdas[J].T, np.ones(len(J))])
     sigma = np.linalg.svd(_realify_matrix(block), compute_uv=False)
-    return numerical_rank(sigma, rank_tol) // 2
+    return int(numerical_rank(sigma, rank_tol)) // 2
 
 
 # ---------------------------------------------------------------------------

@@ -49,16 +49,19 @@ Hodge star of the confoliation form in the induced metric.
 
 Stacked evaluation: every certified point of a configuration has the same
 frame dimension d = ``manifold_dim``, so :func:`evaluate_stack` takes the
-points of a whole ``verify`` run, from every stratum, as frames (N, D, d).
-alpha and dalpha are two batched products; each rank (Jacobian, dalpha,
-[dalpha; alpha], dalpha on ker alpha, leaf span) is one SVD of a stack;
-the numerical kernel comes from the same SVD of dalpha that gives its rank,
-kept at width d with zero columns; the closed-form family is one array of
-(T, mu) parameters, zero-padded to a width fixed by the kind (v(0, 0) = 0).
-Only the bordered Pfaffians are one LAPACK call per point.  The one-point
-functions (:func:`kernel_analysis`, :func:`kernel_family_angle`,
+points of a whole ``verify`` run, from every stratum, as frames (N, D, d),
+in blocks of at most the sampler's block size.  alpha and dalpha are two
+batched products; each rank (Jacobian, dalpha, [dalpha; alpha], dalpha on
+ker alpha, leaf span) is one SVD of a stack; the numerical kernel comes from
+the same SVD of dalpha that gives its rank, kept at width d with zero
+columns; the closed-form family is one array of (T, mu) parameters,
+zero-padded to a width fixed by the kind (v(0, 0) = 0).  Only the bordered
+Pfaffians are one LAPACK call per point.  The one-point functions
+(:func:`kernel_analysis`, :func:`kernel_family_angle`,
 :func:`contact_volume`, ...) are the N = 1 case of the same code, so a
-point's values do not depend on the stack it is evaluated in.
+point's values do not depend on the stack it is evaluated in;
+:func:`kernel_analysis`, which needs no kernel, ranks dalpha from its
+singular values alone.
 
 Numerical-rank note: ranks use the relative rule of
 :func:`.config.numerical_rank`, and singular values in the tie band
@@ -71,7 +74,7 @@ the caller to compare against an input-derived scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import factorial
 
 import numpy as np
@@ -79,7 +82,7 @@ import numpy as np
 from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band, numerical_rank, rank_cut
 from .errors import NumericalError, StructuralError
 from .pfaffian import pfaffian
-from .variety import ZERO_TOL, VarietyPoint, _jacobian_ranks, complexify, realify
+from .variety import _ATTEMPT_BLOCK, ZERO_TOL, VarietyPoint, _jacobian_ranks, complexify, realify
 
 
 @dataclass(frozen=True)
@@ -281,25 +284,6 @@ def _expected_dims(cfg: Configuration, zero: np.ndarray) -> np.ndarray:
     return np.column_stack([cap + 1, cap])
 
 
-@dataclass(frozen=True)
-class _KernelStack:
-    """:func:`kernel_analysis` for a stack of points, with the kernel of dalpha."""
-
-    alpha: np.ndarray  # (N, d)
-    dalpha: np.ndarray  # (N, d, d)
-    rank_dalpha: np.ndarray
-    rank_stacked: np.ndarray  # rank of [dalpha; alpha]
-    rank_restricted: np.ndarray  # rank of dalpha on ker alpha
-    indeterminate: np.ndarray
-    kernel: np.ndarray  # (N, D, d): ker dalpha in ambient coordinates, zero columns first
-
-    @property
-    def trichotomy(self) -> list[str]:
-        d = self.alpha.shape[1]
-        return ["contact" if r == d - 1 else "defect2" if r == d - 3 else "deep"
-                for r in self.rank_restricted.tolist()]
-
-
 def _dalpha_kernels(frames: np.ndarray, dmat: np.ndarray, rank_tol: float):
     """One full SVD of each dalpha: its singular values, ranks and masked kernel.
 
@@ -313,26 +297,28 @@ def _dalpha_kernels(frames: np.ndarray, dmat: np.ndarray, rank_tol: float):
     return sigma, rank, (frames @ vh.transpose(0, 2, 1)) * keep[:, None, :]
 
 
-def _kernel_stack(cfg: Configuration, coords: np.ndarray, frames: np.ndarray,
-                  rank_tol: float) -> _KernelStack:
-    """Kernel ranks and tie flags of (alpha, dalpha) on a stack of frames."""
-    a = _alpha_stack(cfg, coords, frames)
-    dmat = _dalpha_stack(cfg, frames)
+def _rank_checks(a: np.ndarray, dmat: np.ndarray, sigma_d: np.ndarray, rank_tol: float):
+    """Ranks of dalpha, [dalpha; alpha] and dalpha on ker alpha, with tie flags.
+
+    ``a`` is ``(N, d)``, ``dmat`` ``(N, d, d)`` and ``sigma_d`` the singular
+    values of ``dmat``, which the caller computes with or without vectors.
+    The three rows of singular values share one ``(N, 3, d)`` array, the
+    shorter restricted row padded with a zero, which is never above a cut
+    nor in its tie band; so one call of the rank rule ranks all three.
+    Returns the ranks ``(N, 3)`` and ``indeterminate`` ``(N,)``.
+    """
     # dalpha restricted to ker alpha (alpha never vanishes on these links)
     if not a.any(axis=1).all():
         raise NumericalError("alpha vanished on the tangent frame")
     ker_alpha = np.linalg.svd(a[:, None, :])[2][:, 1:].transpose(0, 2, 1)
-    sigma_d, rank_d, kernel = _dalpha_kernels(frames, dmat, rank_tol)
-    sigmas = [sigma_d,
-              np.linalg.svd(np.concatenate([dmat, a[:, None, :]], axis=1), compute_uv=False),
-              np.linalg.svd(ker_alpha.transpose(0, 2, 1) @ dmat @ ker_alpha, compute_uv=False)]
-    indeterminate = np.zeros(len(a), dtype=bool)
-    for sigma in sigmas:
-        indeterminate |= in_tie_band(sigma, rank_cut(sigma, rank_tol)[:, None]).any(axis=1)
-    return _KernelStack(alpha=a, dalpha=dmat, rank_dalpha=rank_d,
-                        rank_stacked=numerical_rank(sigmas[1], rank_tol),
-                        rank_restricted=numerical_rank(sigmas[2], rank_tol),
-                        indeterminate=indeterminate, kernel=kernel)
+    sigmas = np.zeros((len(a), 3, a.shape[1]))
+    sigmas[:, 0] = sigma_d
+    sigmas[:, 1] = np.linalg.svd(np.concatenate([dmat, a[:, None, :]], axis=1),
+                                 compute_uv=False)
+    sigmas[:, 2, :-1] = np.linalg.svd(ker_alpha.transpose(0, 2, 1) @ dmat @ ker_alpha,
+                                      compute_uv=False)
+    indeterminate = in_tie_band(sigmas, rank_cut(sigmas, rank_tol)).any(axis=(1, 2))
+    return numerical_rank(sigmas, rank_tol), indeterminate
 
 
 def kernel_analysis(
@@ -347,17 +333,21 @@ def kernel_analysis(
     (:func:`.config.in_tie_band`) set ``indeterminate`` instead of silently
     rounding the verdict.
     """
-    ks = _kernel_stack(cfg, point.coordinates[None], point.tangent_frame[None], rank_tol)
     d = point.tangent_frame.shape[1]
+    a = alpha_on_frame(cfg, point)
+    dmat = dalpha_on_frame(cfg, point)
+    sigma_d = np.linalg.svd(dmat, compute_uv=False)
+    ranks, indeterminate = _rank_checks(a[None], dmat[None], sigma_d[None], rank_tol)
+    rank_d, rank_s, rank_r = ranks[0].tolist()
     return FormEvaluation(
-        alpha_on_frame=ks.alpha[0],
-        dalpha_on_frame=ks.dalpha[0],
-        ker_dalpha_dim=d - int(ks.rank_dalpha[0]),
-        ker_alpha_cap_ker_dalpha_dim=d - int(ks.rank_stacked[0]),
-        rank_dalpha_on_ker_alpha=int(ks.rank_restricted[0]),
-        contact_volume=_volume_from_frame_data(ks.alpha[0], ks.dalpha[0]),
-        trichotomy=ks.trichotomy[0],
-        indeterminate=bool(ks.indeterminate[0]),
+        alpha_on_frame=a,
+        dalpha_on_frame=dmat,
+        ker_dalpha_dim=d - rank_d,
+        ker_alpha_cap_ker_dalpha_dim=d - rank_s,
+        rank_dalpha_on_ker_alpha=rank_r,
+        contact_volume=_volume_from_frame_data(a, dmat),
+        trichotomy="contact" if rank_r == d - 1 else "defect2" if rank_r == d - 3 else "deep",
+        indeterminate=bool(indeterminate[0]),
     )
 
 
@@ -372,9 +362,7 @@ class StackEvaluation:
     jacobian_rank: np.ndarray
     ker_dalpha_dim: np.ndarray
     ker_alpha_cap_ker_dalpha_dim: np.ndarray
-    rank_dalpha_on_ker_alpha: np.ndarray
     expected_kernel_dims: np.ndarray  # (N, 2)
-    trichotomy: tuple[str, ...]
     indeterminate: np.ndarray
     contact_volume: np.ndarray
     family_angle: np.ndarray
@@ -391,15 +379,31 @@ def evaluate_stack(
     and, on classical links, the leaf checks, for a stack of points at once.
 
     Every certified point of a configuration has frame dimension
-    ``manifold_dim``, so all strata stack together: each SVD runs once over
-    the stack, the closed-form family is built once for all points, and
+    ``manifold_dim``, so all strata stack together: each SVD runs over a
+    block of points, the closed-form family is built once per block, and
     only the bordered Pfaffians run point by point.  A point's results do
-    not depend on the other points in the stack.
+    not depend on the other points in the stack, so blocks of at most
+    ``_ATTEMPT_BLOCK`` points (the sampler's block) bound the memory of a
+    long run without changing a value.
     """
+    blocks = [_evaluate_block(cfg, points[i : i + _ATTEMPT_BLOCK], rank_tol)
+              for i in range(0, len(points), _ATTEMPT_BLOCK)]
+    return StackEvaluation(**{
+        f.name: None if getattr(blocks[0], f.name) is None
+        else np.concatenate([getattr(block, f.name) for block in blocks])
+        for f in fields(StackEvaluation)})
+
+
+def _evaluate_block(cfg: Configuration, points: list[VarietyPoint],
+                    rank_tol: float) -> StackEvaluation:
+    """:func:`evaluate_stack` on one block of points."""
     coords = np.array([p.coordinates for p in points], dtype=float)
     frames = np.array([p.tangent_frame for p in points], dtype=float)
     d = frames.shape[2]
-    ks = _kernel_stack(cfg, coords, frames, rank_tol)
+    a = _alpha_stack(cfg, coords, frames)
+    dmat = _dalpha_stack(cfg, frames)
+    sigma_d, _, kernel = _dalpha_kernels(frames, dmat, rank_tol)
+    ranks, indeterminate = _rank_checks(a, dmat, sigma_d, rank_tol)
     family = _family_stack(cfg, coords)
     leaf_rank = leaf_magnitude = None
     if cfg.kind == "classical":  # the first 2m columns span the leaf
@@ -407,14 +411,12 @@ def evaluate_stack(
         leaf_magnitude = _leaf_magnitudes(cfg, family[..., : 2 * cfg.m])
     return StackEvaluation(
         jacobian_rank=_jacobian_ranks(cfg, coords, rank_tol),
-        ker_dalpha_dim=d - ks.rank_dalpha,
-        ker_alpha_cap_ker_dalpha_dim=d - ks.rank_stacked,
-        rank_dalpha_on_ker_alpha=ks.rank_restricted,
+        ker_dalpha_dim=d - ranks[:, 0],
+        ker_alpha_cap_ker_dalpha_dim=d - ranks[:, 1],
         expected_kernel_dims=_expected_dims(cfg, _zero_mask(cfg, coords)),
-        trichotomy=tuple(ks.trichotomy),
-        indeterminate=ks.indeterminate,
-        contact_volume=_volumes(ks.alpha, ks.dalpha),
-        family_angle=_largest_angles(_orth(family), ks.kernel),
+        indeterminate=indeterminate,
+        contact_volume=_volumes(a, dmat),
+        family_angle=_largest_angles(_orth(family), kernel),
         leaf_rank=leaf_rank,
         leaf_two_form_magnitude=leaf_magnitude,
     )

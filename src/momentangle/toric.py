@@ -225,7 +225,7 @@ def _build_polytope(A: np.ndarray, b: np.ndarray,
     if support is None:
         return PolytopeDescription(n, equalities, inequalities,
                                    vertices=np.zeros((0, n)), dim=-1)
-    dim = len(support) - numerical_rank(np.linalg.svd(A[:, support], compute_uv=False))
+    dim = len(support) - int(numerical_rank(np.linalg.svd(A[:, support], compute_uv=False)))
     vertices = _enumerate_vertices(A, b, tol) if n <= VERTEX_ENUMERATION_MAX_DIM else None
     if vertices is not None:
         for v in vertices:

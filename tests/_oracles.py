@@ -449,6 +449,16 @@ def _orth_reference(matrix):
     return u[:, : np.count_nonzero(s > max(matrix.shape) * np.finfo(float).eps * s[0])]
 
 
+def rank_checks_reference(a, dmat, rank_tol):
+    """Ranks and tie flags of dalpha, [dalpha; alpha] and dalpha on ker alpha,
+    one SVD per matrix, for alpha ``a`` and dalpha ``dmat`` on one frame."""
+    ker_alpha = np.linalg.svd(a.reshape(1, -1))[2][1:].T
+    ranks, ties = zip(*(_rank_and_tie(np.linalg.svd(matrix, compute_uv=False), rank_tol)
+                        for matrix in (dmat, np.vstack([dmat, a]),
+                                       ker_alpha.T @ dmat @ ker_alpha)))
+    return ranks, ties
+
+
 def point_checks_reference(cfg, point, rank_tol=1e-8):
     """Every per-point quantity ``verify`` checks, one point at a time.
 
@@ -466,11 +476,7 @@ def point_checks_reference(cfg, point, rank_tol=1e-8):
     a = 2.0 * ((wt * coords[0::2]) @ y - (wt * coords[1::2]) @ x)
     m = 4.0 * (x.T @ (wt[:, None] * y))
     dmat = m - m.T
-    ker_alpha = np.linalg.svd(a.reshape(1, -1))[2][1:].T
-    ranks, ties = zip(*(_rank_and_tie(np.linalg.svd(matrix, compute_uv=False), rank_tol)
-                        for matrix in (dmat, np.vstack([dmat, a]),
-                                       ker_alpha.T @ dmat @ ker_alpha)))
-    rank_d, rank_s, rank_r = ranks
+    (rank_d, rank_s, rank_r), ties = rank_checks_reference(a, dmat, rank_tol)
 
     _, sigma, vh = np.linalg.svd(dmat)
     numeric = frame @ vh[_rank_and_tie(sigma, rank_tol)[0]:].T

@@ -1,5 +1,7 @@
 """The 1-form alpha, its differential, kernel strata and contact volumes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,7 @@ from momentangle import (
     symplectic_leaf_rank,
     system_jacobian,
 )
+from momentangle import forms
 from momentangle.cli import _verification_cases
 from momentangle.config import DEFAULT_RANK_TOL, DEGENERACY_BAND
 from momentangle.forms import _volume_from_frame_data
@@ -37,13 +40,14 @@ from _oracles import (
     brute_force_contact_volume,
     permutation_sum_contact_volume,
     point_checks_reference,
+    rank_checks_reference,
 )
 from test_acceptance import PFAFFIAN_REL_TOL
 
 FIXTURES = ["pentagon", "hexagon_m2", "mixed_s1", "mixed_s2", "mixed_general_m1",
             "mixed_general_m2", "mixed_general_m3"]
 EXACT_FIELDS = ["jacobian_rank", "ker_dalpha_dim", "ker_alpha_cap_ker_dalpha_dim",
-                "rank_dalpha_on_ker_alpha", "trichotomy", "indeterminate"]
+                "indeterminate"]
 
 
 def alpha_oracle(cfg, point, vector):
@@ -153,6 +157,34 @@ def test_indeterminate_follows_the_tie_band(pentagon, batch, rank_tol, indetermi
         assert (ev.ker_dalpha_dim, ev.ker_alpha_cap_ker_dalpha_dim) == (3, 2)
 
 
+def test_rank_checks_match_the_oracle_row_by_row():
+    """Random alpha and skew dalpha (d = 5) over a grid of cuts: the three
+    singular-value rows, ranked in one padded stack, give the oracle's ranks
+    and tie flags, including ties in the restricted row alone."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(200, 5))
+    m = rng.normal(size=(200, 5, 5)) * np.geomspace(1.0, 1e-3, 5)
+    # dalpha = diag(J, J/2, 0) and alpha = (cos t, 0, 0, 0, sin t): on ker alpha
+    # dalpha has singular values (1/2, 1/2, sin t, sin t), and [dalpha; alpha]
+    # a smallest one below sin t, so some t tie the restricted row alone
+    t = np.geomspace(1e-6, 1e-1, 40)
+    a = np.concatenate([a, np.column_stack([np.cos(t), 0 * t, 0 * t, 0 * t, np.sin(t)])])
+    block = np.zeros((40, 5, 5))
+    block[:, 0, 1], block[:, 2, 3] = 1.0, 0.5
+    m = np.concatenate([m, block])
+    dmat = m - m.transpose(0, 2, 1)
+    sigma_d = np.linalg.svd(dmat, compute_uv=False)
+    restricted_only = 0
+    for rank_tol in np.geomspace(1e-3, 0.5, 12):
+        ranks, indeterminate = forms._rank_checks(a, dmat, sigma_d, rank_tol)
+        for i in range(len(a)):
+            ref_ranks, ref_ties = rank_checks_reference(a[i], dmat[i], rank_tol)
+            assert ranks[i].tolist() == list(ref_ranks)
+            assert indeterminate[i] == any(ref_ties)
+            restricted_only += ref_ties == (False, False, True)
+    assert restricted_only > 0
+
+
 def test_kernel_dims_classical(pentagon, hexagon_m2, batch):
     for cfg, expect in [(pentagon, (3, 2)), (hexagon_m2, (5, 4))]:
         for point in batch(cfg, 6):
@@ -214,13 +246,15 @@ def test_kernel_family_matches_svd_kernel(mixed_s1, mixed_general_m2, batch):
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
-def test_stacked_evaluation_matches_per_point_oracle(fixture, request):
+def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypatch):
     """Every stratum ``verify`` samples, 20 points each, stacked in one call.
 
-    Counts, flags and labels equal the per-point oracle's; volumes agree to
+    Counts and flags equal the per-point oracle's; volumes agree to
     PFAFFIAN_REL_TOL (relative, or of the volume scale where they vanish)
     and family angles to 1e-12 rad.  Evaluated alone, a point gets exactly
-    the values it gets inside the stack.
+    the values it gets inside the stack.  The restricted rank and the
+    trichotomy label, which ``verify`` does not record, are compared through
+    ``kernel_analysis``, the N = 1 call of the same rank checks.
     """
     cfg = request.getfixturevalue(fixture)
     cases = _verification_cases(cfg, 20, 0, 1e-10, DEFAULT_RANK_TOL)
@@ -232,6 +266,9 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request):
         ref = point_checks_reference(cfg, point)
         for field in EXACT_FIELDS + ["leaf_rank"] * classical:
             assert getattr(stack, field)[i] == ref[field], (field, i)
+        single = kernel_analysis(cfg, point)
+        for field in EXACT_FIELDS[1:] + ["rank_dalpha_on_ker_alpha", "trichotomy"]:
+            assert getattr(single, field) == ref[field], (field, i)
         assert tuple(stack.expected_kernel_dims[i]) == ref["expected_kernel_dims"]
         assert stack.contact_volume[i] == pytest.approx(
             ref["contact_volume"], rel=PFAFFIAN_REL_TOL, abs=PFAFFIAN_REL_TOL * scale)
@@ -245,6 +282,12 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request):
             np.testing.assert_array_equal(getattr(alone, field)[0], getattr(stack, field)[i])
     if not classical:
         assert stack.leaf_rank is None and stack.leaf_two_form_magnitude is None
+
+    # evaluated in blocks of 3 points, the stack is unchanged bit for bit
+    monkeypatch.setattr(forms, "_ATTEMPT_BLOCK", 3)
+    blocked = evaluate_stack(cfg, points)
+    for field in dataclasses.fields(blocked):
+        np.testing.assert_array_equal(getattr(blocked, field.name), getattr(stack, field.name))
 
 
 def test_rank_trichotomy_details(pentagon, mixed_s1, mixed_general_m2, batch):
