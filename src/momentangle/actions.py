@@ -185,7 +185,7 @@ def fiber_count(cfg: Configuration, direction,
     if cfg.kind != "mixed-general":
         raise StructuralError("fiber counting is defined for mixed-general links")
     F = quadric_values(cfg, direction)
-    r = float(1.0 / np.sqrt(1.0 + np.sum(np.abs(F))))
+    r = ray_radius(cfg, direction)
     mags = np.abs(F) * r**2
     live = int(np.count_nonzero(mags > tol))
     near = bool(np.any(in_tie_band(mags, tol)))
@@ -213,7 +213,7 @@ def fiber_points(cfg: Configuration, direction,
     zhat = np.atleast_1d(np.asarray(direction, dtype=complex))
     zhat = zhat / float(np.linalg.norm(zhat))
     F = quadric_values(cfg, zhat)
-    r = float(1.0 / np.sqrt(1.0 + np.sum(np.abs(F))))
+    r = ray_radius(cfg, zhat)
     scaled = F * r**2
 
     choices: list[tuple[complex, ...]] = []

@@ -31,11 +31,12 @@ from .config import (
     check_admissible,
     check_mixed_admissible,
     check_tolerances,
+    complexify,
     configuration_to_dict,
     load_configuration,
 )
 from .errors import NumericalError, ProjectionError, SamplingBudgetError, StructuralError
-from .forms import contact_volume_scale, evaluate_stack, orientation_sign
+from .forms import contact_volume_scale, evaluate_stack, volume_sign
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
 from .toric import gale_transform
@@ -240,14 +241,12 @@ def cmd_verify(args) -> int:
         if ok.size:
             checks[name] = (int(np.count_nonzero(ok)), ok.size)
 
-    kappa = 0.0
-    if cfg.kind != "classical":
-        kappa = orientation_sign(cfg, cases[0][1][0])
-    zero_scale = VOLUME_ZERO_FACTOR * contact_volume_scale(cfg)
-
     points = [point for _, case_points in cases for point in case_points]
     ev = evaluate_stack(cfg, points, args.rank_tol)
     volume = ev.contact_volume
+    # The first point calibrates the orientation (forms.orientation_sign).
+    kappa = 0.0 if cfg.kind == "classical" else volume_sign(cfg, volume[0])
+    zero_scale = VOLUME_ZERO_FACTOR * contact_volume_scale(cfg)
     record("jacobian rank maximal", ev.jacobian_rank == cfg.equation_count)
     record("kernel dimensions per stratum",
            (ev.ker_dalpha_dim == ev.expected_kernel_dims[:, 0])
@@ -352,7 +351,7 @@ def cmd_cover(args) -> int:
             raise StructuralError(f"cannot parse direction {args.direction!r}") from exc
         if flat.size != 2 * cfg.n:
             raise StructuralError(f"direction needs {2 * cfg.n} numbers (re,im pairs)")
-        directions.append(flat[0::2] + 1j * flat[1::2])
+        directions.append(complexify(flat))
     elif args.samples < 1:
         raise StructuralError("count must be positive")
     else:
@@ -360,7 +359,7 @@ def cmd_cover(args) -> int:
             [args.seed % (1 << 64), 0], dtype=np.uint64)))
         for _ in range(args.samples):
             v = rng.normal(size=2 * cfg.n)
-            directions.append((v[0::2] + 1j * v[1::2]) / np.linalg.norm(v))
+            directions.append(complexify(v) / np.linalg.norm(v))
 
     all_ok = True
     rows = []

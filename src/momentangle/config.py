@@ -16,16 +16,19 @@ A configuration satisfying both is *admissible*.  The Siegel condition is
 decided by one hull-distance LP.  For weak hyperbolicity, one batched SVD
 bounds the hull distance of every ``2m``-subset from below by
 ``sigma_min / (2m)``; only the subsets that bound leaves inside the tie band
-go to the LP, in lexicographic order.  Every LP distance is recomputed from
-the weights the solver returned, so a distance comes with a hull point as its
-witness.  All tolerances are explicit parameters.
+go to the LP, in lexicographic order.  Every LP in the package is
+:func:`_solve_lp`, and every hull distance is :func:`witness_distance` of a
+weight vector, a hull point as its witness: the LP's weights in
+:func:`hull_distance`, a point's own t = |z|^2 in
+:func:`.toric.moment_image_check` (no LP).  All tolerances are explicit.
 
 Conventions used throughout the package:
 
 * ``lambdas`` is a complex array of shape ``(n, m)`` — row ``j`` is
   ``lambda_j``;
 * complex data is realified by interleaving: ``z -> (Re z, Im z)`` per
-  complex coordinate, in coordinate order;
+  complex coordinate, in coordinate order (:func:`realify`, inverse
+  :func:`complexify`);
 * numerical rank = number of singular values exceeding ``rank_tol`` times
   the largest one (:func:`numerical_rank`, default :data:`DEFAULT_RANK_TOL`);
   every rank in the package goes through it, and complex ranks are computed
@@ -196,10 +199,7 @@ class Configuration:
 
     def realified_lambdas(self) -> np.ndarray:
         """The lambda_j as rows of a real (n, 2m) matrix (interleaved Re/Im)."""
-        out = np.empty((self.n, 2 * self.m))
-        out[:, 0::2] = self.lambdas.real
-        out[:, 1::2] = self.lambdas.imag
-        return out
+        return realify(self.lambdas)
 
     def sub_configuration(self, components: Sequence[int]) -> "Configuration":
         """Restrict to the quadrics indexed by ``components`` (0-based)."""
@@ -242,6 +242,47 @@ class MixedAdmissibilityReport:
         return tuple(K for K, rep in sorted(self.reports.items()) if not rep.admissible)
 
 
+def realify(values: np.ndarray) -> np.ndarray:
+    """Interleave a complex vector into (Re, Im, Re, Im, ...), along the last axis."""
+    values = np.asarray(values, dtype=complex)
+    out = np.empty(values.shape[:-1] + (2 * values.shape[-1],))
+    out[..., 0::2] = values.real
+    out[..., 1::2] = values.imag
+    return out
+
+
+def complexify(coords: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`realify`."""
+    coords = np.asarray(coords, dtype=float)
+    return coords[..., 0::2] + 1j * coords[..., 1::2]
+
+
+def _solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
+    """``min c.x`` by HiGHS: the solution, None when infeasible, else NumericalError.
+
+    At HiGHS's default primal feasibility tolerance (1e-7) a hull that passes
+    within 1e-8 of the origin can return a vertex twice as far as the
+    optimum, and a fiber polytope that misses by 1e-8 reads as nonempty;
+    1e-10 is the smallest value HiGHS takes.
+    """
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10})
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise NumericalError(f"LP solver failed: {res.message}")
+    return res.x
+
+
+def witness_distance(points: np.ndarray, weights: np.ndarray) -> float:
+    """``max |sum_i t_i p_i|`` for ``t`` = ``weights`` clipped to ``t >= 0`` and renormalised.
+
+    The distance of one hull point, its witness: an upper bound on the hull's.
+    """
+    t = np.clip(weights, 0.0, None)
+    return float(np.max(np.abs(points.T @ (t / t.sum()))))
+
+
 def hull_distance(points: np.ndarray) -> float:
     """Minimal sup-norm distance from the origin to the hull of ``points``.
 
@@ -249,12 +290,10 @@ def hull_distance(points: np.ndarray) -> float:
 
         min u  s.t.  -u <= (sum_i t_i p_i)_d <= u,  sum t = 1,  t >= 0.
 
-    The value returned is not the LP objective but ``max |sum_i t_i p_i|``
-    for the weights ``t`` the solver returned, clipped to ``t >= 0`` and
-    renormalised: an upper bound on the distance with a hull point as its
-    witness.  The objective alone reads 0 for hulls that miss the origin by
-    less than the solver's feasibility tolerance; the recomputed distance
-    does not.
+    The value returned is not the LP objective but :func:`witness_distance`
+    of the weights ``t`` the solver returned.  The objective alone reads 0
+    for hulls that miss the origin by less than the solver's feasibility
+    tolerance; the recomputed distance does not.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
@@ -264,18 +303,11 @@ def hull_distance(points: np.ndarray) -> float:
     c[-1] = 1.0
     ones = np.ones((d, 1))
     a_ub = np.block([[pts.T, -ones], [-pts.T, -ones]])
-    b_ub = np.zeros(2 * d)
     a_eq = np.concatenate([np.ones(p), [0.0]]).reshape(1, -1)
-    # At HiGHS's default primal feasibility tolerance (1e-7) the returned
-    # vertex can lie twice as far from the origin as the optimum when the
-    # hull passes within 1e-8 of it; 1e-10 is the smallest value HiGHS takes.
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * (p + 1), method="highs",
-                  options={"primal_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise NumericalError(f"hull-distance LP failed: {res.message}")
-    t = np.clip(res.x[:p], 0.0, None)
-    return float(np.max(np.abs(pts.T @ (t / t.sum()))))
+    x = _solve_lp(c, A_ub=a_ub, b_ub=np.zeros(2 * d), A_eq=a_eq, b_eq=[1.0])
+    if x is None:
+        raise NumericalError("hull-distance LP reported infeasible")
+    return witness_distance(pts, x[:p])
 
 
 def origin_in_hull(points: np.ndarray, tol: float = 1e-9) -> bool:

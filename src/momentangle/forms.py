@@ -579,11 +579,14 @@ def orientation_sign(cfg: Configuration, reference: VarietyPoint) -> float:
     positive at the reference point.  The reference must lie off the
     degeneracy stratum (where the volume vanishes identically).
     """
-    vol = contact_volume(cfg, reference)
-    scale = contact_volume_scale(cfg)
-    if abs(vol) <= 1e-9 * scale:
+    return volume_sign(cfg, contact_volume(cfg, reference))
+
+
+def volume_sign(cfg: Configuration, volume: float) -> float:
+    """:func:`orientation_sign` from the reference point's contact volume."""
+    if abs(volume) <= 1e-9 * contact_volume_scale(cfg):
         raise NumericalError(
             "reference point lies on (or too close to) the degeneracy stratum; "
             "cannot calibrate the orientation"
         )
-    return 1.0 if vol > 0 else -1.0
+    return 1.0 if volume > 0 else -1.0

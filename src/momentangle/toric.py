@@ -26,6 +26,10 @@ polytope; on that face only the equalities bind, so
 
     dim = |support| - rank(equality columns on the support).
 
+The support comes from an interior-margin LP and, when the margin does not
+clear ``tol``, one maximization per coordinate, all by :func:`.config._solve_lp`.
+The moment-image check solves no LP: a point's own t is its hull witness.
+
 The sign convention sum t_j lambda_j = -w^2 is the one the defining equations
 w^2 + F(z) = 0 actually induce; the big-moment-map residual test pins it.
 """
@@ -36,17 +40,18 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .config import (
     Configuration,
+    _solve_lp,
     check_admissible,
     check_mixed_admissible,
-    hull_distance,
     numerical_rank,
+    realify,
+    witness_distance,
 )
 from .errors import NumericalError, ProjectionError, StructuralError
-from .variety import VarietyPoint, certify, project_to_variety, realify, sample_points
+from .variety import VarietyPoint, certify, project_to_variety, sample_points
 
 FEASIBILITY_TOL = 1e-9
 VERTEX_ENUMERATION_MAX_DIM = 8
@@ -102,10 +107,11 @@ class MomentImageReport:
     """Per-point verification of the orbit-space membership facts.
 
     ``constraint_residual`` is the worst violation of the (w, t) system
-    above; ``hull_member`` checks that the normalized quadric vector
-    -w^2 / sum(t) is a convex combination of the lambda_j (the coordinates
-    being the normalized t); ``w_bound_ok`` checks |w|^2 <= 1 - c for a
-    supplied estimate of c = inf sum |z_j|^2 (None when no estimate given).
+    above; ``hull_member`` checks, by :func:`.config.witness_distance` and no
+    LP, that -w^2 / sum(t) is the convex combination of the lambda_j with
+    weights t / sum(t), so it fails off the link even where -w^2 / sum(t) lies
+    in the hull; ``w_bound_ok`` checks |w|^2 <= 1 - c for a supplied estimate
+    of c = inf sum |z_j|^2 (None when no estimate given).
     """
 
     constraint_residual: float
@@ -137,26 +143,10 @@ class StarShapedReport:
         return not self.violations
 
 
-def _solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=None):
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                  bounds=bounds, method="highs")
-    if res.status not in (0, 2):
-        raise NumericalError(f"LP solver failed: {res.message}")
-    return res
-
-
 def _equality_rows(lambdas: np.ndarray, rhs: np.ndarray, total: float):
     """Rows (Re/Im of each quadric, then the simplex row) and right-hand sides."""
-    n, m = lambdas.shape
-    A = np.empty((2 * m + 1, n))
-    b = np.empty(2 * m + 1)
-    A[0:-1:2] = lambdas.real.T
-    A[1:-1:2] = lambdas.imag.T
-    A[-1] = 1.0
-    b[0:-1:2] = rhs.real
-    b[1:-1:2] = rhs.imag
-    b[-1] = total
-    return A, b
+    A = np.vstack([realify(lambdas).T, np.ones(lambdas.shape[0])])
+    return A, np.append(realify(rhs), total)
 
 
 def _interior_margin(A: np.ndarray, b: np.ndarray) -> float | None:
@@ -166,9 +156,9 @@ def _interior_margin(A: np.ndarray, b: np.ndarray) -> float | None:
     c[-1] = -1.0
     A_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
     A_eq = np.hstack([A, np.zeros((A.shape[0], 1))])
-    res = _solve_lp(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b,
-                    bounds=[(0, None)] * n + [(None, None)])
-    return None if res.status == 2 else float(res.x[-1])
+    x = _solve_lp(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b,
+                  bounds=[(0, None)] * n + [(None, None)])
+    return None if x is None else float(x[-1])
 
 
 def _support(A: np.ndarray, b: np.ndarray, tol: float) -> list[int] | None:
@@ -186,10 +176,10 @@ def _support(A: np.ndarray, b: np.ndarray, tol: float) -> list[int] | None:
     for j in range(n):
         c = np.zeros(n)
         c[j] = -1.0
-        res = _solve_lp(c, A_eq=A, b_eq=b, bounds=[(0, None)] * n)
-        if res.status == 2:
+        x = _solve_lp(c, A_eq=A, b_eq=b)
+        if x is None:
             return None
-        if -res.fun > tol:
+        if x[j] > tol:
             support.append(j)
     return support
 
@@ -227,10 +217,6 @@ def _build_polytope(A: np.ndarray, b: np.ndarray,
                                    vertices=np.zeros((0, n)), dim=-1)
     dim = len(support) - int(numerical_rank(np.linalg.svd(A[:, support], compute_uv=False)))
     vertices = _enumerate_vertices(A, b, tol) if n <= VERTEX_ENUMERATION_MAX_DIM else None
-    if vertices is not None:
-        for v in vertices:
-            if np.linalg.norm(A @ v - b, np.inf) > tol or np.min(v) < -tol:
-                raise NumericalError("vertex enumeration produced an infeasible vertex")
     return PolytopeDescription(n, equalities, inequalities, vertices=vertices, dim=dim)
 
 
@@ -292,10 +278,7 @@ def moment_map(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
 
 def big_moment_map(cfg: Configuration, point: VarietyPoint) -> tuple[np.ndarray, np.ndarray]:
     """(w, t) with t_j = |z_j|^2 — the full torus-invariant data of a point."""
-    if cfg.kind != "mixed-general":
-        raise StructuralError("the moment map is defined for mixed-general links")
-    z = point.z_block(cfg)
-    return point.w_block(cfg), np.abs(z) ** 2
+    return moment_map(cfg, point), np.abs(point.z_block(cfg)) ** 2
 
 
 def moment_image_check(
@@ -308,30 +291,18 @@ def moment_image_check(
 
     Checks (i) the (w, t) image satisfies the defining constraints of the
     orbit polytope, (ii) the normalized quadric vector -w^2 / sum(t) lies in
-    the convex hull of the lambda_j, and (iii) optionally |w|^2 <= 1 - c.
+    the convex hull of the lambda_j, with t / sum(t) as the witness weights
+    (no LP), and (iii) optionally |w|^2 <= 1 - c.
     (The w block itself need not lie in the hull of the c-scaled lambda_j;
     the hull fact that actually holds is (ii).)
     """
     w, t = big_moment_map(cfg, point)
+    wsq = float(np.sum(np.abs(w) ** 2))
     quad = cfg.lambdas.T @ t + w**2
-    sphere = float(np.sum(np.abs(w) ** 2) + np.sum(t) - 1.0)
-    residual = max(
-        float(np.max(np.abs(quad))),
-        abs(sphere),
-        max(0.0, -float(np.min(t))),
-    )
-
-    total = float(np.sum(t))
-    target = -(w**2) / total
-    shifted = cfg.lambdas - target[None, :]
-    shifted_real = np.empty((cfg.n, 2 * cfg.m))
-    shifted_real[:, 0::2] = shifted.real
-    shifted_real[:, 1::2] = shifted.imag
-    hull_member = hull_distance(shifted_real) <= tol
-
-    w_bound_ok = None
-    if c_estimate is not None:
-        w_bound_ok = float(np.sum(np.abs(w) ** 2)) <= 1.0 - c_estimate + tol
+    residual = max(float(np.max(np.abs(quad))), abs(wsq + float(np.sum(t)) - 1.0))  # t >= 0
+    target = -(w**2) / float(np.sum(t))
+    hull_member = witness_distance(realify(cfg.lambdas - target), t) <= tol
+    w_bound_ok = None if c_estimate is None else wsq <= 1.0 - c_estimate + tol
     return MomentImageReport(
         constraint_residual=residual,
         in_orbit_polytope=residual <= tol,

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import DEFAULT_RANK_TOL, Configuration, check_tolerances, numerical_rank
+from .config import complexify, realify  # noqa: F401  (realify is re-exported)
 from .errors import (
     NumericalError,
     ProjectionError,
@@ -58,21 +59,6 @@ _EPS = np.finfo(float).eps
 
 #: Attempts per block in :func:`_sample`; bounds the stacked arrays.
 _ATTEMPT_BLOCK = 256
-
-
-def realify(values: np.ndarray) -> np.ndarray:
-    """Interleave a complex vector into (Re, Im, Re, Im, ...), along the last axis."""
-    values = np.asarray(values, dtype=complex)
-    out = np.empty(values.shape[:-1] + (2 * values.shape[-1],))
-    out[..., 0::2] = values.real
-    out[..., 1::2] = values.imag
-    return out
-
-
-def complexify(coords: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`realify`."""
-    coords = np.asarray(coords, dtype=float)
-    return coords[..., 0::2] + 1j * coords[..., 1::2]
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import momentangle.config
 from momentangle import (
     Configuration,
     NumericalError,
     StructuralError,
+    VarietyPoint,
     big_moment_map,
     estimate_c,
     fiber_polytope,
@@ -16,6 +18,7 @@ from momentangle import (
     star_shaped_check,
     toric,
 )
+from momentangle.config import hull_distance, realify
 from _oracles import c_exact
 from conftest import roots_of_unity
 
@@ -174,3 +177,109 @@ def test_feasibility_lp_agrees_with_fiber_polytope(mixed_general_m2):
         assert empty == fiber_polytope(mixed_general_m2, w).is_empty
         verdicts.add(empty)
     assert verdicts == {True, False}
+
+
+def _target_distance(cfg, target) -> float:
+    """Sup-norm distance from a complex m-vector to the hull of the lambda_j."""
+    return hull_distance(realify(cfg.lambdas - target))
+
+
+def _hull_exit(cfg, d) -> tuple[float, float]:
+    """(g*, slope): g * d leaves the hull of the lambda_j at g = g*, and its
+    distance to the hull grows as slope * (g - g*) just beyond."""
+    lo, hi = 0.0, 1.0
+    while _target_distance(cfg, hi * d) < 1e-3:
+        hi *= 2.0
+    for _ in range(45):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _target_distance(cfg, mid * d) <= 1e-14 else (lo, mid)
+    return hi, _target_distance(cfg, (hi + 1e-6) * d) / 1e-6
+
+
+def test_boundary_fibers_are_empty_at_the_package_tolerance(mixed_general_m2):
+    """A fiber whose target -w^2 / (1 - |w|^2) misses the hull of the
+    lambda_j by 1e-8 is empty; one whose target lies 1e-8 inside is not.
+    At HiGHS's default feasibility tolerance the outside fibers read as
+    nonempty, with a margin of about -5e-9."""
+    cfg = mixed_general_m2
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        u = rng.normal(size=2) + 1j * rng.normal(size=2)
+        u /= np.linalg.norm(u)
+        g_exit, slope = _hull_exit(cfg, -(u**2))
+        for gap in (1e-8, -1e-8):
+            g = g_exit + gap / slope
+            w = np.sqrt(g / (1.0 + g)) * u  # target = g * (-u^2)
+            wsq = float(np.sum(np.abs(w) ** 2))
+            distance = _target_distance(cfg, -(w**2) / (1.0 - wsq))
+            if gap > 0:
+                assert 0.5e-8 <= distance <= 2e-8
+            else:
+                assert distance <= 1e-12
+            empty = toric._interior_margin(*toric._fiber_rows(cfg, w)) is None
+            assert empty == (gap > 0)
+            assert fiber_polytope(cfg, w).is_empty == (gap > 0)
+
+
+def test_lp_calls_go_through_one_helper(mixed_general_m2, batch, monkeypatch):
+    """Every LP is the one call in config; the moment-image check solves none
+    and reads its hull verdict from the point's own t / sum(t)."""
+    cfg = mixed_general_m2
+    calls = []
+    linprog = momentangle.config.linprog
+    monkeypatch.setattr(momentangle.config, "linprog",
+                        lambda *a, **k: calls.append(1) or linprog(*a, **k))
+    assert not hasattr(toric, "linprog")
+
+    points = batch(cfg, 4)
+    for point in points:
+        report = moment_image_check(cfg, point)
+        w, t = big_moment_map(cfg, point)
+        target = -(w**2) / np.sum(t)
+        shifted = realify(cfg.lambdas - target)
+        witness = float(np.max(np.abs(shifted.T @ (t / np.sum(t)))))
+        assert report.hull_member == (witness <= toric.FEASIBILITY_TOL)
+        assert report.hull_member
+    assert calls == []
+
+    for run in (lambda: gale_transform(cfg),
+                lambda: fiber_polytope(cfg, moment_map(cfg, points[0])),
+                lambda: star_shaped_check(cfg, samples=1, ray_steps=2, seed=0)):
+        before = len(calls)
+        run()
+        assert len(calls) > before
+
+
+def test_moment_image_check_rejects_w_off_the_link(mixed_general_m2, batch):
+    """Scaling w off the link keeps -w^2 / sum(t) inside the hull of the
+    lambda_j, but no longer with t / sum(t) as the weights."""
+    cfg = mixed_general_m2
+    point = batch(cfg, 1)[0]
+    coords = point.coordinates.copy()
+    coords[: 2 * cfg.w_count] *= 1.01
+    moved = VarietyPoint(coords, point.residual_norm, point.tangent_frame, point.zero_pattern)
+    w, t = big_moment_map(cfg, moved)
+    assert _target_distance(cfg, -(w**2) / np.sum(t)) <= 1e-12
+    report = moment_image_check(cfg, moved)
+    assert not report.in_orbit_polytope
+    assert not report.hull_member
+
+
+def test_fiber_on_a_hull_edge_takes_the_support_path(mixed_general_m1):
+    """Target at the midpoint of lambda_0 and lambda_1: the fiber is the
+    single point t_0 = t_1 = (1 - s) / 2 with |w|^2 = s; its interior margin
+    is 0, so the support comes from the per-coordinate LPs."""
+    cfg = mixed_general_m1
+    target = 0.5 * (cfg.lambdas[0] + cfg.lambdas[1])
+    s = float(np.abs(target[0]) / (1.0 + np.abs(target[0])))
+    w = np.sqrt(-target * (1.0 - s) + 0j)
+    assert np.sum(np.abs(w) ** 2) == pytest.approx(s, abs=1e-15)
+    rows = toric._fiber_rows(cfg, w)
+    assert toric._interior_margin(*rows) <= toric.FEASIBILITY_TOL
+    assert toric._support(*rows, toric.FEASIBILITY_TOL) == [0, 1]
+    fiber = fiber_polytope(cfg, w)
+    assert fiber.dim == 0
+    expected = np.zeros(5)
+    expected[:2] = (1.0 - s) / 2.0
+    assert fiber.vertices.shape == (1, 5)
+    np.testing.assert_allclose(fiber.vertices[0], expected, atol=1e-12)
