@@ -12,15 +12,20 @@ Two convex-position conditions drive everything downstream:
 * **weak hyperbolicity**: the origin does *not* lie in the convex hull of any
   ``2m`` of them.
 
-A configuration satisfying both is *admissible*.  The Siegel condition is
-decided by one hull-distance LP.  For weak hyperbolicity, one batched SVD
-bounds the hull distance of every ``2m``-subset from below by
+A configuration satisfying both is *admissible*.  Every hull verdict, for
+the Siegel condition and for a ``2m``-subset, is :func:`_hull_verdict`: a
+non-negative least-squares solve gives either a hull point near the origin
+or a plane that separates the hull from it, each checked by recomputation,
+and the hull-distance LP (:func:`hull_distance`) runs only when neither
+certificate clears the tie band.  For weak hyperbolicity, one batched SVD
+first bounds the hull distance of every ``2m``-subset from below by
 ``sigma_min / (2m)``; only the subsets that bound leaves inside the tie band
-go to the LP, in lexicographic order.  Every LP in the package is
+get a hull verdict, in lexicographic order.  Every LP in the package is
 :func:`_solve_lp`, and every hull distance is :func:`witness_distance` of a
-weight vector, a hull point as its witness: the LP's weights in
-:func:`hull_distance`, a point's own t = |z|^2 in
-:func:`.toric.moment_image_check` (no LP).  All tolerances are explicit.
+weight vector, a hull point as its witness: the NNLS or LP weights here, a
+point's own t = |z|^2 in :func:`.toric.moment_image_check` (no LP).
+``scipy.optimize`` is imported on the first solve, not with the package.
+All tolerances are explicit.
 
 Conventions used throughout the package:
 
@@ -48,7 +53,6 @@ from itertools import combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import NumericalError, StructuralError
 
@@ -257,6 +261,24 @@ def complexify(coords: np.ndarray) -> np.ndarray:
     return coords[..., 0::2] + 1j * coords[..., 1::2]
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    Importing ``scipy.optimize`` takes most of the package's import time, and
+    most commands solve neither an LP nor an NNLS.
+    """
+    from scipy.optimize import linprog
+
+    return linprog(*args, **kwargs)
+
+
+def nnls(a, b):
+    """``scipy.optimize.nnls``, imported on the first call (see :func:`linprog`)."""
+    from scipy.optimize import nnls
+
+    return nnls(a, b)
+
+
 def _solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
     """``min c.x`` by HiGHS: the solution, None when infeasible, else NumericalError.
 
@@ -283,6 +305,13 @@ def witness_distance(points: np.ndarray, weights: np.ndarray) -> float:
     return float(np.max(np.abs(points.T @ (t / t.sum()))))
 
 
+def _hull_points(points) -> np.ndarray:
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] == 0:
+        raise StructuralError("points must be a nonempty 2-d array")
+    return pts
+
+
 def hull_distance(points: np.ndarray) -> float:
     """Minimal sup-norm distance from the origin to the hull of ``points``.
 
@@ -293,11 +322,11 @@ def hull_distance(points: np.ndarray) -> float:
     The value returned is not the LP objective but :func:`witness_distance`
     of the weights ``t`` the solver returned.  The objective alone reads 0
     for hulls that miss the origin by less than the solver's feasibility
-    tolerance; the recomputed distance does not.
+    tolerance; the recomputed distance does not.  The hull verdicts of the
+    package call it only inside the tie band, where neither certificate of
+    :func:`_hull_verdict` settles the verdict.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise StructuralError("points must be a nonempty 2-d array")
+    pts = _hull_points(points)
     p, d = pts.shape
     c = np.zeros(p + 1)
     c[-1] = 1.0
@@ -310,9 +339,56 @@ def hull_distance(points: np.ndarray) -> float:
     return witness_distance(pts, x[:p])
 
 
+def _hull_verdict(points: np.ndarray, tol: float) -> tuple[bool, bool]:
+    """``(inside, tie)``: whether :func:`hull_distance` is ``<= tol``, and in the tie band.
+
+    Non-negative least squares on ``A = [P^T; 1^T]``, ``e = (0, ..., 0, 1)``
+    (Lawson and Hanson, 1974) returns weights ``t >= 0`` that certify most
+    verdicts without an LP:
+
+    * inside, not a tie: ``t`` is a hull point whose :func:`witness_distance`,
+      plus a rounding allowance, is at most ``tol / DEGENERACY_BAND``;
+    * outside, not a tie: ``y = P^T t``, the top of the residual ``A t - e``,
+      satisfies ``p_j . y >= |A t - e|^2 > 0`` by the KKT conditions, so
+      every hull point ``x`` has ``|x|_inf >= y . x / |y|_1 >= min_j p_j . y
+      / |y|_1``.  The minimum, recomputed and less a rounding allowance,
+      must exceed ``DEGENERACY_BAND * tol * |y|_1``.
+
+    Both certificates are recomputed from ``points``; the solver's answer is
+    never taken on trust.  Otherwise, or when NNLS fails to converge, the
+    LP decides as :func:`hull_distance` ``<= tol`` and :func:`in_tie_band`.
+    """
+    pts = _hull_points(points)
+    p, d = pts.shape
+    a = np.vstack([pts.T, np.ones(p)])
+    e = np.zeros(d + 1)
+    e[-1] = 1.0
+    try:
+        t, _ = nnls(a, e)
+    except RuntimeError:
+        t = None
+    if t is not None:
+        # A computed dot product of k terms is off by at most k * eps times
+        # the sum of the absolute products; 16 leaves room for the rest.
+        eps = np.finfo(float).eps
+        if t.sum() > 0 and (witness_distance(pts, t) + 16 * p * eps * np.max(np.abs(pts))
+                            <= tol / DEGENERACY_BAND):
+            return True, False
+        y = pts.T @ t
+        norms = np.linalg.norm(pts, axis=1)
+        margin = np.min(pts @ y) - 16 * d * eps * np.max(norms) * np.linalg.norm(y)
+        if margin > DEGENERACY_BAND * tol * np.sum(np.abs(y)):
+            return False, False
+    dist = hull_distance(pts)
+    return dist <= tol, in_tie_band(dist, tol)
+
+
 def origin_in_hull(points: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether the origin lies in the convex hull of the rows of ``points``."""
-    return hull_distance(points) <= tol
+    """Whether the origin lies in the convex hull of the rows of ``points``.
+
+    The verdict of :func:`_hull_verdict`: a hull distance of at most ``tol``.
+    """
+    return _hull_verdict(points, tol)[0]
 
 
 def rank_cut(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -367,10 +443,13 @@ def check_tolerances(tol: float, rank_tol: float = DEFAULT_RANK_TOL) -> None:
         raise StructuralError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
 
 
-def check_siegel(cfg: Configuration, tol: float = 1e-9) -> tuple[bool, float]:
-    """Siegel condition: 0 in H(Lambda).  Returns (verdict, hull distance)."""
-    dist = hull_distance(cfg.realified_lambdas())
-    return dist <= tol, dist
+def check_siegel(cfg: Configuration, tol: float = 1e-9) -> tuple[bool, bool]:
+    """Siegel condition: 0 in H(Lambda).  Returns ``(verdict, degenerate)``.
+
+    ``degenerate`` is set when the hull distance lies in the tie band
+    ``(tol / 10, 10 * tol]`` (:func:`in_tie_band`); see :func:`_hull_verdict`.
+    """
+    return _hull_verdict(cfg.realified_lambdas(), tol)
 
 
 def check_weak_hyperbolicity(
@@ -389,7 +468,8 @@ def check_weak_hyperbolicity(
     point P^T t satisfies ``|P^T t|_inf >= |P^T t|_2 / sqrt(2m) >=
     sigma_min(P) / (2m)``.  One batched SVD per block of subsets evaluates
     that bound, less a rounding allowance; a subset whose bound exceeds the
-    band is neither a violator nor a tie and needs no LP.
+    band is neither a violator nor a tie; the others get a
+    :func:`_hull_verdict`.
     """
     pts = cfg.realified_lambdas()
     size = 2 * cfg.m
@@ -403,10 +483,10 @@ def check_weak_hyperbolicity(
         bound = (sigma[:, -1] - allowance * sigma[:, 0]) / size
         for i in np.flatnonzero(bound <= DEGENERACY_BAND * tol):
             subset = block[i]
-            dist = hull_distance(pts[list(subset)])
-            if dist <= tol:
-                return False, subset, in_tie_band(dist, tol)
-            degenerate = degenerate or in_tie_band(dist, tol)
+            inside, tie = _hull_verdict(pts[list(subset)], tol)
+            if inside:
+                return False, subset, tie
+            degenerate = degenerate or tie
     return True, None, degenerate
 
 
@@ -425,8 +505,7 @@ def check_admissible(cfg: Configuration, tol: float = 1e-9) -> AdmissibilityRepo
     ``degenerate`` flag and make the final verdict "not admissible", since
     downstream rank guarantees need strict admissibility.
     """
-    siegel, siegel_dist = check_siegel(cfg, tol)
-    degenerate = in_tie_band(siegel_dist, tol)
+    siegel, degenerate = check_siegel(cfg, tol)
     wh, violating, wh_degenerate = check_weak_hyperbolicity(cfg, tol)
     return AdmissibilityReport(
         siegel=siegel,

@@ -1,8 +1,9 @@
 """Independent brute-force oracles.
 
-Everything here is deliberately naive: no linear programming, no clever
-combinatorics, so that failures in the library cannot be masked by shared
-machinery.
+Everything here is deliberately naive: no clever combinatorics, and no
+linear programming except in :func:`admissibility_lp_reference`, the
+one-LP-per-hull-verdict route that the library's certificates must agree
+with, so that failures in the library cannot be masked by shared machinery.
 """
 
 from itertools import combinations, permutations
@@ -50,6 +51,42 @@ def admissible_brute(points, m: int, tol: float = 1e-9) -> tuple[bool, bool]:
     siegel = origin_in_hull_brute(pts, tol)
     weak = first_subset_around_origin_brute(pts, 2 * m, tol) is None
     return siegel, weak
+
+
+def admissibility_lp_reference(cfg, tol: float = 1e-9):
+    """Admissibility fields by one LP per hull verdict, and the hulls that tied.
+
+    Every verdict is ``hull_distance <= tol`` and every tie flag
+    ``in_tie_band``, both from the library's LP (:func:`hull_distance`):
+    once for the whole configuration, then for each 2m-subset, in
+    lexicographic order, whose SVD bound ``sigma_min / (2m)`` less a rounding
+    allowance does not clear the tie band.  With a violator, only its own tie
+    joins the Siegel one.  Returns ``((siegel, weak_hyperbolicity,
+    violating_subset, degenerate), ties)``, where ``ties`` lists the hulls
+    that set ``degenerate``: ``None`` for the whole configuration, else the
+    subset.
+    """
+    from momentangle import config
+
+    pts = cfg.realified_lambdas()
+    dist = config.hull_distance(pts)
+    siegel = dist <= tol
+    siegel_ties = [None] if config.in_tie_band(dist, tol) else []
+    subset_ties = []
+    size = 2 * cfg.m
+    allowance = 16 * size * np.finfo(float).eps
+    for subset in combinations(range(cfg.n), size):
+        sigma = np.linalg.svd(pts[list(subset)], compute_uv=False)
+        if (sigma[-1] - allowance * sigma[0]) / size > config.DEGENERACY_BAND * tol:
+            continue
+        dist = config.hull_distance(pts[list(subset)])
+        tie = [subset] if config.in_tie_band(dist, tol) else []
+        if dist <= tol:
+            ties = siegel_ties + tie
+            return (siegel, False, subset, bool(ties)), ties
+        subset_ties += tie
+    ties = siegel_ties + subset_ties
+    return (siegel, True, None, bool(ties)), ties
 
 
 def _divisors(n: int) -> list[int]:

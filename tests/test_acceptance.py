@@ -96,7 +96,7 @@ def test_criterion_01_admissibility_oracle_equivalence(announce):
         if (report.siegel, report.weak_hyperbolicity) != (siegel, weak):
             disagreements.append(index)
     ok = not disagreements and degenerate_skips <= 2
-    announce(1, "LP admissibility = brute hull membership on 500 random configurations",
+    announce(1, "certified admissibility = brute hull membership on 500 random configurations",
              ok, f"disagreements at {disagreements[:5]}, degenerate skips {degenerate_skips}")
 
 

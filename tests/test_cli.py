@@ -16,9 +16,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import momentangle.config
 from momentangle import cli
 from momentangle.cli import main
 from momentangle.config import Configuration, configuration_to_dict
+from conftest import roots_of_unity
 
 
 def write_config(tmp_path, cfg: Configuration, name: str = "cfg.json") -> str:
@@ -80,6 +82,21 @@ def test_check_unknown_field_exits_two(tmp_path, pentagon, capsys):
     path.write_text(json.dumps(data))
     assert main(["check", str(path)]) == 2
     assert "unknown configuration fields" in capsys.readouterr().err
+
+
+def test_check_solves_no_lp_on_fixtures_and_planted_violators(tmp_path, pentagon,
+                                                             mixed_general_m2, monkeypatch):
+    """Every hull verdict of these checks is settled by an NNLS certificate."""
+    calls = []
+    solve_lp = momentangle.config._solve_lp
+    monkeypatch.setattr(momentangle.config, "_solve_lp",
+                        lambda *a, **k: calls.append(1) or solve_lp(*a, **k))
+    even_roots = Configuration(lambdas=roots_of_unity(8, (1,)), kind="classical")
+    antipodal = Configuration(lambdas=np.array([1.0, -1.0, 1j, -0.5 + 0.8j]), kind="classical")
+    for name, cfg, code in [("pentagon", pentagon, 0), ("even", even_roots, 1),
+                            ("antipodal", antipodal, 1), ("mixed", mixed_general_m2, 0)]:
+        assert main(["check", write_config(tmp_path, cfg, f"{name}.json")]) == code
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +396,19 @@ def test_same_config_same_hash_across_paths(tmp_path, pentagon):
     assert hash_a == hash_b
 
 
+def _fresh_env(**extra) -> dict:
+    """Environment for a fresh interpreter that imports this checkout's package."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _reports_across_blas_thread_counts(tmp_path, argv):
     """The report of ``argv`` from two fresh interpreters, one and two BLAS threads."""
-    src = str(Path(cli.__file__).resolve().parents[1])
     reports = []
     for threads in ("1", "2"):
         report = tmp_path / f"threads{threads}.json"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = _fresh_env(OPENBLAS_NUM_THREADS=threads)
         subprocess.run([sys.executable, "-m", "momentangle.cli", *argv,
                         "--timestamp", "2024-01-01T00:00:00Z", "--json", str(report)],
                        env=env, check=True, capture_output=True, timeout=120)
@@ -408,3 +430,19 @@ def test_verify_report_is_identical_across_blas_thread_counts(tmp_path, mixed_ge
     first, second = _reports_across_blas_thread_counts(tmp_path, ["verify", path, "--samples", "5"])
     assert first == second
     assert json.loads(first)["result"]["all_passed"] is True
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (["count", "--n", "12"], False),
+    (["sample", "{config}", "--samples", "3"], False),
+    (["check", "{config}"], True),
+])
+def test_scipy_optimize_is_imported_only_by_commands_that_solve(tmp_path, pentagon, argv, solves):
+    """``count`` and ``sample`` solve no LP or NNLS and never load ``scipy.optimize``."""
+    path = write_config(tmp_path, pentagon)
+    code = ("import sys; from momentangle import cli; cli.main(sys.argv[1:]); "
+            "print('scipy.optimize' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code, *(a.format(config=path) for a in argv)],
+                          env=_fresh_env(), check=True, capture_output=True, text=True,
+                          timeout=120)
+    assert done.stdout.splitlines()[-1] == str(solves)

@@ -2,10 +2,11 @@
 
 import copy
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import momentangle.config
@@ -23,8 +24,19 @@ from momentangle import (
     load_configuration,
     origin_in_hull,
 )
-from momentangle.config import DEGENERACY_BAND, in_tie_band, numerical_rank, rank_cut
-from _oracles import admissible_brute, first_subset_around_origin_brute, origin_in_hull_brute
+from momentangle.config import (
+    DEGENERACY_BAND,
+    complexify,
+    in_tie_band,
+    numerical_rank,
+    rank_cut,
+)
+from _oracles import (
+    admissibility_lp_reference,
+    admissible_brute,
+    first_subset_around_origin_brute,
+    origin_in_hull_brute,
+)
 from conftest import roots_of_unity
 
 
@@ -86,6 +98,19 @@ def test_degeneracy_band_flags_rotated_near_ties(eps, violator):
         assert report.violating_subset == ((0, 1) if violator else None)
         assert report.degenerate
         assert not report.admissible
+
+
+def test_tie_band_is_measured_in_the_sup_norm():
+    # The segment [u + eps v, -u + eps v] with u, v on the diagonals lies
+    # eps = 1.2e-6 from the origin in the Euclidean norm, past 10 tol, but
+    # eps / sqrt(2) = 8.5e-7 in the sup norm: a tie for tol = 1e-7.
+    eps = 1.2e-6
+    u = np.exp(1j * np.pi / 4)
+    v = 1j * u
+    lam = np.array([u + eps * v, -u + eps * v, v, -0.7 * v + 0.01 * u]).reshape(4, 1)
+    report = check_admissible(Configuration(lambdas=lam, kind="classical"), tol=1e-7)
+    assert report.weak_hyperbolicity and report.violating_subset is None
+    assert report.degenerate
 
 
 def test_numerical_rank_edge_cases():
@@ -199,6 +224,112 @@ def test_generic_configuration_needs_no_weak_hyperbolicity_lp(monkeypatch):
     verdict = check_weak_hyperbolicity(Configuration(lambdas=lam, kind="classical"))
     assert verdict == (True, None, False)
     assert len(calls) == 0
+
+
+HULL_DESIGNS = ("random", "antipodal", "subset-tie", "hull-tie")
+
+
+def _hull_case(rng, design: str) -> Configuration:
+    """A classical configuration with n = 5-10, m = 1-3 of one design.
+
+    ``antipodal`` plants lambda_b = -c lambda_a.  ``subset-tie`` moves 2m
+    points so that their affine hull passes 10^U(-12, -6) from the origin,
+    over an interior point of their hull; ``hull-tie`` puts those 2m points
+    on a facet of the whole hull, at that distance.
+    """
+    m = int(rng.integers(1, 4))
+    n = int(rng.integers(max(5, 2 * m + 1), 11))
+    pts = rng.normal(size=(n, 2 * m))
+    if design == "antipodal":
+        a, b = rng.choice(n, size=2, replace=False)
+        pts[b] = -rng.uniform(0.5, 2.0) * pts[a]
+    elif design != "random":
+        rows = rng.choice(n, size=2 * m, replace=False)
+        pts[rows] -= rng.dirichlet(np.ones(2 * m)) @ pts[rows]
+        normal = np.linalg.svd(pts[rows[1:]] - pts[rows[0]])[2][-1]
+        shift = 10.0 ** rng.uniform(-12, -6) * normal
+        if design == "hull-tie":
+            side = pts @ normal
+            pts += np.outer(np.abs(side) - side, normal) + shift
+        else:
+            pts[rows] += shift
+    return Configuration(lambdas=complexify(pts), kind="classical")
+
+
+def _check_against_lp_reference(cfg, tol):
+    """``check_admissible`` must give the one-LP-per-verdict fields.
+
+    The LP's witness is a hull point only as accurate as the LP's 1e-10
+    feasibility tolerance, so it can read just above ``tol / 10`` for a hull
+    that holds a point nearer than that.  Only that tie flag may differ, and
+    the brute oracle must find such a point in every hull the LP called a tie.
+    """
+    report = check_admissible(cfg, tol)
+    got = (report.siegel, report.weak_hyperbolicity, report.violating_subset, report.degenerate)
+    fields, ties = admissibility_lp_reference(cfg, tol)
+    if got != fields:
+        assert got == fields[:3] + (False,)
+        pts = cfg.realified_lambdas()
+        assert all(origin_in_hull_brute(pts if s is None else pts[list(s)], tol / DEGENERACY_BAND)
+                   for s in ties)
+    return report
+
+
+def test_hull_verdicts_match_both_references_on_every_route(monkeypatch):
+    """Each route of the hull verdict runs: the NNLS witness, the separating
+    plane and the LP; the fields equal the LP reference's, and the brute
+    oracle's away from ties."""
+    routes = Counter()
+    lp_calls = []
+    hull_distance_lp = momentangle.config.hull_distance
+    verdict = momentangle.config._hull_verdict
+
+    def routed(points, tol):
+        before = len(lp_calls)
+        inside, tie = verdict(points, tol)
+        routes["lp" if len(lp_calls) > before else "witness" if inside else "plane"] += 1
+        return inside, tie
+
+    monkeypatch.setattr(momentangle.config, "hull_distance",
+                        lambda pts: lp_calls.append(1) or hull_distance_lp(pts))
+    monkeypatch.setattr(momentangle.config, "_hull_verdict", routed)
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(HULL_DESIGNS), st.sampled_from([1e-9, 1e-7]))
+    @example(0, "random", 1e-9)
+    @example(1, "subset-tie", 1e-9)
+    @example(3, "hull-tie", 1e-7)
+    @settings(max_examples=30, deadline=None)
+    def agree(seed, design, tol):
+        cfg = _hull_case(np.random.default_rng(seed), design)
+        report = _check_against_lp_reference(cfg, tol)
+        if not report.degenerate:  # admissible_brute, keeping its first subset
+            pts = cfg.realified_lambdas()
+            subset = first_subset_around_origin_brute(pts, 2 * cfg.m, tol)
+            assert report.siegel == origin_in_hull_brute(pts, tol)
+            assert (report.weak_hyperbolicity, report.violating_subset) == (subset is None, subset)
+
+    agree()
+    assert routes["witness"] and routes["plane"] and routes["lp"], routes
+
+
+def _uniform_weights(a, b):
+    return np.full(a.shape[1], 1.0 / a.shape[1]), 0.0
+
+
+def _no_convergence(a, b):
+    raise RuntimeError("Maximum number of iterations reached.")
+
+
+@pytest.mark.parametrize("fake_nnls", [_uniform_weights, _no_convergence])
+def test_hull_verdicts_do_not_trust_nnls(monkeypatch, fake_nnls, pentagon, hexagon_m2):
+    """Wrong or missing NNLS weights change no verdict: both certificates are
+    recomputed, and the LP decides what they do not settle."""
+    monkeypatch.setattr(momentangle.config, "nnls", fake_nnls)
+    rng = np.random.default_rng(8)
+    cases = [pentagon, hexagon_m2] + [_hull_case(rng, design) for design in HULL_DESIGNS * 4]
+    for cfg in cases:
+        for tol in (1e-9, 1e-7):
+            _check_against_lp_reference(cfg, tol)
 
 
 @given(st.integers(0, 2**32 - 1))
