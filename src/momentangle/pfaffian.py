@@ -11,11 +11,17 @@ reflector I - tau v v^T with tau != 0 has determinant -1 and tau = 0 is I.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgehrd
 
 from .errors import StructuralError
 
 SKEW_TOL = 1e-12
+
+
+def dgehrd(a):
+    """LAPACK ``dgehrd``; ``scipy.linalg`` loads on the first call, as few commands need it."""
+    from scipy.linalg.lapack import dgehrd
+
+    return dgehrd(a)
 
 
 def _validate_skew(matrix) -> np.ndarray:

@@ -32,7 +32,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .config import Configuration, check_admissible
+from .config import Configuration, _is_int, check_admissible
 from .errors import StructuralError
 
 ANGULAR_TOL = 1e-9
@@ -47,8 +47,8 @@ class CyclicWeights:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.weights)
-        if any(int(x) != x for x in self.weights):
+        w = tuple(self.weights)
+        if not all(_is_int(x) for x in w):
             raise StructuralError("weights must be integers")
         if len(w) < 3 or len(w) % 2 == 0:
             raise StructuralError(
@@ -112,7 +112,7 @@ def classify(weights, s: int) -> DiffeoType:
     """
     if not isinstance(weights, CyclicWeights):
         weights = CyclicWeights(tuple(weights))
-    if not isinstance(s, int) or s < 1:
+    if not _is_int(s) or s < 1:
         raise StructuralError("s must be a positive integer")
     n = weights.total
     ell = weights.ell

@@ -29,6 +29,8 @@ polytope; on that face only the equalities bind, so
 The support comes from an interior-margin LP and, when the margin does not
 clear ``tol``, one maximization per coordinate, all by :func:`.config._solve_lp`.
 The moment-image check solves no LP: a point's own t is its hull witness.
+The star check solves one, for a point of the Gale polytope, and
+c = inf sum |z_j|^2 has a closed form (:func:`estimate_c`).
 
 The sign convention sum t_j lambda_j = -w^2 is the one the defining equations
 w^2 + F(z) = 0 actually induce; the big-moment-map residual test pins it.
@@ -43,6 +45,7 @@ import numpy as np
 
 from .config import (
     Configuration,
+    _is_int,
     _solve_lp,
     check_admissible,
     check_mixed_admissible,
@@ -50,12 +53,11 @@ from .config import (
     realify,
     witness_distance,
 )
-from .errors import NumericalError, ProjectionError, StructuralError
-from .variety import VarietyPoint, certify, project_to_variety, sample_points
+from .errors import NumericalError, StructuralError
+from .variety import VarietyPoint, certify, sample_points
 
 FEASIBILITY_TOL = 1e-9
 VERTEX_ENUMERATION_MAX_DIM = 8
-MAX_DESCENT_STEPS = 400
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,17 +124,16 @@ class MomentImageReport:
 
 @dataclass(frozen=True)
 class CEstimate:
-    """Sampled/descended estimate of c = inf over the link of sum |z_j|^2."""
+    """c = inf sum |z_j|^2 over the link, a certified point attaining it, and the cross-check size."""
 
     value: float
     minimizer: VarietyPoint
     samples_used: int
-    descent_steps: int
 
 
 @dataclass(frozen=True)
 class StarShapedReport:
-    """Outcome of the radial feasibility grid check on moment images."""
+    """Outcome of the radial grid check on moment images; violations are empty fibers."""
 
     rays_checked: int
     steps_per_ray: int
@@ -312,13 +313,14 @@ def moment_image_check(
 
 
 def estimate_c(cfg: Configuration, samples: int = 200, seed: int = 0) -> CEstimate:
-    """Estimate c = inf sum |z_j|^2 over the link, from above.
+    """c = inf sum |z_j|^2 over the link, in closed form, with a certified minimizer.
 
-    Draws certified samples, takes the best, and refines it by projected
-    gradient descent (gradient of sum |z_j|^2 in the ambient space, step,
-    re-project, halve on failure).  The sample stream is prefix-stable in
-    the budget for a fixed seed, so enlarging ``samples`` never worsens the
-    sampled stage.
+    With L = max_j sum_k |lambda_j^k|, every point of the link has
+    |w|^2 = sum_k |sum_j t_j lambda_j^k| <= L sum t and |w|^2 + sum t = 1, so
+    sum t >= c = 1 / (1 + L).  The coordinate point z = sqrt(c) e_j,
+    w_k = sqrt(-c lambda_j^k) at a maximizing j attains it and is certified.
+    ``samples`` certified samples cross-check the bound: one with
+    sum |z|^2 < c - FEASIBILITY_TOL raises :class:`NumericalError`.
     """
     if cfg.kind != "mixed-general":
         raise StructuralError("estimate_c is defined for mixed-general links")
@@ -326,66 +328,56 @@ def estimate_c(cfg: Configuration, samples: int = 200, seed: int = 0) -> CEstima
     if not mixed.admissible:
         raise StructuralError(f"configuration not mixed-admissible: {mixed.failing}")
 
-    z_start = 2 * cfg.w_count
-
-    def objective(coords: np.ndarray) -> float:
-        return float(np.sum(coords[z_start:] ** 2))
+    row_sums = np.sum(np.abs(cfg.lambdas), axis=1)
+    j = int(np.argmax(row_sums))
+    value = 1.0 / (1.0 + float(row_sums[j]))
+    coords = np.zeros(cfg.ambient_real_dim)
+    coords[: 2 * cfg.w_count] = realify(np.sqrt(-value * cfg.lambdas[j]))
+    coords[2 * (cfg.w_count + j)] = np.sqrt(value)
+    minimizer = certify(cfg, coords)
 
     pts = sample_points(cfg, samples, seed=seed)
-    best = min(pts, key=lambda p: objective(p.coordinates))
-    x = best.coordinates.copy()
-    value = objective(x)
+    lowest = min((float(np.sum(np.abs(p.z_block(cfg)) ** 2)) for p in pts), default=value)
+    if lowest < value - FEASIBILITY_TOL:
+        raise NumericalError(f"a sampled point has sum |z|^2 = {lowest:.12g} "
+                             f"below the closed-form c = {value:.12g}")
+    return CEstimate(value=value, minimizer=minimizer, samples_used=len(pts))
 
-    eta = 0.1
-    steps = 0
-    for _ in range(MAX_DESCENT_STEPS):
-        grad = np.zeros_like(x)
-        grad[z_start:] = 2.0 * x[z_start:]
-        moved = False
-        while eta > 1e-13:
-            try:
-                candidate = project_to_variety(cfg, x - eta * grad)
-            except ProjectionError:
-                eta *= 0.5
-                continue
-            if objective(candidate) < value - 1e-15:
-                x = candidate
-                value = objective(candidate)
-                eta *= 1.5
-                moved = True
-                break
-            eta *= 0.5
-        if not moved:
-            break
-        steps += 1
 
-    minimizer = certify(cfg, x)
-    return CEstimate(value=value, minimizer=minimizer,
-                     samples_used=len(pts), descent_steps=steps)
+def _fiber_witness(A: np.ndarray, b: np.ndarray, t: np.ndarray) -> bool:
+    """Whether At = b holds to within FEASIBILITY_TOL; callers pass a t >= 0."""
+    return float(np.max(np.abs(A @ t - b))) <= FEASIBILITY_TOL
 
 
 def star_shaped_check(cfg: Configuration, samples: int = 50, ray_steps: int = 20,
                       seed: int = 0) -> StarShapedReport:
     """Check the moment image is star-shaped about 0 on a sampled ray grid.
 
-    For each sampled point's moment value w and each radial factor r on a
-    uniform [0, 1] grid, the fiber polytope at r*w must be nonempty.  Each
-    grid point is one feasibility LP, the first LP of :func:`fiber_polytope`;
-    no polytope is built and no vertex is enumerated.  Violations are
-    reported as (ray index, r) witnesses.
+    For each sampled point (w, t) and each radial factor r on a uniform
+    [0, 1] grid, the fiber polytope at r*w must be nonempty.  The fibers are
+    convex in (t, r^2), so (1 - r^2) t_gale + r^2 t lies in it, for t_gale in
+    the Gale polytope (one LP per call); :func:`_fiber_witness` recomputes
+    its residual.  Where that fails, or the Gale polytope is empty, the grid
+    point runs the interior-margin LP of :func:`fiber_polytope`, and only an
+    empty fiber there is reported, as (ray index, r).
     """
     if cfg.kind != "mixed-general":
         raise StructuralError("star_shaped_check is defined for mixed-general links")
+    if not _is_int(ray_steps) or ray_steps < 1:
+        raise StructuralError("ray_steps must be a positive integer")
     pts = sample_points(cfg, samples, seed=seed)
     grid = np.linspace(0.0, 1.0, ray_steps)
+    A, b = _fiber_rows(cfg, np.zeros(cfg.m))
+    x = _solve_lp(np.zeros(cfg.n), A_eq=A, b_eq=b)
+    t_gale = None if x is None else np.clip(x, 0.0, None)
     violations: list[tuple[int, float]] = []
     for i, point in enumerate(pts):
-        w = moment_map(cfg, point)
+        w, t = big_moment_map(cfg, point)
         for r in grid:
-            if _interior_margin(*_fiber_rows(cfg, r * w)) is None:
+            rows = _fiber_rows(cfg, r * w)
+            if t_gale is not None and _fiber_witness(*rows, (1.0 - r**2) * t_gale + r**2 * t):
+                continue
+            if _interior_margin(*rows) is None:
                 violations.append((i, float(r)))
-    return StarShapedReport(
-        rays_checked=len(pts),
-        steps_per_ray=ray_steps,
-        violations=tuple(violations),
-    )
+    return StarShapedReport(rays_checked=len(pts), steps_per_ray=ray_steps,
+                            violations=tuple(violations))

@@ -3,7 +3,9 @@
 Everything here is deliberately naive: no clever combinatorics, and no
 linear programming except in :func:`admissibility_lp_reference`, the
 one-LP-per-hull-verdict route that the library's certificates must agree
-with, so that failures in the library cannot be masked by shared machinery.
+with, and :func:`star_violations_lp`, the one-LP-per-grid-point route of the
+star check, so that failures in the library cannot be masked by shared
+machinery.
 """
 
 from itertools import combinations, permutations
@@ -150,6 +152,43 @@ def c_exact(lambdas) -> float:
     """
     lam = np.asarray(lambdas, dtype=complex)
     return 1.0 / (1.0 + float(np.max(np.sum(np.abs(lam), axis=1))))
+
+
+def star_violations_lp(lambdas, moment_values, ray_steps: int):
+    """Star-shapedness violations by one LP per grid point.
+
+    For the i-th moment value w and each r of ``linspace(0, 1, ray_steps)``,
+    the fiber {t >= 0, sum_j t_j lambda_j = -(r w)^2, sum t_j = 1 - |r w|^2}
+    gets the interior-margin LP (max delta with t_j >= delta) by HiGHS at a
+    1e-10 primal feasibility tolerance; (i, r) is a violation when HiGHS
+    reports it infeasible.
+    """
+    from scipy.optimize import linprog
+
+    lam = np.asarray(lambdas, dtype=complex)
+    n, m = lam.shape
+    rows = np.empty((2 * m, n))
+    rows[0::2], rows[1::2] = lam.real.T, lam.imag.T
+    A_eq = np.hstack([np.vstack([rows, np.ones(n)]), np.zeros((2 * m + 1, 1))])
+    A_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    cost = np.zeros(n + 1)
+    cost[-1] = -1.0
+    violations = []
+    for i, w in enumerate(moment_values):
+        for r in np.linspace(0.0, 1.0, ray_steps):
+            rw = r * np.asarray(w, dtype=complex)
+            target = -(rw**2)
+            b_eq = np.empty(2 * m + 1)
+            b_eq[0:2 * m:2], b_eq[1:2 * m:2] = target.real, target.imag
+            b_eq[-1] = 1.0 - float(np.sum(np.abs(rw) ** 2))
+            res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
+                          bounds=[(0, None)] * n + [(None, None)], method="highs",
+                          options={"primal_feasibility_tolerance": 1e-10})
+            if res.status == 2:
+                violations.append((i, float(r)))
+            elif res.status != 0:
+                raise RuntimeError(res.message)
+    return tuple(violations)
 
 
 def system_oracle(cfg, coords):

@@ -436,13 +436,17 @@ def test_verify_report_is_identical_across_blas_thread_counts(tmp_path, mixed_ge
     (["count", "--n", "12"], False),
     (["sample", "{config}", "--samples", "3"], False),
     (["check", "{config}"], True),
+    (["verify", "{config}", "--samples", "2"], False),
 ])
 def test_scipy_optimize_is_imported_only_by_commands_that_solve(tmp_path, pentagon, argv, solves):
-    """``count`` and ``sample`` solve no LP or NNLS and never load ``scipy.optimize``."""
+    """``count`` and ``sample`` solve no LP or NNLS and never load ``scipy.optimize``;
+    they compute no Pfaffian either and never load ``scipy.linalg``, which
+    ``verify`` loads for its Pfaffians and ``check`` with ``scipy.optimize``."""
     path = write_config(tmp_path, pentagon)
     code = ("import sys; from momentangle import cli; cli.main(sys.argv[1:]); "
-            "print('scipy.optimize' in sys.modules)")
+            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code, *(a.format(config=path) for a in argv)],
                           env=_fresh_env(), check=True, capture_output=True, text=True,
                           timeout=120)
-    assert done.stdout.splitlines()[-1] == str(solves)
+    pfaffians = argv[0] == "verify"
+    assert done.stdout.splitlines()[-1] == f"{solves} {solves or pfaffians}"

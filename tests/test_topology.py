@@ -35,6 +35,16 @@ def test_cyclic_weights_validation():
         CyclicWeights((1, 1.5, 1))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: classify((1, 1, 1, 1, 1), True),
+    lambda: CyclicWeights((True, 1, 1)),
+    lambda: CyclicWeights((1, np.True_, 1)),
+])
+def test_bools_are_not_integers(build):
+    with pytest.raises(StructuralError):
+        build()
+
+
 def test_canonical_rotation():
     assert CyclicWeights((2, 1, 1, 1, 1)).canonical().weights == (1, 1, 1, 1, 2)
     assert CyclicWeights((1, 3, 2)).canonical().weights == (1, 3, 2)

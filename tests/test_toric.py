@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import momentangle.config
 from momentangle import (
@@ -10,16 +12,19 @@ from momentangle import (
     StructuralError,
     VarietyPoint,
     big_moment_map,
+    check_mixed_admissible,
     estimate_c,
     fiber_polytope,
     gale_transform,
+    jacobian_rank,
     moment_image_check,
     moment_map,
+    sample_points,
     star_shaped_check,
     toric,
 )
 from momentangle.config import hull_distance, realify
-from _oracles import c_exact
+from _oracles import c_exact, sample_reference, star_violations_lp
 from conftest import roots_of_unity
 
 
@@ -130,7 +135,7 @@ def test_estimate_c_matches_closed_form(mixed_general_m1):
     assert 0.0 < estimate.value < 1.0
     # estimates from feasible points can only sit above the true infimum
     assert estimate.value >= exact - 1e-9
-    assert estimate.value == pytest.approx(exact, abs=0.05)
+    assert estimate.value == pytest.approx(exact, abs=1e-12)
     assert estimate.samples_used == 60
 
 
@@ -138,7 +143,7 @@ def test_estimate_c_mixed_m2(mixed_general_m2):
     estimate = estimate_c(mixed_general_m2, samples=40, seed=2)
     exact = c_exact(mixed_general_m2.lambdas)
     assert estimate.value >= exact - 1e-9
-    assert estimate.value == pytest.approx(exact, abs=0.08)
+    assert estimate.value == pytest.approx(exact, abs=1e-12)
 
 
 def test_estimate_c_requires_mixed_admissible():
@@ -146,6 +151,103 @@ def test_estimate_c_requires_mixed_admissible():
     bad = Configuration(lambdas=lam, kind="mixed-general")
     with pytest.raises(StructuralError):
         estimate_c(bad, samples=5)
+
+
+def _random_mixed_general(seed: int) -> Configuration:
+    """Gaussian lambdas, n = 5-9 (n > 2m) and m = 1-3."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    n = int(rng.integers(max(5, 2 * m + 1), 10))
+    lam = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    return Configuration(lambdas=lam, kind="mixed-general")
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_estimate_c_is_the_closed_form_with_a_certified_minimizer(seed):
+    """c = 1 / (1 + max_j sum_k |lambda_j^k|) exactly; the coordinate point
+    attains it with a full-rank Jacobian, and no independently sampled point
+    lies below it."""
+    cfg = _random_mixed_general(seed)
+    assume(check_mixed_admissible(cfg).admissible)
+    estimate = estimate_c(cfg, samples=5, seed=seed % 1000)
+    assert estimate.value == c_exact(cfg.lambdas)
+    assert jacobian_rank(cfg, estimate.minimizer) == cfg.equation_count
+    z_sq = float(np.sum(np.abs(estimate.minimizer.z_block(cfg)) ** 2))
+    assert z_sq == pytest.approx(estimate.value, abs=1e-12)
+    for coords, _, _ in sample_reference(cfg, 3, seed=seed % 1000):
+        assert float(np.sum(coords[2 * cfg.w_count:] ** 2)) >= estimate.value - 1e-9
+
+
+def test_estimate_c_rejects_a_sample_below_the_closed_form(mixed_general_m2, monkeypatch):
+    """The sampled cross-check raises rather than report a c that a point undercuts."""
+    cfg = mixed_general_m2
+    point = sample_points(cfg, 1, seed=0)[0]
+    coords = point.coordinates.copy()
+    coords[2 * cfg.w_count:] = 0.0
+    below = VarietyPoint(coords, point.residual_norm, point.tangent_frame, point.zero_pattern)
+    monkeypatch.setattr(toric, "sample_points", lambda *a, **k: [below])
+    with pytest.raises(NumericalError, match="below the closed-form"):
+        estimate_c(cfg, samples=1)
+
+
+def _star_matches_lp_reference(cfg, samples: int, ray_steps: int, seed: int):
+    report = star_shaped_check(cfg, samples=samples, ray_steps=ray_steps, seed=seed)
+    values = [moment_map(cfg, p) for p in sample_points(cfg, samples, seed=seed)]
+    assert report.violations == star_violations_lp(cfg.lambdas, values, ray_steps)
+    return report
+
+
+def _off_siegel() -> Configuration:
+    """lambda_j = e^{i theta_j}, theta = linspace(0.1, 2, 6): 0 is outside their hull."""
+    return Configuration(lambdas=np.exp(1j * np.linspace(0.1, 2.0, 6)).reshape(-1, 1),
+                         kind="mixed-general")
+
+
+def test_star_check_matches_the_per_grid_point_lp_on_fixtures(
+        mixed_general_m1, mixed_general_m2, mixed_general_m3):
+    for cfg in (mixed_general_m1, mixed_general_m2, mixed_general_m3):
+        assert _star_matches_lp_reference(cfg, 4, 6, seed=3).passed
+    # 0 lies outside the hull of the lambda_j: the Gale polytope is empty,
+    # every grid point takes the fallback LP, and some fibers are empty.
+    report = _star_matches_lp_reference(_off_siegel(), 3, 5, seed=0)
+    assert 0 < len(report.violations) < 15
+
+
+def test_star_check_does_not_trust_the_gale_point(monkeypatch):
+    """Uniform weights stand in for the Gale LP's point on a configuration
+    whose Gale polytope is empty: the witness residual rejects them, and the
+    fallback LP still finds the empty fibers."""
+    solve = toric._solve_lp
+    monkeypatch.setattr(toric, "_solve_lp", lambda c, **kw: solve(c, **kw) if "A_ub" in kw
+                        else np.full(len(c), 1.0 / len(c)))
+    assert _star_matches_lp_reference(_off_siegel(), 3, 5, seed=0).violations
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_star_check_matches_the_per_grid_point_lp_on_random_configurations(seed):
+    _star_matches_lp_reference(_random_mixed_general(seed), 3, 4, seed=seed % 1000)
+
+
+def test_star_check_solves_one_lp_unless_the_witness_fails(mixed_general_m2, monkeypatch):
+    cfg = mixed_general_m2
+    calls = []
+    linprog = momentangle.config.linprog
+    monkeypatch.setattr(momentangle.config, "linprog",
+                        lambda *a, **k: calls.append(1) or linprog(*a, **k))
+    assert star_shaped_check(cfg, samples=3, ray_steps=5, seed=0).passed
+    assert len(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(toric, "_fiber_witness", lambda *a: False)
+    assert star_shaped_check(cfg, samples=3, ray_steps=5, seed=0).passed
+    assert len(calls) == 1 + 3 * 5
+
+
+@pytest.mark.parametrize("ray_steps", [0, -1, 2.5, True, "4"])
+def test_star_check_rejects_grids_that_check_no_fiber(mixed_general_m2, ray_steps):
+    with pytest.raises(StructuralError, match="ray_steps"):
+        star_shaped_check(mixed_general_m2, samples=1, ray_steps=ray_steps)
 
 
 def test_star_shaped_grid(mixed_general_m2):
