@@ -420,7 +420,7 @@ def cmd_sample(args) -> int:
         "worst_residual": worst,
         "points": [
             {
-                "coordinates": [float(x) for x in p.coordinates],
+                "coordinates": p.coordinates.tolist(),
                 "residual": p.residual_norm,
                 "zero_pattern": list(p.zero_pattern),
             }

@@ -25,13 +25,19 @@ Numerically the link is a stack of real quadrics ``x^T S_e x = d_e``
 (:attr:`.Configuration.quadrics`; ``d_e`` is 1 for the sphere, 0 otherwise),
 so the Jacobian of a whole block ``X`` of points is one matrix product,
 ``2 S_e x`` for every row.  Sampling draws a block of attempts, each from its
-own stream keyed by ``(seed, attempt)``, runs one Gauss-Newton iteration
-over the block (each row with its own convergence test and step halving)
-and certifies the converged rows with one stacked SVD.  Points are accepted
-in attempt order, and a block never holds more attempts than points still
-needed, so the accepted points do not depend on the block size: a shorter
-request gives a prefix of a longer one, bit for bit.  :func:`project_to_variety`
-and :func:`certify` are the one-row case of the same code.
+own counter-based stream keyed by ``(seed, attempt)``; one Philox generator
+per call is re-keyed for each attempt.  One Gauss-Newton iteration runs over
+the block, each row with its own convergence test and step halving.  A step
+comes from the normal equations ``(J J^T) y = -r``, ``s = J^T y``, and is
+kept only where the recomputed ``|J s + r|_inf`` is within 1e-8 of
+``|r|_inf``; the other rows take the minimum-norm step from an SVD.  One
+stacked SVD certifies the converged rows, and one Gram-product screen per
+block finds the rows that may repeat an accepted point.  Points are
+accepted in attempt order, and a block never holds more attempts than
+points still needed, so the accepted points do not depend on the block
+size: a shorter request gives a prefix of a longer one, bit for bit.
+:func:`project_to_variety` and :func:`certify` are the one-row case of the
+same code.
 """
 
 from __future__ import annotations
@@ -56,9 +62,13 @@ DUPLICATE_TOL = 1e-6
 MAX_HALVINGS = 30
 MAX_ITER = 100
 _EPS = np.finfo(float).eps
+#: Largest miss ``|J step - rhs|_inf / |rhs|_inf`` of a normal-equation step.
+_STEP_MISS = 1e-8
 
 #: Attempts per block in :func:`_sample`; bounds the stacked arrays.
 _ATTEMPT_BLOCK = 256
+#: Accepted points per Gram product in :func:`_near_rows`; bounds its memory.
+_SCREEN_ROWS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,10 +163,36 @@ def _norms(r: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ne,ne->n", r, r))
 
 
+def _gauss_newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm solutions of ``jac[i] @ step = rhs[i]``, checked.
+
+    Each row solves the normal equations ``(J J^T) y = rhs`` and takes
+    ``step = J^T y``.  A step is kept only where it is finite and the
+    recomputed miss ``|J step - rhs|_inf`` is at most :data:`_STEP_MISS`
+    times ``|rhs|_inf``: a step in range(J^T) is the minimum-norm solution
+    for a right-hand side perturbed by that much.  The other rows, and the
+    whole block when ``solve`` finds a singular matrix, take the exact
+    :func:`_min_norm_steps`.
+    """
+    jac_t = jac.transpose(0, 2, 1)
+    try:
+        with np.errstate(all="ignore"):  # non-finite steps fail the check below
+            step = (jac_t @ np.linalg.solve(jac @ jac_t, rhs[..., None]))[..., 0]
+            miss = np.abs((jac @ step[..., None])[..., 0] - rhs).max(axis=1)
+    except np.linalg.LinAlgError:
+        return _min_norm_steps(jac, rhs)
+    fallback = ~(np.isfinite(step).all(axis=1) & (miss <= _STEP_MISS * np.abs(rhs).max(axis=1)))
+    if fallback.any():
+        step[fallback] = _min_norm_steps(jac[fallback], rhs[fallback])
+    return step
+
+
 def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solutions of ``jac[i] @ step = rhs[i]``.
+    """Minimum-norm least-squares solutions of ``jac[i] @ step = rhs[i]``, by SVD.
 
     The singular-value cut is ``lstsq``'s: ``eps * max(M, N) * sigma_1``.
+    The exact fallback of :func:`_gauss_newton_steps`, for the rows whose
+    normal-equation step fails its check.
     """
     u, sigma, vh = np.linalg.svd(jac, full_matrices=False)
     cut = _EPS * max(jac.shape[1:]) * sigma[:, :1]
@@ -219,7 +255,7 @@ def _project_block(
             rows, x, jac, r = rows[~done], x[~done], jac[~done], r[~done]
         if not rows.size:
             break
-        x, jac, r, stalled = _line_search(grad, rhs, x, jac, r, _min_norm_steps(jac, -r))
+        x, jac, r, stalled = _line_search(grad, rhs, x, jac, r, _gauss_newton_steps(jac, -r))
         if stalled.any():
             X[rows], R[rows] = x, r
             status[rows[stalled]] = _STALLED
@@ -265,22 +301,23 @@ def project_to_variety(
 
 
 def _certify_block(
-    cfg: Configuration, X: np.ndarray, tol: float, rank_tol: float
+    cfg: Configuration, link: tuple[np.ndarray, np.ndarray], X: np.ndarray,
+    tol: float, rank_tol: float,
 ) -> list[VarietyPoint | NumericalError]:
-    """Certify every row of ``X``: a point, or the error that rejects it.
+    """Certify every row of ``X`` on the ambient ``link``: a point, or the error that rejects it.
 
     One SVD of the stacked Jacobians gives the ranks and the kernel frames,
     and one ``slogdet`` their orientations.
     """
     eq, s = cfg.equation_count, cfg.w_count
-    jac, R = _evaluate(*_link(cfg), X)
+    jac, R = _evaluate(*link, X)
     res_norms = np.max(np.abs(R), axis=1)
     _, sigma, vh = np.linalg.svd(jac, full_matrices=True)
     frames = vh[:, eq:].transpose(0, 2, 1).copy()  # orthonormal kernel bases
     # Orient: (gradients, frame) must be a positive basis of the ambient space.
     signs, _ = np.linalg.slogdet(np.concatenate([jac.transpose(0, 2, 1), frames], axis=2))
     frames[signs < 0, :, -1] *= -1.0
-    w_moduli = np.hypot(X[:, 0 : 2 * s : 2], X[:, 1 : 2 * s : 2])
+    zero = (np.hypot(X[:, 0 : 2 * s : 2], X[:, 1 : 2 * s : 2]) <= ZERO_TOL).tolist()
 
     out: list[VarietyPoint | NumericalError] = []
     for i, (res_norm, rank) in enumerate(zip(res_norms.tolist(),
@@ -299,7 +336,7 @@ def _certify_block(
                 coordinates=X[i],
                 residual_norm=res_norm,
                 tangent_frame=frames[i],
-                zero_pattern=tuple(np.flatnonzero(w_moduli[i] <= ZERO_TOL).tolist()),
+                zero_pattern=tuple(k for k, vanishes in enumerate(zero[i]) if vanishes),
             ))
     return out
 
@@ -317,7 +354,7 @@ def certify(
     the point together with its oriented orthonormal tangent frame.
     """
     check_tolerances(tol, rank_tol)
-    point = _certify_block(cfg, _ambient(cfg, coords)[None], tol, rank_tol)[0]
+    point = _certify_block(cfg, _link(cfg), _ambient(cfg, coords)[None], tol, rank_tol)[0]
     if isinstance(point, NumericalError):
         raise point
     return point
@@ -334,21 +371,62 @@ def jacobian_rank(cfg: Configuration, point: VarietyPoint, rank_tol: float = DEF
     return int(_jacobian_ranks(cfg, _ambient(cfg, point.coordinates)[None], rank_tol)[0])
 
 
-def _rng_for(seed: int, index: int) -> np.random.Generator:
-    """Counter-based generator keyed to (seed, attempt index).
+def _start_source(seed: int, dim: int):
+    """Starting points of attempts: ``draw(first, size)`` gives attempts ``first, first + 1, ...``.
 
-    Philox is a counter-based bit generator, so each (seed, index) pair
+    Attempt ``i`` starts from ``dim`` standard normals of the Philox stream
+    keyed by ``(seed mod 2^64, i mod 2^64)``, normalized to the unit sphere.
+    Philox is a counter-based bit generator, so each (seed, attempt) pair
     yields an independent, platform-stable stream; sampling is reproducible
-    whether or not attempts are interleaved or parallelized.
+    whether or not attempts are interleaved or parallelized.  One Philox and
+    one Generator serve every attempt: each attempt re-keys them with counter
+    0 and an empty buffer, the state ``Philox(key=...)`` starts in, so the
+    streams equal a fresh generator per attempt bit for bit.
     """
-    key = np.array([seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
+    bits = np.random.Philox(key=key)
+    gen = np.random.Generator(bits)
+    state = bits.state  # counter 0 and an empty buffer
+    state["state"]["key"] = key  # its index is set per attempt
+
+    def draw(first: int, size: int) -> np.ndarray:
+        starts = np.empty((size, dim))
+        for row in range(size):
+            key[1] = (first + row) % (1 << 64)
+            bits.state = state
+            start = gen.normal(size=dim)
+            starts[row] = start / np.linalg.norm(start)
+        return starts
+
+    return draw
 
 
 def _is_duplicate(coords: np.ndarray, accepted) -> bool:
     """Whether ``coords`` lies within DUPLICATE_TOL of a row of ``accepted``."""
     accepted = np.asarray(accepted, dtype=float).reshape(-1, coords.size)
     return bool(np.any(np.linalg.norm(accepted - coords, axis=1) < DUPLICATE_TOL))
+
+
+def _near_rows(X: np.ndarray, accepted: np.ndarray) -> np.ndarray:
+    """Rows of ``X`` that may be duplicates: a screen for :func:`_is_duplicate`.
+
+    Flags each row within ``2 * DUPLICATE_TOL`` of a row of ``accepted`` or of
+    an earlier row of ``X``.  Squared distances come from Gram products, and
+    the cut adds a bound on their rounding, so no row that
+    :func:`_is_duplicate` would reject goes unflagged.
+    """
+    sq = np.einsum("na,na->n", X, X)
+    rounding = (2 * X.shape[1] + 4) * _EPS
+
+    def near(other: np.ndarray, sq_other: np.ndarray) -> np.ndarray:
+        total = sq[:, None] + sq_other[None, :]
+        return total - 2.0 * (X @ other.T) < (2.0 * DUPLICATE_TOL) ** 2 + rounding * total
+
+    flagged = np.tril(near(X, sq), k=-1).any(axis=1)
+    for lo in range(0, len(accepted), _SCREEN_ROWS):
+        chunk = accepted[lo : lo + _SCREEN_ROWS]
+        flagged |= near(chunk, np.einsum("na,na->n", chunk, chunk)).any(axis=1)
+    return flagged
 
 
 def sample_points(
@@ -431,7 +509,9 @@ def _sample(
     check_tolerances(tol, rank_tol)
     dim = cfg.ambient_real_dim
     free = np.setdiff1d(np.arange(dim), pinned_coords or [])
-    grad, rhs = _link(cfg, free, null_sum)
+    ambient = _link(cfg)
+    grad, rhs = ambient if free.size == dim and not null_sum else _link(cfg, free, null_sum)
+    draw = _start_source(seed, free.size)
 
     points: list[VarietyPoint] = []
     accepted = np.empty((count, dim))
@@ -442,10 +522,7 @@ def _sample(
         # Never more attempts than points still needed: the sequential loop
         # would have stopped at the same attempt.
         size = min(count - len(points), _ATTEMPT_BLOCK, budget - attempt)
-        starts = np.empty((size, free.size))
-        for row, index in enumerate(range(attempt, attempt + size)):
-            start = _rng_for(seed, index).normal(size=free.size)
-            starts[row] = start / np.linalg.norm(start)
+        starts = draw(attempt, size)
         attempt += size
         Y, _, status = _project_block(grad, rhs, starts, tol, MAX_ITER)
         converged, not_converged, stalled = np.bincount(status, minlength=3).tolist()
@@ -453,12 +530,14 @@ def _sample(
         tally["line_search_stalls"] += stalled
         X = np.zeros((converged, dim))
         X[:, free] = Y[status == _CONVERGED]
-        for point in _certify_block(cfg, X, tol, rank_tol):  # in attempt order
+        # Accepted in attempt order; only rows the screen flags can be duplicates.
+        near = _near_rows(X, accepted[: len(points)]).tolist()
+        for point, screened in zip(_certify_block(cfg, ambient, X, tol, rank_tol), near):
             if isinstance(point, ProjectionError):
                 tally["not_converged"] += 1
             elif isinstance(point, SingularPointError):
                 tally["singular"] += 1
-            elif _is_duplicate(point.coordinates, accepted[: len(points)]):
+            elif screened and _is_duplicate(point.coordinates, accepted[: len(points)]):
                 tally["duplicates"] += 1
             else:
                 accepted[len(points)] = point.coordinates

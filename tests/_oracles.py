@@ -241,7 +241,7 @@ def jacobian_oracle(cfg, coords):
 
 
 def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
-                     rank_tol=1e-8, max_attempts_per_point=50):
+                     rank_tol=1e-8, max_attempts_per_point=50, start_index=None, tally=None):
     """Certified samples by the plain sequential loop, one attempt at a time.
 
     Attempt ``i`` starts from a Gaussian drawn from the Philox stream keyed by
@@ -252,7 +252,9 @@ def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
     point is kept when the link's Jacobian has full rank (per-point SVD) and
     it is not within 1e-6 of a kept point.  Returns ``(coords, frame,
     zero_pattern)`` per point, the frame oriented so that
-    ``det [J^T | frame] > 0``.
+    ``det [J^T | frame] > 0``.  ``start_index(i)``, when given, replaces the
+    stream index of attempt ``i`` (to repeat starts on purpose), and a
+    ``tally`` dict receives the number of duplicates discarded.
     """
     dim, s = cfg.ambient_real_dim, cfg.w_count
     free = np.setdiff1d(np.arange(dim), list(pinned))
@@ -300,7 +302,8 @@ def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
     for attempt in range(count * max_attempts_per_point):
         if len(found) == count:
             break
-        key = np.array([seed % (1 << 64), attempt % (1 << 64)], dtype=np.uint64)
+        index = attempt if start_index is None else start_index(attempt)
+        key = np.array([seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
         start = np.random.Generator(np.random.Philox(key=key)).normal(size=free.size)
         y = project(start / np.linalg.norm(start))
         if y is None:
@@ -317,6 +320,8 @@ def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
         if np.linalg.det(np.column_stack([jac.T, frame])) < 0:
             frame[:, -1] = -frame[:, -1]
         if any(np.linalg.norm(x - other) < 1e-6 for other, _, _ in found):
+            if tally is not None:
+                tally["duplicates"] = tally.get("duplicates", 0) + 1
             continue
         w = x[0:2 * s:2] + 1j * x[1:2 * s:2]
         found.append((x, frame, tuple(int(k) for k in np.nonzero(np.abs(w) <= 1e-8)[0])))

@@ -1,6 +1,7 @@
 """Sampling, projection and certification on the link varieties."""
 
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from momentangle import (
     sample_points,
     sample_with_zero_pattern,
     system_jacobian,
+    variety,
 )
 
 from _oracles import sample_reference, system_oracle
@@ -164,22 +166,27 @@ STRATA += [(name, K) for name, s in W_COUNTS.items()
 STRATA += [("mixed_s1", "null"), ("mixed_s2", "null")]
 
 
-def _draw(cfg, stratum, count, seed):
+def _draw(cfg, stratum, count, seed, **kwargs):
     if stratum is None:
-        return sample_points(cfg, count, seed=seed)
-    return sample_with_zero_pattern(cfg, None if stratum == "null" else stratum, count, seed=seed)
+        return sample_points(cfg, count, seed=seed, **kwargs)
+    return sample_with_zero_pattern(cfg, None if stratum == "null" else stratum, count,
+                                    seed=seed, **kwargs)
+
+
+def _reference(cfg, stratum, count, seed, **kwargs):
+    if stratum is None:
+        return sample_reference(cfg, count, seed=seed, **kwargs)
+    if stratum == "null" and cfg.s >= 2:
+        return sample_reference(cfg, count, seed=seed, null_sum=True, **kwargs)
+    K = range(cfg.s) if stratum == "null" else stratum
+    return sample_reference(cfg, count, seed=seed,
+                            pinned=[c for k in K for c in (2 * k, 2 * k + 1)], **kwargs)
 
 
 @pytest.mark.parametrize("fixture, stratum", STRATA)
 def test_block_sampler_matches_sequential_reference(fixture, stratum, request):
     cfg = request.getfixturevalue(fixture)
-    if stratum is None:
-        reference = sample_reference(cfg, 30, seed=4)
-    elif stratum == "null" and cfg.s >= 2:
-        reference = sample_reference(cfg, 30, seed=4, null_sum=True)
-    else:
-        K = range(cfg.s) if stratum == "null" else stratum
-        reference = sample_reference(cfg, 30, seed=4, pinned=[c for k in K for c in (2 * k, 2 * k + 1)])
+    reference = _reference(cfg, stratum, 30, seed=4)
     points = _draw(cfg, stratum, 30, seed=4)
     assert len(points) == len(reference) == 30
     for point, (coords, _, pattern) in zip(points, reference):
@@ -230,3 +237,149 @@ def test_tolerances_are_checked_at_the_boundary(pentagon, mixed_s2, batch, tol, 
     if tol != 1e-10:
         with pytest.raises(StructuralError):
             project_to_variety(pentagon, coords, tol=tol)
+
+
+@st.composite
+def jacobian_stacks(draw):
+    """Stacks ``(N, eq, dim)`` of Jacobians and right-hand sides ``(N, eq)``.
+
+    Each row is generic, has a repeated row or a zero row (exactly rank
+    deficient), or has singular values down to sigma_1 times 1e-12 to 1e-4.
+    """
+    count, eq = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    dim = eq + draw(st.integers(0, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jac = rng.normal(size=(count, eq, dim))
+    kinds = ["generic", "generic", "repeated", "zero", "ill", "ill", "ill"]
+    for J in jac:
+        kind = draw(st.sampled_from(kinds))
+        if kind == "repeated":
+            J[-1] = J[0]
+        elif kind == "zero":
+            J[rng.integers(eq)] = 0.0
+        elif kind == "ill":
+            u, _, vt = np.linalg.svd(J, full_matrices=False)
+            J[:] = (u * np.geomspace(1.0, 10.0 ** draw(st.floats(-12, -4)), eq)) @ vt
+        J *= 10.0 ** draw(st.floats(-3, 3))
+    return jac, rng.normal(size=(count, eq)) * 10.0 ** draw(st.floats(-12, 1))
+
+
+@given(jacobian_stacks())
+@settings(max_examples=300, deadline=None)
+def test_gauss_newton_steps_are_checked_min_norm_steps(stack):
+    """Normal-equation steps are within their stated bound of lstsq; the rest are the SVD's.
+
+    A kept step solves the system for a right-hand side perturbed by at most
+    ``_STEP_MISS * |rhs|_inf`` per entry, so it lies within
+    ``sqrt(eq) * _STEP_MISS * |rhs|_inf / sigma_min`` of the minimum-norm
+    solution (sigma_min: the smallest singular value above lstsq's cut),
+    plus the rounding of lstsq itself, ``dim * eps * cond * |lstsq step|``.
+    """
+    jac, rhs = stack
+    svd_steps, svd_rows = variety._min_norm_steps, set()
+
+    def recorded(j, r):
+        svd_rows.update(a.tobytes() + b.tobytes() for a, b in zip(j, r))
+        return svd_steps(j, r)
+
+    with mock.patch.object(variety, "_min_norm_steps", recorded):
+        steps = variety._gauss_newton_steps(jac, rhs)
+    assert np.isfinite(steps).all()
+    fallback = np.array([a.tobytes() + b.tobytes() in svd_rows for a, b in zip(jac, rhs)])
+    if fallback.any():
+        np.testing.assert_array_equal(steps[fallback], svd_steps(jac[fallback], rhs[fallback]))
+    eps = np.finfo(float).eps
+    for J, r, step in zip(jac[~fallback], rhs[~fallback], steps[~fallback]):
+        eq, dim = J.shape
+        least = np.linalg.lstsq(J, r, rcond=None)[0]
+        sigma = np.linalg.svd(J, compute_uv=False)
+        sigma_min = sigma[sigma > eps * dim * sigma[0]][-1]
+        bound = (np.sqrt(eq) * variety._STEP_MISS * np.abs(r).max() / sigma_min
+                 + dim * eps * sigma[0] / sigma_min * np.linalg.norm(least))
+        assert np.linalg.norm(step - least) <= bound
+        assert np.abs(J @ step - r).max() <= variety._STEP_MISS * np.abs(r).max()
+
+
+def test_sampler_takes_no_svd_fallback_on_fixtures(request, monkeypatch):
+    """Every Gauss-Newton row on every fixture and stratum keeps its normal-equation step."""
+    rows = []
+    svd_steps = variety._min_norm_steps
+    monkeypatch.setattr(variety, "_min_norm_steps",
+                        lambda jac, rhs: rows.append(len(jac)) or svd_steps(jac, rhs))
+    for fixture, stratum in STRATA:
+        _draw(request.getfixturevalue(fixture), stratum, 30, seed=4)
+    assert sum(rows) == 0
+    # The counter counts: the empty stratum of test_sampling_budget_error
+    # drives its rows into the rank-deficient fallback.
+    ang = np.linspace(0.2, 5.9, 7)
+    lam = np.column_stack([np.exp(1j * ang), np.exp(1j * (ang * 0 + 0.3))])
+    from momentangle import Configuration
+    with pytest.raises(SamplingBudgetError):
+        sample_with_zero_pattern(Configuration(lambdas=lam, kind="mixed-general"), (0, 1), 2,
+                                 seed=0, max_attempts_per_point=3)
+    assert sum(rows) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 4, 2**63 + 11, 2**64 + 4, -3])
+def test_starts_are_fresh_philox_streams(seed):
+    dim = 14
+    draw = variety._start_source(seed, dim)
+    # Consecutive calls, and attempts on both sides of the 256-attempt blocks.
+    for first, size in [(0, 3), (250, 12), (511, 2), (1, 1), (2**64 - 1, 2)]:
+        starts = draw(first, size)
+        assert starts.shape == (size, dim)
+        for row, index in enumerate(range(first, first + size)):
+            key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+            start = np.random.Generator(np.random.Philox(key=key)).normal(size=dim)
+            np.testing.assert_array_equal(starts[row], start / np.linalg.norm(start))
+
+
+@pytest.mark.parametrize("fixture, stratum", [("pentagon", None), ("mixed_general_m2", (1,)),
+                                              ("mixed_s2", "null")])
+def test_repeated_starts_are_duplicates_as_in_the_sequential_loop(fixture, stratum, request,
+                                                                  monkeypatch):
+    """Attempt i starts where attempt i mod 5 does: repeats within a block and across blocks.
+
+    Eight points are asked for with a budget of 24 attempts.  The first
+    block holds attempts 0-7, so 5-7 repeat 0-2 inside it; later blocks
+    repeat points accepted earlier.  At most five distinct points exist, so
+    the budget runs out, and the error carries the points and the tally.
+    """
+    cfg = request.getfixturevalue(fixture)
+    source = variety._start_source
+
+    def repeating(seed, dim):
+        draw = source(seed, dim)
+        return lambda first, size: np.vstack([draw(i % 5, 1) for i in range(first, first + size)])
+
+    monkeypatch.setattr(variety, "_start_source", repeating)
+    with pytest.raises(SamplingBudgetError) as info:
+        _draw(cfg, stratum, 8, seed=2, max_attempts_per_point=3)
+    tally = {}
+    reference = _reference(cfg, stratum, 8, seed=2, max_attempts_per_point=3,
+                           start_index=lambda i: i % 5, tally=tally)
+    points = info.value.points
+    assert len(points) == len(reference) == 5
+    for point, (coords, _, pattern) in zip(points, reference, strict=True):
+        np.testing.assert_allclose(point.coordinates, coords, rtol=0, atol=1e-9)
+        assert point.zero_pattern == pattern
+    assert info.value.outcomes["duplicates"] == tally["duplicates"] == 19
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(0, 12), st.integers(4, 24))
+@settings(max_examples=100, deadline=None)
+def test_duplicate_screen_flags_every_duplicate(seed, size, count, dim):
+    """Rows within about DUPLICATE_TOL of an accepted or earlier row are all flagged."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(max(count, 1), dim))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    accepted = base[:count]
+    # Each row sits at a distance of 0.5-2 times DUPLICATE_TOL from a base row.
+    offsets = rng.normal(size=(size, dim))
+    offsets *= (variety.DUPLICATE_TOL * rng.uniform(0.5, 2.0, size=size)
+                / np.linalg.norm(offsets, axis=1))[:, None]
+    X = base[rng.integers(len(base), size=size)] + offsets
+    flagged = variety._near_rows(X, accepted)
+    for i in range(size):
+        if variety._is_duplicate(X[i], np.vstack([accepted, X[:i]])):
+            assert flagged[i]
