@@ -36,10 +36,10 @@ from .config import (
     load_configuration,
 )
 from .errors import NumericalError, ProjectionError, SamplingBudgetError, StructuralError
-from .forms import contact_volume_scale, evaluate_stack, volume_sign
+from .forms import VOLUME_ZERO_FACTOR, contact_volume_scale, evaluate_stack, volume_sign
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
-from .toric import gale_transform
+from .toric import _gale_polytope
 from .actions import fiber_count, fiber_points
 from .variety import sample_points, sample_with_zero_pattern
 
@@ -48,7 +48,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 ANGLE_LIMIT = 1e-6
-VOLUME_ZERO_FACTOR = 1e-9
 
 
 def main(argv=None) -> int:
@@ -324,13 +323,12 @@ def cmd_gale(args) -> int:
         print(f"configuration not admissible (violating subset "
               f"{report.violating_subset})", file=sys.stderr)
         return EXIT_FAIL
-    poly = gale_transform(cfg, args.c, args.tol)
+    poly = _gale_polytope(cfg, args.c, args.tol)
     expected_dim = cfg.n - 2 * cfg.m - 1
     print(f"dimension: {poly.dim} (expected {expected_dim})")
-    if poly.vertices is not None:
-        print(f"vertices: {len(poly.vertices)}")
-        for v in poly.vertices:
-            print("  " + " ".join(format_float(x) for x in v))
+    print(f"vertices: {len(poly.vertices)}")
+    for v in poly.vertices:
+        print("  " + " ".join(format_float(x) for x in v))
     result = poly.to_dict()
     result["expected_dim"] = expected_dim
     _emit(args, manifest, result)

@@ -66,8 +66,9 @@ DEGENERACY_BAND = 10.0
 #: Relative numerical-rank cut (see :func:`numerical_rank`).
 DEFAULT_RANK_TOL = 1e-8
 
-#: Subsets per batched SVD in :func:`check_weak_hyperbolicity`.  Bounds the
-#: memory for large C(n, 2m) and the work done before an early exit.
+#: Subsets per batched SVD in :func:`check_weak_hyperbolicity`, and bases per
+#: stacked solve in :func:`.toric._vertices`.  Bounds the memory for large
+#: C(n, 2m) and the work done before an early exit.
 _SUBSET_BLOCK = 256
 
 

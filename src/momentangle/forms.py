@@ -452,6 +452,10 @@ def contact_volume(cfg: Configuration, point: VarietyPoint) -> float:
     return _volume_from_frame_data(alpha_on_frame(cfg, point), dalpha_on_frame(cfg, point))
 
 
+#: Contact volumes of at most this factor times :func:`contact_volume_scale` are zero.
+VOLUME_ZERO_FACTOR = 1e-9
+
+
 def contact_volume_scale(cfg: Configuration) -> float:
     """Natural magnitude scale k! * (max weight)^k for on-stratum thresholds."""
     k = (cfg.manifold_dim - 1) // 2
@@ -584,7 +588,7 @@ def orientation_sign(cfg: Configuration, reference: VarietyPoint) -> float:
 
 def volume_sign(cfg: Configuration, volume: float) -> float:
     """:func:`orientation_sign` from the reference point's contact volume."""
-    if abs(volume) <= 1e-9 * contact_volume_scale(cfg):
+    if abs(volume) <= VOLUME_ZERO_FACTOR * contact_volume_scale(cfg):
         raise NumericalError(
             "reference point lies on (or too close to) the degeneracy stratum; "
             "cannot calibrate the orientation"

@@ -19,16 +19,17 @@ Polytopes are stored in H-representation with the convention
     equalities:    a . x  = b
     inequalities:  a . x >= b
 
-plus an optional V-representation (vertices enumerated as basic feasible
-solutions, for ambient dimension <= 8).  The affine dimension is computed
-from the support: coordinates that can be strictly positive somewhere on the
-polytope; on that face only the equalities bind, so
+plus the V-representation: the vertices, as basic feasible solutions from
+one stacked solve per block of column bases (:func:`_vertices`), for every
+n.  The rest is read off them: no vertex means an empty polytope, and the
+support (the coordinates positive somewhere on the polytope) is the set of
+coordinates positive at some vertex.  On that face only the equalities
+bind, so
 
     dim = |support| - rank(equality columns on the support).
 
-The support comes from an interior-margin LP and, when the margin does not
-clear ``tol``, one maximization per coordinate, all by :func:`.config._solve_lp`.
-The moment-image check solves no LP: a point's own t is its hull witness.
+Building a polytope solves no LP, nor does the moment-image check: a
+point's own t is its hull witness.
 The star check solves one, for a point of the Gale polytope, and
 c = inf sum |z_j|^2 has a closed form (:func:`estimate_c`).
 
@@ -39,11 +40,12 @@ w^2 + F(z) = 0 actually induce; the big-moment-map residual test pins it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
 from .config import (
+    _SUBSET_BLOCK,
     Configuration,
     _is_int,
     _solve_lp,
@@ -57,23 +59,22 @@ from .errors import NumericalError, StructuralError
 from .variety import VarietyPoint, certify, sample_points
 
 FEASIBILITY_TOL = 1e-9
-VERTEX_ENUMERATION_MAX_DIM = 8
 
 
 @dataclass(frozen=True, eq=False)
 class PolytopeDescription:
-    """H-representation (and small-instance V-representation) of a polytope.
+    """H- and V-representation of a polytope.
 
     ``equalities`` are pairs (a, b) meaning a . x = b; ``inequalities`` mean
-    a . x >= b.  ``vertices`` is an array with one vertex per row, or None
-    when enumeration was skipped; ``dim`` is the affine dimension, -1 for an
-    empty polytope.
+    a . x >= b.  ``vertices`` is an array with one vertex per row, in the
+    order of the first basis that yields each (no rows when empty); ``dim``
+    is the affine dimension, -1 for an empty polytope.
     """
 
     ambient_dim: int
     equalities: tuple[tuple[np.ndarray, float], ...]
     inequalities: tuple[tuple[np.ndarray, float], ...]
-    vertices: np.ndarray | None
+    vertices: np.ndarray
     dim: int
 
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
@@ -98,9 +99,7 @@ class PolytopeDescription:
             "inequalities": [
                 {"a": [float(v) for v in a], "b": float(b)} for a, b in self.inequalities
             ],
-            "vertices": None
-            if self.vertices is None
-            else [[float(v) for v in row] for row in self.vertices],
+            "vertices": [[float(v) for v in row] for row in self.vertices],
         }
 
 
@@ -162,62 +161,53 @@ def _interior_margin(A: np.ndarray, b: np.ndarray) -> float | None:
     return None if x is None else float(x[-1])
 
 
-def _support(A: np.ndarray, b: np.ndarray, tol: float) -> list[int] | None:
-    """Coordinates that are positive somewhere on {t >= 0, At = b}, or None
-    when it is empty: all n when :func:`_interior_margin` exceeds ``tol``,
-    otherwise from n per-coordinate maximizations."""
+def _vertices(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """The basic feasible solutions of {t >= 0, At = b}, one per row.
+
+    The r = rank A column bases B run in lexicographic blocks, each one
+    stacked solve of A_B t_B = b; feasible candidates (t_B >= -1e-11) keep
+    only full-rank bases (:func:`.config.numerical_rank`) and a recomputed
+    |At - b| <= ``tol``.  Rows are in the order of the first basis giving
+    each vertex; one within 1e-7 of an earlier row is that vertex.
+    """
     n = A.shape[1]
-    margin = _interior_margin(A, b)
-    if margin is None:
-        return None
-    if margin > tol:
-        return list(range(n))
-
-    support = []
-    for j in range(n):
-        c = np.zeros(n)
-        c[j] = -1.0
-        x = _solve_lp(c, A_eq=A, b_eq=b)
-        if x is None:
-            return None
-        if x[j] > tol:
-            support.append(j)
-    return support
-
-
-def _enumerate_vertices(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """All basic feasible solutions of {t >= 0, At = b}, deduplicated/sorted."""
-    n = A.shape[1]
-    r = numerical_rank(np.linalg.svd(A, compute_uv=False))
+    u, sigma, _ = np.linalg.svd(A, full_matrices=False)
+    r = int(numerical_rank(sigma))
+    # r rows with the solutions of At = b, when it is consistent
+    rows, rhs = u[:, :r].T @ A, u[:, :r].T @ b
     found: list[np.ndarray] = []
-    for cols in combinations(range(n), r):
-        sub = A[:, cols]
-        if numerical_rank(np.linalg.svd(sub, compute_uv=False)) < r:
-            continue
-        sol, *_ = np.linalg.lstsq(sub, b, rcond=None)
-        if np.min(sol, initial=0.0) < -1e-11:
-            continue
-        t = np.zeros(n)
-        t[list(cols)] = np.clip(sol, 0.0, None)
-        if np.linalg.norm(A @ t - b, np.inf) > tol:
-            continue
-        if not any(np.linalg.norm(t - u, np.inf) < 1e-7 for u in found):
-            found.append(t)
-    found.sort(key=tuple)
+    bases = combinations(range(n), r)
+    while len(block := np.fromiter(islice(bases, _SUBSET_BLOCK), np.dtype((np.intp, r)))):
+        mats = rows.T[block].transpose(0, 2, 1)
+        rhs_stack = np.broadcast_to(rhs, block.shape)[..., None]
+        try:
+            sol = np.linalg.solve(mats, rhs_stack)[..., 0]
+        except np.linalg.LinAlgError:  # an exactly singular basis: solve the others
+            sol = np.full(block.shape, np.nan)
+            regular = np.linalg.slogdet(mats)[0] != 0
+            sol[regular] = np.linalg.solve(mats[regular], rhs_stack[regular])[..., 0]
+        ok = np.all(np.isfinite(sol) & (sol >= -1e-11), axis=1)
+        cols, sol = block[ok], sol[ok]
+        full_rank = numerical_rank(np.linalg.svd(A.T[cols], compute_uv=False)) == r
+        t = np.zeros((len(cols), n))
+        np.put_along_axis(t, cols, np.clip(sol, 0.0, None), axis=1)
+        t = t[full_rank & (np.max(np.abs(t @ A.T - b), axis=1) <= tol)]
+        for v in t:
+            if not found or np.min(np.max(np.abs(np.asarray(found) - v), axis=1)) >= 1e-7:
+                found.append(v)
     return np.array(found) if found else np.zeros((0, n))
 
 
 def _build_polytope(A: np.ndarray, b: np.ndarray,
                     tol: float = FEASIBILITY_TOL) -> PolytopeDescription:
+    """{t >= 0, At = b}; max t_j is attained at a vertex, so its vertices give the support."""
     n = A.shape[1]
     equalities = tuple((A[i].copy(), float(b[i])) for i in range(A.shape[0]))
     inequalities = tuple((np.eye(n)[j], 0.0) for j in range(n))
-    support = _support(A, b, tol)
-    if support is None:
-        return PolytopeDescription(n, equalities, inequalities,
-                                   vertices=np.zeros((0, n)), dim=-1)
-    dim = len(support) - int(numerical_rank(np.linalg.svd(A[:, support], compute_uv=False)))
-    vertices = _enumerate_vertices(A, b, tol) if n <= VERTEX_ENUMERATION_MAX_DIM else None
+    vertices = _vertices(A, b, tol)
+    support = np.flatnonzero(np.max(vertices, axis=0, initial=0.0) > tol)
+    dim = (len(support) - int(numerical_rank(np.linalg.svd(A[:, support], compute_uv=False)))
+           if len(vertices) else -1)
     return PolytopeDescription(n, equalities, inequalities, vertices=vertices, dim=dim)
 
 
@@ -230,8 +220,6 @@ def gale_transform(cfg: Configuration, c: float = 1.0,
     homogeneous constraint absorbs it) and kept only to match the usual
     presentation.
     """
-    if not np.isreal(c) or not c > 0:
-        raise StructuralError("c must be a positive real")
     report = check_admissible(cfg, tol)
     if not report.admissible:
         raise StructuralError(
@@ -239,6 +227,13 @@ def gale_transform(cfg: Configuration, c: float = 1.0,
             f"(siegel={report.siegel}, weak_hyperbolicity={report.weak_hyperbolicity}, "
             f"violating_subset={report.violating_subset})"
         )
+    return _gale_polytope(cfg, c, tol)
+
+
+def _gale_polytope(cfg: Configuration, c: float, tol: float) -> PolytopeDescription:
+    """:func:`gale_transform` of a configuration already found admissible."""
+    if not np.isreal(c) or not c > 0:
+        raise StructuralError("c must be a positive real")
     A, b = _equality_rows(float(c) * cfg.lambdas, np.zeros(cfg.m, dtype=complex), 1.0)
     poly = _build_polytope(A, b, tol)
     if poly.is_empty:

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: no clever combinatorics, and no
 linear programming except in :func:`admissibility_lp_reference`, the
 one-LP-per-hull-verdict route that the library's certificates must agree
-with, and :func:`star_violations_lp`, the one-LP-per-grid-point route of the
-star check, so that failures in the library cannot be masked by shared
-machinery.
+with, :func:`star_violations_lp`, the one-LP-per-grid-point route of the
+star check, and :func:`polytope_lp_reference`, the one-LP-per-coordinate
+route to a polytope's support, so that failures in the library cannot be
+masked by shared machinery.
 """
 
 from itertools import combinations, permutations
@@ -189,6 +190,65 @@ def star_violations_lp(lambdas, moment_values, ray_steps: int):
             elif res.status != 0:
                 raise RuntimeError(res.message)
     return tuple(violations)
+
+
+def _rank(matrix, rank_tol: float = 1e-8) -> int:
+    """Singular values above ``rank_tol`` times the largest."""
+    sigma = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
+    return int(np.sum(sigma > rank_tol * sigma[:1]))
+
+
+def vertices_reference(A, b, tol: float = 1e-9) -> np.ndarray:
+    """All basic feasible solutions of {t >= 0, At = b}, one per row.
+
+    One SVD rank test and one least-squares solve per r-column subset,
+    r = rank A; a solution is kept when it is >= -1e-11, its clipped
+    residual is within ``tol``, and it lies 1e-7 or more from every kept one.
+    """
+    A = np.asarray(A, dtype=float)
+    n = A.shape[1]
+    r = _rank(A)
+    found = []
+    for cols in combinations(range(n), r):
+        sub = A[:, cols]
+        if _rank(sub) < r:
+            continue
+        sol, *_ = np.linalg.lstsq(sub, b, rcond=None)
+        if np.min(sol, initial=0.0) < -1e-11:
+            continue
+        t = np.zeros(n)
+        t[list(cols)] = np.clip(sol, 0.0, None)
+        if np.linalg.norm(A @ t - b, np.inf) > tol:
+            continue
+        if not any(np.linalg.norm(t - u, np.inf) < 1e-7 for u in found):
+            found.append(t)
+    return np.array(found) if found else np.zeros((0, n))
+
+
+def polytope_lp_reference(A, b, tol: float = 1e-9):
+    """(support, dim) of {t >= 0, At = b} by one maximisation of each t_j.
+
+    The support is the j whose maximum exceeds ``tol``, by HiGHS at a 1e-10
+    primal feasibility tolerance; dim = |support| - rank A[:, support].
+    An infeasible LP gives (None, -1).
+    """
+    from scipy.optimize import linprog
+
+    A = np.asarray(A, dtype=float)
+    n = A.shape[1]
+    support = []
+    for j in range(n):
+        cost = np.zeros(n)
+        cost[j] = -1.0
+        res = linprog(cost, A_eq=A, b_eq=b, bounds=(0, None), method="highs",
+                      options={"primal_feasibility_tolerance": 1e-10})
+        if res.status == 2:
+            return None, -1
+        if res.status != 0:
+            raise RuntimeError(res.message)
+        if res.x[j] > tol:
+            support.append(j)
+    return support, len(support) - (_rank(A[:, support]) if support else 0)
 
 
 def system_oracle(cfg, coords):

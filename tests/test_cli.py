@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import momentangle.config
+import momentangle.toric
 from momentangle import cli
 from momentangle.cli import main
 from momentangle.config import Configuration, configuration_to_dict
@@ -190,6 +191,35 @@ def test_gale_non_admissible_exits_one(tmp_path, capsys):
     path = write_config(tmp_path, Configuration(kind="classical", lambdas=lam))
     assert main(["gale", path]) == 1
     assert "not admissible" in capsys.readouterr().err
+
+
+def test_gale_lists_every_vertex_above_eight_coordinates(tmp_path, capsys):
+    """The 11-gon's Gale polytope has n (n^2 - 1) / 24 = 55 vertices."""
+    path = write_config(tmp_path, Configuration(kind="classical",
+                                                lambdas=roots_of_unity(11, (1,))))
+    report = tmp_path / "gale.json"
+    assert main(["gale", path, "--json", str(report)]) == 0
+    assert "vertices: 55" in capsys.readouterr().out
+    vertices = json.loads(report.read_text())["result"]["vertices"]
+    assert len(vertices) == 55 and all(len(v) == 11 for v in vertices)
+
+
+def test_gale_runs_the_admissibility_sweep_once(tmp_path, pentagon, monkeypatch, capsys):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return momentangle.config.check_admissible(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "check_admissible", counted)
+    monkeypatch.setattr(momentangle.toric, "check_admissible", counted)
+    assert main(["gale", write_config(tmp_path, pentagon)]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    lam = np.exp(1j * np.array([0.0, 0.3, 0.6, 0.9, 1.2])).reshape(5, 1)
+    assert main(["gale", write_config(tmp_path, Configuration(kind="classical", lambdas=lam))]) == 1
+    assert "not admissible" in capsys.readouterr().err
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

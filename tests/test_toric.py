@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import momentangle.config
@@ -12,6 +12,7 @@ from momentangle import (
     StructuralError,
     VarietyPoint,
     big_moment_map,
+    check_admissible,
     check_mixed_admissible,
     estimate_c,
     fiber_polytope,
@@ -24,7 +25,13 @@ from momentangle import (
     toric,
 )
 from momentangle.config import hull_distance, realify
-from _oracles import c_exact, sample_reference, star_violations_lp
+from _oracles import (
+    c_exact,
+    polytope_lp_reference,
+    sample_reference,
+    star_violations_lp,
+    vertices_reference,
+)
 from conftest import roots_of_unity
 
 
@@ -263,7 +270,7 @@ def test_star_shaped_check_only_solves_feasibility(mixed_general_m2, monkeypatch
         raise AssertionError("star_shaped_check built a polytope")
 
     monkeypatch.setattr(toric, "_build_polytope", forbidden)
-    monkeypatch.setattr(toric, "_enumerate_vertices", forbidden)
+    monkeypatch.setattr(toric, "_vertices", forbidden)
     assert star_shaped_check(mixed_general_m2, samples=2, ray_steps=3, seed=0).passed
 
 
@@ -325,7 +332,8 @@ def test_boundary_fibers_are_empty_at_the_package_tolerance(mixed_general_m2):
 
 def test_lp_calls_go_through_one_helper(mixed_general_m2, batch, monkeypatch):
     """Every LP is the one call in config; the moment-image check solves none
-    and reads its hull verdict from the point's own t / sum(t)."""
+    and reads its hull verdict from the point's own t / sum(t), and the
+    polytopes, built from their vertices, solve none either."""
     cfg = mixed_general_m2
     calls = []
     linprog = momentangle.config.linprog
@@ -344,12 +352,11 @@ def test_lp_calls_go_through_one_helper(mixed_general_m2, batch, monkeypatch):
         assert report.hull_member
     assert calls == []
 
-    for run in (lambda: gale_transform(cfg),
-                lambda: fiber_polytope(cfg, moment_map(cfg, points[0])),
-                lambda: star_shaped_check(cfg, samples=1, ray_steps=2, seed=0)):
-        before = len(calls)
-        run()
-        assert len(calls) > before
+    gale_transform(cfg)
+    fiber_polytope(cfg, moment_map(cfg, points[0]))
+    assert calls == []
+    star_shaped_check(cfg, samples=1, ray_steps=2, seed=0)
+    assert calls
 
 
 def test_moment_image_check_rejects_w_off_the_link(mixed_general_m2, batch):
@@ -370,7 +377,7 @@ def test_moment_image_check_rejects_w_off_the_link(mixed_general_m2, batch):
 def test_fiber_on_a_hull_edge_takes_the_support_path(mixed_general_m1):
     """Target at the midpoint of lambda_0 and lambda_1: the fiber is the
     single point t_0 = t_1 = (1 - s) / 2 with |w|^2 = s; its interior margin
-    is 0, so the support comes from the per-coordinate LPs."""
+    is 0, and its one vertex gives the support of the per-coordinate LPs."""
     cfg = mixed_general_m1
     target = 0.5 * (cfg.lambdas[0] + cfg.lambdas[1])
     s = float(np.abs(target[0]) / (1.0 + np.abs(target[0])))
@@ -378,10 +385,127 @@ def test_fiber_on_a_hull_edge_takes_the_support_path(mixed_general_m1):
     assert np.sum(np.abs(w) ** 2) == pytest.approx(s, abs=1e-15)
     rows = toric._fiber_rows(cfg, w)
     assert toric._interior_margin(*rows) <= toric.FEASIBILITY_TOL
-    assert toric._support(*rows, toric.FEASIBILITY_TOL) == [0, 1]
+    assert polytope_lp_reference(*rows, toric.FEASIBILITY_TOL) == ([0, 1], 0)
     fiber = fiber_polytope(cfg, w)
     assert fiber.dim == 0
     expected = np.zeros(5)
     expected[:2] = (1.0 - s) / 2.0
     assert fiber.vertices.shape == (1, 5)
     np.testing.assert_allclose(fiber.vertices[0], expected, atol=1e-12)
+
+
+def _gale_rows(lam):
+    """Equality rows (Re and Im of each quadric, then ones) and right-hand
+    sides of the Gale polytope, built here from the lambdas alone."""
+    lam = np.asarray(lam, dtype=complex)
+    n, m = lam.shape
+    rows = np.empty((2 * m, n))
+    rows[0::2], rows[1::2] = lam.real.T, lam.imag.T
+    rhs = np.zeros(2 * m + 1)
+    rhs[-1] = 1.0
+    return np.vstack([rows, np.ones(n)]), rhs
+
+
+def _assert_matches_oracles(poly, A, b):
+    """Same vertex set (within 1e-12), emptiness, support and dim as the
+    per-subset loop and the per-coordinate LPs."""
+    assert_same_vertex_set(poly.vertices, vertices_reference(A, b), tol=1e-12)
+    support, dim = polytope_lp_reference(A, b)
+    assert poly.dim == dim
+    assert poly.is_empty == (support is None) == (len(poly.vertices) == 0)
+    if support is not None:
+        assert list(np.flatnonzero(poly.vertices.max(axis=0) > toric.FEASIBILITY_TOL)) == support
+
+
+def _siegel_configuration(rng, n: int, m: int, kind: str = "classical") -> Configuration:
+    """Gaussian lambdas, the last one minus a positive combination of the
+    others, so that 0 is interior to their hull."""
+    lam = rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
+    lam[-1] = -rng.uniform(0.2, 1.0, n - 1) @ lam[:-1]
+    return Configuration(lambdas=lam, kind=kind)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_gale_vertices_match_the_oracles_on_random_admissible_configurations(seed):
+    """5 <= n <= 10 and m <= 3, some with n > 8, beyond the old cap."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 4))
+    cfg = _siegel_configuration(rng, int(rng.integers(max(5, 2 * m + 1), 11)), m)
+    assume(check_admissible(cfg).admissible)
+    poly = gale_transform(cfg)
+    assert poly.dim == cfg.n - 2 * cfg.m - 1
+    _assert_matches_oracles(poly, *_gale_rows(cfg.lambdas))
+
+
+def _fiber_moment(target):
+    """w with -w^2 / (1 - |w|^2) = target."""
+    total = float(np.sum(np.abs(target)))
+    return np.sqrt(-np.asarray(target, dtype=complex) / (1.0 + total))
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.sampled_from(["random", "vertex", "outside", "real", "repeated"]))
+@settings(max_examples=50, deadline=None)
+@example(1, "repeated")  # a block with an exactly singular basis
+def test_fiber_vertices_match_the_oracles(seed, mode):
+    """Random fibers, nonempty or empty; the single point over a hull vertex
+    of the lambda_j (dim 0, one vertex from many bases); an empty fiber just
+    beyond it; real lambdas, whose equality rows have rank below their
+    number, and which leave At = b without a solution when -w^2 is not real;
+    and a repeated lambda_j, which makes bases singular."""
+    rng = np.random.default_rng(seed)
+    m = 1 if mode == "real" else int(rng.integers(1, 4))
+    n = int(rng.integers(max(5, 2 * m + 1), 11))
+    cfg = _siegel_configuration(rng, n, m, kind="mixed-general")
+    if mode == "real":
+        cfg = Configuration(lambdas=cfg.lambdas.real, kind="mixed-general")
+    elif mode == "repeated":
+        cfg = Configuration(lambdas=cfg.lambdas[[0, *range(n - 1)]], kind="mixed-general")
+    top = int(np.argmax(cfg.lambdas[:, 0].real))  # a vertex of the hull of the lambda_j
+    if mode in ("random", "repeated"):
+        w = rng.normal(size=m) + 1j * rng.normal(size=m)
+        w *= rng.uniform(0.05, 0.99) / np.linalg.norm(w)
+    elif mode == "real":  # w = r e^(i pi k / 4): -w^2 is real for k = 0, 2 but not for k = 1
+        k = int(rng.integers(3))
+        w = rng.uniform(0.05, 0.9, size=1) * np.exp(0.25j * np.pi * k)
+    else:
+        w = _fiber_moment(cfg.lambdas[top] * (1.0 if mode == "vertex" else 1.05))
+    A, b = toric._fiber_rows(cfg, w)
+    fiber = fiber_polytope(cfg, w)
+    _assert_matches_oracles(fiber, A, b)
+    if mode == "vertex":
+        assert fiber.dim == 0 and len(fiber.vertices) == 1
+        assert fiber.vertices[0, top] > 0.0
+    elif mode == "outside":
+        assert fiber.is_empty
+    elif mode == "real":
+        assert np.linalg.matrix_rank(A) < A.shape[0]
+        assert fiber.is_empty or k != 1
+
+
+def test_polytopes_of_the_fixtures_match_the_oracles(
+        pentagon, hexagon_m2, mixed_s1, mixed_s2, mixed_general_m1, mixed_general_m2,
+        mixed_general_m3):
+    for cfg in (pentagon, hexagon_m2, mixed_s1, mixed_s2, mixed_general_m1,
+                mixed_general_m2, mixed_general_m3):
+        _assert_matches_oracles(gale_transform(cfg), *_gale_rows(cfg.lambdas))
+
+
+def test_gale_lists_the_vertices_of_the_11_gon():
+    """Above the old n <= 8 cap: the triangles of 11th roots of unity around
+    the origin, n (n^2 - 1) / 24 = 55 of them, each with three positive weights."""
+    poly = gale_transform(Configuration(lambdas=roots_of_unity(11, (1,)), kind="classical"))
+    assert poly.dim == 8
+    assert poly.vertices.shape == (55, 11)
+    assert np.all(np.count_nonzero(poly.vertices > 0.0, axis=1) == 3)
+    assert len({tuple(np.flatnonzero(v)) for v in poly.vertices}) == 55
+
+
+def test_gale_vertices_of_a_random_admissible_12_3_configuration():
+    cfg = _siegel_configuration(np.random.default_rng(12), 12, 3)
+    assert check_admissible(cfg).admissible
+    poly = gale_transform(cfg)
+    assert poly.dim == 12 - 6 - 1
+    assert len(poly.vertices) > 0
+    _assert_matches_oracles(poly, *_gale_rows(cfg.lambdas))
