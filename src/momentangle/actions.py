@@ -24,7 +24,10 @@ points (w, r zhat) with w_k^2 = -F_k(r zhat) = -r^2 F_k(zhat) and
 which is linear in r^2 — the 1-D radius solve on the ray therefore collapses
 to a closed form and needs no iteration.  Each k with F_k != 0 contributes an
 independent sign choice, so a direction with l nonzero quadric values has
-exactly 2^l preimages (2^m generically, 1 on the classical stratum).
+exactly 2^l preimages (2^m generically, 1 on the classical stratum).  The
+candidates of every direction of a call are certified together, one stacked
+SVD per block of at most 256 rows (:func:`_fibers`); :func:`fiber_points` is
+the one-direction case.
 """
 
 from __future__ import annotations
@@ -34,12 +37,22 @@ from itertools import product
 
 import numpy as np
 
-from .config import Configuration, in_tie_band
+from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band
 from .errors import NumericalError, StructuralError
-from .variety import DEFAULT_TOL, VarietyPoint, _is_duplicate, certify, realify
+from .variety import (
+    DEFAULT_TOL,
+    VarietyPoint,
+    _certify_block,
+    _is_duplicate,
+    _link,
+    certify,
+    realify,
+)
 
 UNIT_TOL = 1e-12
 DEFAULT_BRANCH_TOL = 1e-8
+#: Candidates per :func:`_certify_block` call in :func:`_fibers`; bounds the stacked SVD.
+_CANDIDATE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -145,16 +158,27 @@ def branched_cover(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
     return z / norm
 
 
-def quadric_values(cfg: Configuration, direction) -> np.ndarray:
-    """F_k evaluated on a unit z-direction (no w contribution)."""
+def _unit_direction(cfg: Configuration, direction) -> np.ndarray:
+    """``direction`` divided by its norm; StructuralError names what makes it unusable."""
     zhat = np.atleast_1d(np.asarray(direction, dtype=complex))
     if zhat.shape != (cfg.n,):
         raise StructuralError(f"expected a direction in C^{cfg.n}")
-    norm = float(np.linalg.norm(zhat))
-    if norm < 1e-12:
+    if not np.all(np.isfinite(zhat)):
+        raise StructuralError("direction must be finite (got nan or inf)")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(zhat))
+    if norm == np.inf:
+        raise StructuralError("direction is too large to normalize (its norm overflows)")
+    if not np.any(zhat):
         raise StructuralError("direction must be nonzero")
-    zhat = zhat / norm
-    return cfg.lambdas.T @ (np.abs(zhat) ** 2)
+    if norm < 1e-12:
+        raise StructuralError(f"direction is too small to normalize (norm {norm:.1e} < 1e-12)")
+    return zhat / norm
+
+
+def quadric_values(cfg: Configuration, direction) -> np.ndarray:
+    """F_k evaluated on a unit z-direction (no w contribution)."""
+    return cfg.lambdas.T @ (np.abs(_unit_direction(cfg, direction)) ** 2)
 
 
 def ray_radius(cfg: Configuration, direction) -> float:
@@ -202,20 +226,25 @@ def fiber_points(cfg: Configuration, direction,
     """All preimages of a direction, by exhaustive sign-choice construction.
 
     Builds w_k = +-sqrt(-F_k) for every k with |F_k| > tol (w_k = 0 on the
-    others), certifies each of the 2^l candidates and deduplicates.  This is
-    the independent oracle for :func:`fiber_count`; exponential in m, meant
-    for m <= 3.  Directions with |F_k| in the near-branch band may fail
-    certification for the w_k = 0 choice — counts there are inherently
+    others), certifies the 2^l candidates in one block and deduplicates them
+    in order; a candidate that fails certification raises its error.  This
+    is the independent oracle for :func:`fiber_count`; exponential in m,
+    meant for m <= 3.  Directions with |F_k| in the near-branch band may
+    fail certification for the w_k = 0 choice — counts there are inherently
     ill-conditioned.
     """
-    if cfg.kind != "mixed-general":
-        raise StructuralError("fiber enumeration is defined for mixed-general links")
-    zhat = np.atleast_1d(np.asarray(direction, dtype=complex))
-    zhat = zhat / float(np.linalg.norm(zhat))
+    (points,) = _fibers(cfg, [direction], tol)
+    if isinstance(points, NumericalError):
+        raise points
+    return points
+
+
+def _candidates(cfg: Configuration, direction, tol: float) -> np.ndarray:
+    """The 2^l sign-choice lifts of a direction, one realified row each, in product order."""
+    zhat = _unit_direction(cfg, direction)
     F = quadric_values(cfg, zhat)
     r = ray_radius(cfg, zhat)
     scaled = F * r**2
-
     choices: list[tuple[complex, ...]] = []
     for k in range(cfg.m):
         if abs(scaled[k]) <= tol:
@@ -223,14 +252,41 @@ def fiber_points(cfg: Configuration, direction,
         else:
             root = complex(np.sqrt(-scaled[k] + 0.0j))
             choices.append((root, -root))
+    w = np.array(list(product(*choices)), dtype=complex)
+    return realify(np.hstack([w, np.broadcast_to(r * zhat, (len(w), cfg.n))]))
 
-    found: list[VarietyPoint] = []
-    for combo in product(*choices):
-        coords = realify(np.concatenate([np.array(combo), r * zhat]))
-        point = certify(cfg, coords)
-        if not _is_duplicate(point.coordinates, [q.coordinates for q in found]):
-            found.append(point)
-    return found
+
+def _fibers(cfg: Configuration, directions, tol: float) -> list[list[VarietyPoint] | NumericalError]:
+    """:func:`fiber_points` of each direction, or the error of its first failing candidate.
+
+    Every direction is validated before any candidate is certified.  The
+    candidates of all directions are stacked and certified in blocks of at
+    most ``_CANDIDATE_BLOCK`` rows.
+    """
+    if cfg.kind != "mixed-general":
+        raise StructuralError("fiber enumeration is defined for mixed-general links")
+    lifts = [_candidates(cfg, direction, tol) for direction in directions]
+    X = np.concatenate(lifts)
+    link = _link(cfg)
+    certified: list[VarietyPoint | NumericalError] = []
+    for lo in range(0, len(X), _CANDIDATE_BLOCK):
+        certified += _certify_block(cfg, link, X[lo : lo + _CANDIDATE_BLOCK],
+                                    DEFAULT_TOL, DEFAULT_RANK_TOL)
+    out: list[list[VarietyPoint] | NumericalError] = []
+    start = 0
+    for lift in lifts:
+        results = certified[start : start + len(lift)]
+        start += len(lift)
+        error = next((p for p in results if isinstance(p, NumericalError)), None)
+        if error is not None:
+            out.append(error)
+            continue
+        found: list[VarietyPoint] = []
+        for point in results:
+            if not _is_duplicate(point.coordinates, [q.coordinates for q in found]):
+                found.append(point)
+        out.append(found)
+    return out
 
 
 def sign_orbit(cfg: Configuration, point: VarietyPoint) -> list[VarietyPoint]:

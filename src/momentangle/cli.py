@@ -40,7 +40,7 @@ from .forms import VOLUME_ZERO_FACTOR, contact_volume_scale, evaluate_stack, vol
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
 from .toric import _gale_polytope
-from .actions import fiber_count, fiber_points
+from .actions import _fibers, fiber_count
 from .variety import sample_points, sample_with_zero_pattern
 
 EXIT_OK = 0
@@ -361,9 +361,11 @@ def cmd_cover(args) -> int:
 
     all_ok = True
     rows = []
-    for i, direction in enumerate(directions):
-        info = fiber_count(cfg, direction, args.tol)
-        preimages = fiber_points(cfg, direction, args.tol)
+    counts = [fiber_count(cfg, direction, args.tol) for direction in directions]
+    fibers = _fibers(cfg, directions, args.tol)
+    for i, (direction, info, preimages) in enumerate(zip(directions, counts, fibers)):
+        if isinstance(preimages, NumericalError):
+            raise preimages
         ok = info.count == len(preimages)
         all_ok &= ok
         flag = " (near branch locus)" if info.near_branch else ""

@@ -29,9 +29,9 @@ bind, so
     dim = |support| - rank(equality columns on the support).
 
 Building a polytope solves no LP, nor does the moment-image check: a
-point's own t is its hull witness.
-The star check solves one, for a point of the Gale polytope, and
-c = inf sum |z_j|^2 has a closed form (:func:`estimate_c`).
+point's own t is its hull witness.  The star check takes its point of the
+Gale polytope from one NNLS solve, and solves an LP only where NNLS or a
+witness fails; c = inf sum |z_j|^2 has a closed form (:func:`estimate_c`).
 
 The sign convention sum t_j lambda_j = -w^2 is the one the defining equations
 w^2 + F(z) = 0 actually induce; the big-moment-map residual test pins it.
@@ -51,6 +51,7 @@ from .config import (
     _solve_lp,
     check_admissible,
     check_mixed_admissible,
+    nnls,
     numerical_rank,
     realify,
     witness_distance,
@@ -339,9 +340,26 @@ def estimate_c(cfg: Configuration, samples: int = 200, seed: int = 0) -> CEstima
     return CEstimate(value=value, minimizer=minimizer, samples_used=len(pts))
 
 
-def _fiber_witness(A: np.ndarray, b: np.ndarray, t: np.ndarray) -> bool:
-    """Whether At = b holds to within FEASIBILITY_TOL; callers pass a t >= 0."""
-    return float(np.max(np.abs(A @ t - b))) <= FEASIBILITY_TOL
+def _fiber_witness(A: np.ndarray, B: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Whether ``A t = b`` holds to within FEASIBILITY_TOL, for each row t >= 0 of T and b of B."""
+    return np.max(np.abs(T @ A.T - B), axis=1) <= FEASIBILITY_TOL
+
+
+def _gale_point(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """A point of {t >= 0, At = b}, or None when the LP finds it empty.
+
+    One NNLS solve gives it when it converges with a residual norm of at
+    most FEASIBILITY_TOL; otherwise one feasibility LP decides.  Callers
+    recompute the residual of whatever they derive from the point.
+    """
+    try:
+        t, residual = nnls(A, b)
+    except RuntimeError:
+        t, residual = None, np.inf
+    if residual <= FEASIBILITY_TOL:
+        return t
+    x = _solve_lp(np.zeros(A.shape[1]), A_eq=A, b_eq=b)
+    return None if x is None else np.clip(x, 0.0, None)
 
 
 def star_shaped_check(cfg: Configuration, samples: int = 50, ray_steps: int = 20,
@@ -351,10 +369,13 @@ def star_shaped_check(cfg: Configuration, samples: int = 50, ray_steps: int = 20
     For each sampled point (w, t) and each radial factor r on a uniform
     [0, 1] grid, the fiber polytope at r*w must be nonempty.  The fibers are
     convex in (t, r^2), so (1 - r^2) t_gale + r^2 t lies in it, for t_gale in
-    the Gale polytope (one LP per call); :func:`_fiber_witness` recomputes
-    its residual.  Where that fails, or the Gale polytope is empty, the grid
-    point runs the interior-margin LP of :func:`fiber_polytope`, and only an
-    empty fiber there is reported, as (ray index, r).
+    the Gale polytope (:func:`_gale_point`: NNLS, and an LP only when NNLS
+    gives no point).  The fibers share their equality rows; one product per
+    ray gives every grid point's witness, and :func:`_fiber_witness`
+    recomputes its residual.  Where that fails, or the Gale polytope is
+    empty, the grid point runs the interior-margin LP of
+    :func:`fiber_polytope`, and only an empty fiber there is reported, as
+    (ray index, r).
     """
     if cfg.kind != "mixed-general":
         raise StructuralError("star_shaped_check is defined for mixed-general links")
@@ -363,16 +384,16 @@ def star_shaped_check(cfg: Configuration, samples: int = 50, ray_steps: int = 20
     pts = sample_points(cfg, samples, seed=seed)
     grid = np.linspace(0.0, 1.0, ray_steps)
     A, b = _fiber_rows(cfg, np.zeros(cfg.m))
-    x = _solve_lp(np.zeros(cfg.n), A_eq=A, b_eq=b)
-    t_gale = None if x is None else np.clip(x, 0.0, None)
+    t_gale = _gale_point(A, b)
     violations: list[tuple[int, float]] = []
     for i, point in enumerate(pts):
         w, t = big_moment_map(cfg, point)
-        for r in grid:
-            rows = _fiber_rows(cfg, r * w)
-            if t_gale is not None and _fiber_witness(*rows, (1.0 - r**2) * t_gale + r**2 * t):
-                continue
-            if _interior_margin(*rows) is None:
+        W = grid[:, None] * w
+        B = np.column_stack([realify(-(W**2)), 1.0 - np.sum(np.abs(W) ** 2, axis=1)])
+        held = (np.zeros(ray_steps, dtype=bool) if t_gale is None else
+                _fiber_witness(A, B, np.outer(1.0 - grid**2, t_gale) + np.outer(grid**2, t)))
+        for r, rhs in zip(grid[~held], B[~held]):
+            if _interior_margin(A, rhs) is None:
                 violations.append((i, float(r)))
     return StarShapedReport(rays_checked=len(pts), steps_per_ray=ray_steps,
                             violations=tuple(violations))

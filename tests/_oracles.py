@@ -9,7 +9,7 @@ route to a polytope's support, so that failures in the library cannot be
 masked by shared machinery.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import numpy as np
@@ -190,6 +190,35 @@ def star_violations_lp(lambdas, moment_values, ray_steps: int):
             elif res.status != 0:
                 raise RuntimeError(res.message)
     return tuple(violations)
+
+
+def fiber_points_reference(cfg, direction, tol: float = 1e-8):
+    """Preimages of a direction by the per-candidate loop: one ``certify`` per sign choice.
+
+    The direction is normalized, r = ``ray_radius`` and w_k = +-sqrt(-F_k r^2)
+    for each k with |F_k r^2| > ``tol`` (0 otherwise); the candidates
+    (w, r zhat) run in ``itertools.product`` order, the first that fails
+    certification raises, and one within 1e-6 of a kept point is dropped.
+    """
+    from momentangle import certify, quadric_values, ray_radius
+
+    zhat = np.atleast_1d(np.asarray(direction, dtype=complex))
+    zhat = zhat / float(np.linalg.norm(zhat))
+    r = ray_radius(cfg, zhat)
+    scaled = quadric_values(cfg, zhat) * r**2
+    choices = []
+    for value in scaled:
+        root = complex(np.sqrt(-value + 0.0j))
+        choices.append((0.0 + 0.0j,) if abs(value) <= tol else (root, -root))
+    found = []
+    for combo in product(*choices):
+        values = np.concatenate([np.array(combo), r * zhat])
+        coords = np.empty(2 * values.size)
+        coords[0::2], coords[1::2] = values.real, values.imag
+        point = certify(cfg, coords)
+        if all(np.linalg.norm(point.coordinates - q.coordinates) >= 1e-6 for q in found):
+            found.append(point)
+    return found
 
 
 def _rank(matrix, rank_tol: float = 1e-8) -> int:

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentangle import (
+    Configuration,
     GroupElement,
     NumericalError,
     StructuralError,
+    actions,
     branched_cover,
+    certify,
     closed_form_kernel_vector,
     fiber_count,
     fiber_points,
@@ -15,10 +20,13 @@ from momentangle import (
     isotropy_stratum,
     quadric_values,
     ray_radius,
+    sample_with_zero_pattern,
     sign_act,
     sign_orbit,
     torus_act,
 )
+from _oracles import fiber_points_reference
+from conftest import roots_of_unity
 
 
 def test_torus_action_preserves_link(mixed_general_m2, batch):
@@ -169,3 +177,170 @@ def test_isotropy_stratum(mixed_general_m2, batch):
     assert isotropy_stratum(mixed_general_m2, on_stratum) == (1,)
     full = batch(mixed_general_m2, 1, (0, 1))[0]
     assert isotropy_stratum(mixed_general_m2, full) == (0, 1)
+
+
+def _fixture(m: int) -> Configuration:
+    return Configuration(lambdas=roots_of_unity(5 if m == 1 else 7, range(1, m + 1)),
+                         kind="mixed-general")
+
+
+def _fiber_case(m: int, mode: str, seed: int) -> tuple[Configuration, np.ndarray]:
+    """A configuration and a direction of the given kind.
+
+    ``random``: a Gaussian direction on the m-fixture.  ``stratum``: the z
+    block of a fixture point with some w_k = 0 (|F_k| ~ 1e-11).  ``branch``:
+    17 coordinates, the first 16 in pairs with lambda^k = (u, -u) for
+    Gaussian integers u in the columns k of ``zero``; a direction of modulus
+    1 on the pairs and 0 on the last coordinate has |z|^2 = 1/16, so those
+    F_k are exactly 0.  ``near``: that direction plus a last coordinate that
+    puts one such |F_k| in the near-branch band of 1e-8; ``tiny``: one that
+    makes it about 1e-14, so that below a tol of 1e-16 the two roots
+    w_k = +-sqrt(-F_k r^2) lie within 1e-6 of each other.
+    """
+    rng = np.random.default_rng(seed)
+    if mode in ("random", "stratum"):
+        cfg = _fixture(m)
+        if mode == "random":
+            return cfg, rng.normal(size=cfg.n) + 1j * rng.normal(size=cfg.n)
+        pattern = tuple(sorted(rng.choice(m, size=rng.integers(1, m + 1), replace=False)))
+        point = sample_with_zero_pattern(cfg, pattern, 1, seed=seed % 1000)[0]
+        return cfg, point.z_block(cfg)
+    lam = rng.normal(size=(17, m)) + 1j * rng.normal(size=(17, m))
+    zero = rng.choice(m, size=rng.integers(1, m + 1), replace=False)
+    u = rng.integers(-3, 4, size=(8, len(zero))) + 1j * rng.integers(-3, 4, size=(8, len(zero)))
+    lam[0:16:2, zero], lam[1:16:2, zero] = u, -u
+    cfg = Configuration(lambdas=lam, kind="mixed-general")
+    direction = np.zeros(17, dtype=complex)
+    direction[:16] = rng.choice(np.array([1, -1, 1j, -1j]), size=16)
+    assert np.all(quadric_values(cfg, direction)[zero] == 0.0)
+    if mode in ("near", "tiny"):
+        k = zero[0]
+        target = 10.0 ** (rng.uniform(-9, -7) if mode == "near" else rng.uniform(-15, -13))
+        direction[16] = 4.0 * np.sqrt(target / abs(lam[16, k])) * np.exp(2j * np.pi * rng.uniform())
+    return cfg, direction
+
+
+def _assert_same_points(points, expected) -> None:
+    """Same count and order, bitwise coordinates, zero patterns, and frames
+    spanning the same oriented space to within 1e-12."""
+    assert len(points) == len(expected)
+    for p, q in zip(points, expected):
+        assert p.coordinates.tobytes() == q.coordinates.tobytes()
+        assert p.zero_pattern == q.zero_pattern
+        np.testing.assert_allclose(p.tangent_frame @ p.tangent_frame.T,
+                                   q.tangent_frame @ q.tangent_frame.T, rtol=0, atol=1e-12)
+        assert abs(np.linalg.det(p.tangent_frame.T @ q.tangent_frame) - 1.0) <= 1e-12
+
+
+def _reference_or_error(cfg, direction, tol=1e-8):
+    try:
+        return fiber_points_reference(cfg, direction, tol)
+    except NumericalError as exc:
+        return exc
+
+
+def _assert_same_fiber(result, expected) -> None:
+    if isinstance(expected, NumericalError):
+        assert type(result) is type(expected) and str(result) == str(expected)
+    else:
+        _assert_same_points(result, expected)
+
+
+MODES = ("random", "stratum", "branch", "near", "tiny")
+
+
+@given(st.sampled_from([1, 2, 3]), st.sampled_from(MODES), st.sampled_from([1e-8, 1e-16]),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_fiber_block_matches_the_per_candidate_reference(m, mode, tol, seed):
+    cfg, direction = _fiber_case(m, mode, seed)
+    expected = _reference_or_error(cfg, direction, tol)
+    try:
+        result = fiber_points(cfg, direction, tol)
+    except NumericalError as exc:
+        result = exc
+    _assert_same_fiber(result, expected)
+
+
+def test_fiber_cases_reach_every_branch():
+    """The cases above reach the zero choice, the w_k = 0 candidate that
+    fails in the near-branch band, the full 2^m fiber, and candidates that
+    the dedupe drops."""
+    sizes, failures = set(), set()
+    for m in (1, 2, 3):
+        for seed in range(8):
+            for mode in MODES:
+                tol = 1e-16 if mode == "tiny" else 1e-8
+                expected = _reference_or_error(*_fiber_case(m, mode, seed), tol)
+                if isinstance(expected, NumericalError):
+                    failures.add(mode)
+                else:
+                    sizes.add((m, mode, len(expected)))
+    assert "near" in failures
+    assert {(m, "random", 2**m) for m in (1, 2, 3)} <= sizes
+    for mode in ("stratum", "branch", "tiny"):
+        assert any(kind == mode and size < 2**m for m, kind, size in sizes), mode
+
+
+def test_fibers_of_many_directions_cross_block_boundaries(monkeypatch):
+    """One call for 70 directions, near-branch ones that fail included,
+    gives each direction's reference fiber or error, across block
+    boundaries."""
+    cfg = _fixture(2)
+    directions = [_fiber_case(2, "random", seed)[1] for seed in range(70)]
+    rng = np.random.default_rng(3)
+    for i in (5, 40, 64):  # near-branch directions, whose w_k = 0 candidates fail
+        point = sample_with_zero_pattern(cfg, (i % 2,), 1, seed=i)[0]
+        bump = np.zeros(7, dtype=complex)
+        bump[rng.integers(7)] = 5e-9
+        directions[i] = point.z_block(cfg) + bump
+    expected = [_reference_or_error(cfg, d) for d in directions]
+    assert [i for i, e in enumerate(expected) if isinstance(e, NumericalError)] == [5, 40, 64]
+    for block in (256, 5, 3):
+        monkeypatch.setattr(actions, "_CANDIDATE_BLOCK", block)
+        for result, want in zip(actions._fibers(cfg, directions, 1e-8), expected, strict=True):
+            _assert_same_fiber(result, want)
+
+
+def test_planted_failing_candidate_raises_the_reference_error(monkeypatch):
+    """Candidates 2 and 3 of the middle direction are planted off the link:
+    that direction gets candidate 2's own certificate error, the others
+    their reference fibers."""
+    cfg = _fixture(2)
+    rng = np.random.default_rng(11)
+    directions = [rng.normal(size=7) + 1j * rng.normal(size=7) for _ in range(3)]
+    candidates = actions._candidates
+
+    def planted(cfg, direction, tol):
+        rows = candidates(cfg, direction, tol)
+        if direction is directions[1]:
+            rows = rows.copy()
+            rows[2] *= 1.001
+            rows[3] = 0.0
+            planted.row = rows[2]
+        return rows
+
+    monkeypatch.setattr(actions, "_candidates", planted)
+    first, failed, last = actions._fibers(cfg, directions, 1e-8)
+    with pytest.raises(NumericalError) as expected:
+        certify(cfg, planted.row)
+    assert type(failed) is type(expected.value) and str(failed) == str(expected.value)
+    _assert_same_points(first, fiber_points_reference(cfg, directions[0]))
+    _assert_same_points(last, fiber_points_reference(cfg, directions[2]))
+    with pytest.raises(type(expected.value), match="exceeds certification tolerance"):
+        fiber_points(cfg, directions[1])
+
+
+@pytest.mark.parametrize("direction, fault", [
+    (np.zeros(7), "nonzero"),
+    (np.full(7, np.nan), "finite"),
+    (np.array([np.inf] + [0.0] * 6), "finite"),
+    (np.full(7, 1e300 + 1e300j), "overflows"),
+    (np.full(7, 1e-200), "too small"),
+    (np.full(7, 1e-13j), "too small"),
+    (np.ones(6), "C\\^7"),
+])
+def test_malformed_directions_raise_structural_errors(mixed_general_m2, direction, fault):
+    for call in (fiber_points, fiber_count, quadric_values, ray_radius):
+        with pytest.raises(StructuralError, match=fault):
+            call(mixed_general_m2, direction)

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import momentangle.actions
 import momentangle.config
 import momentangle.toric
 from momentangle import cli
@@ -250,6 +251,66 @@ def test_cover_bad_direction_exits_two(tmp_path, mixed_general_m1, capsys):
     path = write_config(tmp_path, mixed_general_m1)
     assert main(["cover", path, "--direction", "1,0,0"]) == 2
     assert main(["cover", path, "--direction", "a,b"]) == 2
+
+
+@pytest.mark.parametrize("direction, fault", [
+    ("nan" + ",0" * 9, "finite"),
+    ("inf" + ",0" * 9, "finite"),
+    (",".join(["1e300"] * 10), "overflows"),
+    (",".join(["0"] * 10), "nonzero"),
+    (",".join(["1e-300"] * 10), "too small"),
+])
+def test_cover_malformed_direction_exits_two_naming_the_fault(
+        tmp_path, mixed_general_m1, capsys, direction, fault):
+    path = write_config(tmp_path, mixed_general_m1)
+    report = tmp_path / "cover.json"
+    assert main(["cover", path, "--direction", direction, "--json", str(report)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: direction") and fault in err
+    assert "Traceback" not in err
+    assert not report.exists()
+
+
+def test_cover_prints_earlier_directions_before_a_failure(
+        tmp_path, mixed_general_m2, capsys, monkeypatch):
+    """A candidate of the third direction, planted off the link, fails its
+    certificate: the first two lines print, then the certificate's error."""
+    candidates = momentangle.actions._candidates
+    seen = []
+
+    def planted(cfg, direction, tol):
+        rows = candidates(cfg, direction, tol)
+        seen.append(rows)
+        if len(seen) == 3:
+            rows = rows * 1.001
+        return rows
+
+    monkeypatch.setattr(momentangle.actions, "_candidates", planted)
+    path = write_config(tmp_path, mixed_general_m2)
+    report = tmp_path / "cover.json"
+    assert main(["cover", path, "--samples", "4", "--json", str(report)]) == 1
+    captured = capsys.readouterr()
+    with pytest.raises(momentangle.ProjectionError) as expected:
+        momentangle.certify(mixed_general_m2, seen[2][0] * 1.001)
+    assert captured.out.splitlines() == [
+        f"direction {i}: fiber count 4, constructed preimages 4 -> PASS" for i in range(2)]
+    assert captured.err == f"failure: {expected.value}\n"
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("samples, blocks", [(1, [4]), (5, [20]), (64, [256]), (65, [256, 4])])
+def test_cover_certifies_its_candidates_in_one_block(
+        tmp_path, mixed_general_m2, capsys, monkeypatch, samples, blocks):
+    """One certificate call per 256 candidates (4 per direction at m = 2)."""
+    certify_block = momentangle.actions._certify_block
+    sizes = []
+    monkeypatch.setattr(momentangle.actions, "_certify_block",
+                        lambda cfg, link, X, *a: sizes.append(len(X)) or
+                        certify_block(cfg, link, X, *a))
+    path = write_config(tmp_path, mixed_general_m2)
+    assert main(["cover", path, "--samples", str(samples)]) == 0
+    assert capsys.readouterr().out.count("PASS") == samples
+    assert sizes == blocks
 
 
 def test_cover_rejects_classical(tmp_path, pentagon, capsys):

@@ -222,13 +222,16 @@ def test_star_check_matches_the_per_grid_point_lp_on_fixtures(
 
 
 def test_star_check_does_not_trust_the_gale_point(monkeypatch):
-    """Uniform weights stand in for the Gale LP's point on a configuration
-    whose Gale polytope is empty: the witness residual rejects them, and the
-    fallback LP still finds the empty fibers."""
-    solve = toric._solve_lp
-    monkeypatch.setattr(toric, "_solve_lp", lambda c, **kw: solve(c, **kw) if "A_ub" in kw
-                        else np.full(len(c), 1.0 / len(c)))
+    """Uniform weights, passed off as an exact NNLS solution, stand in for
+    the Gale point of a configuration whose Gale polytope is empty: no Gale
+    LP runs, the witness residual rejects them, and the fallback LP still
+    finds the empty fibers."""
+    monkeypatch.setattr(toric, "nnls", lambda A, b: (np.full(A.shape[1], 1.0 / A.shape[1]), 0.0))
+    solve, fallbacks = toric._solve_lp, []
+    monkeypatch.setattr(toric, "_solve_lp",
+                        lambda c, **kw: fallbacks.append("A_ub" in kw) or solve(c, **kw))
     assert _star_matches_lp_reference(_off_siegel(), 3, 5, seed=0).violations
+    assert fallbacks and all(fallbacks)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -237,18 +240,41 @@ def test_star_check_matches_the_per_grid_point_lp_on_random_configurations(seed)
     _star_matches_lp_reference(_random_mixed_general(seed), 3, 4, seed=seed % 1000)
 
 
-def test_star_check_solves_one_lp_unless_the_witness_fails(mixed_general_m2, monkeypatch):
-    cfg = mixed_general_m2
+def _count_lps(monkeypatch) -> list:
     calls = []
     linprog = momentangle.config.linprog
     monkeypatch.setattr(momentangle.config, "linprog",
-                        lambda *a, **k: calls.append(1) or linprog(*a, **k))
-    assert star_shaped_check(cfg, samples=3, ray_steps=5, seed=0).passed
-    assert len(calls) == 1
-    calls.clear()
-    monkeypatch.setattr(toric, "_fiber_witness", lambda *a: False)
-    assert star_shaped_check(cfg, samples=3, ray_steps=5, seed=0).passed
-    assert len(calls) == 1 + 3 * 5
+                        lambda *a, **k: calls.append(k) or linprog(*a, **k))
+    return calls
+
+
+def test_star_check_solves_no_lp_unless_the_witness_fails(
+        mixed_general_m1, mixed_general_m2, mixed_general_m3, monkeypatch):
+    calls = _count_lps(monkeypatch)
+    for cfg in (mixed_general_m1, mixed_general_m2, mixed_general_m3):
+        assert star_shaped_check(cfg, samples=3, ray_steps=5, seed=0).passed
+    assert calls == []
+    monkeypatch.setattr(toric, "_fiber_witness", lambda A, B, T: np.zeros(len(T), dtype=bool))
+    assert star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0).passed
+    assert len(calls) == 3 * 5
+
+
+@pytest.mark.parametrize("fault", ["raises", "residual"])
+def test_star_check_falls_back_to_the_gale_lp_without_an_nnls_point(
+        mixed_general_m2, monkeypatch, fault):
+    """NNLS that fails to converge, or whose residual is above
+    FEASIBILITY_TOL, leaves the Gale point to one LP."""
+    solve = toric.nnls
+
+    def planted(A, b):
+        if fault == "raises":
+            raise RuntimeError("Maximum number of iterations reached.")
+        return solve(A, b)[0], 2 * toric.FEASIBILITY_TOL
+
+    monkeypatch.setattr(toric, "nnls", planted)
+    calls = _count_lps(monkeypatch)
+    assert star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0).passed
+    assert len(calls) == 1 and calls[0]["A_ub"] is None  # the Gale LP
 
 
 @pytest.mark.parametrize("ray_steps", [0, -1, 2.5, True, "4"])
@@ -332,8 +358,9 @@ def test_boundary_fibers_are_empty_at_the_package_tolerance(mixed_general_m2):
 
 def test_lp_calls_go_through_one_helper(mixed_general_m2, batch, monkeypatch):
     """Every LP is the one call in config; the moment-image check solves none
-    and reads its hull verdict from the point's own t / sum(t), and the
-    polytopes, built from their vertices, solve none either."""
+    and reads its hull verdict from the point's own t / sum(t), the
+    polytopes, built from their vertices, solve none either, and neither
+    does the star check, whose Gale point comes from NNLS."""
     cfg = mixed_general_m2
     calls = []
     linprog = momentangle.config.linprog
@@ -356,7 +383,7 @@ def test_lp_calls_go_through_one_helper(mixed_general_m2, batch, monkeypatch):
     fiber_polytope(cfg, moment_map(cfg, points[0]))
     assert calls == []
     star_shaped_check(cfg, samples=1, ray_steps=2, seed=0)
-    assert calls
+    assert calls == []
 
 
 def test_moment_image_check_rejects_w_off_the_link(mixed_general_m2, batch):
