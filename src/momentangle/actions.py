@@ -25,13 +25,14 @@ which is linear in r^2 — the 1-D radius solve on the ray therefore collapses
 to a closed form and needs no iteration.  Each k with F_k != 0 contributes an
 independent sign choice, so a direction with l nonzero quadric values has
 exactly 2^l preimages (2^m generically, 1 on the classical stratum).  The
-candidates of every direction of a call are certified together, one stacked
-SVD per block of at most 256 rows (:func:`_fibers`); :func:`fiber_points` is
-the one-direction case.
+candidates of up to 256 // 2^m directions are certified together, one
+stacked SVD per block (:func:`_fibers`); :func:`fiber_points` is the
+one-direction case.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product
 
@@ -40,6 +41,7 @@ import numpy as np
 from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band
 from .errors import NumericalError, StructuralError
 from .variety import (
+    _ATTEMPT_BLOCK,
     DEFAULT_TOL,
     VarietyPoint,
     _certify_block,
@@ -51,8 +53,6 @@ from .variety import (
 
 UNIT_TOL = 1e-12
 DEFAULT_BRANCH_TOL = 1e-8
-#: Candidates per :func:`_certify_block` call in :func:`_fibers`; bounds the stacked SVD.
-_CANDIDATE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -256,37 +256,40 @@ def _candidates(cfg: Configuration, direction, tol: float) -> np.ndarray:
     return realify(np.hstack([w, np.broadcast_to(r * zhat, (len(w), cfg.n))]))
 
 
-def _fibers(cfg: Configuration, directions, tol: float) -> list[list[VarietyPoint] | NumericalError]:
-    """:func:`fiber_points` of each direction, or the error of its first failing candidate.
+def _fibers(cfg: Configuration, directions,
+            tol: float) -> Iterator[list[VarietyPoint] | NumericalError]:
+    """:func:`fiber_points` of each direction in turn, or the error of its first failing candidate.
 
-    Every direction is validated before any candidate is certified.  The
-    candidates of all directions are stacked and certified in blocks of at
-    most ``_CANDIDATE_BLOCK`` rows.
+    Directions are taken in slices of ``_ATTEMPT_BLOCK // 2^m``.  Each slice
+    is validated, its candidates are stacked and certified in blocks of at
+    most ``_ATTEMPT_BLOCK`` rows, and its results are yielded before the
+    next slice is built, so memory does not grow with the number of
+    directions.
     """
     if cfg.kind != "mixed-general":
         raise StructuralError("fiber enumeration is defined for mixed-general links")
-    lifts = [_candidates(cfg, direction, tol) for direction in directions]
-    X = np.concatenate(lifts)
     link = _link(cfg)
-    certified: list[VarietyPoint | NumericalError] = []
-    for lo in range(0, len(X), _CANDIDATE_BLOCK):
-        certified += _certify_block(cfg, link, X[lo : lo + _CANDIDATE_BLOCK],
-                                    DEFAULT_TOL, DEFAULT_RANK_TOL)
-    out: list[list[VarietyPoint] | NumericalError] = []
-    start = 0
-    for lift in lifts:
-        results = certified[start : start + len(lift)]
-        start += len(lift)
-        error = next((p for p in results if isinstance(p, NumericalError)), None)
-        if error is not None:
-            out.append(error)
-            continue
-        found: list[VarietyPoint] = []
-        for point in results:
-            if not _is_duplicate(point.coordinates, [q.coordinates for q in found]):
-                found.append(point)
-        out.append(found)
-    return out
+    step = max(1, _ATTEMPT_BLOCK >> cfg.m)
+    for lo in range(0, len(directions), step):
+        lifts = [_candidates(cfg, direction, tol) for direction in directions[lo : lo + step]]
+        X = np.concatenate(lifts)
+        certified: list[VarietyPoint | NumericalError] = []
+        for row in range(0, len(X), _ATTEMPT_BLOCK):
+            certified += _certify_block(cfg, link, X[row : row + _ATTEMPT_BLOCK],
+                                        DEFAULT_TOL, DEFAULT_RANK_TOL)
+        start = 0
+        for lift in lifts:
+            results = certified[start : start + len(lift)]
+            start += len(lift)
+            error = next((p for p in results if isinstance(p, NumericalError)), None)
+            if error is not None:
+                yield error
+                continue
+            found: list[VarietyPoint] = []
+            for point in results:
+                if not _is_duplicate(point.coordinates, [q.coordinates for q in found]):
+                    found.append(point)
+            yield found
 
 
 def sign_orbit(cfg: Configuration, point: VarietyPoint) -> list[VarietyPoint]:

@@ -361,9 +361,10 @@ def cmd_cover(args) -> int:
 
     all_ok = True
     rows = []
-    counts = [fiber_count(cfg, direction, args.tol) for direction in directions]
     fibers = _fibers(cfg, directions, args.tol)
-    for i, (direction, info, preimages) in enumerate(zip(directions, counts, fibers)):
+    for i, direction in enumerate(directions):
+        info = fiber_count(cfg, direction, args.tol)
+        preimages = next(fibers)
         if isinstance(preimages, NumericalError):
             raise preimages
         ok = info.count == len(preimages)

@@ -30,8 +30,9 @@ bind, so
 
 Building a polytope solves no LP, nor does the moment-image check: a
 point's own t is its hull witness.  The star check takes its point of the
-Gale polytope from one NNLS solve, and solves an LP only where NNLS or a
-witness fails; c = inf sum |z_j|^2 has a closed form (:func:`estimate_c`).
+Gale polytope from one NNLS solve, and solves an LP only at a grid point
+whose witness fails (at every one when NNLS gives no point);
+c = inf sum |z_j|^2 has a closed form (:func:`estimate_c`).
 
 The sign convention sum t_j lambda_j = -w^2 is the one the defining equations
 w^2 + F(z) = 0 actually induce; the big-moment-map residual test pins it.
@@ -346,20 +347,17 @@ def _fiber_witness(A: np.ndarray, B: np.ndarray, T: np.ndarray) -> np.ndarray:
 
 
 def _gale_point(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """A point of {t >= 0, At = b}, or None when the LP finds it empty.
+    """A point of {t >= 0, At = b} from one NNLS solve, or None.
 
-    One NNLS solve gives it when it converges with a residual norm of at
-    most FEASIBILITY_TOL; otherwise one feasibility LP decides.  Callers
+    None when NNLS does not converge or leaves a residual norm above
+    FEASIBILITY_TOL, as it does when the Gale polytope is empty.  Callers
     recompute the residual of whatever they derive from the point.
     """
     try:
         t, residual = nnls(A, b)
     except RuntimeError:
-        t, residual = None, np.inf
-    if residual <= FEASIBILITY_TOL:
-        return t
-    x = _solve_lp(np.zeros(A.shape[1]), A_eq=A, b_eq=b)
-    return None if x is None else np.clip(x, 0.0, None)
+        return None
+    return t if residual <= FEASIBILITY_TOL else None
 
 
 def star_shaped_check(cfg: Configuration, samples: int = 50, ray_steps: int = 20,
@@ -369,13 +367,12 @@ def star_shaped_check(cfg: Configuration, samples: int = 50, ray_steps: int = 20
     For each sampled point (w, t) and each radial factor r on a uniform
     [0, 1] grid, the fiber polytope at r*w must be nonempty.  The fibers are
     convex in (t, r^2), so (1 - r^2) t_gale + r^2 t lies in it, for t_gale in
-    the Gale polytope (:func:`_gale_point`: NNLS, and an LP only when NNLS
-    gives no point).  The fibers share their equality rows; one product per
-    ray gives every grid point's witness, and :func:`_fiber_witness`
-    recomputes its residual.  Where that fails, or the Gale polytope is
-    empty, the grid point runs the interior-margin LP of
-    :func:`fiber_polytope`, and only an empty fiber there is reported, as
-    (ray index, r).
+    the Gale polytope (:func:`_gale_point`, one NNLS solve).  The fibers
+    share their equality rows; one product per ray gives every grid point's
+    witness, and :func:`_fiber_witness` recomputes its residual.  Where that
+    fails, or NNLS gives no Gale point, the grid point runs the
+    interior-margin LP of :func:`fiber_polytope`, and only an empty fiber
+    there is reported, as (ray index, r).
     """
     if cfg.kind != "mixed-general":
         raise StructuralError("star_shaped_check is defined for mixed-general links")

@@ -65,7 +65,8 @@ _EPS = np.finfo(float).eps
 #: Largest miss ``|J step - rhs|_inf / |rhs|_inf`` of a normal-equation step.
 _STEP_MISS = 1e-8
 
-#: Attempts per block in :func:`_sample`; bounds the stacked arrays.
+#: Attempts per block in :func:`_sample`, and fiber candidates per block in
+#: :func:`.actions._fibers`; bounds the stacked arrays.
 _ATTEMPT_BLOCK = 256
 #: Accepted points per Gram product in :func:`_near_rows`; bounds its memory.
 _SCREEN_ROWS = 4096

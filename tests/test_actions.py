@@ -296,8 +296,8 @@ def test_fibers_of_many_directions_cross_block_boundaries(monkeypatch):
         directions[i] = point.z_block(cfg) + bump
     expected = [_reference_or_error(cfg, d) for d in directions]
     assert [i for i, e in enumerate(expected) if isinstance(e, NumericalError)] == [5, 40, 64]
-    for block in (256, 5, 3):
-        monkeypatch.setattr(actions, "_CANDIDATE_BLOCK", block)
+    for block in (256, 8, 3):  # 64, 2 and 1 directions a slice; 3 splits one
+        monkeypatch.setattr(actions, "_ATTEMPT_BLOCK", block)
         for result, want in zip(actions._fibers(cfg, directions, 1e-8), expected, strict=True):
             _assert_same_fiber(result, want)
 

@@ -313,6 +313,22 @@ def test_cover_certifies_its_candidates_in_one_block(
     assert sizes == blocks
 
 
+def test_cover_prints_each_slice_before_certifying_the_next(
+        tmp_path, mixed_general_m2, capsys, monkeypatch):
+    """With blocks of 8 candidates (two directions at m = 2), the lines of
+    one slice are printed before the next is certified, so what cover holds
+    does not grow with --samples."""
+    certify_block = momentangle.actions._certify_block
+    outputs = []
+    monkeypatch.setattr(momentangle.actions, "_ATTEMPT_BLOCK", 8)
+    monkeypatch.setattr(momentangle.actions, "_certify_block",
+                        lambda *a: outputs.append(capsys.readouterr().out) or certify_block(*a))
+    path = write_config(tmp_path, mixed_general_m2)
+    assert main(["cover", path, "--samples", "5"]) == 0
+    outputs.append(capsys.readouterr().out)
+    assert [out.count("PASS") for out in outputs] == [0, 2, 2, 1]
+
+
 def test_cover_rejects_classical(tmp_path, pentagon, capsys):
     path = write_config(tmp_path, pentagon)
     assert main(["cover", path, "--samples", "1"]) == 2

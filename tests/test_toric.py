@@ -260,10 +260,12 @@ def test_star_check_solves_no_lp_unless_the_witness_fails(
 
 
 @pytest.mark.parametrize("fault", ["raises", "residual"])
-def test_star_check_falls_back_to_the_gale_lp_without_an_nnls_point(
+def test_star_check_without_an_nnls_point_runs_the_interior_margin_lps(
         mixed_general_m2, monkeypatch, fault):
     """NNLS that fails to converge, or whose residual is above
-    FEASIBILITY_TOL, leaves the Gale point to one LP."""
+    FEASIBILITY_TOL, gives no Gale point: every grid point runs its
+    interior-margin LP, and the report is unchanged."""
+    expected = star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0)
     solve = toric.nnls
 
     def planted(A, b):
@@ -273,8 +275,8 @@ def test_star_check_falls_back_to_the_gale_lp_without_an_nnls_point(
 
     monkeypatch.setattr(toric, "nnls", planted)
     calls = _count_lps(monkeypatch)
-    assert star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0).passed
-    assert len(calls) == 1 and calls[0]["A_ub"] is None  # the Gale LP
+    assert star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0) == expected
+    assert len(calls) == 3 * 5 and all(call["A_ub"] is not None for call in calls)
 
 
 @pytest.mark.parametrize("ray_steps", [0, -1, 2.5, True, "4"])
