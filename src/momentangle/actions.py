@@ -38,7 +38,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band
+from .config import DEFAULT_RANK_TOL, Configuration, check_tolerances, in_tie_band
 from .errors import NumericalError, StructuralError
 from .variety import (
     _ATTEMPT_BLOCK,
@@ -206,6 +206,7 @@ class FiberCount:
 def fiber_count(cfg: Configuration, direction,
                 tol: float = DEFAULT_BRANCH_TOL) -> FiberCount:
     """Cardinality of the covering fiber over a unit z-direction."""
+    check_tolerances(tol)
     if cfg.kind != "mixed-general":
         raise StructuralError("fiber counting is defined for mixed-general links")
     F = quadric_values(cfg, direction)
@@ -233,6 +234,7 @@ def fiber_points(cfg: Configuration, direction,
     fail certification for the w_k = 0 choice — counts there are inherently
     ill-conditioned.
     """
+    check_tolerances(tol)
     (points,) = _fibers(cfg, [direction], tol)
     if isinstance(points, NumericalError):
         raise points
@@ -310,6 +312,7 @@ def isotropy_stratum(cfg: Configuration, point: VarietyPoint,
     "|F_k| <= tol" and "|w_k| <= sqrt(tol)" must agree; a mismatch means the
     point does not lie on the link to tolerance, and raises.
     """
+    check_tolerances(tol)
     if cfg.kind != "mixed-general":
         raise StructuralError("isotropy strata are defined for mixed-general links")
     w = point.w_block(cfg)

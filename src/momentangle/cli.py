@@ -30,7 +30,6 @@ from .config import (
     DEFAULT_RANK_TOL,
     check_admissible,
     check_mixed_admissible,
-    check_tolerances,
     complexify,
     configuration_to_dict,
     load_configuration,
@@ -51,7 +50,7 @@ ANGLE_LIMIT = 1e-6
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_direction(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except StructuralError as exc:
@@ -60,6 +59,17 @@ def main(argv=None) -> int:
     except (NumericalError, ProjectionError, SamplingBudgetError) as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
+
+
+def _join_direction(argv) -> list[str]:
+    """``--direction V`` as ``--direction=V``: argparse reads a V like ``-1,0`` as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--direction" and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 @cache
@@ -164,7 +174,6 @@ def _emit(args, manifest: RunManifest, result: dict) -> None:
 
 def cmd_check(args) -> int:
     cfg = load_configuration(args.config)
-    check_tolerances(args.tol)
     cfg_dict = configuration_to_dict(cfg)
     manifest = _manifest(args, "check", cfg_dict, {"tol": args.tol})
 
@@ -314,7 +323,6 @@ def cmd_classify(args) -> int:
 
 def cmd_gale(args) -> int:
     cfg = load_configuration(args.config)
-    check_tolerances(args.tol)
     cfg_dict = configuration_to_dict(cfg)
     manifest = _manifest(args, "gale", cfg_dict, {"tol": args.tol, "c": args.c})
 
@@ -337,7 +345,6 @@ def cmd_gale(args) -> int:
 
 def cmd_cover(args) -> int:
     cfg = load_configuration(args.config)
-    check_tolerances(args.tol)
     cfg_dict = configuration_to_dict(cfg)
     manifest = _manifest(args, "cover", cfg_dict, {"tol": args.tol})
 

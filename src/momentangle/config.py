@@ -20,10 +20,10 @@ and the hull-distance LP (:func:`hull_distance`) runs only when neither
 certificate clears the tie band.  For weak hyperbolicity, one batched SVD
 first bounds the hull distance of every ``2m``-subset from below by
 ``sigma_min / (2m)``; only the subsets that bound leaves inside the tie band
-get a hull verdict, in lexicographic order.  Every LP in the package is
-:func:`_solve_lp`, and every hull distance is :func:`witness_distance` of a
-weight vector, a hull point as its witness: the NNLS or LP weights here, a
-point's own t = |z|^2 in :func:`.toric.moment_image_check` (no LP).
+get a hull verdict, in lexicographic order.  The package's one LP is in
+:func:`hull_distance` and its one NNLS in :func:`_hull_weights`; every hull
+distance is :func:`witness_distance` of weights, a hull point as witness:
+the NNLS or LP weights here, a point's own t = |z|^2 in :mod:`.toric`.
 ``scipy.optimize`` is imported on the first solve, not with the package.
 All tolerances are explicit.
 
@@ -280,30 +280,16 @@ def nnls(a, b):
     return nnls(a, b)
 
 
-def _solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None)):
-    """``min c.x`` by HiGHS: the solution, None when infeasible, else NumericalError.
-
-    At HiGHS's default primal feasibility tolerance (1e-7) a hull that passes
-    within 1e-8 of the origin can return a vertex twice as far as the
-    optimum, and a fiber polytope that misses by 1e-8 reads as nonempty;
-    1e-10 is the smallest value HiGHS takes.
-    """
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs", options={"primal_feasibility_tolerance": 1e-10})
-    if res.status == 2:
-        return None
-    if res.status != 0:
-        raise NumericalError(f"LP solver failed: {res.message}")
-    return res.x
-
-
-def witness_distance(points: np.ndarray, weights: np.ndarray) -> float:
+def witness_distance(points: np.ndarray, weights: np.ndarray):
     """``max |sum_i t_i p_i|`` for ``t`` = ``weights`` clipped to ``t >= 0`` and renormalised.
 
     The distance of one hull point, its witness: an upper bound on the hull's.
+    Stacks ``(..., p, d)`` and ``(..., p)`` give an array ``(...)``, same bits.
     """
     t = np.clip(weights, 0.0, None)
-    return float(np.max(np.abs(points.T @ (t / t.sum()))))
+    t = t / t.sum(axis=-1, keepdims=True)
+    dist = np.max(np.abs(t[..., None, :] @ points), axis=(-2, -1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def _hull_points(points) -> np.ndarray:
@@ -325,7 +311,9 @@ def hull_distance(points: np.ndarray) -> float:
     for hulls that miss the origin by less than the solver's feasibility
     tolerance; the recomputed distance does not.  The hull verdicts of the
     package call it only inside the tie band, where neither certificate of
-    :func:`_hull_verdict` settles the verdict.
+    :func:`_hull_verdict` settles the verdict.  HiGHS runs at 1e-10 primal
+    feasibility, its smallest: at its default 1e-7 a hull passing within 1e-8
+    of the origin can return a vertex twice as far as the optimum.
     """
     pts = _hull_points(points)
     p, d = pts.shape
@@ -334,18 +322,30 @@ def hull_distance(points: np.ndarray) -> float:
     ones = np.ones((d, 1))
     a_ub = np.block([[pts.T, -ones], [-pts.T, -ones]])
     a_eq = np.concatenate([np.ones(p), [0.0]]).reshape(1, -1)
-    x = _solve_lp(c, A_ub=a_ub, b_ub=np.zeros(2 * d), A_eq=a_eq, b_eq=[1.0])
-    if x is None:
-        raise NumericalError("hull-distance LP reported infeasible")
-    return witness_distance(pts, x[:p])
+    res = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * d), A_eq=a_eq, b_eq=[1.0], bounds=(0, None),
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise NumericalError(f"hull-distance LP failed: {res.message}")
+    return witness_distance(pts, res.x[:p])
+
+
+def _hull_weights(points: np.ndarray) -> np.ndarray | None:
+    """Unchecked NNLS weights ``t >= 0`` of ``[P^T; 1^T] t = e_last``; None if NNLS raises."""
+    p, d = points.shape
+    e = np.zeros(d + 1)
+    e[-1] = 1.0
+    try:
+        return nnls(np.vstack([points.T, np.ones(p)]), e)[0]
+    except RuntimeError:
+        return None
 
 
 def _hull_verdict(points: np.ndarray, tol: float) -> tuple[bool, bool]:
     """``(inside, tie)``: whether :func:`hull_distance` is ``<= tol``, and in the tie band.
 
-    Non-negative least squares on ``A = [P^T; 1^T]``, ``e = (0, ..., 0, 1)``
-    (Lawson and Hanson, 1974) returns weights ``t >= 0`` that certify most
-    verdicts without an LP:
+    The NNLS weights ``t >= 0`` of :func:`_hull_weights`, for
+    ``A = [P^T; 1^T]`` and ``e = (0, ..., 0, 1)``, certify most verdicts
+    without an LP:
 
     * inside, not a tie: ``t`` is a hull point whose :func:`witness_distance`,
       plus a rounding allowance, is at most ``tol / DEGENERACY_BAND``;
@@ -361,13 +361,7 @@ def _hull_verdict(points: np.ndarray, tol: float) -> tuple[bool, bool]:
     """
     pts = _hull_points(points)
     p, d = pts.shape
-    a = np.vstack([pts.T, np.ones(p)])
-    e = np.zeros(d + 1)
-    e[-1] = 1.0
-    try:
-        t, _ = nnls(a, e)
-    except RuntimeError:
-        t = None
+    t = _hull_weights(pts)
     if t is not None:
         # A computed dot product of k terms is off by at most k * eps times
         # the sum of the absolute products; 16 leaves room for the rest.
@@ -389,6 +383,7 @@ def origin_in_hull(points: np.ndarray, tol: float = 1e-9) -> bool:
 
     The verdict of :func:`_hull_verdict`: a hull distance of at most ``tol``.
     """
+    check_tolerances(tol)
     return _hull_verdict(points, tol)[0]
 
 
@@ -436,7 +431,7 @@ def check_tolerances(tol: float, rank_tol: float = DEFAULT_RANK_TOL) -> None:
     """Reject a ``tol`` that is not finite and positive, or a ``rank_tol`` outside (0, 1).
 
     The boundary check for every tolerance that comes from outside the
-    program (the command line, or a caller of the sampling functions).
+    program: the command line, and every public function that takes one.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise StructuralError(f"tol must be finite and positive, got {tol!r}")
@@ -450,6 +445,7 @@ def check_siegel(cfg: Configuration, tol: float = 1e-9) -> tuple[bool, bool]:
     ``degenerate`` is set when the hull distance lies in the tie band
     ``(tol / 10, 10 * tol]`` (:func:`in_tie_band`); see :func:`_hull_verdict`.
     """
+    check_tolerances(tol)
     return _hull_verdict(cfg.realified_lambdas(), tol)
 
 
@@ -472,6 +468,7 @@ def check_weak_hyperbolicity(
     band is neither a violator nor a tie; the others get a
     :func:`_hull_verdict`.
     """
+    check_tolerances(tol)
     pts = cfg.realified_lambdas()
     size = 2 * cfg.m
     # A backward-stable SVD gets each singular value to within a small
@@ -506,6 +503,7 @@ def check_admissible(cfg: Configuration, tol: float = 1e-9) -> AdmissibilityRepo
     ``degenerate`` flag and make the final verdict "not admissible", since
     downstream rank guarantees need strict admissibility.
     """
+    check_tolerances(tol)
     siegel, degenerate = check_siegel(cfg, tol)
     wh, violating, wh_degenerate = check_weak_hyperbolicity(cfg, tol)
     return AdmissibilityReport(
@@ -525,6 +523,7 @@ def check_mixed_admissible(cfg: Configuration, tol: float = 1e-9) -> MixedAdmiss
     for every nonempty K subset of {1..m}, not just the full set.  K is
     reported 0-based.
     """
+    check_tolerances(tol)
     reports: dict[tuple[int, ...], AdmissibilityReport] = {}
     for size in range(1, cfg.m + 1):
         for K in combinations(range(cfg.m), size):

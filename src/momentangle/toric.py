@@ -28,11 +28,10 @@ bind, so
 
     dim = |support| - rank(equality columns on the support).
 
-Building a polytope solves no LP, nor does the moment-image check: a
-point's own t is its hull witness.  The star check takes its point of the
-Gale polytope from one NNLS solve, and solves an LP only at a grid point
-whose witness fails (at every one when NNLS gives no point);
-c = inf sum |z_j|^2 has a closed form (:func:`estimate_c`).
+Building a polytope solves no LP.  P_w is nonempty exactly when its target
+-w^2 / (1 - |w|^2) lies in the hull of the lambda_j (divide t by sum t), so
+the moment-image and star checks ask the package's hull questions
+(:func:`_shifted`); c = inf sum |z_j|^2 has a closed form (:func:`estimate_c`).
 
 The sign convention sum t_j lambda_j = -w^2 is the one the defining equations
 w^2 + F(z) = 0 actually induce; the big-moment-map residual test pins it.
@@ -48,11 +47,12 @@ import numpy as np
 from .config import (
     _SUBSET_BLOCK,
     Configuration,
+    _hull_verdict,
+    _hull_weights,
     _is_int,
-    _solve_lp,
     check_admissible,
     check_mixed_admissible,
-    nnls,
+    check_tolerances,
     numerical_rank,
     realify,
     witness_distance,
@@ -151,18 +151,6 @@ def _equality_rows(lambdas: np.ndarray, rhs: np.ndarray, total: float):
     return A, np.append(realify(rhs), total)
 
 
-def _interior_margin(A: np.ndarray, b: np.ndarray) -> float | None:
-    """max delta with t_j >= delta on {t >= 0, At = b}; None when the set is empty."""
-    n = A.shape[1]
-    c = np.zeros(n + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
-    A_eq = np.hstack([A, np.zeros((A.shape[0], 1))])
-    x = _solve_lp(c, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b,
-                  bounds=[(0, None)] * n + [(None, None)])
-    return None if x is None else float(x[-1])
-
-
 def _vertices(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """The basic feasible solutions of {t >= 0, At = b}, one per row.
 
@@ -222,6 +210,7 @@ def gale_transform(cfg: Configuration, c: float = 1.0,
     homogeneous constraint absorbs it) and kept only to match the usual
     presentation.
     """
+    check_tolerances(tol)
     report = check_admissible(cfg, tol)
     if not report.admissible:
         raise StructuralError(
@@ -251,6 +240,7 @@ def fiber_polytope(cfg: Configuration, w,
     ``w`` is the complex m-vector of a moment-map value; |w|^2 < 1 required.
     May legitimately be empty (w outside the moment image).
     """
+    check_tolerances(tol)
     return _build_polytope(*_fiber_rows(cfg, w), tol)
 
 
@@ -265,6 +255,11 @@ def _fiber_rows(cfg: Configuration, w):
     if wsq >= 1.0:
         raise StructuralError("|w|^2 < 1 is required")
     return _equality_rows(cfg.lambdas, -(w**2), 1.0 - wsq)
+
+
+def _shifted(lambdas: np.ndarray, targets) -> np.ndarray:
+    """Realified lambda_j - target, (n, 2m) per target; 0 is in their hull iff the target is."""
+    return realify(lambdas - np.asarray(targets)[..., None, :])
 
 
 def moment_map(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
@@ -294,12 +289,13 @@ def moment_image_check(
     (The w block itself need not lie in the hull of the c-scaled lambda_j;
     the hull fact that actually holds is (ii).)
     """
+    check_tolerances(tol)
     w, t = big_moment_map(cfg, point)
     wsq = float(np.sum(np.abs(w) ** 2))
     quad = cfg.lambdas.T @ t + w**2
     residual = max(float(np.max(np.abs(quad))), abs(wsq + float(np.sum(t)) - 1.0))  # t >= 0
     target = -(w**2) / float(np.sum(t))
-    hull_member = witness_distance(realify(cfg.lambdas - target), t) <= tol
+    hull_member = witness_distance(_shifted(cfg.lambdas, target), t) <= tol
     w_bound_ok = None if c_estimate is None else wsq <= 1.0 - c_estimate + tol
     return MomentImageReport(
         constraint_residual=residual,
@@ -341,38 +337,18 @@ def estimate_c(cfg: Configuration, samples: int = 200, seed: int = 0) -> CEstima
     return CEstimate(value=value, minimizer=minimizer, samples_used=len(pts))
 
 
-def _fiber_witness(A: np.ndarray, B: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Whether ``A t = b`` holds to within FEASIBILITY_TOL, for each row t >= 0 of T and b of B."""
-    return np.max(np.abs(T @ A.T - B), axis=1) <= FEASIBILITY_TOL
-
-
-def _gale_point(A: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """A point of {t >= 0, At = b} from one NNLS solve, or None.
-
-    None when NNLS does not converge or leaves a residual norm above
-    FEASIBILITY_TOL, as it does when the Gale polytope is empty.  Callers
-    recompute the residual of whatever they derive from the point.
-    """
-    try:
-        t, residual = nnls(A, b)
-    except RuntimeError:
-        return None
-    return t if residual <= FEASIBILITY_TOL else None
-
-
 def star_shaped_check(cfg: Configuration, samples: int = 50, ray_steps: int = 20,
                       seed: int = 0) -> StarShapedReport:
     """Check the moment image is star-shaped about 0 on a sampled ray grid.
 
     For each sampled point (w, t) and each radial factor r on a uniform
-    [0, 1] grid, the fiber polytope at r*w must be nonempty.  The fibers are
-    convex in (t, r^2), so (1 - r^2) t_gale + r^2 t lies in it, for t_gale in
-    the Gale polytope (:func:`_gale_point`, one NNLS solve).  The fibers
-    share their equality rows; one product per ray gives every grid point's
-    witness, and :func:`_fiber_witness` recomputes its residual.  Where that
-    fails, or NNLS gives no Gale point, the grid point runs the
-    interior-margin LP of :func:`fiber_polytope`, and only an empty fiber
-    there is reported, as (ray index, r).
+    [0, 1] grid, the fiber polytope at r*w must be nonempty: its target
+    -(r w)^2 / (1 - r^2 |w|^2) must lie in the hull of the lambda_j.  The
+    fibers are convex in (t, r^2), so the weights (1 - r^2) t_gale + r^2 t,
+    with t_gale the NNLS weights of the Siegel verdict, witness the grid point
+    when their stacked :func:`.config.witness_distance` is at most
+    FEASIBILITY_TOL.  Any other grid point (all when NNLS raises) gets
+    :func:`.config._hull_verdict`; a target outside is reported as (ray, r).
     """
     if cfg.kind != "mixed-general":
         raise StructuralError("star_shaped_check is defined for mixed-general links")
@@ -380,17 +356,17 @@ def star_shaped_check(cfg: Configuration, samples: int = 50, ray_steps: int = 20
         raise StructuralError("ray_steps must be a positive integer")
     pts = sample_points(cfg, samples, seed=seed)
     grid = np.linspace(0.0, 1.0, ray_steps)
-    A, b = _fiber_rows(cfg, np.zeros(cfg.m))
-    t_gale = _gale_point(A, b)
+    t_gale = _hull_weights(cfg.realified_lambdas())
     violations: list[tuple[int, float]] = []
     for i, point in enumerate(pts):
         w, t = big_moment_map(cfg, point)
         W = grid[:, None] * w
-        B = np.column_stack([realify(-(W**2)), 1.0 - np.sum(np.abs(W) ** 2, axis=1)])
+        shifted = _shifted(cfg.lambdas, -(W**2) / (1.0 - np.sum(np.abs(W) ** 2, axis=1))[:, None])
         held = (np.zeros(ray_steps, dtype=bool) if t_gale is None else
-                _fiber_witness(A, B, np.outer(1.0 - grid**2, t_gale) + np.outer(grid**2, t)))
-        for r, rhs in zip(grid[~held], B[~held]):
-            if _interior_margin(A, rhs) is None:
+                witness_distance(shifted, np.outer(1.0 - grid**2, t_gale) + np.outer(grid**2, t))
+                <= FEASIBILITY_TOL)
+        for r, points in zip(grid[~held], shifted[~held]):
+            if not _hull_verdict(points, FEASIBILITY_TOL)[0]:
                 violations.append((i, float(r)))
     return StarShapedReport(rays_checked=len(pts), steps_per_ray=ray_steps,
                             violations=tuple(violations))

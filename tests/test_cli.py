@@ -90,9 +90,9 @@ def test_check_solves_no_lp_on_fixtures_and_planted_violators(tmp_path, pentagon
                                                              mixed_general_m2, monkeypatch):
     """Every hull verdict of these checks is settled by an NNLS certificate."""
     calls = []
-    solve_lp = momentangle.config._solve_lp
-    monkeypatch.setattr(momentangle.config, "_solve_lp",
-                        lambda *a, **k: calls.append(1) or solve_lp(*a, **k))
+    linprog = momentangle.config.linprog
+    monkeypatch.setattr(momentangle.config, "linprog",
+                        lambda *a, **k: calls.append(1) or linprog(*a, **k))
     even_roots = Configuration(lambdas=roots_of_unity(8, (1,)), kind="classical")
     antipodal = Configuration(lambdas=np.array([1.0, -1.0, 1j, -0.5 + 0.8j]), kind="classical")
     for name, cfg, code in [("pentagon", pentagon, 0), ("even", even_roots, 1),
@@ -269,6 +269,23 @@ def test_cover_malformed_direction_exits_two_naming_the_fault(
     assert err.startswith("error: direction") and fault in err
     assert "Traceback" not in err
     assert not report.exists()
+
+
+def test_cover_takes_a_negative_direction_as_a_separate_argument(
+        tmp_path, mixed_general_m2, capsys):
+    """``--direction -1,...`` is the direction, as ``--direction=-1,...`` is."""
+    path = write_config(tmp_path, mixed_general_m2)
+    direction = "-1" + ",0" * 12 + ",1"
+    runs = []
+    for form in (["--direction", direction], [f"--direction={direction}"]):
+        report = tmp_path / "cover.json"
+        assert main(["cover", path, *form, "--timestamp", "T", "--json", str(report)]) == 0
+        runs.append((capsys.readouterr(), report.read_bytes()))
+    assert runs[0] == runs[1]
+    assert "fiber count" in runs[0][0].out
+    bad = "-inf,nan" + ",0" * 12
+    assert main(["cover", path, "--direction", bad]) == 2
+    assert "direction must be finite" in capsys.readouterr().err
 
 
 def test_cover_prints_earlier_directions_before_a_failure(

@@ -20,8 +20,14 @@ from momentangle import (
     check_weak_hyperbolicity,
     configuration_from_dict,
     configuration_to_dict,
+    fiber_count,
+    fiber_points,
+    fiber_polytope,
+    gale_transform,
     hull_distance,
+    isotropy_stratum,
     load_configuration,
+    moment_image_check,
     origin_in_hull,
 )
 from momentangle.config import (
@@ -442,6 +448,35 @@ def test_boundary_rejects_bools_and_non_finite_numbers(pentagon, mixed_s2):
     for doc in bad_docs:
         with pytest.raises(StructuralError):
             configuration_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", [
+    "origin_in_hull", "check_siegel", "check_weak_hyperbolicity", "check_admissible",
+    "check_mixed_admissible", "gale_transform", "fiber_polytope", "moment_image_check",
+    "fiber_count", "fiber_points", "isotropy_stratum"])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_public_functions_reject_a_malformed_tol(pentagon, mixed_general_m2, batch, name, tol):
+    """A tol that is not finite and positive raises at the boundary instead
+    of deciding: with tol = -1, fiber_count over the uniform direction of
+    the 7-gon m = 2 configuration gave 4 where the default gives 1, and
+    tol = inf put the origin in any hull."""
+    mixed, point, direction = mixed_general_m2, batch(mixed_general_m2, 1)[0], np.arange(1.0, 8.0)
+    call = {
+        "origin_in_hull": lambda t: origin_in_hull(pentagon.realified_lambdas(), t),
+        "check_siegel": lambda t: check_siegel(pentagon, t),
+        "check_weak_hyperbolicity": lambda t: check_weak_hyperbolicity(pentagon, t),
+        "check_admissible": lambda t: check_admissible(pentagon, t),
+        "check_mixed_admissible": lambda t: check_mixed_admissible(mixed, t),
+        "gale_transform": lambda t: gale_transform(pentagon, tol=t),
+        "fiber_polytope": lambda t: fiber_polytope(mixed, np.zeros(2), t),
+        "moment_image_check": lambda t: moment_image_check(mixed, point, tol=t),
+        "fiber_count": lambda t: fiber_count(mixed, direction, t),
+        "fiber_points": lambda t: fiber_points(mixed, direction, t),
+        "isotropy_stratum": lambda t: isotropy_stratum(mixed, point, t),
+    }[name]
+    call(1e-8)
+    with pytest.raises(StructuralError, match="tol must be finite and positive"):
+        call(tol)
 
 
 # Integers stay small: a large ``s`` is legal and allocates that many

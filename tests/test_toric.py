@@ -24,7 +24,7 @@ from momentangle import (
     star_shaped_check,
     toric,
 )
-from momentangle.config import hull_distance, realify
+from momentangle.config import _hull_verdict, hull_distance, realify
 from _oracles import (
     c_exact,
     polytope_lp_reference,
@@ -216,22 +216,30 @@ def test_star_check_matches_the_per_grid_point_lp_on_fixtures(
     for cfg in (mixed_general_m1, mixed_general_m2, mixed_general_m3):
         assert _star_matches_lp_reference(cfg, 4, 6, seed=3).passed
     # 0 lies outside the hull of the lambda_j: the Gale polytope is empty,
-    # every grid point takes the fallback LP, and some fibers are empty.
+    # every grid point takes a hull verdict, and some fibers are empty.
     report = _star_matches_lp_reference(_off_siegel(), 3, 5, seed=0)
     assert 0 < len(report.violations) < 15
 
 
+def _count_hull_verdicts(monkeypatch) -> list:
+    calls = []
+    verdict = toric._hull_verdict
+    monkeypatch.setattr(toric, "_hull_verdict",
+                        lambda points, tol: calls.append(tol) or verdict(points, tol))
+    return calls
+
+
 def test_star_check_does_not_trust_the_gale_point(monkeypatch):
-    """Uniform weights, passed off as an exact NNLS solution, stand in for
-    the Gale point of a configuration whose Gale polytope is empty: no Gale
-    LP runs, the witness residual rejects them, and the fallback LP still
-    finds the empty fibers."""
-    monkeypatch.setattr(toric, "nnls", lambda A, b: (np.full(A.shape[1], 1.0 / A.shape[1]), 0.0))
-    solve, fallbacks = toric._solve_lp, []
-    monkeypatch.setattr(toric, "_solve_lp",
-                        lambda c, **kw: fallbacks.append("A_ub" in kw) or solve(c, **kw))
-    assert _star_matches_lp_reference(_off_siegel(), 3, 5, seed=0).violations
-    assert fallbacks and all(fallbacks)
+    """Uniform weights, planted as the NNLS weights of the Siegel solve,
+    stand in for the Gale point of a configuration whose Gale polytope is
+    empty: the witness rejects them at r = 0, where they are the only
+    weights, and the hull verdicts find the empty fibers of the LP oracle."""
+    monkeypatch.setattr(toric, "_hull_weights", lambda pts: np.full(len(pts), 1.0 / len(pts)))
+    verdicts = _count_hull_verdicts(monkeypatch)
+    report = _star_matches_lp_reference(_off_siegel(), 3, 5, seed=0)
+    assert report.violations
+    assert len(verdicts) >= report.rays_checked
+    assert set(verdicts) == {toric.FEASIBILITY_TOL}
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -250,33 +258,36 @@ def _count_lps(monkeypatch) -> list:
 
 def test_star_check_solves_no_lp_unless_the_witness_fails(
         mixed_general_m1, mixed_general_m2, mixed_general_m3, monkeypatch):
+    """No LP on the fixtures, nor off Siegel, where every witness may fail
+    and the NNLS certificates of the hull verdicts settle each grid point.
+    With every witness failing, each grid point gets one hull verdict and
+    the report is unchanged."""
     calls = _count_lps(monkeypatch)
     for cfg in (mixed_general_m1, mixed_general_m2, mixed_general_m3):
         assert star_shaped_check(cfg, samples=3, ray_steps=5, seed=0).passed
+    assert star_shaped_check(_off_siegel(), samples=3, ray_steps=5, seed=0).violations
     assert calls == []
-    monkeypatch.setattr(toric, "_fiber_witness", lambda A, B, T: np.zeros(len(T), dtype=bool))
-    assert star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0).passed
-    assert len(calls) == 3 * 5
-
-
-@pytest.mark.parametrize("fault", ["raises", "residual"])
-def test_star_check_without_an_nnls_point_runs_the_interior_margin_lps(
-        mixed_general_m2, monkeypatch, fault):
-    """NNLS that fails to converge, or whose residual is above
-    FEASIBILITY_TOL, gives no Gale point: every grid point runs its
-    interior-margin LP, and the report is unchanged."""
     expected = star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0)
-    solve = toric.nnls
-
-    def planted(A, b):
-        if fault == "raises":
-            raise RuntimeError("Maximum number of iterations reached.")
-        return solve(A, b)[0], 2 * toric.FEASIBILITY_TOL
-
-    monkeypatch.setattr(toric, "nnls", planted)
-    calls = _count_lps(monkeypatch)
+    verdicts = _count_hull_verdicts(monkeypatch)
+    monkeypatch.setattr(toric, "witness_distance",
+                        lambda points, weights: np.full(points.shape[:-2], np.inf))
     assert star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0) == expected
-    assert len(calls) == 3 * 5 and all(call["A_ub"] is not None for call in calls)
+    assert len(verdicts) == 3 * 5
+
+
+def test_star_check_without_an_nnls_point_takes_every_verdict_from_the_hull_rule(
+        mixed_general_m2, monkeypatch):
+    """NNLS that fails to converge gives no Gale point: every grid point
+    gets a hull verdict, and the report is unchanged."""
+    expected = star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0)
+
+    def no_convergence(a, b):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(momentangle.config, "nnls", no_convergence)
+    verdicts = _count_hull_verdicts(monkeypatch)
+    assert star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0) == expected
+    assert len(verdicts) == 3 * 5
 
 
 @pytest.mark.parametrize("ray_steps", [0, -1, 2.5, True, "4"])
@@ -302,6 +313,13 @@ def test_star_shaped_check_only_solves_feasibility(mixed_general_m2, monkeypatch
     assert star_shaped_check(mixed_general_m2, samples=2, ray_steps=3, seed=0).passed
 
 
+def _star_fiber_empty(cfg, w) -> bool:
+    """The star check's verdict on the fiber at w: a hull verdict at
+    FEASIBILITY_TOL on the lambda_j seen from the target -w^2 / (1 - |w|^2)."""
+    target = -(w**2) / (1.0 - np.sum(np.abs(w) ** 2))
+    return not _hull_verdict(toric._shifted(cfg.lambdas, target), toric.FEASIBILITY_TOL)[0]
+
+
 def test_feasibility_lp_agrees_with_fiber_polytope(mixed_general_m2):
     """The star check's emptiness verdict is the fiber polytope's, on moment
     values inside and outside the image."""
@@ -310,7 +328,7 @@ def test_feasibility_lp_agrees_with_fiber_polytope(mixed_general_m2):
     for _ in range(30):
         w = rng.normal(size=2) + 1j * rng.normal(size=2)
         w *= rng.uniform(0.05, 0.99) / np.linalg.norm(w)
-        empty = toric._interior_margin(*toric._fiber_rows(mixed_general_m2, w)) is None
+        empty = _star_fiber_empty(mixed_general_m2, w)
         assert empty == fiber_polytope(mixed_general_m2, w).is_empty
         verdicts.add(empty)
     assert verdicts == {True, False}
@@ -335,8 +353,9 @@ def _hull_exit(cfg, d) -> tuple[float, float]:
 
 def test_boundary_fibers_are_empty_at_the_package_tolerance(mixed_general_m2):
     """A fiber whose target -w^2 / (1 - |w|^2) misses the hull of the
-    lambda_j by 1e-8 is empty; one whose target lies 1e-8 inside is not.
-    At HiGHS's default feasibility tolerance the outside fibers read as
+    lambda_j by 1e-8 is empty; one whose target lies 1e-8 inside is not,
+    by the star check's hull verdict and by the vertices.  An interior-margin
+    LP at HiGHS's default feasibility tolerance reads the outside fibers as
     nonempty, with a margin of about -5e-9."""
     cfg = mixed_general_m2
     rng = np.random.default_rng(41)
@@ -353,8 +372,7 @@ def test_boundary_fibers_are_empty_at_the_package_tolerance(mixed_general_m2):
                 assert 0.5e-8 <= distance <= 2e-8
             else:
                 assert distance <= 1e-12
-            empty = toric._interior_margin(*toric._fiber_rows(cfg, w)) is None
-            assert empty == (gap > 0)
+            assert _star_fiber_empty(cfg, w) == (gap > 0)
             assert fiber_polytope(cfg, w).is_empty == (gap > 0)
 
 
@@ -405,15 +423,16 @@ def test_moment_image_check_rejects_w_off_the_link(mixed_general_m2, batch):
 
 def test_fiber_on_a_hull_edge_takes_the_support_path(mixed_general_m1):
     """Target at the midpoint of lambda_0 and lambda_1: the fiber is the
-    single point t_0 = t_1 = (1 - s) / 2 with |w|^2 = s; its interior margin
-    is 0, and its one vertex gives the support of the per-coordinate LPs."""
+    single point t_0 = t_1 = (1 - s) / 2 with |w|^2 = s; the star check's
+    hull verdict finds it nonempty, and its one vertex gives the support of
+    the per-coordinate LPs."""
     cfg = mixed_general_m1
     target = 0.5 * (cfg.lambdas[0] + cfg.lambdas[1])
     s = float(np.abs(target[0]) / (1.0 + np.abs(target[0])))
     w = np.sqrt(-target * (1.0 - s) + 0j)
     assert np.sum(np.abs(w) ** 2) == pytest.approx(s, abs=1e-15)
     rows = toric._fiber_rows(cfg, w)
-    assert toric._interior_margin(*rows) <= toric.FEASIBILITY_TOL
+    assert not _star_fiber_empty(cfg, w)
     assert polytope_lp_reference(*rows, toric.FEASIBILITY_TOL) == ([0, 1], 0)
     fiber = fiber_polytope(cfg, w)
     assert fiber.dim == 0
@@ -473,18 +492,33 @@ def _fiber_moment(target):
     return np.sqrt(-np.asarray(target, dtype=complex) / (1.0 + total))
 
 
+def _near_degenerate_fiber(rng) -> tuple[Configuration, np.ndarray]:
+    """m = 1: lambda_2 lies eps in [1e-14, 1e-9] off the line through lambda_0
+    and lambda_1, three more lambda_j are random, and the fiber's target is on
+    the segment lambda_0 lambda_1.  The basis {0, 1, 2} is then nearly
+    singular, and its solution puts the segment's vertex a second time."""
+    lam = rng.normal(size=6) + 1j * rng.normal(size=6)
+    edge = lam[1] - lam[0]
+    eps = 10.0 ** rng.uniform(-14, -9)
+    lam[2] = lam[0] + rng.uniform(-1.0, 2.0) * edge + 1j * eps * edge / abs(edge)
+    target = lam[0] + rng.uniform(0.05, 0.95) * edge
+    return Configuration(lambdas=lam.reshape(-1, 1), kind="mixed-general"), _fiber_moment([target])
+
+
 @given(st.integers(0, 2**32 - 1),
-       st.sampled_from(["random", "vertex", "outside", "real", "repeated"]))
+       st.sampled_from(["random", "vertex", "outside", "real", "repeated", "near-degenerate"]))
 @settings(max_examples=50, deadline=None)
 @example(1, "repeated")  # a block with an exactly singular basis
+@example(0, "near-degenerate")  # a vertex twice without the rank rule
 def test_fiber_vertices_match_the_oracles(seed, mode):
     """Random fibers, nonempty or empty; the single point over a hull vertex
     of the lambda_j (dim 0, one vertex from many bases); an empty fiber just
     beyond it; real lambdas, whose equality rows have rank below their
     number, and which leave At = b without a solution when -w^2 is not real;
-    and a repeated lambda_j, which makes bases singular."""
+    a repeated lambda_j, which makes bases singular; and a nearly singular
+    basis, which only the rank rule of the vertex routine rejects."""
     rng = np.random.default_rng(seed)
-    m = 1 if mode == "real" else int(rng.integers(1, 4))
+    m = 1 if mode in ("real", "near-degenerate") else int(rng.integers(1, 4))
     n = int(rng.integers(max(5, 2 * m + 1), 11))
     cfg = _siegel_configuration(rng, n, m, kind="mixed-general")
     if mode == "real":
@@ -498,10 +532,17 @@ def test_fiber_vertices_match_the_oracles(seed, mode):
     elif mode == "real":  # w = r e^(i pi k / 4): -w^2 is real for k = 0, 2 but not for k = 1
         k = int(rng.integers(3))
         w = rng.uniform(0.05, 0.9, size=1) * np.exp(0.25j * np.pi * k)
+    elif mode == "near-degenerate":
+        cfg, w = _near_degenerate_fiber(rng)
     else:
         w = _fiber_moment(cfg.lambdas[top] * (1.0 if mode == "vertex" else 1.05))
     A, b = toric._fiber_rows(cfg, w)
     fiber = fiber_polytope(cfg, w)
+    if mode == "near-degenerate":
+        # Points with t_2 > 0 miss At = b by about eps * t_2, inside HiGHS's
+        # 1e-10, so the LP oracle's support and dim are not defined here.
+        assert_same_vertex_set(fiber.vertices, vertices_reference(A, b))
+        return
     _assert_matches_oracles(fiber, A, b)
     if mode == "vertex":
         assert fiber.dim == 0 and len(fiber.vertices) == 1
