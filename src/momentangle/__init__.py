@@ -87,6 +87,7 @@ from .variety import (
     sample_points,
     sample_with_zero_pattern,
     system_jacobian,
+    tangent_frame,
 )
 
 __version__ = "0.1.0"

@@ -50,12 +50,14 @@ Hodge star of the confoliation form in the induced metric.
 Stacked evaluation: every certified point of a configuration has the same
 frame dimension d = ``manifold_dim``, so :func:`evaluate_stack` takes the
 points of a whole ``verify`` run, from every stratum, as frames (N, D, d),
-in blocks of at most the sampler's block size.  alpha and dalpha are two
-batched products; each rank (Jacobian, dalpha, [dalpha; alpha], dalpha on
-ker alpha, leaf span) is one SVD of a stack; the numerical kernel comes from
-the same SVD of dalpha that gives its rank, kept at width d with zero
-columns; the closed-form family is one array of (T, mu) parameters,
-zero-padded to a width fixed by the kind (v(0, 0) = 0).  Only the bordered
+in blocks of at most the sampler's block size.  Certified points carry no
+frame: one full SVD of each block's Jacobians
+(:func:`.variety._tangent_frames`) builds the frames and gives the Jacobian
+ranks.  alpha and dalpha are two batched products; each other rank (dalpha,
+[dalpha; alpha], dalpha on ker alpha, leaf span) is one SVD of a stack; the
+numerical kernel comes from the same SVD of dalpha that gives its rank, kept
+at width d with zero columns; the closed-form family is one array of (T, mu)
+parameters, zero-padded to a width fixed by the kind (v(0, 0) = 0).  Only the bordered
 Pfaffians are one LAPACK call per point.  The one-point functions
 (:func:`kernel_analysis`, :func:`kernel_family_angle`,
 :func:`contact_volume`, ...) are the N = 1 case of the same code, so a
@@ -82,7 +84,8 @@ import numpy as np
 from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band, numerical_rank, rank_cut
 from .errors import NumericalError, StructuralError
 from .pfaffian import pfaffian
-from .variety import _ATTEMPT_BLOCK, ZERO_TOL, VarietyPoint, _jacobian_ranks, complexify, realify
+from .variety import (_ATTEMPT_BLOCK, ZERO_TOL, VarietyPoint, _tangent_frames, complexify, realify,
+                      tangent_frame)
 
 
 @dataclass(frozen=True)
@@ -145,12 +148,12 @@ def eval_dalpha(cfg: Configuration, u, v) -> float:
 
 def alpha_on_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
     """Vector of alpha(e_i) over the point's tangent frame columns."""
-    return _alpha_stack(cfg, point.coordinates[None], point.tangent_frame[None])[0]
+    return _alpha_stack(cfg, point.coordinates[None], tangent_frame(cfg, point)[None])[0]
 
 
 def dalpha_on_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
     """Skew matrix M[i, j] = dalpha(e_i, e_j) over the tangent frame."""
-    return _dalpha_stack(cfg, point.tangent_frame[None])[0]
+    return _dalpha_stack(cfg, tangent_frame(cfg, point)[None])[0]
 
 
 def _alpha_stack(cfg: Configuration, coords: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -333,9 +336,10 @@ def kernel_analysis(
     (:func:`.config.in_tie_band`) set ``indeterminate`` instead of silently
     rounding the verdict.
     """
-    d = point.tangent_frame.shape[1]
-    a = alpha_on_frame(cfg, point)
-    dmat = dalpha_on_frame(cfg, point)
+    frame = tangent_frame(cfg, point)
+    d = frame.shape[1]
+    a = _alpha_stack(cfg, point.coordinates[None], frame[None])[0]
+    dmat = _dalpha_stack(cfg, frame[None])[0]
     sigma_d = np.linalg.svd(dmat, compute_uv=False)
     ranks, indeterminate = _rank_checks(a[None], dmat[None], sigma_d[None], rank_tol)
     rank_d, rank_s, rank_r = ranks[0].tolist()
@@ -398,7 +402,7 @@ def _evaluate_block(cfg: Configuration, points: list[VarietyPoint],
                     rank_tol: float) -> StackEvaluation:
     """:func:`evaluate_stack` on one block of points."""
     coords = np.array([p.coordinates for p in points], dtype=float)
-    frames = np.array([p.tangent_frame for p in points], dtype=float)
+    frames, jacobian_rank = _tangent_frames(cfg, coords, rank_tol)
     d = frames.shape[2]
     a = _alpha_stack(cfg, coords, frames)
     dmat = _dalpha_stack(cfg, frames)
@@ -410,7 +414,7 @@ def _evaluate_block(cfg: Configuration, points: list[VarietyPoint],
         leaf_rank = _leaf_ranks(family[..., : 2 * cfg.m], rank_tol)
         leaf_magnitude = _leaf_magnitudes(cfg, family[..., : 2 * cfg.m])
     return StackEvaluation(
-        jacobian_rank=_jacobian_ranks(cfg, coords, rank_tol),
+        jacobian_rank=jacobian_rank,
         ker_dalpha_dim=d - ranks[:, 0],
         ker_alpha_cap_ker_dalpha_dim=d - ranks[:, 1],
         expected_kernel_dims=_expected_dims(cfg, _zero_mask(cfg, coords)),
@@ -435,21 +439,23 @@ def rank_trichotomy(
     block, as on classical links with m >= 2).
     """
     evaluation = kernel_analysis(cfg, point, rank_tol)
-    d = point.tangent_frame.shape[1]
+    d = cfg.manifold_dim
     k = (d - 1) // 2
     if evaluation.trichotomy == "contact":
         return RankTrichotomy("contact", evaluation.rank_dalpha_on_ker_alpha, 2 * k, None)
     if evaluation.trichotomy == "defect2":
         stacked = np.vstack([evaluation.dalpha_on_frame, evaluation.alpha_on_frame])
         _, sigma, vh = np.linalg.svd(stacked)
-        basis = point.tangent_frame @ vh[numerical_rank(sigma, rank_tol):].T
+        basis = tangent_frame(cfg, point) @ vh[numerical_rank(sigma, rank_tol):].T
         return RankTrichotomy("defect2", evaluation.rank_dalpha_on_ker_alpha, 2, basis)
     return RankTrichotomy("deep", evaluation.rank_dalpha_on_ker_alpha, 0, None)
 
 
 def contact_volume(cfg: Configuration, point: VarietyPoint) -> float:
     """alpha ^ (dalpha)^k on the oriented orthonormal tangent frame."""
-    return _volume_from_frame_data(alpha_on_frame(cfg, point), dalpha_on_frame(cfg, point))
+    frame = tangent_frame(cfg, point)[None]
+    return float(_volumes(_alpha_stack(cfg, point.coordinates[None], frame),
+                          _dalpha_stack(cfg, frame))[0])
 
 
 #: Contact volumes of at most this factor times :func:`contact_volume_scale` are zero.
@@ -520,7 +526,7 @@ def numerical_kernel(
     cfg: Configuration, point: VarietyPoint, rank_tol: float = DEFAULT_RANK_TOL
 ) -> np.ndarray:
     """Ambient orthonormal basis of ker(dalpha|_T), from the SVD of dalpha."""
-    frames = point.tangent_frame[None]
+    frames = tangent_frame(cfg, point)[None]
     _, rank, kernel = _dalpha_kernels(frames, _dalpha_stack(cfg, frames), rank_tol)
     return kernel[0][:, int(rank[0]):]
 
@@ -529,7 +535,7 @@ def kernel_family_angle(cfg: Configuration, point: VarietyPoint,
                         rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Largest principal angle between the closed-form kernel family and the
     numerically computed kernel of dalpha on the tangent frame."""
-    frames = point.tangent_frame[None]
+    frames = tangent_frame(cfg, point)[None]
     kernel = _dalpha_kernels(frames, _dalpha_stack(cfg, frames), rank_tol)[2]
     family = _family_stack(cfg, point.coordinates[None])
     return float(_largest_angles(_orth(family), kernel)[0])

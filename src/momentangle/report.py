@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,8 +36,34 @@ def canonical_json(obj) -> str:
 
 
 def _write(obj, out: list[str]) -> None:
-    if isinstance(obj, float):  # the common case; np.float64 is a float too
+    # The containers and floats of a report first; no two branches match one value.
+    if isinstance(obj, float):  # np.float64 is a float too
         out.append(format_float(obj))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+            out.append(_key(key) if i == 0 else "," + _key(key))
+            _write(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, (list, tuple)):
+        if obj and all(isinstance(item, float) for item in obj):
+            text = ",".join([format(item, ".17g") for item in obj])
+            # nan and inf hold an "n", and a "-0" token is -0.0: format_float
+            # raises on the first and normalizes the second.
+            if "n" in text or "-0," in text + ",":
+                text = ",".join(map(format_float, obj))
+            out.append("[" + text + "]")
+        else:
+            out.append("[")
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(",")
+                _write(item, out)
+            out.append("]")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
     elif obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -47,33 +74,16 @@ def _write(obj, out: list[str]) -> None:
         out.append(format_float(float(obj)))
     elif isinstance(obj, (complex, np.complexfloating)):
         out.append(f"[{format_float(obj.real)},{format_float(obj.imag)}]")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
     elif isinstance(obj, np.ndarray):
         _write(obj.tolist(), out)
-    elif isinstance(obj, (list, tuple)):
-        if obj and all(isinstance(item, float) for item in obj):
-            out.append("[" + ",".join(map(format_float, obj)) + "]")
-        else:
-            out.append("[")
-            for i, item in enumerate(obj):
-                if i:
-                    out.append(",")
-                _write(item, out)
-            out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=True))
-            out.append(":")
-            _write(obj[key], out)
-        out.append("}")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+@lru_cache(maxsize=4096)
+def _key(key: str) -> str:
+    """A dict key as it appears in the report, with its colon."""
+    return json.dumps(key, ensure_ascii=True) + ":"
 
 
 def sha256_hex(text: str) -> str:

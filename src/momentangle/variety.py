@@ -12,9 +12,10 @@ The *mixed* links add squared complex variables w:
       w_k^2 + F_k(z) = 0  (k = 1..m),                    |w|^2 + |z|^2 = 1.
 
 Points are stored as interleaved real vectors ``(Re c_1, Im c_1, Re c_2, ...)``
-with the w block (if any) first, then the z block.  A certified point carries
-an *oriented* orthonormal tangent frame: the frame columns span the kernel of
-the real Jacobian, and their orientation is fixed globally by requiring
+with the w block (if any) first, then the z block.  Tangent frames are built
+on demand (:func:`tangent_frame`), only where the forms read them: an
+*oriented* orthonormal frame whose columns span the kernel of the real
+Jacobian, with the orientation fixed globally by requiring
 ``det [J^T | frame] > 0``, i.e. (residual gradients, frame) is positively
 oriented in the standard ambient basis.  Gradients are globally defined and
 independent at regular points, so this orients each link consistently —
@@ -30,8 +31,9 @@ per call is re-keyed for each attempt.  One Gauss-Newton iteration runs over
 the block, each row with its own convergence test and step halving.  A step
 comes from the normal equations ``(J J^T) y = -r``, ``s = J^T y``, and is
 kept only where the recomputed ``|J s + r|_inf`` is within 1e-8 of
-``|r|_inf``; the other rows take the minimum-norm step from an SVD.  One
-stacked SVD certifies the converged rows, and one Gram-product screen per
+``|r|_inf``; the other rows take the minimum-norm step from an SVD.  The
+singular values of one stacked SVD, with no vectors, certify the converged
+rows, and one Gram-product screen per
 block finds the rows that may repeat an accepted point.  Points are
 accepted in attempt order, and a block never holds more attempts than
 points still needed, so the accepted points do not depend on the block
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_RANK_TOL, Configuration, check_tolerances, numerical_rank
+from .config import DEFAULT_RANK_TOL, Configuration, _is_int, check_tolerances, numerical_rank
 from .config import complexify, realify  # noqa: F401  (realify is re-exported)
 from .errors import (
     NumericalError,
@@ -82,17 +84,16 @@ class VarietyPoint:
         Real ambient vector (interleaved realification, w block first).
     residual_norm:
         Infinity norm of the defining residuals at the point.
-    tangent_frame:
-        ``(ambient_real_dim, manifold_dim)`` array with orthonormal columns
-        spanning the tangent space, positively oriented (see module docs).
     zero_pattern:
         Indices of w coordinates that vanish within the zero tolerance
         (always empty for classical points).
+
+    Frames are built on demand: :func:`tangent_frame` gives the oriented
+    tangent frame at the point.
     """
 
     coordinates: np.ndarray
     residual_norm: float
-    tangent_frame: np.ndarray
     zero_pattern: tuple[int, ...]
 
     def w_block(self, cfg: Configuration) -> np.ndarray:
@@ -307,22 +308,17 @@ def _certify_block(
 ) -> list[VarietyPoint | NumericalError]:
     """Certify every row of ``X`` on the ambient ``link``: a point, or the error that rejects it.
 
-    One SVD of the stacked Jacobians gives the ranks and the kernel frames,
-    and one ``slogdet`` their orientations.
+    The singular values of the stacked Jacobians, from one SVD without
+    vectors, give the ranks; no frame is built.
     """
     eq, s = cfg.equation_count, cfg.w_count
     jac, R = _evaluate(*link, X)
     res_norms = np.max(np.abs(R), axis=1)
-    _, sigma, vh = np.linalg.svd(jac, full_matrices=True)
-    frames = vh[:, eq:].transpose(0, 2, 1).copy()  # orthonormal kernel bases
-    # Orient: (gradients, frame) must be a positive basis of the ambient space.
-    signs, _ = np.linalg.slogdet(np.concatenate([jac.transpose(0, 2, 1), frames], axis=2))
-    frames[signs < 0, :, -1] *= -1.0
+    ranks = numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_tol)
     zero = (np.hypot(X[:, 0 : 2 * s : 2], X[:, 1 : 2 * s : 2]) <= ZERO_TOL).tolist()
 
     out: list[VarietyPoint | NumericalError] = []
-    for i, (res_norm, rank) in enumerate(zip(res_norms.tolist(),
-                                             numerical_rank(sigma, rank_tol).tolist())):
+    for i, (res_norm, rank) in enumerate(zip(res_norms.tolist(), ranks.tolist())):
         if res_norm > tol:
             out.append(ProjectionError(
                 f"residual {res_norm:.3e} exceeds certification tolerance {tol:.1e}",
@@ -330,13 +326,10 @@ def _certify_block(
             ))
         elif rank != eq:
             out.append(SingularPointError(f"singular point: Jacobian rank {rank} < {eq}"))
-        elif signs[i] == 0:  # cannot happen at a certified regular point
-            out.append(SingularPointError("degenerate orientation basis"))
         else:
             out.append(VarietyPoint(
                 coordinates=X[i],
                 residual_norm=res_norm,
-                tangent_frame=frames[i],
                 zero_pattern=tuple(k for k, vanishes in enumerate(zero[i]) if vanishes),
             ))
     return out
@@ -350,9 +343,9 @@ def certify(
 ) -> VarietyPoint:
     """Certify an ambient point as a regular point of the link.
 
-    Checks the residual infinity norm against ``tol``, requires the real
-    Jacobian to have full rank (2m+1 rows, or 3 for mixed-m1), and returns
-    the point together with its oriented orthonormal tangent frame.
+    Checks the residual infinity norm against ``tol`` and requires the real
+    Jacobian to have full rank (2m+1 rows, or 3 for mixed-m1).  The frame
+    is not built here; :func:`tangent_frame` builds it.
     """
     check_tolerances(tol, rank_tol)
     point = _certify_block(cfg, _link(cfg), _ambient(cfg, coords)[None], tol, rank_tol)[0]
@@ -361,15 +354,34 @@ def certify(
     return point
 
 
-def _jacobian_ranks(cfg: Configuration, X: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Numerical ranks of the real Jacobians at the rows of ``X``, one stacked SVD."""
+def _tangent_frames(cfg: Configuration, X: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
+    """Oriented tangent frames ``(N, D, d)`` and Jacobian ranks ``(N,)`` at the rows of ``X``.
+
+    One full SVD of the stacked Jacobians gives the ranks and the kernel
+    frames, and one ``slogdet`` their orientations.
+    """
+    eq = cfg.equation_count
     jac, _ = _evaluate(*_link(cfg), X)
-    return numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_tol)
+    _, sigma, vh = np.linalg.svd(jac, full_matrices=True)
+    ranks = numerical_rank(sigma, rank_tol)
+    frames = vh[:, eq:].transpose(0, 2, 1).copy()  # orthonormal kernel bases
+    # Orient: (gradients, frame) must be a positive basis of the ambient space.
+    signs, _ = np.linalg.slogdet(np.concatenate([jac.transpose(0, 2, 1), frames], axis=2))
+    if np.any((signs == 0) & (ranks == eq)):  # cannot happen at a regular point
+        raise SingularPointError("degenerate orientation basis")
+    frames[signs < 0, :, -1] *= -1.0
+    return frames, ranks
+
+
+def tangent_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
+    """``(ambient_real_dim, manifold_dim)`` orthonormal columns spanning the tangent
+    space at a certified point, positively oriented (see module docs)."""
+    return _tangent_frames(cfg, _ambient(cfg, point.coordinates)[None])[0][0]
 
 
 def jacobian_rank(cfg: Configuration, point: VarietyPoint, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank of the real Jacobian at a point."""
-    return int(_jacobian_ranks(cfg, _ambient(cfg, point.coordinates)[None], rank_tol)[0])
+    """Numerical rank of the real Jacobian at a point, from the SVD that builds its frame."""
+    return int(_tangent_frames(cfg, _ambient(cfg, point.coordinates)[None], rank_tol)[1][0])
 
 
 def _start_source(seed: int, dim: int):
@@ -470,7 +482,7 @@ def sample_with_zero_pattern(
       Re/Im(sum w_r^2) = 0 are appended to the system and the resulting
       points generically have every w_r != 0.
 
-    Certification (residuals, Jacobian rank, tangent frame) is always against
+    Certification (residuals, Jacobian rank) is always against
     the ambient link system; the stratum only constrains where the point
     lands.
     """
@@ -505,8 +517,12 @@ def _sample(
     pinned_coords: list[int] | None = None,
     null_sum: bool = False,
 ) -> list[VarietyPoint]:
+    if not all(map(_is_int, (count, seed, max_attempts_per_point))):
+        raise StructuralError("count, seed and max_attempts_per_point must be integers")
     if count < 1:
         raise StructuralError("count must be positive")
+    if max_attempts_per_point < 1:
+        raise StructuralError("max_attempts_per_point must be positive")
     check_tolerances(tol, rank_tol)
     dim = cfg.ambient_real_dim
     free = np.setdiff1d(np.arange(dim), pinned_coords or [])

@@ -9,6 +9,8 @@ route to a polytope's support, so that failures in the library cannot be
 masked by shared machinery.
 """
 
+import json
+import math
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
@@ -400,14 +402,9 @@ def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
         x = embed(y)
         if np.linalg.norm(system_oracle(cfg, x), np.inf) > tol:
             continue
-        jac = jacobian_oracle(cfg, x)
-        _, sigma, vh = np.linalg.svd(jac)
-        eq = jac.shape[0]
-        if np.count_nonzero(sigma > rank_tol * sigma[0]) != eq:
+        if jacobian_ranks_reference(cfg, x[None], rank_tol)[0] != cfg.equation_count:
             continue
-        frame = vh[eq:].T.copy()
-        if np.linalg.det(np.column_stack([jac.T, frame])) < 0:
-            frame[:, -1] = -frame[:, -1]
+        frame = frame_reference(cfg, x)
         if any(np.linalg.norm(x - other) < 1e-6 for other, _, _ in found):
             if tally is not None:
                 tally["duplicates"] = tally.get("duplicates", 0) + 1
@@ -415,6 +412,24 @@ def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
         w = x[0:2 * s:2] + 1j * x[1:2 * s:2]
         found.append((x, frame, tuple(int(k) for k in np.nonzero(np.abs(w) <= 1e-8)[0])))
     return found
+
+
+def jacobian_ranks_reference(cfg, X, rank_tol=1e-8):
+    """Numerical ranks of the real Jacobians at the rows of ``X``: one stacked
+    SVD of singular values only, counted strictly above ``rank_tol`` times
+    the largest."""
+    sigma = np.linalg.svd(np.array([jacobian_oracle(cfg, x) for x in X]), compute_uv=False)
+    return np.count_nonzero(sigma > rank_tol * sigma[:, :1], axis=1)
+
+
+def frame_reference(cfg, coords):
+    """Orthonormal tangent frame at a point: the Jacobian's kernel from its
+    full SVD, the last column flipped unless ``det [J^T | frame] > 0``."""
+    jac = jacobian_oracle(cfg, coords)
+    frame = np.linalg.svd(jac)[2][jac.shape[0]:].T.copy()
+    if np.linalg.det(np.column_stack([jac.T, frame])) < 0:
+        frame[:, -1] = -frame[:, -1]
+    return frame
 
 
 def _validate_skew(matrix) -> np.ndarray:
@@ -633,13 +648,15 @@ def point_checks_reference(cfg, point, rank_tol=1e-8):
     """Every per-point quantity ``verify`` checks, one point at a time.
 
     The per-point path: the Jacobian rebuilt and ranked by its own SVD;
-    alpha and dalpha on the frame; one SVD each for dalpha, [dalpha; alpha]
-    and dalpha on ker alpha (ranks and tie flags); the numerical kernel from
-    a second full SVD of dalpha; the family angle from orthonormalised spans;
-    the contact volume as k! times the Parlett-Reid Pfaffian of the bordered
-    matrix; on classical links the leaf rank and leaf 2-form magnitude.
+    alpha and dalpha on the frame of :func:`frame_reference`; one SVD each
+    for dalpha, [dalpha; alpha] and dalpha on ker alpha (ranks and tie
+    flags); the numerical kernel from a second full SVD of dalpha; the
+    family angle from orthonormalised spans; the contact volume as k! times
+    the Parlett-Reid Pfaffian of the bordered matrix; on classical links the
+    leaf rank and leaf 2-form magnitude.
     """
-    coords, frame = point.coordinates, point.tangent_frame
+    coords = point.coordinates
+    frame = frame_reference(cfg, coords)
     d = frame.shape[1]
     wt = _form_weights(cfg)
     x, y = frame[0::2, :], frame[1::2, :]
@@ -686,3 +703,61 @@ def point_checks_reference(cfg, point, rank_tol=1e-8):
         gram = 4.0 * (lx.T @ (wt[:, None] * ly))
         checks["leaf_two_form_magnitude"] = float(np.abs(gram - gram.T).max())
     return checks
+
+
+def _format_float_reference(value) -> str:
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value in report: {value}")
+    if value == 0.0:
+        value = 0.0  # normalize -0.0
+    return format(value, ".17g")
+
+
+def canonical_json_reference(obj) -> str:
+    """Canonical report JSON by one plain recursion: sorted keys, compact
+    separators, every float through ``format(x, ".17g")`` with -0.0 written
+    as 0 and nan/inf raising ``ValueError``, complex numbers as [re, im]."""
+    out: list[str] = []
+
+    def write(obj) -> None:
+        if isinstance(obj, float):  # np.float64 is a float too
+            out.append(_format_float_reference(obj))
+        elif obj is None:
+            out.append("null")
+        elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+            out.append("true" if obj else "false")
+        elif isinstance(obj, (int, np.integer)):
+            out.append(str(int(obj)))
+        elif isinstance(obj, np.floating):
+            out.append(_format_float_reference(float(obj)))
+        elif isinstance(obj, (complex, np.complexfloating)):
+            out.append(f"[{_format_float_reference(obj.real)},"
+                       f"{_format_float_reference(obj.imag)}]")
+        elif isinstance(obj, str):
+            out.append(json.dumps(obj, ensure_ascii=True))
+        elif isinstance(obj, np.ndarray):
+            write(obj.tolist())
+        elif isinstance(obj, (list, tuple)):
+            out.append("[")
+            for i, item in enumerate(obj):
+                if i:
+                    out.append(",")
+                write(item)
+            out.append("]")
+        elif isinstance(obj, dict):
+            out.append("{")
+            for i, key in enumerate(sorted(obj)):
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be strings, got {key!r}")
+                if i:
+                    out.append(",")
+                out.append(json.dumps(key, ensure_ascii=True))
+                out.append(":")
+                write(obj[key])
+            out.append("}")
+        else:
+            raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+    write(obj)
+    return "".join(out)

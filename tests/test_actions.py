@@ -23,6 +23,7 @@ from momentangle import (
     sample_with_zero_pattern,
     sign_act,
     sign_orbit,
+    tangent_frame,
     torus_act,
 )
 from _oracles import fiber_points_reference
@@ -220,16 +221,16 @@ def _fiber_case(m: int, mode: str, seed: int) -> tuple[Configuration, np.ndarray
     return cfg, direction
 
 
-def _assert_same_points(points, expected) -> None:
+def _assert_same_points(cfg, points, expected) -> None:
     """Same count and order, bitwise coordinates, zero patterns, and frames
     spanning the same oriented space to within 1e-12."""
     assert len(points) == len(expected)
     for p, q in zip(points, expected):
         assert p.coordinates.tobytes() == q.coordinates.tobytes()
         assert p.zero_pattern == q.zero_pattern
-        np.testing.assert_allclose(p.tangent_frame @ p.tangent_frame.T,
-                                   q.tangent_frame @ q.tangent_frame.T, rtol=0, atol=1e-12)
-        assert abs(np.linalg.det(p.tangent_frame.T @ q.tangent_frame) - 1.0) <= 1e-12
+        fp, fq = tangent_frame(cfg, p), tangent_frame(cfg, q)
+        np.testing.assert_allclose(fp @ fp.T, fq @ fq.T, rtol=0, atol=1e-12)
+        assert abs(np.linalg.det(fp.T @ fq) - 1.0) <= 1e-12
 
 
 def _reference_or_error(cfg, direction, tol=1e-8):
@@ -239,11 +240,11 @@ def _reference_or_error(cfg, direction, tol=1e-8):
         return exc
 
 
-def _assert_same_fiber(result, expected) -> None:
+def _assert_same_fiber(cfg, result, expected) -> None:
     if isinstance(expected, NumericalError):
         assert type(result) is type(expected) and str(result) == str(expected)
     else:
-        _assert_same_points(result, expected)
+        _assert_same_points(cfg, result, expected)
 
 
 MODES = ("random", "stratum", "branch", "near", "tiny")
@@ -259,7 +260,7 @@ def test_fiber_block_matches_the_per_candidate_reference(m, mode, tol, seed):
         result = fiber_points(cfg, direction, tol)
     except NumericalError as exc:
         result = exc
-    _assert_same_fiber(result, expected)
+    _assert_same_fiber(cfg, result, expected)
 
 
 def test_fiber_cases_reach_every_branch():
@@ -299,7 +300,7 @@ def test_fibers_of_many_directions_cross_block_boundaries(monkeypatch):
     for block in (256, 8, 3):  # 64, 2 and 1 directions a slice; 3 splits one
         monkeypatch.setattr(actions, "_ATTEMPT_BLOCK", block)
         for result, want in zip(actions._fibers(cfg, directions, 1e-8), expected, strict=True):
-            _assert_same_fiber(result, want)
+            _assert_same_fiber(cfg, result, want)
 
 
 def test_planted_failing_candidate_raises_the_reference_error(monkeypatch):
@@ -325,8 +326,8 @@ def test_planted_failing_candidate_raises_the_reference_error(monkeypatch):
     with pytest.raises(NumericalError) as expected:
         certify(cfg, planted.row)
     assert type(failed) is type(expected.value) and str(failed) == str(expected.value)
-    _assert_same_points(first, fiber_points_reference(cfg, directions[0]))
-    _assert_same_points(last, fiber_points_reference(cfg, directions[2]))
+    _assert_same_points(cfg, first, fiber_points_reference(cfg, directions[0]))
+    _assert_same_points(cfg, last, fiber_points_reference(cfg, directions[2]))
     with pytest.raises(type(expected.value), match="exceeds certification tolerance"):
         fiber_points(cfg, directions[1])
 

@@ -18,7 +18,9 @@ import pytest
 
 import momentangle.actions
 import momentangle.config
+import momentangle.forms
 import momentangle.toric
+import momentangle.variety
 from momentangle import cli
 from momentangle.cli import main
 from momentangle.config import Configuration, configuration_to_dict
@@ -416,6 +418,52 @@ def test_sample_null_stratum(tmp_path, mixed_s2, capsys):
         w = coords[0:4:2] + 1j * coords[1:4:2]
         assert abs(np.sum(w**2)) <= 1e-9
         assert p["zero_pattern"] == []
+
+
+class _FrameBuilt(Exception):
+    """Raised by the patched frame builder."""
+
+
+def test_only_the_forms_build_tangent_frames(tmp_path, pentagon, mixed_s2, mixed_general_m2,
+                                             monkeypatch, capsys):
+    """Sampling, fibers, c and the moment image certify without a frame.
+
+    With the frame builder patched to raise, ``sample`` (generic, ``--pattern``,
+    ``--null-stratum``), ``cover``, ``fiber_points``, ``estimate_c`` and
+    ``moment_image_check`` give the same reports and values as without the
+    patch; ``verify``, which evaluates the forms, does reach it.
+    """
+    cfg = mixed_general_m2
+    paths = [write_config(tmp_path, c, f"{i}.json")
+             for i, c in enumerate((pentagon, mixed_general_m2, mixed_s2))]
+    commands = [["sample", paths[0], "--samples", "5"],
+                ["sample", paths[1], "--samples", "5", "--pattern", "0,1"],
+                ["sample", paths[2], "--samples", "5", "--null-stratum"],
+                ["cover", paths[1], "--samples", "3"]]
+
+    def run(tag):
+        out = []
+        for i, argv in enumerate(commands):
+            report = tmp_path / f"{tag}-{i}.json"
+            assert main(argv + ["--json", str(report), "--timestamp", "T"]) == 0
+            out.append(report.read_text())
+        point = momentangle.variety.sample_points(cfg, 1, seed=3)[0]
+        fibers = momentangle.actions.fiber_points(cfg, point.z_block(cfg))
+        estimate = momentangle.toric.estimate_c(cfg, samples=5)
+        moment = momentangle.toric.moment_image_check(cfg, point, c_estimate=estimate.value)
+        return out + [[p.coordinates.tobytes() for p in fibers], estimate.value,
+                      estimate.minimizer.coordinates.tobytes(), moment]
+
+    expected = run("plain")
+
+    def raising(*args, **kwargs):
+        raise _FrameBuilt
+
+    for module in (momentangle.variety, momentangle.forms):
+        monkeypatch.setattr(module, "_tangent_frames", raising)
+    assert run("patched") == expected
+    with pytest.raises(_FrameBuilt):
+        main(["verify", paths[0], "--samples", "2"])
 
 
 def test_sample_pattern_and_null_conflict(tmp_path, mixed_s2, capsys):

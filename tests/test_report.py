@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momentangle.report import (
     RunManifest,
@@ -19,6 +21,8 @@ from momentangle.report import (
     format_float,
     sha256_hex,
 )
+
+from _oracles import canonical_json_reference
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +114,53 @@ def test_canonical_json_golden_mixed_list():
 
 def test_canonical_json_tuple_matches_list():
     assert canonical_json((1, 2)) == canonical_json([1, 2]) == "[1,2]"
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+               1.7976931348623157e308, 1e-5, -1e-5, 0.5, -0.5, 1e16, 1e17]
+FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
+BAD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def _leaves(floats):
+    return st.one_of(
+        st.none(), st.booleans(), st.integers(), st.text(max_size=4), floats,
+        floats.map(np.float64), st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+        st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.booleans().map(np.bool_), st.builds(complex, floats, floats),
+        st.builds(complex, floats, floats).map(np.complex128),
+        st.lists(floats, max_size=6), st.lists(floats.map(np.float64), max_size=4),
+        st.lists(floats, max_size=6).map(np.array),
+        st.lists(st.lists(floats, min_size=2, max_size=2), max_size=3).map(np.array),
+    )
+
+
+def _documents(leaves, keys=st.text(max_size=4)):
+    return st.recursive(leaves, lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(keys, inner, max_size=4)), max_leaves=20)
+
+
+def _outcome(writer, obj):
+    """The text a writer produces, or the type and message of what it raises."""
+    try:
+        return writer(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@given(_documents(_leaves(FLOATS)))
+@settings(max_examples=200, deadline=None)
+def test_canonical_json_matches_the_plain_recursion(obj):
+    assert canonical_json(obj) == canonical_json_reference(obj)
+
+
+@given(_documents(_leaves(st.one_of(FLOATS, BAD_FLOATS)) | st.builds(object),
+                  st.one_of(st.text(max_size=2), st.integers(0, 3), st.none())))
+@settings(max_examples=200, deadline=None)
+def test_canonical_json_raises_as_the_plain_recursion(obj):
+    """nan/inf, non-string keys and unknown types: the same error, the same message."""
+    assert _outcome(canonical_json, obj) == _outcome(canonical_json_reference, obj)
 
 
 # ---------------------------------------------------------------------------

@@ -192,7 +192,7 @@ def test_estimate_c_rejects_a_sample_below_the_closed_form(mixed_general_m2, mon
     point = sample_points(cfg, 1, seed=0)[0]
     coords = point.coordinates.copy()
     coords[2 * cfg.w_count:] = 0.0
-    below = VarietyPoint(coords, point.residual_norm, point.tangent_frame, point.zero_pattern)
+    below = VarietyPoint(coords, point.residual_norm, point.zero_pattern)
     monkeypatch.setattr(toric, "sample_points", lambda *a, **k: [below])
     with pytest.raises(NumericalError, match="below the closed-form"):
         estimate_c(cfg, samples=1)
@@ -413,7 +413,7 @@ def test_moment_image_check_rejects_w_off_the_link(mixed_general_m2, batch):
     point = batch(cfg, 1)[0]
     coords = point.coordinates.copy()
     coords[: 2 * cfg.w_count] *= 1.01
-    moved = VarietyPoint(coords, point.residual_norm, point.tangent_frame, point.zero_pattern)
+    moved = VarietyPoint(coords, point.residual_norm, point.zero_pattern)
     w, t = big_moment_map(cfg, moved)
     assert _target_distance(cfg, -(w**2) / np.sum(t)) <= 1e-12
     report = moment_image_check(cfg, moved)

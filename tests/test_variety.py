@@ -21,10 +21,11 @@ from momentangle import (
     sample_points,
     sample_with_zero_pattern,
     system_jacobian,
+    tangent_frame,
     variety,
 )
 
-from _oracles import sample_reference, system_oracle
+from _oracles import jacobian_ranks_reference, sample_reference, system_oracle
 
 
 @pytest.mark.parametrize("fixture", ["pentagon", "mixed_s2", "mixed_general_m2"])
@@ -45,7 +46,7 @@ def test_sampled_points_are_certified(fixture, request, batch):
     for point in batch(cfg, 8):
         assert point.residual_norm <= 1e-10
         assert np.linalg.norm(evaluate_system(cfg, point.coordinates), np.inf) <= 1e-10
-        frame = point.tangent_frame
+        frame = tangent_frame(cfg, point)
         assert frame.shape == (cfg.ambient_real_dim, cfg.manifold_dim)
         np.testing.assert_allclose(frame.T @ frame, np.eye(frame.shape[1]), atol=1e-10)
         # Tangency: residual gradients annihilate the frame.
@@ -57,7 +58,7 @@ def test_sampled_points_are_certified(fixture, request, batch):
 def test_certified_frames_are_positively_oriented(pentagon, batch):
     for point in batch(pentagon, 5):
         jac = system_jacobian(pentagon, point.coordinates)
-        square = np.column_stack([jac.T, point.tangent_frame])
+        square = np.column_stack([jac.T, tangent_frame(pentagon, point)])
         assert np.linalg.det(square) > 0
 
 
@@ -201,8 +202,76 @@ def test_prefixes_do_not_depend_on_block_size(fixture, stratum, request):
     for k in (1, 7):
         for a, b in zip(_draw(cfg, stratum, k, seed=6), long[:k], strict=True):
             np.testing.assert_array_equal(a.coordinates, b.coordinates)
-            np.testing.assert_array_equal(a.tangent_frame, b.tangent_frame)
+            np.testing.assert_array_equal(tangent_frame(cfg, a), tangent_frame(cfg, b))
             assert a.zero_pattern == b.zero_pattern
+
+
+@pytest.mark.parametrize("fixture, stratum", STRATA)
+def test_tangent_frames_are_oriented_kernel_bases(fixture, stratum, request):
+    """Frames built on demand are orthonormal, tangent and positively oriented,
+    and span the oriented space of the sequential reference's frames."""
+    cfg = request.getfixturevalue(fixture)
+    points = _draw(cfg, stratum, 10, seed=4)
+    for point, (coords, expected, _) in zip(points, _reference(cfg, stratum, 10, seed=4),
+                                            strict=True):
+        frame = tangent_frame(cfg, point)
+        assert frame.shape == (cfg.ambient_real_dim, cfg.manifold_dim)
+        np.testing.assert_allclose(frame.T @ frame, np.eye(cfg.manifold_dim), rtol=0, atol=1e-12)
+        jac = system_jacobian(cfg, point.coordinates)
+        assert np.abs(jac @ frame).max() <= 1e-12
+        assert np.linalg.det(np.column_stack([jac.T, frame])) > 0
+        np.testing.assert_allclose(frame @ frame.T, expected @ expected.T, rtol=0, atol=1e-8)
+        assert abs(np.linalg.det(frame.T @ expected) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("fixture, stratum", STRATA)
+def test_jacobian_ranks_come_from_the_frame_svd(fixture, stratum, request):
+    """The ranks of the frame SVD equal the singular-value-only reference, at
+    certified points and at the rank-deficient coordinate axes."""
+    cfg = request.getfixturevalue(fixture)
+    points = _draw(cfg, stratum, 10, seed=4)
+    X = np.vstack([[p.coordinates for p in points], np.eye(cfg.ambient_real_dim)])
+    ranks = variety._tangent_frames(cfg, X)[1]
+    expected = jacobian_ranks_reference(cfg, X)
+    np.testing.assert_array_equal(ranks, expected)
+    assert (expected[: len(points)] == cfg.equation_count).all()
+    assert (expected[len(points):] < cfg.equation_count).all()
+    assert [jacobian_rank(cfg, p) for p in points] == expected[: len(points)].tolist()
+
+
+#: Arguments that are not integers, or are integers only by subclass (bools).
+NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=2),
+                         st.integers(-5, 5).map(np.int64), st.integers(0, 5).map(complex))
+SAMPLER_ARGUMENTS = st.sampled_from(["count", "seed", "max_attempts_per_point"])
+
+
+def _sample_with(cfg, stratum, **arguments):
+    arguments = {"count": 2, "seed": 0, "max_attempts_per_point": 50, **arguments}
+    count = arguments.pop("count")
+    if stratum is None:
+        return sample_points(cfg, count, **arguments)
+    return sample_with_zero_pattern(cfg, stratum, count, **arguments)
+
+
+@given(SAMPLER_ARGUMENTS, NOT_INTEGERS, st.sampled_from([None, (0,)]))
+@settings(max_examples=200, deadline=None)
+def test_sampler_rejects_arguments_that_are_not_integers(mixed_s2, name, value, stratum):
+    with pytest.raises(StructuralError, match="must be integers"):
+        _sample_with(mixed_s2, stratum, **{name: value})
+
+
+@given(st.sampled_from(["count", "max_attempts_per_point"]), st.integers(max_value=0),
+       st.sampled_from([None, (0,)]))
+@settings(max_examples=100, deadline=None)
+def test_sampler_rejects_non_positive_counts(mixed_s2, name, value, stratum):
+    with pytest.raises(StructuralError, match="must be positive"):
+        _sample_with(mixed_s2, stratum, **{name: value})
+
+
+@given(st.integers(-2**70, 2**70), st.sampled_from([None, (0,)]))
+@settings(max_examples=20, deadline=None)
+def test_sampler_accepts_every_integer_seed(mixed_s2, seed, stratum):
+    assert len(_sample_with(mixed_s2, stratum, count=1, seed=seed)) == 1
 
 
 @pytest.mark.parametrize("fixture", list(W_COUNTS))
