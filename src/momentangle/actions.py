@@ -25,7 +25,8 @@ which is linear in r^2 — the 1-D radius solve on the ray therefore collapses
 to a closed form and needs no iteration.  Each k with F_k != 0 contributes an
 independent sign choice, so a direction with l nonzero quadric values has
 exactly 2^l preimages (2^m generically, 1 on the classical stratum).  The
-candidates of up to 256 // 2^m directions are certified together, one
+count and the 2^l sign-choice candidates come from one ray (:func:`_fiber`).
+The candidates of up to 256 // 2^m directions are certified together, one
 stacked SVD per block (:func:`_fibers`); :func:`fiber_points` is the
 one-direction case.
 """
@@ -78,6 +79,7 @@ class GroupElement:
             object.__setattr__(self, "sign_part", sigma.astype(float))
         if self.flow_part is not None:
             T = np.atleast_1d(np.asarray(self.flow_part, dtype=complex))
+            _validate_flow(T)
             object.__setattr__(self, "flow_part", T)
 
     def apply(self, cfg: Configuration, point: VarietyPoint) -> VarietyPoint:
@@ -93,9 +95,16 @@ class GroupElement:
 
 
 def _validate_phases(phases: np.ndarray) -> None:
+    if not np.all(np.isfinite(phases)):
+        raise StructuralError("torus phases must be finite (got nan or inf)")
     if np.any(np.abs(np.abs(phases) - 1.0) > UNIT_TOL):
         worst = float(np.max(np.abs(np.abs(phases) - 1.0)))
         raise StructuralError(f"torus phases must have unit modulus (off by {worst:.2e})")
+
+
+def _validate_flow(T: np.ndarray) -> None:
+    if not np.all(np.isfinite(T)):
+        raise StructuralError("flow parameters must be finite (got nan or inf)")
 
 
 def _validate_signs(signs: np.ndarray) -> None:
@@ -141,6 +150,7 @@ def foliation_flow(cfg: Configuration, point: VarietyPoint, T,
     T_arr = np.atleast_1d(np.asarray(T, dtype=complex))
     if T_arr.shape != (cfg.m,):
         raise StructuralError(f"expected {cfg.m} complex flow parameters")
+    _validate_flow(T_arr)
     c = 2.0 * np.real(cfg.lambdas @ T_arr)
     phases = np.exp(-1j * c / cfg.weights_b)
     z = point.z_block(cfg)
@@ -176,15 +186,21 @@ def _unit_direction(cfg: Configuration, direction) -> np.ndarray:
     return zhat / norm
 
 
+def _ray(cfg: Configuration, direction) -> tuple[np.ndarray, np.ndarray, float]:
+    """The unit direction zhat, the quadric values F_k(zhat) and the radius r of its ray."""
+    zhat = _unit_direction(cfg, direction)
+    F = cfg.lambdas.T @ (np.abs(zhat) ** 2)
+    return zhat, F, float(1.0 / np.sqrt(1.0 + np.sum(np.abs(F))))
+
+
 def quadric_values(cfg: Configuration, direction) -> np.ndarray:
     """F_k evaluated on a unit z-direction (no w contribution)."""
-    return cfg.lambdas.T @ (np.abs(_unit_direction(cfg, direction)) ** 2)
+    return _ray(cfg, direction)[1]
 
 
 def ray_radius(cfg: Configuration, direction) -> float:
     """Radius r at which the ray over a unit direction meets the link."""
-    F = quadric_values(cfg, direction)
-    return float(1.0 / np.sqrt(1.0 + np.sum(np.abs(F))))
+    return _ray(cfg, direction)[2]
 
 
 @dataclass(frozen=True)
@@ -205,62 +221,52 @@ class FiberCount:
 
 def fiber_count(cfg: Configuration, direction,
                 tol: float = DEFAULT_BRANCH_TOL) -> FiberCount:
-    """Cardinality of the covering fiber over a unit z-direction."""
-    check_tolerances(tol)
-    if cfg.kind != "mixed-general":
-        raise StructuralError("fiber counting is defined for mixed-general links")
-    F = quadric_values(cfg, direction)
-    r = ray_radius(cfg, direction)
-    mags = np.abs(F) * r**2
-    live = int(np.count_nonzero(mags > tol))
-    near = bool(np.any(in_tie_band(mags, tol)))
-    return FiberCount(
-        count=2**live,
-        radius=r,
-        quadric_magnitudes=tuple(float(x) for x in mags),
-        near_branch=near,
-    )
+    """Cardinality of the covering fiber over a unit z-direction; nothing is certified."""
+    return _fiber(cfg, direction, tol)[0]
 
 
 def fiber_points(cfg: Configuration, direction,
                  tol: float = DEFAULT_BRANCH_TOL) -> list[VarietyPoint]:
     """All preimages of a direction, by exhaustive sign-choice construction.
 
-    Builds w_k = +-sqrt(-F_k) for every k with |F_k| > tol (w_k = 0 on the
-    others), certifies the 2^l candidates in one block and deduplicates them
-    in order; a candidate that fails certification raises its error.  This
-    is the independent oracle for :func:`fiber_count`; exponential in m,
-    meant for m <= 3.  Directions with |F_k| in the near-branch band may
-    fail certification for the w_k = 0 choice — counts there are inherently
-    ill-conditioned.
+    Builds w_k = +-sqrt(-F_k r^2) for every k with |F_k| r^2 > tol (w_k = 0
+    on the others), certifies the 2^l candidates in one block and
+    deduplicates them in order; a candidate that fails certification raises
+    its error.  Exponential in m, meant for m <= 3.  Directions with |F_k|
+    in the near-branch band may fail certification for the w_k = 0 choice —
+    counts there are inherently ill-conditioned.
     """
-    check_tolerances(tol)
-    (points,) = _fibers(cfg, [direction], tol)
+    ((_, points),) = _fibers(cfg, [direction], tol)
     if isinstance(points, NumericalError):
         raise points
     return points
 
 
-def _candidates(cfg: Configuration, direction, tol: float) -> np.ndarray:
-    """The 2^l sign-choice lifts of a direction, one realified row each, in product order."""
-    zhat = _unit_direction(cfg, direction)
-    F = quadric_values(cfg, zhat)
-    r = ray_radius(cfg, zhat)
-    scaled = F * r**2
+def _fiber(cfg: Configuration, direction, tol: float) -> tuple[FiberCount, np.ndarray]:
+    """The count over a direction and its 2^l sign-choice lifts, one realified row each.
+
+    The direction is normalized once, and k is decided on the |F_k| r^2 the
+    count reports; the lifts take w_k = +-sqrt(-F_k r^2) for the live k (0
+    for the others) in ``itertools.product`` order.
+    """
+    check_tolerances(tol)
+    if cfg.kind != "mixed-general":
+        raise StructuralError("fiber counting is defined for mixed-general links")
+    zhat, F, r = _ray(cfg, direction)
+    mags = np.abs(F) * r**2
     choices: list[tuple[complex, ...]] = []
-    for k in range(cfg.m):
-        if abs(scaled[k]) <= tol:
-            choices.append((0.0 + 0.0j,))
-        else:
-            root = complex(np.sqrt(-scaled[k] + 0.0j))
-            choices.append((root, -root))
+    for value, live in zip(F * r**2, mags > tol):
+        root = complex(np.sqrt(-value + 0.0j))
+        choices.append((root, -root) if live else (0.0 + 0.0j,))
     w = np.array(list(product(*choices)), dtype=complex)
-    return realify(np.hstack([w, np.broadcast_to(r * zhat, (len(w), cfg.n))]))
+    count = FiberCount(count=len(w), radius=r, quadric_magnitudes=tuple(mags.tolist()),
+                       near_branch=bool(np.any(in_tie_band(mags, tol))))
+    return count, realify(np.hstack([w, np.broadcast_to(r * zhat, (len(w), cfg.n))]))
 
 
-def _fibers(cfg: Configuration, directions,
-            tol: float) -> Iterator[list[VarietyPoint] | NumericalError]:
-    """:func:`fiber_points` of each direction in turn, or the error of its first failing candidate.
+def _fibers(cfg: Configuration, directions, tol: float
+            ) -> Iterator[tuple[FiberCount, list[VarietyPoint] | NumericalError]]:
+    """Each direction's count, and its :func:`fiber_points` or its first failing candidate's error.
 
     Directions are taken in slices of ``_ATTEMPT_BLOCK // 2^m``.  Each slice
     is validated, its candidates are stacked and certified in blocks of at
@@ -268,30 +274,28 @@ def _fibers(cfg: Configuration, directions,
     next slice is built, so memory does not grow with the number of
     directions.
     """
-    if cfg.kind != "mixed-general":
-        raise StructuralError("fiber enumeration is defined for mixed-general links")
     link = _link(cfg)
     step = max(1, _ATTEMPT_BLOCK >> cfg.m)
     for lo in range(0, len(directions), step):
-        lifts = [_candidates(cfg, direction, tol) for direction in directions[lo : lo + step]]
-        X = np.concatenate(lifts)
+        fibers = [_fiber(cfg, direction, tol) for direction in directions[lo : lo + step]]
+        X = np.concatenate([rows for _, rows in fibers])
         certified: list[VarietyPoint | NumericalError] = []
         for row in range(0, len(X), _ATTEMPT_BLOCK):
             certified += _certify_block(cfg, link, X[row : row + _ATTEMPT_BLOCK],
                                         DEFAULT_TOL, DEFAULT_RANK_TOL)
         start = 0
-        for lift in lifts:
-            results = certified[start : start + len(lift)]
-            start += len(lift)
+        for count, rows in fibers:
+            results = certified[start : start + len(rows)]
+            start += len(rows)
             error = next((p for p in results if isinstance(p, NumericalError)), None)
             if error is not None:
-                yield error
+                yield count, error
                 continue
             found: list[VarietyPoint] = []
             for point in results:
                 if not _is_duplicate(point.coordinates, [q.coordinates for q in found]):
                     found.append(point)
-            yield found
+            yield count, found
 
 
 def sign_orbit(cfg: Configuration, point: VarietyPoint) -> list[VarietyPoint]:

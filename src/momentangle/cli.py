@@ -35,11 +35,11 @@ from .config import (
     load_configuration,
 )
 from .errors import NumericalError, ProjectionError, SamplingBudgetError, StructuralError
-from .forms import VOLUME_ZERO_FACTOR, contact_volume_scale, evaluate_stack, volume_sign
+from .forms import evaluate_stack, volume_is_zero, volume_sign
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
 from .toric import _gale_polytope
-from .actions import _fibers, fiber_count
+from .actions import _fibers
 from .variety import sample_points, sample_with_zero_pattern
 
 EXIT_OK = 0
@@ -254,14 +254,13 @@ def cmd_verify(args) -> int:
     volume = ev.contact_volume
     # The first point calibrates the orientation (forms.orientation_sign).
     kappa = 0.0 if cfg.kind == "classical" else volume_sign(cfg, volume[0])
-    zero_scale = VOLUME_ZERO_FACTOR * contact_volume_scale(cfg)
     record("jacobian rank maximal", ev.jacobian_rank == cfg.equation_count)
     record("kernel dimensions per stratum",
            (ev.ker_dalpha_dim == ev.expected_kernel_dims[:, 0])
            & (ev.ker_alpha_cap_ker_dalpha_dim == ev.expected_kernel_dims[:, 1]))
     record("closed-form kernel family agreement", ev.family_angle < ANGLE_LIMIT)
     if cfg.kind == "classical":
-        record("contact volume vanishes (total degeneracy)", np.abs(volume) <= zero_scale)
+        record("contact volume vanishes (total degeneracy)", volume_is_zero(cfg, volume))
         record(f"Poisson leaf rank {2 * cfg.m}", ev.leaf_rank == 2 * cfg.m)
         record("leaf 2-form degeneracy", ev.leaf_two_form_magnitude <= 1e-8)
     else:
@@ -269,7 +268,7 @@ def cmd_verify(args) -> int:
         # ker alpha cap ker dalpha != 0 in the dimension table.
         vanish = ev.expected_kernel_dims[:, 1] > 0
         record("contact volume vanishes on degenerate strata",
-               np.abs(volume[vanish]) <= zero_scale)
+               volume_is_zero(cfg, volume[vanish]))
         record("contact volume positive off degenerate strata", kappa * volume[~vanish] > 0)
     record("no indeterminate ranks", ~ev.indeterminate)
 
@@ -368,10 +367,8 @@ def cmd_cover(args) -> int:
 
     all_ok = True
     rows = []
-    fibers = _fibers(cfg, directions, args.tol)
-    for i, direction in enumerate(directions):
-        info = fiber_count(cfg, direction, args.tol)
-        preimages = next(fibers)
+    for i, (direction, (info, preimages)) in enumerate(
+            zip(directions, _fibers(cfg, directions, args.tol))):
         if isinstance(preimages, NumericalError):
             raise preimages
         ok = info.count == len(preimages)

@@ -62,8 +62,9 @@ Pfaffians are one LAPACK call per point.  The one-point functions
 (:func:`kernel_analysis`, :func:`kernel_family_angle`,
 :func:`contact_volume`, ...) are the N = 1 case of the same code, so a
 point's values do not depend on the stack it is evaluated in;
-:func:`kernel_analysis`, which needs no kernel, ranks dalpha from its
-singular values alone.
+:func:`kernel_analysis` ranks dalpha from the same full SVD
+(:func:`_dalpha_kernels`) as :func:`evaluate_stack`, so the two agree on
+every rank even where a singular value sits at the cut.
 
 Numerical-rank note: ranks use the relative rule of
 :func:`.config.numerical_rank`, and singular values in the tie band
@@ -340,8 +341,8 @@ def kernel_analysis(
     d = frame.shape[1]
     a = _alpha_stack(cfg, point.coordinates[None], frame[None])[0]
     dmat = _dalpha_stack(cfg, frame[None])[0]
-    sigma_d = np.linalg.svd(dmat, compute_uv=False)
-    ranks, indeterminate = _rank_checks(a[None], dmat[None], sigma_d[None], rank_tol)
+    sigma_d = _dalpha_kernels(frame[None], dmat[None], rank_tol)[0]
+    ranks, indeterminate = _rank_checks(a[None], dmat[None], sigma_d, rank_tol)
     rank_d, rank_s, rank_r = ranks[0].tolist()
     return FormEvaluation(
         alpha_on_frame=a,
@@ -592,9 +593,14 @@ def orientation_sign(cfg: Configuration, reference: VarietyPoint) -> float:
     return volume_sign(cfg, contact_volume(cfg, reference))
 
 
+def volume_is_zero(cfg: Configuration, volume):
+    """Whether |volume| <= VOLUME_ZERO_FACTOR * :func:`contact_volume_scale`, elementwise."""
+    return np.abs(volume) <= VOLUME_ZERO_FACTOR * contact_volume_scale(cfg)
+
+
 def volume_sign(cfg: Configuration, volume: float) -> float:
     """:func:`orientation_sign` from the reference point's contact volume."""
-    if abs(volume) <= VOLUME_ZERO_FACTOR * contact_volume_scale(cfg):
+    if volume_is_zero(cfg, volume):
         raise NumericalError(
             "reference point lies on (or too close to) the degeneracy stratum; "
             "cannot calibrate the orientation"

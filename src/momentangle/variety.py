@@ -109,6 +109,8 @@ def _ambient(cfg: Configuration, coords) -> np.ndarray:
         raise StructuralError(
             f"expected ambient vector of length {cfg.ambient_real_dim}, got {coords.shape}"
         )
+    if not np.all(np.isfinite(coords)):
+        raise StructuralError("ambient vector must be finite (got nan or inf)")
     return coords
 
 

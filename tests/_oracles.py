@@ -197,21 +197,23 @@ def star_violations_lp(lambdas, moment_values, ray_steps: int):
 def fiber_points_reference(cfg, direction, tol: float = 1e-8):
     """Preimages of a direction by the per-candidate loop: one ``certify`` per sign choice.
 
-    The direction is normalized, r = ``ray_radius`` and w_k = +-sqrt(-F_k r^2)
-    for each k with |F_k r^2| > ``tol`` (0 otherwise); the candidates
-    (w, r zhat) run in ``itertools.product`` order, the first that fails
-    certification raises, and one within 1e-6 of a kept point is dropped.
+    The direction is normalized once: F = ``quadric_values`` and
+    r = ``ray_radius`` of the raw direction, zhat = direction / |direction|,
+    and w_k = +-sqrt(-F_k r^2) for each k with |F_k| r^2 > ``tol`` (0
+    otherwise); the candidates (w, r zhat) run in ``itertools.product``
+    order, the first that fails certification raises, and one within 1e-6
+    of a kept point is dropped.
     """
     from momentangle import certify, quadric_values, ray_radius
 
     zhat = np.atleast_1d(np.asarray(direction, dtype=complex))
     zhat = zhat / float(np.linalg.norm(zhat))
-    r = ray_radius(cfg, zhat)
-    scaled = quadric_values(cfg, zhat) * r**2
+    r = ray_radius(cfg, direction)
+    F = quadric_values(cfg, direction)
     choices = []
-    for value in scaled:
+    for value, magnitude in zip(F * r**2, np.abs(F) * r**2):
         root = complex(np.sqrt(-value + 0.0j))
-        choices.append((0.0 + 0.0j,) if abs(value) <= tol else (root, -root))
+        choices.append((0.0 + 0.0j,) if magnitude <= tol else (root, -root))
     found = []
     for combo in product(*choices):
         values = np.concatenate([np.array(combo), r * zhat])

@@ -159,6 +159,20 @@ def test_fiber_points_match_count(mixed_general_m2):
             )
 
 
+def test_fiber_count_certifies_nothing(mixed_general_m2, batch, monkeypatch):
+    directions = [batch(mixed_general_m2, 1, pattern)[0].z_block(mixed_general_m2)
+                  for pattern in (None, (0,), (0, 1))]
+    expected = [fiber_count(mixed_general_m2, d) for d in directions]
+
+    def refuse(*args):
+        raise AssertionError("fiber_count certified a candidate")
+
+    monkeypatch.setattr(actions, "_certify_block", refuse)
+    monkeypatch.setattr(actions, "certify", refuse)
+    assert [fiber_count(mixed_general_m2, d) for d in directions] == expected
+    assert [e.count for e in expected] == [4, 2, 1]
+
+
 def test_fiber_near_branch_flag(mixed_general_m2):
     """The flag trips exactly when a magnitude is within 10x of the branch
     tolerance (either side); steering the tolerance makes this deterministic."""
@@ -169,6 +183,27 @@ def test_fiber_near_branch_flag(mixed_general_m2):
     assert fiber_count(mixed_general_m2, zhat, tol=pivot / 2.0).near_branch
     assert fiber_count(mixed_general_m2, zhat, tol=pivot * 2.0).near_branch
     assert not fiber_count(mixed_general_m2, zhat, tol=pivot / 1e6).near_branch
+
+
+NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@given(st.integers(0, 5), NON_FINITE, st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_non_finite_phases_and_flow_parameters_raise_structural_errors(
+        hexagon_m2, batch, position, value, imaginary):
+    point = batch(hexagon_m2, 1)[0]
+    bad = complex(0.0, value) if imaginary else complex(value, 0.0)
+    phases = np.ones(6, dtype=complex)
+    phases[position] = bad
+    T = np.array([0.3 - 0.1j, 0.2 + 0.4j])
+    T[position % 2] = bad
+    for call in (lambda: torus_act(hexagon_m2, point, phases),
+                 lambda: GroupElement(torus_part=phases),
+                 lambda: foliation_flow(hexagon_m2, point, T),
+                 lambda: GroupElement(flow_part=T)):
+        with pytest.raises(StructuralError, match="must be finite"):
+            call()
 
 
 def test_isotropy_stratum(mixed_general_m2, batch):
@@ -299,7 +334,8 @@ def test_fibers_of_many_directions_cross_block_boundaries(monkeypatch):
     assert [i for i, e in enumerate(expected) if isinstance(e, NumericalError)] == [5, 40, 64]
     for block in (256, 8, 3):  # 64, 2 and 1 directions a slice; 3 splits one
         monkeypatch.setattr(actions, "_ATTEMPT_BLOCK", block)
-        for result, want in zip(actions._fibers(cfg, directions, 1e-8), expected, strict=True):
+        for (_, result), want in zip(actions._fibers(cfg, directions, 1e-8), expected,
+                                     strict=True):
             _assert_same_fiber(cfg, result, want)
 
 
@@ -310,19 +346,19 @@ def test_planted_failing_candidate_raises_the_reference_error(monkeypatch):
     cfg = _fixture(2)
     rng = np.random.default_rng(11)
     directions = [rng.normal(size=7) + 1j * rng.normal(size=7) for _ in range(3)]
-    candidates = actions._candidates
+    fiber = actions._fiber
 
     def planted(cfg, direction, tol):
-        rows = candidates(cfg, direction, tol)
+        count, rows = fiber(cfg, direction, tol)
         if direction is directions[1]:
             rows = rows.copy()
             rows[2] *= 1.001
             rows[3] = 0.0
             planted.row = rows[2]
-        return rows
+        return count, rows
 
-    monkeypatch.setattr(actions, "_candidates", planted)
-    first, failed, last = actions._fibers(cfg, directions, 1e-8)
+    monkeypatch.setattr(actions, "_fiber", planted)
+    (_, first), (_, failed), (_, last) = actions._fibers(cfg, directions, 1e-8)
     with pytest.raises(NumericalError) as expected:
         certify(cfg, planted.row)
     assert type(failed) is type(expected.value) and str(failed) == str(expected.value)

@@ -294,17 +294,17 @@ def test_cover_prints_earlier_directions_before_a_failure(
         tmp_path, mixed_general_m2, capsys, monkeypatch):
     """A candidate of the third direction, planted off the link, fails its
     certificate: the first two lines print, then the certificate's error."""
-    candidates = momentangle.actions._candidates
+    fiber = momentangle.actions._fiber
     seen = []
 
     def planted(cfg, direction, tol):
-        rows = candidates(cfg, direction, tol)
+        count, rows = fiber(cfg, direction, tol)
         seen.append(rows)
         if len(seen) == 3:
             rows = rows * 1.001
-        return rows
+        return count, rows
 
-    monkeypatch.setattr(momentangle.actions, "_candidates", planted)
+    monkeypatch.setattr(momentangle.actions, "_fiber", planted)
     path = write_config(tmp_path, mixed_general_m2)
     report = tmp_path / "cover.json"
     assert main(["cover", path, "--samples", "4", "--json", str(report)]) == 1
@@ -346,6 +346,42 @@ def test_cover_prints_each_slice_before_certifying_the_next(
     assert main(["cover", path, "--samples", "5"]) == 0
     outputs.append(capsys.readouterr().out)
     assert [out.count("PASS") for out in outputs] == [0, 2, 2, 1]
+
+
+def test_cover_passes_at_a_tolerance_equal_to_a_directions_own_magnitude(
+        tmp_path, mixed_general_m2, capsys):
+    """Directions on a w_k = 0 stratum of the m = 2 fixture, with ``--tol``
+    the largest |F_k| r^2 of the stratum (1e-17 to 1e-11, so the w_k = 0
+    lifts certify): the count and the lifts decide k on the same magnitude,
+    so cover passes, and ``fiber_count`` matches ``fiber_points``."""
+    path = write_config(tmp_path, mixed_general_m2)
+    cases = 0
+    for seed in range(60):
+        pattern = (0, 1) if seed % 3 == 2 else (seed % 3,)
+        point = momentangle.sample_with_zero_pattern(mixed_general_m2, pattern, 1, seed=seed)[0]
+        direction = point.z_block(mixed_general_m2)
+        mags = momentangle.fiber_count(mixed_general_m2, direction).quadric_magnitudes
+        tol = max(mags[k] for k in pattern)
+        if not 0 < tol <= 1e-11:  # the w_k = 0 lifts miss the link by about tol
+            continue
+        cases += 1
+        count = momentangle.fiber_count(mixed_general_m2, direction, tol)
+        assert count.count == len(momentangle.fiber_points(mixed_general_m2, direction, tol))
+        text = ",".join(repr(x) for x in momentangle.realify(direction).tolist())
+        assert main(["cover", path, f"--direction={text}", "--tol", repr(tol)]) == 0
+        assert capsys.readouterr().out.startswith(f"direction 0: fiber count {count.count}, "
+                                                  f"constructed preimages {count.count}")
+    assert cases >= 40
+
+
+def test_cover_validates_each_direction_once(tmp_path, mixed_general_m2, capsys, monkeypatch):
+    unit_direction = momentangle.actions._unit_direction
+    calls = []
+    monkeypatch.setattr(momentangle.actions, "_unit_direction",
+                        lambda *a: calls.append(1) or unit_direction(*a))
+    path = write_config(tmp_path, mixed_general_m2)
+    assert main(["cover", path, "--samples", "5"]) == 0
+    assert len(calls) == 5
 
 
 def test_cover_rejects_classical(tmp_path, pentagon, capsys):

@@ -291,6 +291,20 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypat
         np.testing.assert_array_equal(getattr(blocked, field.name), getattr(stack, field.name))
 
 
+def test_kernel_analysis_ranks_dalpha_from_the_stacks_svd(mixed_general_m2, batch):
+    """With ``rank_tol`` at a ratio of dalpha's own singular values, where the
+    verdict turns on their last bits, ``kernel_analysis`` gives the kernel
+    dimension ``evaluate_stack`` gives."""
+    cfg = mixed_general_m2
+    for point in batch(cfg, 40):
+        dmat = forms._dalpha_stack(cfg, tangent_frame(cfg, point)[None])[0]
+        sigma = np.linalg.svd(dmat)[1]
+        for rank_tol in sigma[1:-1] / sigma[0]:
+            if 0 < rank_tol < 1:
+                alone = kernel_analysis(cfg, point, rank_tol).ker_dalpha_dim
+                assert alone == evaluate_stack(cfg, [point], rank_tol).ker_dalpha_dim[0]
+
+
 def test_rank_trichotomy_details(pentagon, mixed_s1, mixed_general_m2, batch):
     # classical m = 1: rank defect of one block, perp plane = the cap
     verdict = rank_trichotomy(pentagon, batch(pentagon, 1)[0])

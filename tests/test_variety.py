@@ -12,6 +12,7 @@ from momentangle import (
     ProjectionError,
     SamplingBudgetError,
     StructuralError,
+    VarietyPoint,
     certify,
     complexify,
     evaluate_system,
@@ -272,6 +273,20 @@ def test_sampler_rejects_non_positive_counts(mixed_s2, name, value, stratum):
 @settings(max_examples=20, deadline=None)
 def test_sampler_accepts_every_integer_seed(mixed_s2, seed, stratum):
     assert len(_sample_with(mixed_s2, stratum, count=1, seed=seed)) == 1
+
+
+@given(st.sampled_from(["evaluate_system", "system_jacobian", "project_to_variety", "certify",
+                        "tangent_frame", "jacobian_rank"]),
+       st.integers(0, 17), st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=60, deadline=None)
+def test_non_finite_ambient_vectors_raise_structural_errors(mixed_general_m2, batch, name,
+                                                            position, value):
+    coords = batch(mixed_general_m2, 1)[0].coordinates.copy()
+    coords[position] = value
+    if name in ("tangent_frame", "jacobian_rank"):
+        coords = VarietyPoint(coordinates=coords, residual_norm=0.0, zero_pattern=())
+    with pytest.raises(StructuralError, match="must be finite"):
+        getattr(variety, name)(mixed_general_m2, coords)
 
 
 @pytest.mark.parametrize("fixture", list(W_COUNTS))
