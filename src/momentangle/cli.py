@@ -40,7 +40,7 @@ from .report import RunManifest, build_report, canonical_json, format_float, sha
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
 from .toric import _gale_polytope
 from .actions import _fibers
-from .variety import sample_points, sample_with_zero_pattern
+from .variety import _sample, _stratum, sample_points, sample_with_zero_pattern
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -209,29 +209,31 @@ def cmd_check(args) -> int:
 
 
 def _verification_cases(cfg, samples, seed, tol, rank_tol):
-    """(name, points) pairs covering every degeneracy stratum."""
-    cases = [("generic",
-              sample_points(cfg, samples, seed=seed, tol=tol, rank_tol=rank_tol))]
+    """(name, points) pairs covering every degeneracy stratum.
+
+    The strata on the ambient link are sampled in one call; the null quadric
+    of a mixed-m1 link with s >= 2 adds two equations, so it takes another.
+    """
+    names, strata = ["generic"], [((), seed, samples)]
     if cfg.kind == "mixed-m1":
-        cases.append(("stratum w = 0",
-                      sample_with_zero_pattern(cfg, tuple(range(cfg.s)), samples,
-                                               seed=seed + 1, tol=tol, rank_tol=rank_tol)))
-        if cfg.s >= 2:
-            # The null quadric minus {w = 0}: kernel stays 1-dimensional and
-            # the form stays contact there, so these points count as generic
-            # for the per-point checks below.
-            cases.append(("null-quadric stratum",
-                          sample_with_zero_pattern(cfg, None, samples, seed=seed + 2,
-                                                   tol=tol, rank_tol=rank_tol)))
+        names.append("stratum w = 0")
+        strata.append((_stratum(cfg, tuple(range(cfg.s)))[0], seed + 1, samples))
     elif cfg.kind == "mixed-general":
         from itertools import combinations
         index = 1
         for size in range(1, cfg.m + 1):
             for K in combinations(range(cfg.m), size):
-                cases.append((f"stratum w{sorted(K)} = 0",
-                              sample_with_zero_pattern(cfg, K, samples, seed=seed + index,
-                                                       tol=tol, rank_tol=rank_tol)))
+                names.append(f"stratum w{sorted(K)} = 0")
+                strata.append((_stratum(cfg, K)[0], seed + index, samples))
                 index += 1
+    cases = list(zip(names, _sample(cfg, strata, tol=tol, rank_tol=rank_tol)))
+    if cfg.kind == "mixed-m1" and cfg.s >= 2:
+        # The null quadric minus {w = 0}: kernel stays 1-dimensional and
+        # the form stays contact there, so these points count as generic
+        # for the per-point checks below.
+        cases += zip(["null-quadric stratum"],
+                     _sample(cfg, [((), seed + 2, samples)], tol=tol, rank_tol=rank_tol,
+                             null_sum=True))
     return cases
 
 

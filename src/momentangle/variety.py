@@ -27,23 +27,34 @@ Numerically the link is a stack of real quadrics ``x^T S_e x = d_e``
 so the Jacobian of a whole block ``X`` of points is one matrix product,
 ``2 S_e x`` for every row.  Sampling draws a block of attempts, each from its
 own counter-based stream keyed by ``(seed, attempt)``; one Philox generator
-per call is re-keyed for each attempt.  One Gauss-Newton iteration runs over
-the block, each row with its own convergence test and step halving.  A step
-comes from the normal equations ``(J J^T) y = -r``, ``s = J^T y``, and is
-kept only where the recomputed ``|J s + r|_inf`` is within 1e-8 of
+per stratum is re-keyed for each attempt.  One Gauss-Newton iteration runs
+over the block, each row with its own convergence test and step halving.  A
+step comes from the normal equations ``(J J^T) y = -r``, ``s = J^T y``, and
+is kept only where the recomputed ``|J s + r|_inf`` is within 1e-8 of
 ``|r|_inf``; the other rows take the minimum-norm step from an SVD.  The
 singular values of one stacked SVD, with no vectors, certify the converged
-rows, and one Gram-product screen per
-block finds the rows that may repeat an accepted point.  Points are
-accepted in attempt order, and a block never holds more attempts than
-points still needed, so the accepted points do not depend on the block
-size: a shorter request gives a prefix of a longer one, bit for bit.
-:func:`project_to_variety` and :func:`certify` are the one-row case of the
-same code.
+rows, and one Gram-product screen per stratum and block finds the rows that
+may repeat an accepted point.  Points are accepted in attempt order, and a
+block never holds more of a stratum's attempts than points it still needs,
+so the accepted points do not depend on the block size: a shorter request
+gives a prefix of a longer one, bit for bit.  :func:`project_to_variety` and
+:func:`certify` are the one-row case of the same code.
+
+A w-degeneracy stratum pins some w coordinates to zero.  The quadrics couple
+each w coordinate only with its own Re/Im partner, so the Jacobian columns
+of a w that vanishes are zero, and every step, ``J^T y`` or the SVD's
+minimum-norm step, is exactly zero there.  So a stratum needs no system of
+its own: Gauss-Newton on the ambient link, started at zero on the pinned
+coordinates, stays on the stratum.  The strata of one link share its
+blocks: :func:`_sample` stacks every stratum's attempts of a round, projects
+and certifies them once, and each stratum keeps the points of its own
+one-stratum call.  Only the mixed-m1 null quadric with s >= 2 adds two
+equations, and with them a link of its own.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,23 +125,19 @@ def _ambient(cfg: Configuration, coords) -> np.ndarray:
     return coords
 
 
-def _link(
-    cfg: Configuration, free: np.ndarray | None = None, null_sum: bool = False
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(G, d)`` for the link's quadrics, optionally on a stratum.
+def _link(cfg: Configuration, null_sum: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """``(G, d)`` for the link's quadrics.
 
     ``G`` is ``2 S`` laid out as ``(dim, equations * dim)``, so that
     ``X @ G`` holds the Jacobians ``2 S_e x`` of a block ``X`` (``S_e`` is
     symmetric); ``d`` is the right-hand side.  ``null_sum`` appends the
-    Re/Im rows of ``sum_r w_r^2``; ``free`` restricts to those coordinates.
+    Re/Im rows of ``sum_r w_r^2``.
     """
     quads = cfg.quadrics
     if null_sum:
         extra = quads[:2].copy()  # the mixed-m1 quadric without its z block
         extra[:, 2 * cfg.w_count :, 2 * cfg.w_count :] = 0.0
         quads = np.concatenate([quads, extra])
-    if free is not None:
-        quads = quads[:, free][:, :, free]
     rhs = np.zeros(len(quads))
     rhs[cfg.equation_count - 1] = 1.0
     dim = quads.shape[1]
@@ -174,21 +181,35 @@ def _gauss_newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     ``step = J^T y``.  A step is kept only where it is finite and the
     recomputed miss ``|J step - rhs|_inf`` is at most :data:`_STEP_MISS`
     times ``|rhs|_inf``: a step in range(J^T) is the minimum-norm solution
-    for a right-hand side perturbed by that much.  The other rows, and the
-    whole block when ``solve`` finds a singular matrix, take the exact
+    for a right-hand side perturbed by that much.  The other rows, among
+    them those whose ``J J^T`` is singular, take the exact
     :func:`_min_norm_steps`.
     """
     jac_t = jac.transpose(0, 2, 1)
-    try:
-        with np.errstate(all="ignore"):  # non-finite steps fail the check below
-            step = (jac_t @ np.linalg.solve(jac @ jac_t, rhs[..., None]))[..., 0]
-            miss = np.abs((jac @ step[..., None])[..., 0] - rhs).max(axis=1)
-    except np.linalg.LinAlgError:
-        return _min_norm_steps(jac, rhs)
+    with np.errstate(all="ignore"):  # non-finite steps fail the check below
+        step = (jac_t @ _solve_rows(jac @ jac_t, rhs[..., None]))[..., 0]
+        miss = np.abs((jac @ step[..., None])[..., 0] - rhs).max(axis=1)
     fallback = ~(np.isfinite(step).all(axis=1) & (miss <= _STEP_MISS * np.abs(rhs).max(axis=1)))
     if fallback.any():
         step[fallback] = _min_norm_steps(jac[fallback], rhs[fallback])
     return step
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` on a stack, with nan in the rows whose matrix is singular.
+
+    numpy fails the whole stack on one singular matrix; the rows are then
+    solved one at a time, which gives the same bits, so no row's solution
+    depends on the rows that share its block.
+    """
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(a[i], b[i])
+        return out
 
 
 def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -196,13 +217,17 @@ def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     The singular-value cut is ``lstsq``'s: ``eps * max(M, N) * sigma_1``.
     The exact fallback of :func:`_gauss_newton_steps`, for the rows whose
-    normal-equation step fails its check.
+    normal-equation step fails its check.  A step lies in range(J^T), so it
+    is set to exactly zero on the zero columns of ``jac``, where the SVD
+    leaves rounding: a stratum's pinned coordinates are such columns.
     """
     u, sigma, vh = np.linalg.svd(jac, full_matrices=False)
     cut = _EPS * max(jac.shape[1:]) * sigma[:, :1]
     inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > cut)
     coef = (rhs[:, None, :] @ u)[:, 0] * inv
-    return (coef[:, None, :] @ vh)[:, 0]
+    step = (coef[:, None, :] @ vh)[:, 0]
+    step[~jac.any(axis=1)] = 0.0
+    return step
 
 
 def _line_search(grad, rhs, x, jac, r, step):
@@ -459,7 +484,29 @@ def sample_points(
     and resampled.  If the retry budget runs out a
     :class:`SamplingBudgetError` carrying the partial result is raised.
     """
-    return _sample(cfg, count, seed, tol, rank_tol, max_attempts_per_point)
+    return _sample(cfg, [((), seed, count)], tol, rank_tol, max_attempts_per_point)[0]
+
+
+def _stratum(cfg: Configuration, pattern: tuple[int, ...] | None) -> tuple[list[int], bool]:
+    """``(pinned, null_sum)`` of a stratum of :func:`sample_with_zero_pattern`.
+
+    ``pinned`` lists the real coordinates that start at zero; ``null_sum``
+    says whether the link gains the null quadric's two equations.
+    """
+    if cfg.kind == "classical":
+        raise StructuralError("zero patterns only make sense for mixed kinds")
+    if pattern is None:
+        if cfg.kind == "mixed-general":
+            raise StructuralError("mixed-general stratum sampling needs a nonempty index set")
+        if cfg.s >= 2:
+            return [], True
+        pattern = (0,)  # s = 1: the null quadric is w_1 = 0
+    if len(pattern) == 0:
+        raise StructuralError("stratum sampling needs a nonempty index set")
+    K = sorted(set(int(k) for k in pattern))
+    if K[0] < 0 or K[-1] >= cfg.w_count:
+        raise StructuralError("pattern indices must lie in range of the w block")
+    return [c for k in K for c in (2 * k, 2 * k + 1)], False
 
 
 def sample_with_zero_pattern(
@@ -474,101 +521,132 @@ def sample_with_zero_pattern(
     """Sample certified points on a w-degeneracy stratum.
 
     * mixed-general: ``pattern`` is a set of indices K; the coordinates
-      ``w_k, k in K`` are pinned to zero during projection.
-    * mixed-m1: ``pattern`` is a set of indices into the w block, pinned to
-      zero exactly as above; the degenerate stratum (kernel dimension three,
-      vanishing contact volume) is ``pattern = tuple(range(s))``.
+      ``w_k, k in K`` are started at zero and stay there: the link's
+      Jacobian has zero columns at a w that vanishes, so no step moves it.
+    * mixed-m1: ``pattern`` is a set of indices into the w block, started
+      at zero exactly as above; the degenerate stratum (kernel dimension
+      three, vanishing contact volume) is ``pattern = tuple(range(s))``.
       Alternatively pass ``pattern=None`` to sample the null quadric
       ``sum_r w_r^2 = 0`` instead: for s = 1 that collapses to w_1 = 0,
-      which is pinned exactly, while for s >= 2 the two real equations
-      Re/Im(sum w_r^2) = 0 are appended to the system and the resulting
-      points generically have every w_r != 0.
+      which is started at zero as above, while for s >= 2 the two real
+      equations Re/Im(sum w_r^2) = 0 are appended to the system and the
+      resulting points generically have every w_r != 0.
 
     Certification (residuals, Jacobian rank) is always against
     the ambient link system; the stratum only constrains where the point
     lands.
     """
-    if cfg.kind == "classical":
-        raise StructuralError("zero patterns only make sense for mixed kinds")
-    if pattern is not None:
-        if len(pattern) == 0:
-            raise StructuralError("stratum sampling needs a nonempty index set")
-        K = sorted(set(int(k) for k in pattern))
-        if K[0] < 0 or K[-1] >= cfg.w_count:
-            raise StructuralError("pattern indices must lie in range of the w block")
-        pinned = [c for k in K for c in (2 * k, 2 * k + 1)]
-        return _sample(cfg, count, seed, tol, rank_tol, max_attempts_per_point,
-                       pinned_coords=pinned)
-    if cfg.kind == "mixed-general":
-        raise StructuralError("mixed-general stratum sampling needs a nonempty index set")
-    # mixed-m1 null quadric
-    if cfg.s == 1:
-        return _sample(cfg, count, seed, tol, rank_tol, max_attempts_per_point,
-                       pinned_coords=[0, 1])
-    return _sample(cfg, count, seed, tol, rank_tol, max_attempts_per_point,
-                   null_sum=True)
+    pinned, null_sum = _stratum(cfg, pattern)
+    return _sample(cfg, [(pinned, seed, count)], tol, rank_tol, max_attempts_per_point,
+                   null_sum)[0]
+
+
+class _Run:
+    """One stratum of :func:`_sample`: its starts, attempts, points and tally."""
+
+    def __init__(self, dim: int, pinned, seed: int, count: int, budget: int):
+        self.free = np.setdiff1d(np.arange(dim), pinned)
+        self.draw = _start_source(seed, self.free.size)
+        self.count, self.budget, self.attempt = count, budget, 0
+        self.points: list[VarietyPoint] = []
+        self.accepted = np.empty((count, dim))
+        self.tally = dict.fromkeys(("not_converged", "line_search_stalls", "singular",
+                                    "duplicates"), 0)
+
+    def starts(self, size: int) -> np.ndarray:
+        """The next ``size`` attempts' starts, zero on the pinned coordinates."""
+        starts = np.zeros((size, self.accepted.shape[1]))
+        starts[:, self.free] = self.draw(self.attempt, size)
+        self.attempt += size
+        return starts
+
+    def accept(self, status: np.ndarray, X: np.ndarray, certified: list) -> None:
+        """Tally a block's attempts; accept the certified rows ``X`` in attempt order."""
+        _, not_converged, stalled = np.bincount(status, minlength=3).tolist()
+        self.tally["not_converged"] += not_converged
+        self.tally["line_search_stalls"] += stalled
+        # Only rows the screen flags can be duplicates.
+        near = _near_rows(X, self.accepted[: len(self.points)]).tolist()
+        for point, screened in zip(certified, near):
+            if isinstance(point, ProjectionError):
+                self.tally["not_converged"] += 1
+            elif isinstance(point, SingularPointError):
+                self.tally["singular"] += 1
+            elif screened and _is_duplicate(point.coordinates,
+                                            self.accepted[: len(self.points)]):
+                self.tally["duplicates"] += 1
+            else:
+                self.accepted[len(self.points)] = point.coordinates
+                self.points.append(point)
+
+    def error(self) -> SamplingBudgetError:
+        outcomes = {"attempts": self.attempt, **self.tally}
+        breakdown = ", ".join(f"{key.replace('_', ' ')} {value}"
+                              for key, value in self.tally.items())
+        return SamplingBudgetError(
+            f"only {len(self.points)} of {self.count} requested points certified "
+            f"within {self.budget} attempts ({breakdown})",
+            points=self.points,
+            requested=self.count,
+            outcomes=outcomes,
+        )
 
 
 def _sample(
     cfg: Configuration,
-    count: int,
-    seed: int,
-    tol: float,
-    rank_tol: float,
-    max_attempts_per_point: int,
-    pinned_coords: list[int] | None = None,
+    strata: list[tuple[list[int], int, int]],
+    tol: float = DEFAULT_TOL,
+    rank_tol: float = DEFAULT_RANK_TOL,
+    max_attempts_per_point: int = 50,
     null_sum: bool = False,
-) -> list[VarietyPoint]:
-    if not all(map(_is_int, (count, seed, max_attempts_per_point))):
-        raise StructuralError("count, seed and max_attempts_per_point must be integers")
-    if count < 1:
-        raise StructuralError("count must be positive")
+) -> list[list[VarietyPoint]]:
+    """Certified points on each of ``strata``, all drawn on one link.
+
+    A stratum is ``(pinned, seed, count)``: the real coordinates its starts
+    hold at zero, the seed of its starts and the points it needs.  The link
+    is the ambient one, or with ``null_sum`` the null quadric's.  Each round
+    stacks every unfinished stratum's next attempts, at most
+    :data:`_ATTEMPT_BLOCK` in all, and projects and certifies them as one
+    block.  A stratum keeps its own attempt order, stream, budget, tally and
+    duplicate screen, so its points are those of its one-stratum call, bit
+    for bit.  When the first unfinished stratum has spent its budget, its
+    :class:`SamplingBudgetError` is raised, as one-stratum calls in list
+    order would have raised it.
+    """
+    for _, seed, count in strata:
+        if not all(map(_is_int, (count, seed, max_attempts_per_point))):
+            raise StructuralError("count, seed and max_attempts_per_point must be integers")
+        if count < 1:
+            raise StructuralError("count must be positive")
     if max_attempts_per_point < 1:
         raise StructuralError("max_attempts_per_point must be positive")
     check_tolerances(tol, rank_tol)
     dim = cfg.ambient_real_dim
-    free = np.setdiff1d(np.arange(dim), pinned_coords or [])
     ambient = _link(cfg)
-    grad, rhs = ambient if free.size == dim and not null_sum else _link(cfg, free, null_sum)
-    draw = _start_source(seed, free.size)
-
-    points: list[VarietyPoint] = []
-    accepted = np.empty((count, dim))
-    tally = dict.fromkeys(("not_converged", "line_search_stalls", "singular", "duplicates"), 0)
-    budget = count * max_attempts_per_point
-    attempt = 0
-    while len(points) < count and attempt < budget:
+    grad, rhs = _link(cfg, null_sum) if null_sum else ambient
+    runs = [_Run(dim, pinned, seed, count, count * max_attempts_per_point)
+            for pinned, seed, count in strata]
+    while True:
+        unfinished = [run for run in runs if len(run.points) < run.count]
+        if not unfinished:
+            return [run.points for run in runs]
+        if unfinished[0].attempt == unfinished[0].budget:
+            raise unfinished[0].error()
         # Never more attempts than points still needed: the sequential loop
         # would have stopped at the same attempt.
-        size = min(count - len(points), _ATTEMPT_BLOCK, budget - attempt)
-        starts = draw(attempt, size)
-        attempt += size
-        Y, _, status = _project_block(grad, rhs, starts, tol, MAX_ITER)
-        converged, not_converged, stalled = np.bincount(status, minlength=3).tolist()
-        tally["not_converged"] += not_converged
-        tally["line_search_stalls"] += stalled
-        X = np.zeros((converged, dim))
-        X[:, free] = Y[status == _CONVERGED]
-        # Accepted in attempt order; only rows the screen flags can be duplicates.
-        near = _near_rows(X, accepted[: len(points)]).tolist()
-        for point, screened in zip(_certify_block(cfg, ambient, X, tol, rank_tol), near):
-            if isinstance(point, ProjectionError):
-                tally["not_converged"] += 1
-            elif isinstance(point, SingularPointError):
-                tally["singular"] += 1
-            elif screened and _is_duplicate(point.coordinates, accepted[: len(points)]):
-                tally["duplicates"] += 1
-            else:
-                accepted[len(points)] = point.coordinates
-                points.append(point)
-    if len(points) < count:
-        outcomes = {"attempts": attempt, **tally}
-        breakdown = ", ".join(f"{key.replace('_', ' ')} {value}" for key, value in tally.items())
-        raise SamplingBudgetError(
-            f"only {len(points)} of {count} requested points certified "
-            f"within {budget} attempts ({breakdown})",
-            points=points,
-            requested=count,
-            outcomes=outcomes,
-        )
-    return points
+        room, block = _ATTEMPT_BLOCK, []
+        for run in unfinished:
+            size = min(run.count - len(run.points), run.budget - run.attempt, room)
+            if size:
+                block.append((run, size))
+                room -= size
+        starts = np.vstack([run.starts(size) for run, size in block])
+        X, _, status = _project_block(grad, rhs, starts, tol, MAX_ITER)
+        converged = status == _CONVERGED
+        certified = _certify_block(cfg, ambient, X[converged], tol, rank_tol)
+        row = done = 0
+        for run, size in block:
+            rows = slice(row, row + size)
+            taken = int(np.count_nonzero(converged[rows]))
+            run.accept(status[rows], X[rows][converged[rows]], certified[done : done + taken])
+            row, done = row + size, done + taken

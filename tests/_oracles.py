@@ -157,14 +157,20 @@ def c_exact(lambdas) -> float:
     return 1.0 / (1.0 + float(np.max(np.sum(np.abs(lam), axis=1))))
 
 
-def star_violations_lp(lambdas, moment_values, ray_steps: int):
+def star_violations_lp(lambdas, moment_values, ray_steps: int, tol: float = 1e-9):
     """Star-shapedness violations by one LP per grid point.
 
     For the i-th moment value w and each r of ``linspace(0, 1, ray_steps)``,
-    the fiber {t >= 0, sum_j t_j lambda_j = -(r w)^2, sum t_j = 1 - |r w|^2}
-    gets the interior-margin LP (max delta with t_j >= delta) by HiGHS at a
-    1e-10 primal feasibility tolerance; (i, r) is a violation when HiGHS
-    reports it infeasible.
+    the fiber over r w is nonempty when its target
+    -(r w)^2 / (1 - |r w|^2) lies in the hull of the lambda_j.  The LP
+
+        min u  s.t.  -u <= (sum_j t_j lambda_j - target)_d <= u,  sum t = 1,  t >= 0
+
+    runs by HiGHS at a 1e-10 primal feasibility tolerance, over the real and
+    imaginary parts d.  (i, r) is a violation when the sup-norm distance of
+    its weights, clipped to t >= 0 and renormalised, exceeds ``tol``
+    (``toric.FEASIBILITY_TOL``): the statement the star check decides,
+    at the scale the samples are accurate to.
     """
     from scipy.optimize import linprog
 
@@ -172,25 +178,26 @@ def star_violations_lp(lambdas, moment_values, ray_steps: int):
     n, m = lam.shape
     rows = np.empty((2 * m, n))
     rows[0::2], rows[1::2] = lam.real.T, lam.imag.T
-    A_eq = np.hstack([np.vstack([rows, np.ones(n)]), np.zeros((2 * m + 1, 1))])
-    A_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    ones = np.ones((2 * m, 1))
+    A_ub = np.block([[rows, -ones], [-rows, -ones]])
+    A_eq = np.concatenate([np.ones(n), [0.0]]).reshape(1, -1)
     cost = np.zeros(n + 1)
-    cost[-1] = -1.0
+    cost[-1] = 1.0
     violations = []
     for i, w in enumerate(moment_values):
         for r in np.linspace(0.0, 1.0, ray_steps):
             rw = r * np.asarray(w, dtype=complex)
-            target = -(rw**2)
-            b_eq = np.empty(2 * m + 1)
-            b_eq[0:2 * m:2], b_eq[1:2 * m:2] = target.real, target.imag
-            b_eq[-1] = 1.0 - float(np.sum(np.abs(rw) ** 2))
-            res = linprog(cost, A_ub=A_ub, b_ub=np.zeros(n), A_eq=A_eq, b_eq=b_eq,
-                          bounds=[(0, None)] * n + [(None, None)], method="highs",
-                          options={"primal_feasibility_tolerance": 1e-10})
-            if res.status == 2:
-                violations.append((i, float(r)))
-            elif res.status != 0:
+            scaled = -(rw**2) / (1.0 - float(np.sum(np.abs(rw) ** 2)))
+            target = np.empty(2 * m)
+            target[0::2], target[1::2] = scaled.real, scaled.imag
+            res = linprog(cost, A_ub=A_ub, b_ub=np.concatenate([target, -target]),
+                          A_eq=A_eq, b_eq=[1.0], bounds=[(0, None)] * n + [(None, None)],
+                          method="highs", options={"primal_feasibility_tolerance": 1e-10})
+            if res.status != 0:
                 raise RuntimeError(res.message)
+            t = np.clip(res.x[:n], 0.0, None)
+            if np.max(np.abs(rows @ (t / t.sum()) - target)) > tol:
+                violations.append((i, float(r)))
     return tuple(violations)
 
 

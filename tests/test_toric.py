@@ -218,7 +218,7 @@ def test_star_check_matches_the_per_grid_point_lp_on_fixtures(
     # 0 lies outside the hull of the lambda_j: the Gale polytope is empty,
     # every grid point takes a hull verdict, and some fibers are empty.
     report = _star_matches_lp_reference(_off_siegel(), 3, 5, seed=0)
-    assert 0 < len(report.violations) < 15
+    assert report.violations == tuple((i, r) for i in range(3) for r in (0.0, 0.25, 0.5, 0.75))
 
 
 def _count_hull_verdicts(monkeypatch) -> list:
@@ -243,6 +243,7 @@ def test_star_check_does_not_trust_the_gale_point(monkeypatch):
 
 
 @given(st.integers(0, 2**32 - 1))
+@example(14962)  # off Siegel: its r = 1 fiber is a point, witnessed at 6.1e-11
 @settings(max_examples=20, deadline=None)
 def test_star_check_matches_the_per_grid_point_lp_on_random_configurations(seed):
     _star_matches_lp_reference(_random_mixed_general(seed), 3, 4, seed=seed % 1000)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentangle import (
+    Configuration,
     ProjectionError,
     SamplingBudgetError,
     StructuralError,
@@ -129,15 +130,10 @@ def test_zero_pattern_validation(pentagon, mixed_general_m2):
 
 
 def test_sampling_budget_error():
-    # Joint Siegel fails for this two-row configuration, so the w = 0 stratum
-    # of the mixed link is empty and stratum sampling must exhaust its budget.
-    ang = np.linspace(0.2, 5.9, 7)
-    lam = np.column_stack([np.exp(1j * ang), np.exp(1j * (ang * 0 + 0.3))])
-    cfg = None
-    from momentangle import Configuration
-    cfg = Configuration(lambdas=lam, kind="mixed-general")
+    # The w = 0 stratum is empty, so stratum sampling must exhaust its budget.
     with pytest.raises(SamplingBudgetError) as info:
-        sample_with_zero_pattern(cfg, (0, 1), 2, seed=0, max_attempts_per_point=3)
+        sample_with_zero_pattern(_empty_stratum_link(), (0, 1), 2, seed=0,
+                                 max_attempts_per_point=3)
     assert info.value.requested == 2
     outcomes = info.value.outcomes
     assert outcomes["attempts"] == 6
@@ -395,12 +391,9 @@ def test_sampler_takes_no_svd_fallback_on_fixtures(request, monkeypatch):
     assert sum(rows) == 0
     # The counter counts: the empty stratum of test_sampling_budget_error
     # drives its rows into the rank-deficient fallback.
-    ang = np.linspace(0.2, 5.9, 7)
-    lam = np.column_stack([np.exp(1j * ang), np.exp(1j * (ang * 0 + 0.3))])
-    from momentangle import Configuration
     with pytest.raises(SamplingBudgetError):
-        sample_with_zero_pattern(Configuration(lambdas=lam, kind="mixed-general"), (0, 1), 2,
-                                 seed=0, max_attempts_per_point=3)
+        sample_with_zero_pattern(_empty_stratum_link(), (0, 1), 2, seed=0,
+                                 max_attempts_per_point=3)
     assert sum(rows) > 0
 
 
@@ -430,13 +423,7 @@ def test_repeated_starts_are_duplicates_as_in_the_sequential_loop(fixture, strat
     the budget runs out, and the error carries the points and the tally.
     """
     cfg = request.getfixturevalue(fixture)
-    source = variety._start_source
-
-    def repeating(seed, dim):
-        draw = source(seed, dim)
-        return lambda first, size: np.vstack([draw(i % 5, 1) for i in range(first, first + size)])
-
-    monkeypatch.setattr(variety, "_start_source", repeating)
+    _repeat_every_fifth_start(monkeypatch)
     with pytest.raises(SamplingBudgetError) as info:
         _draw(cfg, stratum, 8, seed=2, max_attempts_per_point=3)
     tally = {}
@@ -467,3 +454,165 @@ def test_duplicate_screen_flags_every_duplicate(seed, size, count, dim):
     for i in range(size):
         if variety._is_duplicate(X[i], np.vstack([accepted, X[:i]])):
             assert flagged[i]
+
+
+def _empty_stratum_link():
+    """Joint Siegel fails for these two rows: the w = 0 stratum of the mixed link is empty."""
+    ang = np.linspace(0.2, 5.9, 7)
+    lam = np.column_stack([np.exp(1j * ang), np.exp(1j * (ang * 0 + 0.3))])
+    return Configuration(lambdas=lam, kind="mixed-general")
+
+
+def _link_strata(cfg, stratum):
+    """``(pinned, null_sum)`` of a stratum of STRATA."""
+    if stratum is None:
+        return [], False
+    return variety._stratum(cfg, None if stratum == "null" else stratum)
+
+
+def _calls(monkeypatch, name):
+    """Count the calls of ``variety.<name>``."""
+    calls = []
+    original = getattr(variety, name)
+    monkeypatch.setattr(variety, name, lambda *a, **k: calls.append(1) or original(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("svd_steps", [False, True])
+def test_pinned_coordinates_stay_exactly_zero(request, monkeypatch, svd_steps):
+    """Every accepted stratum point is exactly zero on its pinned coordinates, also
+    when every step comes from the SVD fallback, whose rounding would leak there;
+    so is every row projected on the empty stratum, which takes the fallback."""
+    fallback_rows = []
+    svd = variety._min_norm_steps
+    monkeypatch.setattr(variety, "_min_norm_steps",
+                        lambda jac, rhs: fallback_rows.append(len(jac)) or svd(jac, rhs))
+    if svd_steps:
+        monkeypatch.setattr(variety, "_STEP_MISS", -1.0)  # no normal-equation step is kept
+    for fixture, stratum in STRATA:
+        cfg = request.getfixturevalue(fixture)
+        pinned, _ = _link_strata(cfg, stratum)
+        for point in _draw(cfg, stratum, 10, seed=4):
+            assert (point.coordinates[pinned] == 0.0).all()
+    assert (sum(fallback_rows) > 0) == svd_steps
+    cfg = _empty_stratum_link()
+    pinned = [0, 1, 2, 3]
+    starts = np.zeros((40, cfg.ambient_real_dim))
+    starts[:, 4:] = variety._start_source(0, cfg.ambient_real_dim - 4)(0, 40)
+    fallback_rows.clear()
+    X, _, status = variety._project_block(*variety._link(cfg), starts, 1e-10, variety.MAX_ITER)
+    assert sum(fallback_rows) > 0 and (status != variety._CONVERGED).all()
+    assert (X[:, pinned] == 0.0).all()
+
+
+def _strata_by_link(cfg, fixture, count):
+    """The strata of STRATA on ``fixture``, grouped by link: ``{null_sum: [(stratum, spec)]}``.
+
+    Each stratum gets its own seed and count, so the strata finish in different rounds.
+    """
+    groups: dict = {}
+    for index, (name, stratum) in enumerate(STRATA):
+        if name == fixture:
+            pinned, null_sum = _link_strata(cfg, stratum)
+            groups.setdefault(null_sum, []).append(
+                (stratum, (pinned, 4 + index, count + index % 3)))
+    return groups
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_stacked_strata_equal_their_one_stratum_calls(request, monkeypatch, block):
+    """In one call per link, each stratum's points are its one-stratum call's, bit for bit,
+    also when the block cap of 3 attempts splits the rounds between the strata."""
+    for fixture in W_COUNTS:
+        cfg = request.getfixturevalue(fixture)
+        for null_sum, entries in _strata_by_link(cfg, fixture, 6).items():
+            expected = [_draw(cfg, stratum, count, seed) for stratum, (_, seed, count) in entries]
+            with monkeypatch.context() as patch:
+                if block is not None:
+                    patch.setattr(variety, "_ATTEMPT_BLOCK", block)
+                stacked = variety._sample(cfg, [spec for _, spec in entries], null_sum=null_sum)
+            for one, many in zip(expected, stacked, strict=True):
+                assert len(one) == len(many)
+                for a, b in zip(one, many):
+                    np.testing.assert_array_equal(a.coordinates, b.coordinates)
+                    assert a.residual_norm == b.residual_norm
+                    assert a.zero_pattern == b.zero_pattern
+
+
+def _repeat_every_fifth_start(monkeypatch):
+    """Attempt i starts where attempt i mod 5 does, so at most five points are distinct."""
+    source = variety._start_source
+
+    def repeating(seed, dim):
+        draw = source(seed, dim)
+        return lambda first, size: np.vstack([draw(i % 5, 1) for i in range(first, first + size)])
+
+    monkeypatch.setattr(variety, "_start_source", repeating)
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("repeat", [False, True])
+def test_first_stratum_out_of_budget_raises_its_one_stratum_error(monkeypatch, block, repeat):
+    """A stacked call raises the error of the first stratum, in list order, that runs
+    out of budget: the message, points, request and outcomes of its one-stratum call.
+
+    With repeated starts, eight generic points need more rounds than the empty
+    stratum's budget lasts; the error is still the generic stratum's."""
+    cfg = _empty_stratum_link()
+    if repeat:
+        _repeat_every_fifth_start(monkeypatch)
+    generic, empty, other = ([], 3, 8 if repeat else 4), ([0, 1, 2, 3], 0, 2), ([0, 1, 2, 3], 5, 1)
+
+    def one(stratum):
+        with pytest.raises(SamplingBudgetError) as info:
+            variety._sample(cfg, [stratum], max_attempts_per_point=3)
+        return info.value
+
+    orders = [([generic, empty], empty), ([empty, generic], empty),
+              ([generic, other, empty], other)]
+    if repeat:
+        orders = [([generic, other], generic), ([other, generic], other)]
+    if block is not None:
+        monkeypatch.setattr(variety, "_ATTEMPT_BLOCK", block)
+    for strata, first in orders:
+        expected = one(first)
+        with pytest.raises(SamplingBudgetError) as info:
+            variety._sample(cfg, strata, max_attempts_per_point=3)
+        error = info.value
+        assert str(error) == str(expected)
+        assert error.requested == expected.requested
+        assert error.outcomes == expected.outcomes
+        assert [p.coordinates.tobytes() for p in error.points] == [
+            p.coordinates.tobytes() for p in expected.points]
+    if repeat:
+        assert one(generic).outcomes["attempts"] == 24 > one(other).outcomes["attempts"]
+        assert len(one(generic).points) == 5
+
+
+@pytest.mark.parametrize("fixture", list(W_COUNTS))
+def test_verify_projects_and_certifies_once_per_link_and_round(fixture, request, monkeypatch):
+    """The verification cases take one sampler call per link, and one projection and
+    one certificate per round: as many rounds as the link's slowest stratum alone."""
+    from momentangle import cli
+    cfg = request.getfixturevalue(fixture)
+    calls = []
+    sample = cli._sample
+    monkeypatch.setattr(cli, "_sample", lambda cfg, strata, **kwargs:
+                        calls.append((strata, kwargs)) or sample(cfg, strata, **kwargs))
+    projections = _calls(monkeypatch, "_project_block")
+    certificates = _calls(monkeypatch, "_certify_block")
+    cases = cli._verification_cases(cfg, 3, 7, 1e-10, 1e-8)
+    assert [len(points) for _, points in cases] == [3] * len(cases)
+    assert len(projections) == len(certificates)
+    stacked = len(projections)
+    assert len(calls) == (2 if cfg.kind == "mixed-m1" and cfg.s >= 2 else 1)
+    assert sum(len(strata) for strata, _ in calls) == len(cases)
+    expected = 0
+    for strata, kwargs in calls:
+        rounds = []
+        for stratum in strata:
+            projections.clear()
+            variety._sample(cfg, [stratum], **kwargs)
+            rounds.append(len(projections))
+        expected += max(rounds)
+    assert stacked == expected
