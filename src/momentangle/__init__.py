@@ -30,7 +30,6 @@ from .forms import (
     alpha_on_frame,
     closed_form_kernel_vector,
     contact_volume,
-    contact_volume_scale,
     coordinate_weights,
     dalpha_on_frame,
     eval_alpha,

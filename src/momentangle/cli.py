@@ -35,7 +35,7 @@ from .config import (
     load_configuration,
 )
 from .errors import NumericalError, ProjectionError, SamplingBudgetError, StructuralError
-from .forms import evaluate_stack, volume_is_zero, volume_sign
+from .forms import evaluate_stack, vanishes, volume_sign
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
 from .toric import _gale_polytope
@@ -253,25 +253,26 @@ def cmd_verify(args) -> int:
 
     points = [point for _, case_points in cases for point in case_points]
     ev = evaluate_stack(cfg, points, args.rank_tol)
-    volume = ev.contact_volume
+    volume, zero = ev.contact_volume, vanishes(ev.contact_volume, ev.contact_volume_bound)
     # The first point calibrates the orientation (forms.orientation_sign).
-    kappa = 0.0 if cfg.kind == "classical" else volume_sign(cfg, volume[0])
+    kappa = 0.0 if cfg.kind == "classical" else volume_sign(volume[0], ev.contact_volume_bound[0])
     record("jacobian rank maximal", ev.jacobian_rank == cfg.equation_count)
     record("kernel dimensions per stratum",
            (ev.ker_dalpha_dim == ev.expected_kernel_dims[:, 0])
            & (ev.ker_alpha_cap_ker_dalpha_dim == ev.expected_kernel_dims[:, 1]))
     record("closed-form kernel family agreement", ev.family_angle < ANGLE_LIMIT)
     if cfg.kind == "classical":
-        record("contact volume vanishes (total degeneracy)", volume_is_zero(cfg, volume))
+        record("contact volume vanishes (total degeneracy)", zero)
         record(f"Poisson leaf rank {2 * cfg.m}", ev.leaf_rank == 2 * cfg.m)
-        record("leaf 2-form degeneracy", ev.leaf_two_form_magnitude <= 1e-8)
+        record("leaf 2-form degeneracy",
+               vanishes(ev.leaf_two_form_magnitude, ev.leaf_two_form_bound))
     else:
         # The volume vanishes exactly where ker dalpha jumps: the strata with
         # ker alpha cap ker dalpha != 0 in the dimension table.
-        vanish = ev.expected_kernel_dims[:, 1] > 0
-        record("contact volume vanishes on degenerate strata",
-               volume_is_zero(cfg, volume[vanish]))
-        record("contact volume positive off degenerate strata", kappa * volume[~vanish] > 0)
+        degenerate = ev.expected_kernel_dims[:, 1] > 0
+        record("contact volume vanishes on degenerate strata", zero[degenerate])
+        record("contact volume positive off degenerate strata",
+               ((kappa * volume > 0) & ~zero)[~degenerate])
     record("no indeterminate ranks", ~ev.indeterminate)
 
     all_ok = True

@@ -45,6 +45,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -409,6 +410,23 @@ def numerical_rank(sigma: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL):
     """
     sigma = np.asarray(sigma, dtype=float)
     return (sigma > rank_cut(sigma, rank_tol)).sum(axis=-1)
+
+
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` on a stack, with nan in the rows whose matrix is singular.
+
+    numpy fails the whole stack on one singular matrix; the rows are then
+    solved one at a time, which gives the same bits, so no row's solution
+    depends on the rows that share its block.
+    """
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(a[i], b[i])
+        return out
 
 
 def _realify_matrix(matrix: np.ndarray) -> np.ndarray:

@@ -71,8 +71,10 @@ Numerical-rank note: ranks use the relative rule of
 (:func:`.config.in_tie_band`) around its cut set ``indeterminate``.  That rule
 is meaningless for matrices that vanish identically in exact arithmetic — a
 pure-roundoff matrix is "full rank" relative to itself — so quantities
-expected to vanish (the leaf 2-form below) are reported as raw magnitudes for
-the caller to compare against an input-derived scale.
+expected to vanish (the contact volume on the strata, the leaf 2-form) come
+with per-point bounds on their moduli, from the point's own data, for
+:func:`vanishes` to compare against: so no verdict depends on the frame
+dimension or on the scale of lambda.
 """
 
 from __future__ import annotations
@@ -85,16 +87,14 @@ import numpy as np
 from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band, numerical_rank, rank_cut
 from .errors import NumericalError, StructuralError
 from .pfaffian import pfaffian
-from .variety import (_ATTEMPT_BLOCK, ZERO_TOL, VarietyPoint, _tangent_frames, complexify, realify,
-                      tangent_frame)
+from .variety import (_ATTEMPT_BLOCK, VarietyPoint, _tangent_frames, _zero_mask, complexify,
+                      realify, tangent_frame)
 
 
 @dataclass(frozen=True)
 class FormEvaluation:
     """Pointwise kernel/rank data of (alpha, dalpha) on the tangent frame."""
 
-    alpha_on_frame: np.ndarray
-    dalpha_on_frame: np.ndarray
     ker_dalpha_dim: int
     ker_alpha_cap_ker_dalpha_dim: int
     rank_dalpha_on_ker_alpha: int
@@ -149,12 +149,19 @@ def eval_dalpha(cfg: Configuration, u, v) -> float:
 
 def alpha_on_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
     """Vector of alpha(e_i) over the point's tangent frame columns."""
-    return _alpha_stack(cfg, point.coordinates[None], tangent_frame(cfg, point)[None])[0]
+    return _on_frame(cfg, point)[1]
 
 
 def dalpha_on_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
     """Skew matrix M[i, j] = dalpha(e_i, e_j) over the tangent frame."""
-    return _dalpha_stack(cfg, tangent_frame(cfg, point)[None])[0]
+    return _on_frame(cfg, point)[2]
+
+
+def _on_frame(cfg: Configuration, point: VarietyPoint) -> tuple[np.ndarray, ...]:
+    """The point's tangent frame, and alpha ``(d,)`` and dalpha ``(d, d)`` on it."""
+    frame = tangent_frame(cfg, point)
+    return (frame, _alpha_stack(cfg, point.coordinates[None], frame[None])[0],
+            _dalpha_stack(cfg, frame[None])[0])
 
 
 def _alpha_stack(cfg: Configuration, coords: np.ndarray, frames: np.ndarray) -> np.ndarray:
@@ -226,11 +233,6 @@ def kernel_family_basis(cfg: Configuration, coords) -> np.ndarray:
     T, mu = _family_parameters(cfg, coords)
     used = (T[0] != 0).any(axis=1) | (mu[0] != 0)
     return _kernel_vectors(cfg, coords, T[:, used], mu[:, used])[0]
-
-
-def _zero_mask(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
-    """``(N, w_count)``: which w coordinates of each point vanish (within ZERO_TOL)."""
-    return np.abs(complexify(coords)[:, : cfg.w_count]) <= ZERO_TOL
 
 
 def _family_parameters(cfg: Configuration, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,16 +339,17 @@ def kernel_analysis(
     (:func:`.config.in_tie_band`) set ``indeterminate`` instead of silently
     rounding the verdict.
     """
-    frame = tangent_frame(cfg, point)
+    return _kernel_analysis(*_on_frame(cfg, point), rank_tol)
+
+
+def _kernel_analysis(frame: np.ndarray, a: np.ndarray, dmat: np.ndarray,
+                     rank_tol: float) -> FormEvaluation:
+    """:func:`kernel_analysis` from a point's :func:`_on_frame` data."""
     d = frame.shape[1]
-    a = _alpha_stack(cfg, point.coordinates[None], frame[None])[0]
-    dmat = _dalpha_stack(cfg, frame[None])[0]
     sigma_d = _dalpha_kernels(frame[None], dmat[None], rank_tol)[0]
     ranks, indeterminate = _rank_checks(a[None], dmat[None], sigma_d, rank_tol)
     rank_d, rank_s, rank_r = ranks[0].tolist()
     return FormEvaluation(
-        alpha_on_frame=a,
-        dalpha_on_frame=dmat,
         ker_dalpha_dim=d - rank_d,
         ker_alpha_cap_ker_dalpha_dim=d - rank_s,
         rank_dalpha_on_ker_alpha=rank_r,
@@ -361,7 +364,8 @@ class StackEvaluation:
     """Every per-point quantity ``momentangle verify`` checks, for N points.
 
     Each array has one entry per point, in the order given.  The leaf
-    fields are set for classical configurations only.
+    fields are set for classical configurations only.  A ``*_bound`` bounds
+    the modulus of the field before it (:func:`vanishes`).
     """
 
     jacobian_rank: np.ndarray
@@ -370,9 +374,11 @@ class StackEvaluation:
     expected_kernel_dims: np.ndarray  # (N, 2)
     indeterminate: np.ndarray
     contact_volume: np.ndarray
+    contact_volume_bound: np.ndarray
     family_angle: np.ndarray
     leaf_rank: np.ndarray | None
     leaf_two_form_magnitude: np.ndarray | None
+    leaf_two_form_bound: np.ndarray | None
 
 
 def evaluate_stack(
@@ -410,20 +416,23 @@ def _evaluate_block(cfg: Configuration, points: list[VarietyPoint],
     sigma_d, _, kernel = _dalpha_kernels(frames, dmat, rank_tol)
     ranks, indeterminate = _rank_checks(a, dmat, sigma_d, rank_tol)
     family = _family_stack(cfg, coords)
-    leaf_rank = leaf_magnitude = None
+    leaf_rank = leaf_magnitude = leaf_bound = None
     if cfg.kind == "classical":  # the first 2m columns span the leaf
         leaf_rank = _leaf_ranks(family[..., : 2 * cfg.m], rank_tol)
-        leaf_magnitude = _leaf_magnitudes(cfg, family[..., : 2 * cfg.m])
+        leaf_magnitude, leaf_bound = _leaf_magnitudes(cfg, family[..., : 2 * cfg.m])
+    volume, volume_bound = _volumes(a, dmat)
     return StackEvaluation(
         jacobian_rank=jacobian_rank,
         ker_dalpha_dim=d - ranks[:, 0],
         ker_alpha_cap_ker_dalpha_dim=d - ranks[:, 1],
         expected_kernel_dims=_expected_dims(cfg, _zero_mask(cfg, coords)),
         indeterminate=indeterminate,
-        contact_volume=_volumes(a, dmat),
+        contact_volume=volume,
+        contact_volume_bound=volume_bound,
         family_angle=_largest_angles(_orth(family), kernel),
         leaf_rank=leaf_rank,
         leaf_two_form_magnitude=leaf_magnitude,
+        leaf_two_form_bound=leaf_bound,
     )
 
 
@@ -439,53 +448,56 @@ def rank_trichotomy(
     returned in ambient coordinates), or lower (total degeneracy beyond one
     block, as on classical links with m >= 2).
     """
-    evaluation = kernel_analysis(cfg, point, rank_tol)
-    d = cfg.manifold_dim
-    k = (d - 1) // 2
-    if evaluation.trichotomy == "contact":
-        return RankTrichotomy("contact", evaluation.rank_dalpha_on_ker_alpha, 2 * k, None)
-    if evaluation.trichotomy == "defect2":
-        stacked = np.vstack([evaluation.dalpha_on_frame, evaluation.alpha_on_frame])
-        _, sigma, vh = np.linalg.svd(stacked)
-        basis = tangent_frame(cfg, point) @ vh[numerical_rank(sigma, rank_tol):].T
-        return RankTrichotomy("defect2", evaluation.rank_dalpha_on_ker_alpha, 2, basis)
-    return RankTrichotomy("deep", evaluation.rank_dalpha_on_ker_alpha, 0, None)
+    frame, a, dmat = _on_frame(cfg, point)
+    evaluation = _kernel_analysis(frame, a, dmat, rank_tol)
+    label, rank = evaluation.trichotomy, evaluation.rank_dalpha_on_ker_alpha
+    if label == "defect2":
+        _, sigma, vh = np.linalg.svd(np.vstack([dmat, a]))
+        return RankTrichotomy(label, rank, 2, frame @ vh[numerical_rank(sigma, rank_tol):].T)
+    return RankTrichotomy(label, rank, cfg.manifold_dim - 1 if label == "contact" else 0, None)
 
 
 def contact_volume(cfg: Configuration, point: VarietyPoint) -> float:
     """alpha ^ (dalpha)^k on the oriented orthonormal tangent frame."""
-    frame = tangent_frame(cfg, point)[None]
-    return float(_volumes(_alpha_stack(cfg, point.coordinates[None], frame),
-                          _dalpha_stack(cfg, frame))[0])
+    return _volume_from_frame_data(*_on_frame(cfg, point)[1:])
 
 
-#: Contact volumes of at most this factor times :func:`contact_volume_scale` are zero.
-VOLUME_ZERO_FACTOR = 1e-9
+#: A quantity that vanishes in exact arithmetic reads zero when its modulus is
+#: at most this factor times its per-point bound (:func:`vanishes`).
+VANISHING_FACTOR = 1e-9
 
 
-def contact_volume_scale(cfg: Configuration) -> float:
-    """Natural magnitude scale k! * (max weight)^k for on-stratum thresholds."""
-    k = (cfg.manifold_dim - 1) // 2
-    wt = coordinate_weights(cfg)
-    return factorial(k) * float(np.max(wt)) ** k
+def vanishes(value, bound):
+    """Whether ``|value| <= VANISHING_FACTOR * bound``, elementwise.
+
+    ``bound`` comes from the point's own data (:func:`_volumes`,
+    :func:`_leaf_magnitudes`).  At frame dimensions 7 to 29, zero volumes
+    read at most 5e-16 of their bound and nonzero ones at least 4e-7.
+    """
+    return np.abs(value) <= VANISHING_FACTOR * bound
 
 
 def _volume_from_frame_data(a: np.ndarray, dmat: np.ndarray) -> float:
     """k! * Pf([[0, a^T], [-a, M]]), the bordered form of the minor expansion."""
-    return float(_volumes(a[None], dmat[None])[0])
+    return float(_volumes(a[None], dmat[None])[0][0])
 
 
-def _volumes(a: np.ndarray, dmat: np.ndarray) -> np.ndarray:
-    """:func:`_volume_from_frame_data` for a stack ``(N, d)``, ``(N, d, d)``.
+def _volumes(a: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_volume_from_frame_data` for a stack ``(N, d)``, ``(N, d, d)``, and its bounds.
 
-    The bordered matrices are built at once; each Pfaffian is one LAPACK call.
+    The bordered matrices B are built at once; each Pfaffian is one LAPACK
+    call.  Since Pf(B)^2 = det B, Hadamard's inequality bounds each volume
+    by k! * sqrt(prod_i |B_i|_2) over the rows B_i, computed in logs.
     """
     n, d = a.shape
     if d % 2 == 0:
         raise StructuralError("contact volume needs an odd frame dimension")
     bordered = np.zeros((n, d + 1, d + 1))
     bordered[:, 0, 1:], bordered[:, 1:, 0], bordered[:, 1:, 1:] = a, -a, dmat
-    return factorial((d - 1) // 2) * np.array([pfaffian(b) for b in bordered])
+    scale = factorial((d - 1) // 2)
+    with np.errstate(divide="ignore"):  # a zero row bounds the volume by 0
+        log_rows = np.log(np.linalg.norm(bordered, axis=2)).sum(axis=1)
+    return scale * np.array([pfaffian(b) for b in bordered]), scale * np.exp(0.5 * log_rows)
 
 
 def subspace_angle(span_a: np.ndarray, span_b: np.ndarray) -> float:
@@ -563,7 +575,7 @@ def symplectic_leaf_rank(
 def leaf_two_form_magnitude(cfg: Configuration, point: VarietyPoint) -> float:
     """max |dalpha(v_a, v_b)| over the leaf vectors — identically 0 in exact
     arithmetic (dalpha is totally degenerate on the leaves)."""
-    return float(_leaf_magnitudes(cfg, _leaf_span(cfg, point))[0])
+    return float(_leaf_magnitudes(cfg, _leaf_span(cfg, point))[0][0])
 
 
 def _leaf_span(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
@@ -577,10 +589,13 @@ def _leaf_ranks(leaf: np.ndarray, rank_tol: float) -> np.ndarray:
     return numerical_rank(np.linalg.svd(leaf, compute_uv=False), rank_tol)
 
 
-def _leaf_magnitudes(cfg: Configuration, leaf: np.ndarray) -> np.ndarray:
+def _leaf_magnitudes(cfg: Configuration, leaf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """max_ab |dalpha(v_a, v_b)| over leaf vectors ``(N, D, 2m)``, and its
+    Cauchy-Schwarz bound 4 max wt max_a |v_a|^2, which grows with lambda as they do."""
     wt = coordinate_weights(cfg)
     gram = 4.0 * (leaf[:, 0::2, :].transpose(0, 2, 1) @ (wt[:, None] * leaf[:, 1::2, :]))
-    return np.abs(gram - gram.transpose(0, 2, 1)).max(axis=(1, 2))
+    bound = 4.0 * np.max(wt) * np.einsum("nda,nda->na", leaf, leaf).max(axis=1)
+    return np.abs(gram - gram.transpose(0, 2, 1)).max(axis=(1, 2)), bound
 
 
 def orientation_sign(cfg: Configuration, reference: VarietyPoint) -> float:
@@ -590,17 +605,14 @@ def orientation_sign(cfg: Configuration, reference: VarietyPoint) -> float:
     positive at the reference point.  The reference must lie off the
     degeneracy stratum (where the volume vanishes identically).
     """
-    return volume_sign(cfg, contact_volume(cfg, reference))
+    _, a, dmat = _on_frame(cfg, reference)
+    volume, bound = _volumes(a[None], dmat[None])
+    return volume_sign(volume[0], bound[0])
 
 
-def volume_is_zero(cfg: Configuration, volume):
-    """Whether |volume| <= VOLUME_ZERO_FACTOR * :func:`contact_volume_scale`, elementwise."""
-    return np.abs(volume) <= VOLUME_ZERO_FACTOR * contact_volume_scale(cfg)
-
-
-def volume_sign(cfg: Configuration, volume: float) -> float:
-    """:func:`orientation_sign` from the reference point's contact volume."""
-    if volume_is_zero(cfg, volume):
+def volume_sign(volume: float, bound: float) -> float:
+    """:func:`orientation_sign` from the reference point's contact volume and its bound."""
+    if vanishes(volume, bound):
         raise NumericalError(
             "reference point lies on (or too close to) the degeneracy stratum; "
             "cannot calibrate the orientation"

@@ -20,8 +20,9 @@ by k fixes C(n g/L - 1, g - 1) compositions, g = gcd(k, L), when L | n g and
 none otherwise; each of the L reflections fixes sum_p C((n - p)/2 - 1,
 (L - 1)/2 - 1), over the middle part p = n (mod 2).
 
-Everything here is exact integer/stdlib combinatorics except the circle walk,
-which uses a fixed angular tolerance.
+Everything here is exact integer/stdlib combinatorics except the cut of the
+circle, a ``bincount`` of the antipodes below each direction, which uses a
+fixed angular tolerance.
 """
 
 from __future__ import annotations
@@ -146,10 +147,11 @@ def normalize_configuration(
 ) -> CyclicWeights:
     """Reduce an admissible planar (m = 1) configuration to its weight cycle.
 
-    The lambda_j are normalized to unit directions; the circle is cut at the
-    antipodes of the directions; maximal runs of directions between
-    consecutive antipodes become the classes.  Class sizes are returned in
-    cyclic order, canonicalized to the lexicographically minimal rotation.
+    The circle is cut at the antipodes of the lambda_j's directions; the
+    directions between two consecutive antipodes are a class.  A direction's
+    class is the number of antipodes below it, so the class sizes are one
+    ``bincount``, whose first and last bins join across angle 0.  They are
+    returned in cyclic order, at the lexicographically minimal rotation.
 
     Raises if some lambda_j comes within ``angular_tol`` of an antipode —
     that is a weak-hyperbolicity failure at tolerance scale, and the grouping
@@ -177,33 +179,14 @@ def normalize_configuration(
             f"lambda_{j}; weak hyperbolicity fails at tolerance scale"
         )
 
-    # walk the circle: directions between consecutive antipodes form a class
-    events = sorted(
-        [(float(a), 0) for a in angles] + [(float(a), 1) for a in antipodes]
-    )
-    sizes: list[int] = []
-    run = 0
-    leading = None  # directions before the first antipode; they wrap around
-    for _, is_antipode in events:
-        if is_antipode:
-            if leading is None:
-                leading = run
-            elif run:
-                sizes.append(run)
-            run = 0
-        else:
-            run += 1
-    wrapped = run + (leading or 0)
-    if wrapped:
-        sizes.append(wrapped)
-
+    bins = np.bincount(np.searchsorted(np.sort(antipodes), angles), minlength=cfg.n + 1)
+    bins[-1] += bins[0]
+    sizes = bins[1:][bins[1:] > 0].tolist()
     if len(sizes) % 2 == 0 or len(sizes) < 3:
         raise StructuralError(
             f"grouping produced {len(sizes)} classes; admissible configurations "
             "always give an odd count >= 3"
         )
-    if sum(sizes) != cfg.n:
-        raise StructuralError("grouping lost points (internal)")
     return CyclicWeights(tuple(sizes)).canonical()
 
 

@@ -50,6 +50,7 @@ from .config import (
     _hull_verdict,
     _hull_weights,
     _is_int,
+    _solve_rows,
     check_admissible,
     check_mixed_admissible,
     check_tolerances,
@@ -155,7 +156,8 @@ def _vertices(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """The basic feasible solutions of {t >= 0, At = b}, one per row.
 
     The r = rank A column bases B run in lexicographic blocks, each one
-    stacked solve of A_B t_B = b; feasible candidates (t_B >= -1e-11) keep
+    stacked solve of A_B t_B = b (:func:`.config._solve_rows`, so an exactly
+    singular basis gives no candidate); feasible candidates (t_B >= -1e-11) keep
     only full-rank bases (:func:`.config.numerical_rank`) and a recomputed
     |At - b| <= ``tol``.  Rows are in the order of the first basis giving
     each vertex; one within 1e-7 of an earlier row is that vertex.
@@ -169,13 +171,7 @@ def _vertices(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     bases = combinations(range(n), r)
     while len(block := np.fromiter(islice(bases, _SUBSET_BLOCK), np.dtype((np.intp, r)))):
         mats = rows.T[block].transpose(0, 2, 1)
-        rhs_stack = np.broadcast_to(rhs, block.shape)[..., None]
-        try:
-            sol = np.linalg.solve(mats, rhs_stack)[..., 0]
-        except np.linalg.LinAlgError:  # an exactly singular basis: solve the others
-            sol = np.full(block.shape, np.nan)
-            regular = np.linalg.slogdet(mats)[0] != 0
-            sol[regular] = np.linalg.solve(mats[regular], rhs_stack[regular])[..., 0]
+        sol = _solve_rows(mats, np.broadcast_to(rhs, block.shape)[..., None])[..., 0]
         ok = np.all(np.isfinite(sol) & (sol >= -1e-11), axis=1)
         cols, sol = block[ok], sol[ok]
         full_rank = numerical_rank(np.linalg.svd(A.T[cols], compute_uv=False)) == r

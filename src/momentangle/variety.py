@@ -54,12 +54,12 @@ equations, and with them a link of its own.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_RANK_TOL, Configuration, _is_int, check_tolerances, numerical_rank
+from .config import (DEFAULT_RANK_TOL, Configuration, _is_int, _solve_rows, check_tolerances,
+                     numerical_rank)
 from .config import complexify, realify  # noqa: F401  (realify is re-exported)
 from .errors import (
     NumericalError,
@@ -195,23 +195,6 @@ def _gauss_newton_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return step
 
 
-def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.linalg.solve`` on a stack, with nan in the rows whose matrix is singular.
-
-    numpy fails the whole stack on one singular matrix; the rows are then
-    solved one at a time, which gives the same bits, so no row's solution
-    depends on the rows that share its block.
-    """
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for i in range(len(a)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[i] = np.linalg.solve(a[i], b[i])
-        return out
-
-
 def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solutions of ``jac[i] @ step = rhs[i]``, by SVD.
 
@@ -329,6 +312,13 @@ def project_to_variety(
     return X[0]
 
 
+def _zero_mask(cfg: Configuration, X: np.ndarray) -> np.ndarray:
+    """``(N, w_count)``: which |w_k| <= ZERO_TOL in the rows of ``X``; the package's
+    one w-zero test, for zero patterns and the strata :mod:`.forms` expects."""
+    s = cfg.w_count
+    return np.hypot(X[:, 0 : 2 * s : 2], X[:, 1 : 2 * s : 2]) <= ZERO_TOL
+
+
 def _certify_block(
     cfg: Configuration, link: tuple[np.ndarray, np.ndarray], X: np.ndarray,
     tol: float, rank_tol: float,
@@ -338,11 +328,11 @@ def _certify_block(
     The singular values of the stacked Jacobians, from one SVD without
     vectors, give the ranks; no frame is built.
     """
-    eq, s = cfg.equation_count, cfg.w_count
+    eq = cfg.equation_count
     jac, R = _evaluate(*link, X)
     res_norms = np.max(np.abs(R), axis=1)
     ranks = numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_tol)
-    zero = (np.hypot(X[:, 0 : 2 * s : 2], X[:, 1 : 2 * s : 2]) <= ZERO_TOL).tolist()
+    zero = _zero_mask(cfg, X).tolist()
 
     out: list[VarietyPoint | NumericalError] = []
     for i, (res_norm, rank) in enumerate(zip(res_norms.tolist(), ranks.tolist())):

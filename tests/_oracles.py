@@ -146,6 +146,47 @@ def weight_cycles_brute(n: int, equivalence: str = "rotation") -> int:
     return len(canonical)
 
 
+def weight_cycle_walk(lambdas, angular_tol: float = 1e-9):
+    """The weight cycle of an admissible planar configuration, by a walk round the circle.
+
+    ``lambdas`` are the complex lambda_j.  The circle is cut at the
+    antipodes of their directions; directions and antipodes are sorted
+    together (a direction before an antipode at the same angle), and each
+    antipode closes the run of directions since the previous one.  The run
+    before the first antipode wraps round to join the last.  Returns the
+    nonzero run sizes at their lexicographically minimal rotation, or
+    ``"tolerance"`` when a direction lies within ``angular_tol`` of an
+    antipode, or ``"count"`` when the number of runs is even or below 3.
+    Admissibility is the caller's to check.
+    """
+    angles = np.mod(np.angle(np.asarray(lambdas, dtype=complex)), 2.0 * np.pi)
+    antipodes = np.mod(angles + np.pi, 2.0 * np.pi)
+    for a in angles:
+        for b in antipodes:
+            if min(abs(a - b), 2.0 * np.pi - abs(a - b)) < angular_tol:
+                return "tolerance"
+    events = sorted([(float(a), 0) for a in angles] + [(float(a), 1) for a in antipodes])
+    sizes: list[int] = []
+    run = 0
+    leading = None  # directions before the first antipode; they wrap around
+    for _, is_antipode in events:
+        if is_antipode:
+            if leading is None:
+                leading = run
+            elif run:
+                sizes.append(run)
+            run = 0
+        else:
+            run += 1
+    wrapped = run + (leading or 0)
+    if wrapped:
+        sizes.append(wrapped)
+    if len(sizes) % 2 == 0 or len(sizes) < 3:
+        return "count"
+    assert sum(sizes) == len(angles), "the walk lost points"
+    return min(tuple(sizes[i:] + sizes[:i]) for i in range(len(sizes)))
+
+
 def c_exact(lambdas) -> float:
     """Closed-form infimum of sum |z|^2 on a mixed-general link.
 
@@ -712,6 +753,16 @@ def point_checks_reference(cfg, point, rank_tol=1e-8):
         gram = 4.0 * (lx.T @ (wt[:, None] * ly))
         checks["leaf_two_form_magnitude"] = float(np.abs(gram - gram.T).max())
     return checks
+
+
+def contact_volume_scale(cfg) -> float:
+    """The fixed scale k! * (max weight)^k of a link's contact volumes.
+
+    Criterion 5 and the volume comparisons of the tests measure on-stratum
+    volumes against it; the library decides zeros per point instead.
+    """
+    k = (cfg.manifold_dim - 1) // 2
+    return factorial(k) * float(np.max(_form_weights(cfg))) ** k
 
 
 def _format_float_reference(value) -> str:

@@ -21,7 +21,6 @@ from momentangle import (
     classify,
     configuration_to_dict,
     contact_volume,
-    contact_volume_scale,
     estimate_c,
     expected_kernel_dims,
     fiber_count,
@@ -40,7 +39,8 @@ from momentangle import (
 from momentangle.cli import main
 from momentangle.forms import _volume_from_frame_data
 
-from _oracles import admissible_brute, brute_force_contact_volume, c_exact
+from _oracles import (admissible_brute, brute_force_contact_volume, c_exact,
+                      contact_volume_scale)
 
 HULL_TOL = 1e-9            # LP and brute-force hull membership tolerance
 RANK_TOL = 1e-8            # SVD numerical-rank threshold

@@ -149,6 +149,51 @@ def test_verify_report_lists_cases(tmp_path, mixed_s2):
     assert parsed["result"]["all_passed"] is True
 
 
+@pytest.mark.parametrize("kind, n, powers, s", [("mixed-m1", 13, (1,), 3),
+                                                ("mixed-general", 15, (1, 3), None)])
+def test_verify_decides_volume_zeros_at_frame_dimension_29(tmp_path, capsys, kind, n, powers, s):
+    """Contact volumes grow much faster with the frame dimension than any
+    fixed scale; against each point's own bound, the checks still hold."""
+    cfg = Configuration(lambdas=roots_of_unity(n, powers), kind=kind, s=s)
+    assert cfg.manifold_dim == 29
+    assert main(["verify", write_config(tmp_path, cfg), "--samples", "10"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scale", [1e5, 1e7])
+def test_verify_classical_does_not_depend_on_the_scale_of_lambda(tmp_path, pentagon, capsys,
+                                                                 scale):
+    """lambda -> c lambda gives the same link; the leaf vectors grow with c."""
+    cfg = Configuration(lambdas=scale * pentagon.lambdas, kind="classical")
+    assert main(["verify", write_config(tmp_path, cfg), "--samples", "10"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_catches_a_volume_that_does_not_vanish(tmp_path, mixed_s1, capsys, monkeypatch):
+    """Generic points planted as degenerate: their volumes fail the vanishing check."""
+    monkeypatch.setattr(momentangle.forms, "_expected_dims",
+                        lambda cfg, zero: np.tile([3, 2], (len(zero), 1)))
+    assert main(["verify", write_config(tmp_path, mixed_s1), "--samples", "3"]) == 1
+    assert "contact volume vanishes on degenerate strata: FAIL (3/6)" in capsys.readouterr().out
+
+
+def test_verify_counts_a_positive_volume_below_its_zero_bound_as_zero(tmp_path, mixed_s1,
+                                                                     capsys, monkeypatch):
+    """Volumes of the right sign, planted 1e-12 times too small, are not positive."""
+    volumes = momentangle.forms._volumes
+
+    def shrunk(a, dmat):
+        volume, bound = volumes(a, dmat)
+        volume[1:] *= 1e-12  # the first point calibrates the orientation
+        return volume, bound
+
+    monkeypatch.setattr(momentangle.forms, "_volumes", shrunk)
+    assert main(["verify", write_config(tmp_path, mixed_s1), "--samples", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "contact volume positive off degenerate strata: FAIL (1/3)" in out
+    assert "contact volume vanishes on degenerate strata: PASS (3/3)" in out
+
+
 # ---------------------------------------------------------------------------
 # classify
 # ---------------------------------------------------------------------------

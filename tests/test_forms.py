@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from momentangle import (
     NumericalError,
     StructuralError,
+    alpha_on_frame,
+    certify,
     closed_form_kernel_vector,
     contact_volume,
-    contact_volume_scale,
     coordinate_weights,
     dalpha_on_frame,
     eval_alpha,
@@ -36,9 +37,11 @@ from momentangle import forms
 from momentangle.cli import _verification_cases
 from momentangle.config import DEFAULT_RANK_TOL, DEGENERACY_BAND
 from momentangle.forms import _volume_from_frame_data
+from momentangle.variety import ZERO_TOL
 
 from _oracles import (
     brute_force_contact_volume,
+    contact_volume_scale,
     permutation_sum_contact_volume,
     point_checks_reference,
     rank_checks_reference,
@@ -236,6 +239,17 @@ def test_kernel_dims_mixed_general_strata(mixed_general_m2, batch):
             assert expected_kernel_dims(mixed_general_m2, point) == dims
 
 
+def test_zero_pattern_and_expected_dims_agree_at_the_zero_cut(mixed_general_m2, batch):
+    """With |w_0| placed at ZERO_TOL, the point's zero pattern and the stratum
+    its checks expect come from one w-zero test, at every phase of w_0."""
+    cfg = mixed_general_m2
+    coords = batch(cfg, 1, (0,))[0].coordinates.copy()
+    for theta in np.linspace(0.0, 2.0 * np.pi, 721):
+        coords[0:2] = ZERO_TOL * np.cos(theta), ZERO_TOL * np.sin(theta)
+        point = certify(cfg, coords)
+        assert (point.zero_pattern == (0,)) == (expected_kernel_dims(cfg, point) == (3, 2))
+
+
 def test_kernel_family_matches_svd_kernel(mixed_s1, mixed_general_m2, batch):
     for cfg in (mixed_s1, mixed_general_m2):
         for point in batch(cfg, 5):
@@ -273,16 +287,20 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypat
         assert tuple(stack.expected_kernel_dims[i]) == ref["expected_kernel_dims"]
         assert stack.contact_volume[i] == pytest.approx(
             ref["contact_volume"], rel=PFAFFIAN_REL_TOL, abs=PFAFFIAN_REL_TOL * scale)
+        assert abs(stack.contact_volume[i]) <= stack.contact_volume_bound[i]  # Hadamard
         assert abs(stack.family_angle[i] - ref["family_angle"]) <= 1e-12
         if classical:
             assert abs(stack.leaf_two_form_magnitude[i] - ref["leaf_two_form_magnitude"]) <= 1e-12
 
         alone = evaluate_stack(cfg, [point])
-        for field in EXACT_FIELDS + ["expected_kernel_dims", "contact_volume", "family_angle",
-                                     *("leaf_rank", "leaf_two_form_magnitude") * classical]:
+        for field in EXACT_FIELDS + ["expected_kernel_dims", "contact_volume",
+                                     "contact_volume_bound", "family_angle",
+                                     *("leaf_rank", "leaf_two_form_magnitude",
+                                       "leaf_two_form_bound") * classical]:
             np.testing.assert_array_equal(getattr(alone, field)[0], getattr(stack, field)[i])
     if not classical:
         assert stack.leaf_rank is None and stack.leaf_two_form_magnitude is None
+        assert stack.leaf_two_form_bound is None
 
     # evaluated in blocks of 3 points, the stack is unchanged bit for bit
     monkeypatch.setattr(forms, "_ATTEMPT_BLOCK", 3)
@@ -316,6 +334,7 @@ def test_rank_trichotomy_details(pentagon, mixed_s1, mixed_general_m2, batch):
     verdict = rank_trichotomy(mixed_s1, batch(mixed_s1, 1)[0])
     assert verdict.label == "contact"
     assert verdict.rank == mixed_s1.manifold_dim - 1
+    assert verdict.perp_dim == mixed_s1.manifold_dim - 1
     assert verdict.perp_basis is None
 
     deep = rank_trichotomy(mixed_general_m2, batch(mixed_general_m2, 1, (0, 1))[0])
@@ -323,14 +342,23 @@ def test_rank_trichotomy_details(pentagon, mixed_s1, mixed_general_m2, batch):
     assert deep.perp_dim == 0
 
 
+def test_rank_trichotomy_builds_one_frame(pentagon, batch, monkeypatch):
+    """The restricted rank and the defect plane come from one frame's alpha and dalpha."""
+    frames = []
+    frame_of = forms.tangent_frame
+    monkeypatch.setattr(forms, "tangent_frame",
+                        lambda cfg, point: frames.append(point) or frame_of(cfg, point))
+    assert rank_trichotomy(pentagon, batch(pentagon, 1)[0]).label == "defect2"
+    assert len(frames) == 1
+
+
 def test_defect2_perp_basis_spans_the_cap(pentagon, batch):
     point = batch(pentagon, 1)[0]
     verdict = rank_trichotomy(pentagon, point)
-    ev = kernel_analysis(pentagon, point)
     # the returned plane is tangent and killed by both alpha and dalpha
     basis = verdict.perp_basis
     frame = tangent_frame(pentagon, point)
-    a = ev.alpha_on_frame @ (frame.T @ basis)
+    a = alpha_on_frame(pentagon, point) @ (frame.T @ basis)
     assert np.abs(a).max() < 1e-8
     for column in basis.T:
         for other in frame.T:

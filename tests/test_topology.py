@@ -11,11 +11,12 @@ from momentangle import (
     Configuration,
     CyclicWeights,
     StructuralError,
+    check_admissible,
     classify,
     count_diffeo_types,
     normalize_configuration,
 )
-from _oracles import necklace_count, necklace_total, weight_cycles_brute
+from _oracles import necklace_count, necklace_total, weight_cycle_walk, weight_cycles_brute
 
 
 def directions(*degrees):
@@ -126,6 +127,43 @@ def test_normalize_rejects_near_antipodal_pairs():
     cfg = directions(0, 100, 180 + delta, 260)
     with pytest.raises(StructuralError, match="antipode"):
         normalize_configuration(cfg, angular_tol=1e-6)
+
+
+@st.composite
+def planar_configurations(draw):
+    """Clusters of directions round a regular (2l+1)-gon, jittered and rotated.
+
+    A spread of 0 puts whole clusters, and their antipodes, on one angle; a
+    rotation of 0 puts a direction at the cut of the circle; large spreads
+    leave admissibility, and large angular tolerances reach the antipodes.
+    """
+    corners = 2 * draw(st.integers(1, 3)) + 1
+    sizes = draw(st.lists(st.integers(1, 3), min_size=corners, max_size=corners)
+                 .filter(lambda sizes: sum(sizes) > 3))  # n > 3
+    spread = draw(st.sampled_from([0.0, 1e-3, 0.3, 1.0, 2.5]))
+    rotation = draw(st.one_of(st.just(0.0), st.floats(0.0, 2.0 * np.pi)))
+    angles = [rotation + 2.0 * np.pi * k / corners
+              + draw(st.floats(-spread, spread) if spread else st.just(0.0))
+              for k, size in enumerate(sizes) for _ in range(size)]
+    radii = draw(st.lists(st.floats(0.1, 10.0), min_size=len(angles), max_size=len(angles)))
+    lambdas = np.array(radii) * np.exp(1j * np.array(angles))
+    return draw(st.permutations(list(lambdas)))
+
+
+@given(planar_configurations(), st.sampled_from([1e-9, 0.1, 0.5, 2.0]))
+@settings(max_examples=150, deadline=None)
+def test_normalize_configuration_matches_the_walk(lambdas, angular_tol):
+    """The closed-form class count equals the walk round the circle, raising where it does."""
+    cfg = Configuration(lambdas=np.array(lambdas).reshape(-1, 1), kind="classical")
+    expected = (weight_cycle_walk(lambdas, angular_tol) if check_admissible(cfg).admissible
+                else "admissible")
+    if isinstance(expected, tuple):
+        assert normalize_configuration(cfg, angular_tol).weights == expected
+    else:
+        message = {"admissible": "not admissible", "tolerance": "antipode",
+                   "count": "classes"}[expected]
+        with pytest.raises(StructuralError, match=message):
+            normalize_configuration(cfg, angular_tol)
 
 
 def test_normalize_classify_round_trip(pentagon):
