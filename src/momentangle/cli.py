@@ -38,7 +38,7 @@ from .errors import NumericalError, ProjectionError, SamplingBudgetError, Struct
 from .forms import evaluate_stack, vanishes, volume_sign
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
-from .toric import _gale_polytope
+from .toric import _checked_scale, _gale_polytope
 from .actions import _fibers
 from .variety import _sample, _stratum, sample_points, sample_with_zero_pattern
 
@@ -325,6 +325,7 @@ def cmd_classify(args) -> int:
 
 def cmd_gale(args) -> int:
     cfg = load_configuration(args.config)
+    c = _checked_scale(cfg, args.c)
     cfg_dict = configuration_to_dict(cfg)
     manifest = _manifest(args, "gale", cfg_dict, {"tol": args.tol, "c": args.c})
 
@@ -333,7 +334,7 @@ def cmd_gale(args) -> int:
         print(f"configuration not admissible (violating subset "
               f"{report.violating_subset})", file=sys.stderr)
         return EXIT_FAIL
-    poly = _gale_polytope(cfg, args.c, args.tol)
+    poly = _gale_polytope(cfg, c, args.tol)
     expected_dim = cfg.n - 2 * cfg.m - 1
     print(f"dimension: {poly.dim} (expected {expected_dim})")
     print(f"vertices: {len(poly.vertices)}")

@@ -57,8 +57,8 @@ ranks.  alpha and dalpha are two batched products; each other rank (dalpha,
 [dalpha; alpha], dalpha on ker alpha, leaf span) is one SVD of a stack; the
 numerical kernel comes from the same SVD of dalpha that gives its rank, kept
 at width d with zero columns; the closed-form family is one array of (T, mu)
-parameters, zero-padded to a width fixed by the kind (v(0, 0) = 0).  Only the bordered
-Pfaffians are one LAPACK call per point.  The one-point functions
+parameters, zero-padded to a width fixed by the kind (v(0, 0) = 0); the bordered
+Pfaffians are one stacked elimination.  The one-point functions
 (:func:`kernel_analysis`, :func:`kernel_family_angle`,
 :func:`contact_volume`, ...) are the N = 1 case of the same code, so a
 point's values do not depend on the stack it is evaluated in;
@@ -86,7 +86,7 @@ import numpy as np
 
 from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band, numerical_rank, rank_cut
 from .errors import NumericalError, StructuralError
-from .pfaffian import pfaffian
+from .pfaffian import _pfaffians
 from .variety import (_ATTEMPT_BLOCK, VarietyPoint, _tangent_frames, _zero_mask, complexify,
                       realify, tangent_frame)
 
@@ -485,9 +485,10 @@ def _volume_from_frame_data(a: np.ndarray, dmat: np.ndarray) -> float:
 def _volumes(a: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_volume_from_frame_data` for a stack ``(N, d)``, ``(N, d, d)``, and its bounds.
 
-    The bordered matrices B are built at once; each Pfaffian is one LAPACK
-    call.  Since Pf(B)^2 = det B, Hadamard's inequality bounds each volume
-    by k! * sqrt(prod_i |B_i|_2) over the rows B_i, computed in logs.
+    The bordered matrices B are built at once, and one stacked elimination
+    (:func:`.pfaffian._pfaffians`) takes all their Pfaffians.  Since
+    Pf(B)^2 = det B, Hadamard's inequality bounds each volume by
+    k! * sqrt(prod_i |B_i|_2) over the rows B_i, computed in logs.
     """
     n, d = a.shape
     if d % 2 == 0:
@@ -497,7 +498,7 @@ def _volumes(a: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = factorial((d - 1) // 2)
     with np.errstate(divide="ignore"):  # a zero row bounds the volume by 0
         log_rows = np.log(np.linalg.norm(bordered, axis=2)).sum(axis=1)
-    return scale * np.array([pfaffian(b) for b in bordered]), scale * np.exp(0.5 * log_rows)
+    return scale * _pfaffians(bordered), scale * np.exp(0.5 * log_rows)
 
 
 def subspace_angle(span_a: np.ndarray, span_b: np.ndarray) -> float:

@@ -39,7 +39,7 @@ w^2 + F(z) = 0 actually induce; the big-moment-map residual test pins it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, islice
 
 import numpy as np
@@ -204,9 +204,10 @@ def gale_transform(cfg: Configuration, c: float = 1.0,
     Requires an admissible configuration; its affine dimension is then
     n - 2m - 1.  The scaling c > 0 is mathematically irrelevant (the
     homogeneous constraint absorbs it) and kept only to match the usual
-    presentation.
+    presentation: it scales the λ rows of ``equalities`` and nothing else.
     """
     check_tolerances(tol)
+    c = _checked_scale(cfg, c)
     report = check_admissible(cfg, tol)
     if not report.admissible:
         raise StructuralError(
@@ -217,16 +218,29 @@ def gale_transform(cfg: Configuration, c: float = 1.0,
     return _gale_polytope(cfg, c, tol)
 
 
+def _checked_scale(cfg: Configuration, c) -> float:
+    """c as a float; :class:`StructuralError` unless it is positive and finite, and so is c * lambda."""
+    c = float(np.real(c)) if np.isreal(c) else np.nan
+    if not (0 < c < np.inf and c * float(np.max(np.abs(realify(cfg.lambdas)))) < np.inf):
+        raise StructuralError("c must be a positive finite real, with c * lambda finite")
+    return c
+
+
 def _gale_polytope(cfg: Configuration, c: float, tol: float) -> PolytopeDescription:
-    """:func:`gale_transform` of a configuration already found admissible."""
-    if not np.isreal(c) or not c > 0:
-        raise StructuralError("c must be a positive real")
-    A, b = _equality_rows(float(c) * cfg.lambdas, np.zeros(cfg.m, dtype=complex), 1.0)
+    """:func:`gale_transform` of a configuration already found admissible, for a checked c
+    (:func:`_checked_scale`).
+
+    The vertices, support and dimension come from the unscaled rows, so no
+    c moves them; scaling the rows instead would let the relative rank cut
+    drop the λ rows (c -> 0) or the simplex row (c -> inf).
+    """
+    A, b = _equality_rows(cfg.lambdas, np.zeros(cfg.m, dtype=complex), 1.0)
     poly = _build_polytope(A, b, tol)
     if poly.is_empty:
         raise NumericalError("Gale polytope empty for an admissible configuration "
                              "(internal inconsistency)")
-    return poly
+    A[:-1] *= c  # the presented rows
+    return replace(poly, equalities=tuple(zip(A, map(float, b))))
 
 
 def fiber_polytope(cfg: Configuration, w,

@@ -592,31 +592,26 @@ def _perm_sign(perm: tuple[int, ...]) -> int:
     return sign
 
 
-def pfaffian_parlett_reid(matrix) -> float:
-    """Pfaffian by skew Gaussian elimination (Parlett-Reid) with pivoting.
+def pfaffian_lapack(matrix) -> float:
+    """Pfaffian by one LAPACK Householder tridiagonalization (``dgehrd``).
 
-    Row/column k+1 is swapped with the largest entry of column k below the
-    diagonal, then the trailing block is reduced by the rank-2 update of
-    Wimmer's ``pfaffian_LTL``.  O(n^3), and independent of LAPACK.
+    The Hessenberg form H = Q^T A Q of a skew matrix is tridiagonal, and
+    Pf(A) = det(Q) Pf(H): Pf(H) is the product of the superdiagonal entries
+    in even positions, and det(Q) = (-1)^(number of nonzero tau), because each
+    reflector I - tau v v^T with tau != 0 has determinant -1 and tau = 0 is I.
+    O(n^3), orthogonal, and independent of the library's elimination.
     """
-    a = _validate_skew(matrix).copy()
+    from scipy.linalg.lapack import dgehrd
+
+    a = _validate_skew(matrix)
     n = a.shape[0]
     if n % 2 == 1:
         return 0.0
-    value = 1.0
-    for k in range(0, n - 1, 2):
-        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-        if p != k + 1:
-            a[[k + 1, p]] = a[[p, k + 1]]
-            a[:, [k + 1, p]] = a[:, [p, k + 1]]
-            value = -value
-        if a[k + 1, k] == 0.0:
-            return 0.0
-        value *= a[k, k + 1]
-        if k + 2 < n:
-            tau = a[k, k + 2:] / a[k, k + 1]
-            a[k + 2:, k + 2:] += np.outer(tau, a[k + 2:, k + 1]) - np.outer(a[k + 2:, k + 1], tau)
-    return float(value)
+    if n == 0:
+        return 1.0
+    h, tau, _ = dgehrd(a)
+    sign = -1.0 if np.count_nonzero(tau) % 2 else 1.0
+    return float(sign * np.prod(h[np.arange(0, n - 1, 2), np.arange(1, n, 2)]))
 
 
 ZERO_TOL = 1e-8  # a w coordinate below this modulus counts as zero
@@ -702,7 +697,7 @@ def point_checks_reference(cfg, point, rank_tol=1e-8):
     for dalpha, [dalpha; alpha] and dalpha on ker alpha (ranks and tie
     flags); the numerical kernel from a second full SVD of dalpha; the
     family angle from orthonormalised spans; the contact volume as k! times
-    the Parlett-Reid Pfaffian of the bordered matrix; on classical links the
+    the LAPACK Pfaffian of the bordered matrix; on classical links the
     leaf rank and leaf 2-form magnitude.
     """
     coords = point.coordinates
@@ -723,7 +718,7 @@ def point_checks_reference(cfg, point, rank_tol=1e-8):
 
     bordered = np.block([[np.zeros((1, 1)), a[None, :]], [-a[:, None], dmat]])
     k = (d - 1) // 2
-    volume = float(factorial(k) * pfaffian_parlett_reid(bordered))
+    volume = float(factorial(k) * pfaffian_lapack(bordered))
 
     w = (coords[0::2] + 1j * coords[1::2])[: cfg.w_count]
     zeros = int(np.count_nonzero(np.abs(w) <= ZERO_TOL))

@@ -234,6 +234,17 @@ def test_gale_pentagon(tmp_path, pentagon, capsys):
     assert "vertices: 5" in out
 
 
+@pytest.mark.parametrize("c, code", [("1e-12", 0), ("1e12", 0), ("inf", 2), ("nan", 2)])
+def test_gale_c_away_from_one(tmp_path, pentagon, capsys, c, code):
+    """A small or large c gives c = 1's polytope; a non-finite c is a usage error."""
+    assert main(["gale", write_config(tmp_path, pentagon), "--c", c]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert "dimension: 2 (expected 2)" in captured.out and "vertices: 5" in captured.out
+    else:
+        assert "c must be a positive finite real" in captured.err
+
+
 def test_gale_non_admissible_exits_one(tmp_path, capsys):
     lam = np.exp(1j * np.array([0.0, 0.3, 0.6, 0.9, 1.2])).reshape(5, 1)
     path = write_config(tmp_path, Configuration(kind="classical", lambdas=lam))
@@ -690,16 +701,21 @@ def test_verify_report_is_identical_across_blas_thread_counts(tmp_path, mixed_ge
     (["sample", "{config}", "--samples", "3"], False),
     (["check", "{config}"], True),
     (["verify", "{config}", "--samples", "2"], False),
+    (["classify", "--weights", "1,1,1,1,1"], False),
+    (["cover", "{mixed}", "--samples", "2"], False),
+    (["gale", "{config}"], True),
 ])
-def test_scipy_optimize_is_imported_only_by_commands_that_solve(tmp_path, pentagon, argv, solves):
-    """``count`` and ``sample`` solve no LP or NNLS and never load ``scipy.optimize``;
-    they compute no Pfaffian either and never load ``scipy.linalg``, which
-    ``verify`` loads for its Pfaffians and ``check`` with ``scipy.optimize``."""
-    path = write_config(tmp_path, pentagon)
+def test_scipy_optimize_is_imported_only_by_commands_that_solve(tmp_path, pentagon,
+                                                                 mixed_general_m2, argv, solves):
+    """Only the commands that solve an LP or NNLS (``check``, ``gale``) load
+    ``scipy.optimize``, and with it ``scipy``; the others, ``verify`` with its
+    Pfaffians among them, load no scipy module at all."""
+    paths = {"config": write_config(tmp_path, pentagon),
+             "mixed": write_config(tmp_path, mixed_general_m2, "mixed.json")}
     code = ("import sys; from momentangle import cli; cli.main(sys.argv[1:]); "
-            "print('scipy.optimize' in sys.modules, 'scipy.linalg' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code, *(a.format(config=path) for a in argv)],
+            "print('scipy.optimize' in sys.modules, "
+            "any(name.split('.')[0] == 'scipy' for name in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code, *(a.format(**paths) for a in argv)],
                           env=_fresh_env(), check=True, capture_output=True, text=True,
                           timeout=120)
-    pfaffians = argv[0] == "verify"
-    assert done.stdout.splitlines()[-1] == f"{solves} {solves or pfaffians}"
+    assert done.stdout.splitlines()[-1] == f"{solves} {solves}"

@@ -71,6 +71,33 @@ def test_gale_scaling_is_irrelevant(pentagon):
     assert_same_vertex_set(a.vertices, b.vertices)
 
 
+@pytest.mark.parametrize("c", [1e-300, 1e-12, 0.25, 1e12, 1e300])
+def test_gale_vertices_do_not_depend_on_c(pentagon, c):
+    """The homogeneous rows absorb c: no c drops a row from the rank, and
+    only the presented equalities scale."""
+    a = gale_transform(pentagon, c=1.0)
+    b = gale_transform(pentagon, c=c)
+    assert b.dim == a.dim == 2
+    np.testing.assert_array_equal(b.vertices, a.vertices)
+    for (row_a, rhs_a), (row_b, rhs_b) in zip(a.equalities[:-1], b.equalities[:-1]):
+        np.testing.assert_array_equal(row_b, c * row_a)
+        assert rhs_a == rhs_b == 0.0
+    np.testing.assert_array_equal(b.equalities[-1][0], a.equalities[-1][0])
+
+
+@pytest.mark.parametrize("c", [np.inf, np.nan, 0.0, -1.0])
+def test_gale_rejects_a_scale_that_is_not_positive_and_finite(pentagon, c):
+    with pytest.raises(StructuralError, match="positive finite"):
+        gale_transform(pentagon, c=c)
+
+
+def test_gale_rejects_a_scale_that_overflows_lambda():
+    cfg = Configuration(lambdas=4.0 * roots_of_unity(5, (1,)), kind="classical")
+    assert gale_transform(cfg, c=1e307).dim == 2
+    with pytest.raises(StructuralError, match="c \\* lambda finite"):
+        gale_transform(cfg, c=1e308)
+
+
 def test_gale_rejects_bad_inputs(pentagon):
     with pytest.raises(StructuralError):
         gale_transform(pentagon, c=0.0)
