@@ -25,7 +25,9 @@ which is linear in r^2 — the 1-D radius solve on the ray therefore collapses
 to a closed form and needs no iteration.  Each k with F_k != 0 contributes an
 independent sign choice, so a direction with l nonzero quadric values has
 exactly 2^l preimages (2^m generically, 1 on the classical stratum).  The
-count and the 2^l sign-choice candidates come from one ray (:func:`_fiber`).
+count and the 2^l sign-choice candidates come from one ray (:func:`_fiber`);
+the candidates are the preimages as built, with no dedupe: a live k has
+|w_k| > sqrt(tol), so two candidates differ by more than 2 sqrt(tol).
 The candidates of up to 256 // 2^m directions are certified together, one
 stacked SVD per block (:func:`_fibers`); :func:`fiber_points` is the
 one-direction case.
@@ -46,7 +48,6 @@ from .variety import (
     DEFAULT_TOL,
     VarietyPoint,
     _certify_block,
-    _is_duplicate,
     _link,
     certify,
     realify,
@@ -230,9 +231,10 @@ def fiber_points(cfg: Configuration, direction,
     """All preimages of a direction, by exhaustive sign-choice construction.
 
     Builds w_k = +-sqrt(-F_k r^2) for every k with |F_k| r^2 > tol (w_k = 0
-    on the others), certifies the 2^l candidates in one block and
-    deduplicates them in order; a candidate that fails certification raises
-    its error.  Exponential in m, meant for m <= 3.  Directions with |F_k|
+    on the others) and certifies the 2^l candidates in one block; they are
+    returned in order, all distinct, as two differ by 2|w_k| > 2 sqrt(tol)
+    in some live w_k.  A candidate that fails certification raises its
+    error.  Exponential in m, meant for m <= 3.  Directions with |F_k|
     in the near-branch band may fail certification for the w_k = 0 choice —
     counts there are inherently ill-conditioned.
     """
@@ -268,6 +270,8 @@ def _fibers(cfg: Configuration, directions, tol: float
             ) -> Iterator[tuple[FiberCount, list[VarietyPoint] | NumericalError]]:
     """Each direction's count, and its :func:`fiber_points` or its first failing candidate's error.
 
+    The 2^l certified lifts of a direction are returned as built.
+
     Directions are taken in slices of ``_ATTEMPT_BLOCK // 2^m``.  Each slice
     is validated, its candidates are stacked and certified in blocks of at
     most ``_ATTEMPT_BLOCK`` rows, and its results are yielded before the
@@ -288,24 +292,18 @@ def _fibers(cfg: Configuration, directions, tol: float
             results = certified[start : start + len(rows)]
             start += len(rows)
             error = next((p for p in results if isinstance(p, NumericalError)), None)
-            if error is not None:
-                yield count, error
-                continue
-            found: list[VarietyPoint] = []
-            for point in results:
-                if not _is_duplicate(point.coordinates, [q.coordinates for q in found]):
-                    found.append(point)
-            yield count, found
+            yield count, results if error is None else error
 
 
 def sign_orbit(cfg: Configuration, point: VarietyPoint) -> list[VarietyPoint]:
-    """The (Z/2)^m orbit of a point, deduplicated."""
-    out: list[VarietyPoint] = []
-    for signs in product((1.0, -1.0), repeat=cfg.m):
-        moved = sign_act(cfg, point, np.array(signs))
-        if not _is_duplicate(moved.coordinates, [q.coordinates for q in out]):
-            out.append(moved)
-    return out
+    """The (Z/2)^m orbit of a point: 2^(m - |zero_pattern|) points.
+
+    Only the w_k outside ``point.zero_pattern`` are flipped, one image per
+    choice of their signs in ``itertools.product`` order; a w_k in it
+    vanishes to ``ZERO_TOL`` and keeps its sign.
+    """
+    choices = [(1.0,) if k in point.zero_pattern else (1.0, -1.0) for k in range(cfg.m)]
+    return [sign_act(cfg, point, np.array(signs)) for signs in product(*choices)]
 
 
 def isotropy_stratum(cfg: Configuration, point: VarietyPoint,

@@ -40,7 +40,7 @@ from .report import RunManifest, build_report, canonical_json, format_float, sha
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
 from .toric import _checked_scale, _gale_polytope
 from .actions import _fibers
-from .variety import _sample, _stratum, sample_points, sample_with_zero_pattern
+from .variety import _sample, _stratum
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -408,19 +408,17 @@ def cmd_sample(args) -> int:
 
     if args.pattern and args.null_stratum:
         raise StructuralError("--pattern and --null-stratum are mutually exclusive")
+    pinned, null_sum = [], False
     if args.pattern:
         try:
             pattern = tuple(int(x) for x in args.pattern.split(","))
         except ValueError as exc:
             raise StructuralError(f"cannot parse pattern {args.pattern!r}") from exc
-        points = sample_with_zero_pattern(cfg, pattern, args.samples, seed=args.seed,
-                                          tol=args.tol, rank_tol=args.rank_tol)
+        pinned, null_sum = _stratum(cfg, pattern)
     elif args.null_stratum:
-        points = sample_with_zero_pattern(cfg, None, args.samples, seed=args.seed,
-                                          tol=args.tol, rank_tol=args.rank_tol)
-    else:
-        points = sample_points(cfg, args.samples, seed=args.seed,
-                               tol=args.tol, rank_tol=args.rank_tol)
+        pinned, null_sum = _stratum(cfg, None)
+    (points,) = _sample(cfg, [(pinned, args.seed, args.samples)], args.tol, args.rank_tol,
+                        null_sum=null_sum)
 
     worst = max(p.residual_norm for p in points)
     print(f"certified {len(points)} points; worst residual {format_float(worst)}")

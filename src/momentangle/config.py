@@ -150,12 +150,27 @@ class Configuration:
 
     @property
     def w_count(self) -> int:
-        """Number of complex w coordinates (0, s or m depending on kind)."""
+        """Number of complex w coordinates (0, s or m); w_r joins quadric ``w_quadric[r]``."""
         if self.kind == "classical":
             return 0
         if self.kind == "mixed-m1":
             return int(self.s)
         return self.m
+
+    @cached_property
+    def w_quadric(self) -> np.ndarray:
+        """The quadric each w_r^2 joins, ``(w_count,)``, read-only: none on classical
+        links, 0 for all s on mixed-m1 (m = 1), r for w_r on mixed-general (w_count = m)."""
+        quadric = np.arange(self.w_count) % self.m
+        quadric.flags.writeable = False
+        return quadric
+
+    @cached_property
+    def _w_join(self) -> np.ndarray:
+        """One-hot ``(w_count, m)`` of :attr:`w_quadric`, read-only."""
+        join = np.eye(self.m)[self.w_quadric]
+        join.flags.writeable = False
+        return join
 
     @property
     def ambient_complex_dim(self) -> int:
@@ -167,9 +182,7 @@ class Configuration:
 
     @property
     def equation_count(self) -> int:
-        """Real equations cutting the link: 2 per complex quadric plus the sphere."""
-        if self.kind == "mixed-m1":
-            return 3
+        """Real equations cutting the link: 2 per complex quadric plus the sphere, 2m + 1."""
         return 2 * self.m + 1
 
     @property
@@ -194,8 +207,7 @@ class Configuration:
         for k in range(self.equation_count // 2):
             quads[2 * k, z, z] = lam[:, k].real
             quads[2 * k + 1, z, z] = lam[:, k].imag
-        for r in range(s):  # w_r^2 joins quadric r (mixed-general) or the one quadric
-            k = r if self.kind == "mixed-general" else 0
+        for r, k in enumerate(self.w_quadric.tolist()):  # w_r^2 joins quadric k
             x, y = 2 * r, 2 * r + 1
             quads[2 * k, x, x], quads[2 * k, y, y] = 1.0, -1.0
             quads[2 * k + 1, x, y] = quads[2 * k + 1, y, x] = 1.0

@@ -10,31 +10,24 @@ per complex coordinate, and ``dalpha = 4 sum wt dx ^ dy``; both identities
 are verified against direct complex-arithmetic transcriptions in the tests.
 
 The kernel of ``dalpha`` restricted to the tangent space of a link is spanned
-by explicit closed-form vectors parametrized by (T, mu):
+by explicit closed-form vectors parametrized by (T, mu), T in C^m:
 
-* classical:       v_j = -i (2 Re<T, lambda_j> + mu) z_j / b_j
-* mixed-m1:        u_r = -i (2 conj(T) wbar_r + mu w_r) / a_r, z part as above
-* mixed-general:   u_k = -i (2 wbar_k conj(T_k) + mu w_k) / a_k, z part with
-                   sum_k T_k lambda^k_j
+    v_j = -i (2 Re sum_k T_k lambda^k_j + mu) z_j / b_j
+    u_r = -i (2 conj(T_k) wbar_r + mu w_r) / a_r,   w_r^2 joining quadric k
 
-(the 1/weight factors reduce to the unit-weight displays; the computation for
-other weights is the same argument with the form coefficients carried along).
-The dimension of the kernel and of its intersection with ker alpha depends
-only on the degeneracy stratum of the point:
-
-    classical                 -> (2m+1, 2m)
-    mixed-m1, some w_r != 0   -> (1, 0)
-    mixed-m1, all w_r == 0    -> (3, 2)
-    mixed-general, l zeros    -> (2l+1, 2l)
-
-Note the mixed-m1 stratification is by the vanishing of the whole w block,
-not of the null quadric sum w_r^2: the tangency condition
-2 conj(T) sum|w_r|^2 + mu sum w_r^2 = 0 forces T = 0 whenever some w_r != 0,
-even on the null cone (possible for s >= 2, where sum w^2 = 0 does not imply
-w = 0).  At such null points the kernel is still 1-dimensional, spanned by
-v(0, mu), and alpha remains contact; the jump to dimension 3 — and the
-vanishing of the contact volume — happens exactly on {w = 0} (the embedded
-classical link, of real codimension 2s).  For s = 1 the two loci coincide.
+(:attr:`.Configuration.w_quadric`; the 1/weight factors reduce to the
+unit-weight displays, and the computation for other weights is the same
+argument with the form coefficients carried along).  The kinds differ only
+in the w's they add: s to the one mixed-m1 quadric, one to each
+mixed-general quadric.  Quadric k is a *leaf* at a point when every w
+joining it vanishes (on a classical link every quadric is).  Tangency asks
+2 conj(T_k) sum |w_r|^2 + mu sum w_r^2 = 0 over the w_r joining quadric k,
+so T_k is free on a leaf and fixed by mu elsewhere, and with l leaves the
+kernel and its intersection with ker alpha have dimensions (2l+1, 2l):
+(2m+1, 2m) on classical links, (3, 2) on the mixed-m1 stratum {w = 0} and
+(1, 0) off it.  The mixed-m1 null cone sum w_r^2 = 0 (s >= 2) holds no leaf
+outside {w = 0}: there the kernel is spanned by v(0, 1), alpha remains
+contact, and the contact volume vanishes only on {w = 0}.
 
 ``contact_volume`` evaluates ``alpha ^ (dalpha)^k`` (k = (dim-1)/2) on the
 point's oriented orthonormal frame, with a_i = alpha(e_i) and
@@ -57,7 +50,7 @@ ranks.  alpha and dalpha are two batched products; each other rank (dalpha,
 [dalpha; alpha], dalpha on ker alpha, leaf span) is one SVD of a stack; the
 numerical kernel comes from the same SVD of dalpha that gives its rank, kept
 at width d with zero columns; the closed-form family is one array of (T, mu)
-parameters, zero-padded to a width fixed by the kind (v(0, 0) = 0); the bordered
+parameters, zero-padded to the width 2m+1 (v(0, 0) = 0); the bordered
 Pfaffians are one stacked elimination.  The one-point functions
 (:func:`kernel_analysis`, :func:`kernel_family_angle`,
 :func:`contact_volume`, ...) are the N = 1 case of the same code, so a
@@ -87,8 +80,8 @@ import numpy as np
 from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band, numerical_rank, rank_cut
 from .errors import NumericalError, StructuralError
 from .pfaffian import _pfaffians
-from .variety import (_ATTEMPT_BLOCK, VarietyPoint, _tangent_frames, _zero_mask, complexify,
-                      realify, tangent_frame)
+from .variety import (_ATTEMPT_BLOCK, VarietyPoint, _ambient, _tangent_frames, _zero_mask,
+                      complexify, realify, tangent_frame)
 
 
 @dataclass(frozen=True)
@@ -182,14 +175,11 @@ def _dalpha_stack(cfg: Configuration, frames: np.ndarray) -> np.ndarray:
 def closed_form_kernel_vector(cfg: Configuration, coords, T, mu: float) -> np.ndarray:
     """The explicit kernel vector v(T, mu) at an ambient point (realified).
 
-    ``T`` is a complex scalar for m = 1 kinds and a length-m complex vector
-    for mixed-general / classical with m > 1; ``mu`` is real.
+    ``T`` is a complex scalar for m = 1 and a length-m complex vector
+    otherwise, one component per quadric; ``mu`` is real.
     """
     T_arr = np.atleast_1d(np.asarray(T, dtype=complex))
-    if cfg.kind == "mixed-m1":
-        if T_arr.shape != (1,):
-            raise StructuralError("mixed-m1 takes a single complex T")
-    elif T_arr.shape != (cfg.m,):
+    if T_arr.shape != (cfg.m,):
         raise StructuralError(f"expected {cfg.m} components in T")
     coords = np.asarray(coords, dtype=float)[None]
     return _kernel_vectors(cfg, coords, T_arr[None, None], np.array([[float(mu)]]))[0, :, 0]
@@ -199,19 +189,16 @@ def _kernel_vectors(cfg: Configuration, coords: np.ndarray, T: np.ndarray,
                     mu: np.ndarray) -> np.ndarray:
     """v(T, mu) for ``c`` parameter pairs per point: ``(N, D, c)``.
 
-    ``coords`` is ``(N, D)``, ``T`` complex ``(N, c, 1)`` for mixed-m1 and
-    ``(N, c, m)`` otherwise, ``mu`` real ``(N, c)``.
+    ``coords`` is ``(N, D)``, ``T`` complex ``(N, c, m)`` and ``mu`` real
+    ``(N, c)``.  Each w takes the T of the quadric it joins
+    (:attr:`.Configuration.w_quadric`).
     """
     values = complexify(coords)[:, None, :]
     w, z = values[..., : cfg.w_count], values[..., cfg.w_count :]
     coef = 2.0 * np.real(T @ cfg.lambdas.T) + mu[..., None]
     vz = -1j * coef * z / cfg.weights_b
-    if cfg.kind == "classical":
-        vw = np.zeros(vz.shape[:-1] + (0,), dtype=complex)
-    elif cfg.kind == "mixed-m1":
-        vw = -1j * (2.0 * np.conj(T) * np.conj(w) + mu[..., None] * w) / cfg.weights_a
-    else:
-        vw = -1j * (2.0 * np.conj(w) * np.conj(T) + mu[..., None] * w) / cfg.weights_a
+    Tw = np.conj(T[..., cfg.w_quadric])
+    vw = -1j * (2.0 * Tw * np.conj(w) + mu[..., None] * w) / cfg.weights_a
     return realify(np.concatenate([vw, vz], axis=-1)).transpose(0, 2, 1)
 
 
@@ -235,37 +222,30 @@ def kernel_family_basis(cfg: Configuration, coords) -> np.ndarray:
     return _kernel_vectors(cfg, coords, T[:, used], mu[:, used])[0]
 
 
+def _leaves(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
+    """``(N, m)``: quadric k is a leaf at a point when every w joining it passes
+    :func:`.variety._zero_mask` (so every quadric of a classical link is one)."""
+    return ~((~_zero_mask(cfg, coords)) @ cfg._w_join).astype(bool)
+
+
 def _family_parameters(cfg: Configuration, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T, mu) of the closed-form kernel family at a stack of points ``(N, D)``.
 
-    Every point gets the same number of columns c (3 for mixed-m1, 2m+1
-    otherwise); a column (T, mu) = (0, 0) is padding, as v(0, 0) = 0:
-
-    * classical: v(e_k, 0), v(i e_k, 0) for every k, then v(0, 1);
-    * mixed-m1 with w = 0: v(1, 0), v(i, 0), v(0, 1);
-    * mixed-m1 with some w_r != 0: only the last column,
-      v(conj(sum w^2), -2 sum |w|^2), valid on the null cone too, where it
-      degenerates to T = 0;
-    * mixed-general: v(e_k, 0), v(i e_k, 0) for each vanishing w_k, then
-      v(T, 1) with T_k = -conj(w_k) / (2 w_k) on the others and 0 on them.
+    Every point gets 2m+1 columns, (T, mu) = (0, 0) padding as v(0, 0) = 0:
+    v(e_k, 0) and v(i e_k, 0) in columns 2k, 2k+1 for each leaf k
+    (:func:`_leaves`), then v(T, 1) with T_k = 0 on the leaves and
+    T_k = -conj(sum_r w_r^2) / (2 sum_r |w_r|^2), the tangent value, over
+    the w_r joining each other quadric.
     """
-    zero = _zero_mask(cfg, coords)
+    leaves = _leaves(cfg, coords)
     w = complexify(coords)[:, : cfg.w_count]
-    if cfg.kind == "mixed-m1":
-        T, mu = np.zeros((len(coords), 3, 1), dtype=complex), np.zeros((len(coords), 3))
-        on = zero.all(axis=1)
-        T[on, 0], T[on, 1], mu[on, 2] = 1.0, 1j, 1.0
-        T[~on, 2, 0] = np.conj(np.sum(w[~on] ** 2, axis=1))
-        mu[~on, 2] = -2.0 * np.sum(np.abs(w[~on]) ** 2, axis=1)
-        return T, mu
-    leaves = zero if cfg.kind == "mixed-general" else np.ones((len(coords), cfg.m), dtype=bool)
     k = np.arange(cfg.m)
     T = np.zeros((len(coords), 2 * cfg.m + 1, cfg.m), dtype=complex)
     T[:, 2 * k, k], T[:, 2 * k + 1, k] = leaves, 1j * leaves
+    np.divide(-np.conj(w**2 @ cfg._w_join), 2.0 * (np.abs(w) ** 2 @ cfg._w_join),
+              out=T[:, -1], where=~leaves)
     mu = np.zeros(T.shape[:2])
     mu[:, -1] = 1.0
-    if cfg.kind == "mixed-general":
-        np.divide(-0.5 * np.conj(w), w, out=T[:, -1], where=~zero)
     return T, mu
 
 
@@ -275,18 +255,13 @@ def _family_stack(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
 
 
 def expected_kernel_dims(cfg: Configuration, point: VarietyPoint) -> tuple[int, int]:
-    """Stratum dimension table: (dim ker dalpha|_T, dim ker alpha cap ker dalpha)."""
-    return tuple(_expected_dims(cfg, _zero_mask(cfg, point.coordinates[None]))[0].tolist())
+    """(dim ker dalpha|_T, dim ker alpha cap ker dalpha): (2l+1, 2l) for l leaves."""
+    return tuple(_expected_dims(cfg, point.coordinates[None])[0].tolist())
 
 
-def _expected_dims(cfg: Configuration, zero: np.ndarray) -> np.ndarray:
-    """The dimension table for each row of a zero mask: ``(N, 2)``."""
-    if cfg.kind == "classical":
-        cap = np.full(len(zero), 2 * cfg.m)
-    elif cfg.kind == "mixed-m1":
-        cap = np.where(zero.all(axis=1), 2, 0)
-    else:
-        cap = 2 * np.count_nonzero(zero, axis=1)
+def _expected_dims(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
+    """(2l+1, 2l) for the l leaves (:func:`_leaves`) at each point of a stack: ``(N, 2)``."""
+    cap = 2 * np.count_nonzero(_leaves(cfg, coords), axis=1)
     return np.column_stack([cap + 1, cap])
 
 
@@ -395,20 +370,22 @@ def evaluate_stack(
     only the bordered Pfaffians run point by point.  A point's results do
     not depend on the other points in the stack, so blocks of at most
     ``_ATTEMPT_BLOCK`` points (the sampler's block) bound the memory of a
-    long run without changing a value.
+    long run without changing a value.  No points, or coordinates of the
+    wrong length or not finite, raise StructuralError.
     """
-    blocks = [_evaluate_block(cfg, points[i : i + _ATTEMPT_BLOCK], rank_tol)
-              for i in range(0, len(points), _ATTEMPT_BLOCK)]
+    if not points:
+        raise StructuralError("evaluate_stack needs at least one point")
+    coords = _ambient(cfg, [p.coordinates for p in points])
+    blocks = [_evaluate_block(cfg, coords[i : i + _ATTEMPT_BLOCK], rank_tol)
+              for i in range(0, len(coords), _ATTEMPT_BLOCK)]
     return StackEvaluation(**{
         f.name: None if getattr(blocks[0], f.name) is None
         else np.concatenate([getattr(block, f.name) for block in blocks])
         for f in fields(StackEvaluation)})
 
 
-def _evaluate_block(cfg: Configuration, points: list[VarietyPoint],
-                    rank_tol: float) -> StackEvaluation:
-    """:func:`evaluate_stack` on one block of points."""
-    coords = np.array([p.coordinates for p in points], dtype=float)
+def _evaluate_block(cfg: Configuration, coords: np.ndarray, rank_tol: float) -> StackEvaluation:
+    """:func:`evaluate_stack` on one block of points ``(N, D)``."""
     frames, jacobian_rank = _tangent_frames(cfg, coords, rank_tol)
     d = frames.shape[2]
     a = _alpha_stack(cfg, coords, frames)
@@ -425,7 +402,7 @@ def _evaluate_block(cfg: Configuration, points: list[VarietyPoint],
         jacobian_rank=jacobian_rank,
         ker_dalpha_dim=d - ranks[:, 0],
         ker_alpha_cap_ker_dalpha_dim=d - ranks[:, 1],
-        expected_kernel_dims=_expected_dims(cfg, _zero_mask(cfg, coords)),
+        expected_kernel_dims=_expected_dims(cfg, coords),
         indeterminate=indeterminate,
         contact_volume=volume,
         contact_volume_bound=volume_bound,

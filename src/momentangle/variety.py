@@ -114,15 +114,26 @@ class VarietyPoint:
         return complexify(self.coordinates)[cfg.w_count :]
 
 
-def _ambient(cfg: Configuration, coords) -> np.ndarray:
-    coords = np.asarray(coords, dtype=float)
-    if coords.shape != (cfg.ambient_real_dim,):
-        raise StructuralError(
-            f"expected ambient vector of length {cfg.ambient_real_dim}, got {coords.shape}"
-        )
-    if not np.all(np.isfinite(coords)):
+def _ambient(cfg: Configuration, rows) -> np.ndarray:
+    """The ambient vectors ``rows`` stacked ``(N, D)``, checked at the boundary.
+
+    A row of another length, or a non-finite entry, raises StructuralError.
+    Both are checked once, on the stack; the rows are searched one by one
+    only for the message.
+    """
+    dim = cfg.ambient_real_dim
+    try:
+        X = np.array(rows, dtype=float)
+    except ValueError:
+        if all(np.shape(row) == (dim,) for row in rows):
+            raise  # entries that are not numbers
+        X = np.empty(0)  # rows of different lengths, named below
+    if X.shape[1:] != (dim,):
+        shape = next(np.shape(row) for row in rows if np.shape(row) != (dim,))
+        raise StructuralError(f"expected ambient vector of length {dim}, got {shape}")
+    if not np.all(np.isfinite(X)):
         raise StructuralError("ambient vector must be finite (got nan or inf)")
-    return coords
+    return X
 
 
 def _link(cfg: Configuration, null_sum: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -157,7 +168,7 @@ def evaluate_system(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
     mixed kinds F_k includes its w^2 part and rho sums |w|^2 + |z|^2.
     (mixed-m1 has a single complex quadric, so the vector has length 3.)
     """
-    return _evaluate(*_link(cfg), _ambient(cfg, coords)[None])[1][0]
+    return _evaluate(*_link(cfg), _ambient(cfg, [coords]))[1][0]
 
 
 def system_jacobian(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
@@ -166,7 +177,7 @@ def system_jacobian(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
     Row order matches the residual layout; this fixed order is also the
     normal frame used for the orientation convention.
     """
-    return _evaluate(*_link(cfg), _ambient(cfg, coords)[None])[0][0]
+    return _evaluate(*_link(cfg), _ambient(cfg, [coords]))[0][0]
 
 
 def _norms(r: np.ndarray) -> np.ndarray:
@@ -306,7 +317,7 @@ def project_to_variety(
     ``max_iter`` iterations.
     """
     check_tolerances(tol)
-    X, R, status = _project_block(*_link(cfg), _ambient(cfg, start)[None], tol, max_iter)
+    X, R, status = _project_block(*_link(cfg), _ambient(cfg, [start]), tol, max_iter)
     if status[0] != _CONVERGED:
         raise _projection_error(status[0], R[0], max_iter)
     return X[0]
@@ -314,7 +325,7 @@ def project_to_variety(
 
 def _zero_mask(cfg: Configuration, X: np.ndarray) -> np.ndarray:
     """``(N, w_count)``: which |w_k| <= ZERO_TOL in the rows of ``X``; the package's
-    one w-zero test, for zero patterns and the strata :mod:`.forms` expects."""
+    one w-zero test, for zero patterns and the leaf quadrics of :mod:`.forms`."""
     s = cfg.w_count
     return np.hypot(X[:, 0 : 2 * s : 2], X[:, 1 : 2 * s : 2]) <= ZERO_TOL
 
@@ -365,7 +376,7 @@ def certify(
     is not built here; :func:`tangent_frame` builds it.
     """
     check_tolerances(tol, rank_tol)
-    point = _certify_block(cfg, _link(cfg), _ambient(cfg, coords)[None], tol, rank_tol)[0]
+    point = _certify_block(cfg, _link(cfg), _ambient(cfg, [coords]), tol, rank_tol)[0]
     if isinstance(point, NumericalError):
         raise point
     return point
@@ -393,12 +404,12 @@ def _tangent_frames(cfg: Configuration, X: np.ndarray, rank_tol: float = DEFAULT
 def tangent_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
     """``(ambient_real_dim, manifold_dim)`` orthonormal columns spanning the tangent
     space at a certified point, positively oriented (see module docs)."""
-    return _tangent_frames(cfg, _ambient(cfg, point.coordinates)[None])[0][0]
+    return _tangent_frames(cfg, _ambient(cfg, [point.coordinates]))[0][0]
 
 
 def jacobian_rank(cfg: Configuration, point: VarietyPoint, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Numerical rank of the real Jacobian at a point, from the SVD that builds its frame."""
-    return int(_tangent_frames(cfg, _ambient(cfg, point.coordinates)[None], rank_tol)[1][0])
+    return int(_tangent_frames(cfg, _ambient(cfg, [point.coordinates]), rank_tol)[1][0])
 
 
 def _start_source(seed: int, dim: int):

@@ -249,8 +249,8 @@ def fiber_points_reference(cfg, direction, tol: float = 1e-8):
     r = ``ray_radius`` of the raw direction, zhat = direction / |direction|,
     and w_k = +-sqrt(-F_k r^2) for each k with |F_k| r^2 > ``tol`` (0
     otherwise); the candidates (w, r zhat) run in ``itertools.product``
-    order, the first that fails certification raises, and one within 1e-6
-    of a kept point is dropped.
+    order, and the first that fails certification raises.  Every certified
+    candidate is kept.
     """
     from momentangle import certify, quadric_values, ray_radius
 
@@ -267,9 +267,7 @@ def fiber_points_reference(cfg, direction, tol: float = 1e-8):
         values = np.concatenate([np.array(combo), r * zhat])
         coords = np.empty(2 * values.size)
         coords[0::2], coords[1::2] = values.real, values.imag
-        point = certify(cfg, coords)
-        if all(np.linalg.norm(point.coordinates - q.coordinates) >= 1e-6 for q in found):
-            found.append(point)
+        found.append(certify(cfg, coords))
     return found
 
 

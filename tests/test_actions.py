@@ -26,6 +26,8 @@ from momentangle import (
     tangent_frame,
     torus_act,
 )
+from momentangle.variety import ZERO_TOL
+
 from _oracles import fiber_points_reference
 from conftest import roots_of_unity
 
@@ -68,9 +70,17 @@ def test_sign_action_validation(pentagon, mixed_general_m2, batch):
         sign_act(mixed_general_m2, point, np.array([0.5, 1.0]))
 
 
-def test_sign_orbit_halves_on_stratum(mixed_general_m2, batch):
-    point = batch(mixed_general_m2, 1, (0,))[0]
-    assert len(sign_orbit(mixed_general_m2, point)) == 2
+@pytest.mark.parametrize("w0", [0.0, 5e-9, 2e-8, 1e-7, 4e-7, 6e-7])
+def test_sign_orbit_halves_on_stratum(mixed_general_m2, batch, w0):
+    """A point of the stratum (0,) with |w_0| set to ``w0``: its orbit has
+    2^(m - |zero_pattern|) points, however close w_0 lies to zero."""
+    cfg = mixed_general_m2
+    coords = batch(cfg, 1, (0,))[0].coordinates.copy()
+    coords[0] = w0
+    point = certify(cfg, coords)
+    orbit = sign_orbit(cfg, point)
+    assert len(orbit) == 2 ** (cfg.m - len(point.zero_pattern))
+    assert len(orbit) == (2 if w0 <= ZERO_TOL else 4)
 
 
 def test_foliation_flow_velocity(pentagon, batch):
@@ -300,22 +310,29 @@ def test_fiber_block_matches_the_per_candidate_reference(m, mode, tol, seed):
 
 def test_fiber_cases_reach_every_branch():
     """The cases above reach the zero choice, the w_k = 0 candidate that
-    fails in the near-branch band, the full 2^m fiber, and candidates that
-    the dedupe drops."""
-    sizes, failures = set(), set()
+    fails in the near-branch band, the full 2^m fiber, and, in tiny mode,
+    all 2^l lifts of the l live quadrics, lifts closer than 1e-6 included."""
+    sizes, failures, close = set(), set(), False
     for m in (1, 2, 3):
         for seed in range(8):
             for mode in MODES:
                 tol = 1e-16 if mode == "tiny" else 1e-8
-                expected = _reference_or_error(*_fiber_case(m, mode, seed), tol)
+                cfg, direction = _fiber_case(m, mode, seed)
+                expected = _reference_or_error(cfg, direction, tol)
                 if isinstance(expected, NumericalError):
                     failures.add(mode)
-                else:
-                    sizes.add((m, mode, len(expected)))
+                    continue
+                sizes.add((m, mode, len(expected)))
+                if mode == "tiny":
+                    mags = np.abs(quadric_values(cfg, direction)) * ray_radius(cfg, direction) ** 2
+                    assert len(expected) == 2 ** np.count_nonzero(mags > tol)
+                    close |= any(np.linalg.norm(p.coordinates - q.coordinates) < 1e-6
+                                 for i, p in enumerate(expected) for q in expected[:i])
     assert "near" in failures
     assert {(m, "random", 2**m) for m in (1, 2, 3)} <= sizes
-    for mode in ("stratum", "branch", "tiny"):
+    for mode in ("stratum", "branch"):
         assert any(kind == mode and size < 2**m for m, kind, size in sizes), mode
+    assert close
 
 
 def test_fibers_of_many_directions_cross_block_boundaries(monkeypatch):

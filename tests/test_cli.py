@@ -8,6 +8,7 @@ determinism is checked at the byte level.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -402,6 +403,26 @@ def test_cover_prints_each_slice_before_certifying_the_next(
     assert main(["cover", path, "--samples", "5"]) == 0
     outputs.append(capsys.readouterr().out)
     assert [out.count("PASS") for out in outputs] == [0, 2, 2, 1]
+
+
+#: z_j = sqrt(t_j) on the m = 2 fixture, with t_j = 1/7 + 0.05 cos(4 pi j / 7)
+#: + 1e-13 [j = 0]: the first quadric reads |F| r^2 = 8.5e-14, so its two
+#: lifts w = +-2.9e-7 lie 5.8e-7 apart.
+CLOSE_LIFTS = [math.sqrt(1 / 7 + 0.05 * math.cos(4 * math.pi * j / 7) + (1e-13 if j == 0 else 0))
+               for j in range(7)]
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-14])
+def test_cover_keeps_lifts_closer_than_1e_6(tmp_path, mixed_general_m2, capsys, tol):
+    """Every one of the 2^2 lifts is a preimage, however close two of them lie."""
+    direction = np.array(CLOSE_LIFTS, dtype=complex)
+    count = momentangle.fiber_count(mixed_general_m2, direction, tol)
+    assert 5e-14 < count.quadric_magnitudes[0] < 1e-13
+    assert count.count == len(momentangle.fiber_points(mixed_general_m2, direction, tol)) == 4
+    text = ",".join(f"{x!r},0" for x in CLOSE_LIFTS)
+    path = write_config(tmp_path, mixed_general_m2)
+    assert main(["cover", path, f"--direction={text}", "--tol", repr(tol)]) == 0
+    assert "constructed preimages 4" in capsys.readouterr().out
 
 
 def test_cover_passes_at_a_tolerance_equal_to_a_directions_own_magnitude(

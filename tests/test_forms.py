@@ -50,6 +50,9 @@ from test_acceptance import PFAFFIAN_REL_TOL
 
 FIXTURES = ["pentagon", "hexagon_m2", "mixed_s1", "mixed_s2", "mixed_general_m1",
             "mixed_general_m2", "mixed_general_m3"]
+#: Strata ``verify`` does not sample, stacked with the ones it does: the
+#: partial stratum w_0 = 0 of the s = 2 link, and more of its null cone.
+EXTRA_STRATA = {"mixed_s2": [(0,), "null"]}
 EXACT_FIELDS = ["jacobian_rank", "ker_dalpha_dim", "ker_alpha_cap_ker_dalpha_dim",
                 "indeterminate"]
 
@@ -261,8 +264,9 @@ def test_kernel_family_matches_svd_kernel(mixed_s1, mixed_general_m2, batch):
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
-def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypatch):
-    """Every stratum ``verify`` samples, 20 points each, stacked in one call.
+def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypatch, batch):
+    """Every stratum ``verify`` samples, and those of ``EXTRA_STRATA``, 20
+    points each, stacked in one call.
 
     Counts and flags equal the per-point oracle's; volumes agree to
     PFAFFIAN_REL_TOL (relative, or of the volume scale where they vanish)
@@ -274,6 +278,8 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypat
     cfg = request.getfixturevalue(fixture)
     cases = _verification_cases(cfg, 20, 0, 1e-10, DEFAULT_RANK_TOL)
     points = [point for _, case_points in cases for point in case_points]
+    points += [point for pattern in EXTRA_STRATA.get(fixture, [])
+               for point in batch(cfg, 20, pattern)]
     stack = evaluate_stack(cfg, points)
     scale = contact_volume_scale(cfg)
     classical = cfg.kind == "classical"
@@ -307,6 +313,21 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypat
     blocked = evaluate_stack(cfg, points)
     for field in dataclasses.fields(blocked):
         np.testing.assert_array_equal(getattr(blocked, field.name), getattr(stack, field.name))
+
+
+@pytest.mark.parametrize("case", ["no points", "another link", "ragged"])
+def test_evaluate_stack_checks_its_points_at_the_boundary(pentagon, mixed_general_m2, batch,
+                                                          case):
+    """No points, a point of another configuration, or a stack mixing one
+    with a good point raise StructuralError, as ``kernel_analysis`` does."""
+    good, other = batch(mixed_general_m2, 1)[0], batch(pentagon, 1)[0]
+    points = {"no points": [], "another link": [other], "ragged": [good, other]}[case]
+    match = "at least one point" if case == "no points" else "ambient vector of length 18"
+    with pytest.raises(StructuralError, match=match):
+        evaluate_stack(mixed_general_m2, points)
+    if case == "another link":
+        with pytest.raises(StructuralError, match=match):
+            kernel_analysis(mixed_general_m2, other)
 
 
 def test_kernel_analysis_ranks_dalpha_from_the_stacks_svd(mixed_general_m2, batch):

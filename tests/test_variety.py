@@ -16,8 +16,10 @@ from momentangle import (
     VarietyPoint,
     certify,
     complexify,
+    evaluate_stack,
     evaluate_system,
     jacobian_rank,
+    kernel_analysis,
     project_to_variety,
     realify,
     sample_points,
@@ -271,18 +273,24 @@ def test_sampler_accepts_every_integer_seed(mixed_s2, seed, stratum):
     assert len(_sample_with(mixed_s2, stratum, count=1, seed=seed)) == 1
 
 
+ON_POINTS = {"tangent_frame": variety.tangent_frame, "jacobian_rank": variety.jacobian_rank,
+             "kernel_analysis": kernel_analysis,
+             "evaluate_stack": lambda cfg, point: evaluate_stack(cfg, [point])}
+
+
 @given(st.sampled_from(["evaluate_system", "system_jacobian", "project_to_variety", "certify",
-                        "tangent_frame", "jacobian_rank"]),
+                        *ON_POINTS]),
        st.integers(0, 17), st.sampled_from([np.nan, np.inf, -np.inf]))
 @settings(max_examples=60, deadline=None)
 def test_non_finite_ambient_vectors_raise_structural_errors(mixed_general_m2, batch, name,
                                                             position, value):
     coords = batch(mixed_general_m2, 1)[0].coordinates.copy()
     coords[position] = value
-    if name in ("tangent_frame", "jacobian_rank"):
+    call = ON_POINTS[name] if name in ON_POINTS else getattr(variety, name)
+    if name in ON_POINTS:
         coords = VarietyPoint(coordinates=coords, residual_norm=0.0, zero_pattern=())
     with pytest.raises(StructuralError, match="must be finite"):
-        getattr(variety, name)(mixed_general_m2, coords)
+        call(mixed_general_m2, coords)
 
 
 @pytest.mark.parametrize("fixture", list(W_COUNTS))
