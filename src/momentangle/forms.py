@@ -21,13 +21,14 @@ argument with the form coefficients carried along).  The kinds differ only
 in the w's they add: s to the one mixed-m1 quadric, one to each
 mixed-general quadric.  Quadric k is a *leaf* at a point when every w
 joining it vanishes (on a classical link every quadric is).  Tangency asks
-2 conj(T_k) sum |w_r|^2 + mu sum w_r^2 = 0 over the w_r joining quadric k,
-so T_k is free on a leaf and fixed by mu elsewhere, and with l leaves the
+sum (2 conj(T_k) |w_r|^2 + mu w_r^2) / a_r = 0 over the w_r joining quadric
+k, so T_k is free on a leaf and fixed by mu elsewhere, and with l leaves the
 kernel and its intersection with ker alpha have dimensions (2l+1, 2l):
 (2m+1, 2m) on classical links, (3, 2) on the mixed-m1 stratum {w = 0} and
 (1, 0) off it.  The mixed-m1 null cone sum w_r^2 = 0 (s >= 2) holds no leaf
-outside {w = 0}: there the kernel is spanned by v(0, 1), alpha remains
-contact, and the contact volume vanishes only on {w = 0}.
+outside {w = 0}: there the kernel is spanned by one v(T, 1) (v(0, 1) when the
+a_r are equal), alpha remains contact, and the contact volume vanishes only
+on {w = 0}.
 
 ``contact_volume`` evaluates ``alpha ^ (dalpha)^k`` (k = (dim-1)/2) on the
 point's oriented orthonormal frame, with a_i = alpha(e_i) and
@@ -234,15 +235,16 @@ def _family_parameters(cfg: Configuration, coords: np.ndarray) -> tuple[np.ndarr
     Every point gets 2m+1 columns, (T, mu) = (0, 0) padding as v(0, 0) = 0:
     v(e_k, 0) and v(i e_k, 0) in columns 2k, 2k+1 for each leaf k
     (:func:`_leaves`), then v(T, 1) with T_k = 0 on the leaves and
-    T_k = -conj(sum_r w_r^2) / (2 sum_r |w_r|^2), the tangent value, over
-    the w_r joining each other quadric.
+    T_k = -conj(sum_r w_r^2 / a_r) / (2 sum_r |w_r|^2 / a_r), the tangent
+    value, over the w_r joining each other quadric.
     """
     leaves = _leaves(cfg, coords)
     w = complexify(coords)[:, : cfg.w_count]
     k = np.arange(cfg.m)
     T = np.zeros((len(coords), 2 * cfg.m + 1, cfg.m), dtype=complex)
     T[:, 2 * k, k], T[:, 2 * k + 1, k] = leaves, 1j * leaves
-    np.divide(-np.conj(w**2 @ cfg._w_join), 2.0 * (np.abs(w) ** 2 @ cfg._w_join),
+    np.divide(-np.conj(w**2 / cfg.weights_a @ cfg._w_join),
+              2.0 * (np.abs(w) ** 2 / cfg.weights_a @ cfg._w_join),
               out=T[:, -1], where=~leaves)
     mu = np.zeros(T.shape[:2])
     mu[:, -1] = 1.0

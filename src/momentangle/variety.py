@@ -25,13 +25,17 @@ well-posed numerical statement.
 Numerically the link is a stack of real quadrics ``x^T S_e x = d_e``
 (:attr:`.Configuration.quadrics`; ``d_e`` is 1 for the sphere, 0 otherwise),
 so the Jacobian of a whole block ``X`` of points is one matrix product,
-``2 S_e x`` for every row.  Sampling draws a block of attempts, each from its
-own counter-based stream keyed by ``(seed, attempt)``; one Philox generator
-per stratum is re-keyed for each attempt.  One Gauss-Newton iteration runs
-over the block, each row with its own convergence test and step halving.  A
-step comes from the normal equations ``(J J^T) y = -r``, ``s = J^T y``, and
-is kept only where the recomputed ``|J s + r|_inf`` is within 1e-8 of
-``|r|_inf``; the other rows take the minimum-norm step from an SVD.  The
+``2 S_e x`` for every row.  That layout (:func:`_link`) is built once per
+configuration and kind of link (ambient, null quadric), read-only, and
+shared by every function here and by :mod:`.actions`.  Sampling draws a
+block of attempts, each from its own counter-based stream keyed by
+``(seed, attempt)``; one Philox generator per sampling call is re-keyed for
+each attempt of every stratum, and each round's starts are written into
+one array.  One Gauss-Newton iteration runs over the block, each row with
+its own convergence test and step halving.  A step comes from the normal
+equations ``(J J^T) y = -r``, ``s = J^T y``, and is kept only where the
+recomputed ``|J s + r|_inf`` is within 1e-8 of ``|r|_inf``; the other rows
+take the minimum-norm step from an SVD.  The
 singular values of one stacked SVD, with no vectors, certify the converged
 rows, and one Gram-product screen per stratum and block finds the rows that
 may repeat an accepted point.  Points are accepted in attempt order, and a
@@ -54,6 +58,7 @@ equations, and with them a link of its own.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,23 +141,35 @@ def _ambient(cfg: Configuration, rows) -> np.ndarray:
     return X
 
 
+#: ``{null_sum: (G, d)}`` of each configuration, built by :func:`_link`.  The
+#: configurations are held weakly, so their links go with them.
+_LINKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _link(cfg: Configuration, null_sum: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """``(G, d)`` for the link's quadrics.
+    """``(G, d)`` for the link's quadrics, built once per configuration and kind of link.
 
     ``G`` is ``2 S`` laid out as ``(dim, equations * dim)``, so that
     ``X @ G`` holds the Jacobians ``2 S_e x`` of a block ``X`` (``S_e`` is
     symmetric); ``d`` is the right-hand side.  ``null_sum`` appends the
-    Re/Im rows of ``sum_r w_r^2``.
+    Re/Im rows of ``sum_r w_r^2``.  Both arrays are read-only, like
+    :attr:`.Configuration.quadrics`, and every caller of one configuration
+    shares them.
     """
-    quads = cfg.quadrics
-    if null_sum:
-        extra = quads[:2].copy()  # the mixed-m1 quadric without its z block
-        extra[:, 2 * cfg.w_count :, 2 * cfg.w_count :] = 0.0
-        quads = np.concatenate([quads, extra])
-    rhs = np.zeros(len(quads))
-    rhs[cfg.equation_count - 1] = 1.0
-    dim = quads.shape[1]
-    return (2.0 * quads).transpose(1, 0, 2).reshape(dim, -1), rhs
+    links = _LINKS.setdefault(cfg, {})
+    if null_sum not in links:
+        quads = cfg.quadrics
+        if null_sum:
+            extra = quads[:2].copy()  # the mixed-m1 quadric without its z block
+            extra[:, 2 * cfg.w_count :, 2 * cfg.w_count :] = 0.0
+            quads = np.concatenate([quads, extra])
+        rhs = np.zeros(len(quads))
+        rhs[cfg.equation_count - 1] = 1.0
+        dim = quads.shape[1]
+        grad = (2.0 * quads).transpose(1, 0, 2).reshape(dim, -1)
+        grad.flags.writeable = rhs.flags.writeable = False
+        links[null_sum] = grad, rhs
+    return links[null_sum]
 
 
 def _evaluate(grad: np.ndarray, rhs: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -412,25 +429,28 @@ def jacobian_rank(cfg: Configuration, point: VarietyPoint, rank_tol: float = DEF
     return int(_tangent_frames(cfg, _ambient(cfg, [point.coordinates]), rank_tol)[1][0])
 
 
-def _start_source(seed: int, dim: int):
-    """Starting points of attempts: ``draw(first, size)`` gives attempts ``first, first + 1, ...``.
+def _start_source():
+    """Starting points of attempts: ``draw(seed, first, size, dim)`` gives attempts
+    ``first, first + 1, ...`` of ``seed``, as ``(size, dim)``.
 
     Attempt ``i`` starts from ``dim`` standard normals of the Philox stream
     keyed by ``(seed mod 2^64, i mod 2^64)``, normalized to the unit sphere.
     Philox is a counter-based bit generator, so each (seed, attempt) pair
     yields an independent, platform-stable stream; sampling is reproducible
     whether or not attempts are interleaved or parallelized.  One Philox and
-    one Generator serve every attempt: each attempt re-keys them with counter
-    0 and an empty buffer, the state ``Philox(key=...)`` starts in, so the
-    streams equal a fresh generator per attempt bit for bit.
+    one Generator serve every seed and attempt of the source: each attempt
+    re-keys them with counter 0 and an empty buffer, the state
+    ``Philox(key=...)`` starts in, so the streams equal a fresh generator
+    per attempt bit for bit.
     """
-    key = np.array([seed % (1 << 64), 0], dtype=np.uint64)
+    key = np.zeros(2, dtype=np.uint64)
     bits = np.random.Philox(key=key)
     gen = np.random.Generator(bits)
     state = bits.state  # counter 0 and an empty buffer
-    state["state"]["key"] = key  # its index is set per attempt
+    state["state"]["key"] = key  # its entries are set per attempt
 
-    def draw(first: int, size: int) -> np.ndarray:
+    def draw(seed: int, first: int, size: int, dim: int) -> np.ndarray:
+        key[0] = seed % (1 << 64)
         starts = np.empty((size, dim))
         for row in range(size):
             key[1] = (first + row) % (1 << 64)
@@ -454,8 +474,11 @@ def _near_rows(X: np.ndarray, accepted: np.ndarray) -> np.ndarray:
     Flags each row within ``2 * DUPLICATE_TOL`` of a row of ``accepted`` or of
     an earlier row of ``X``.  Squared distances come from Gram products, and
     the cut adds a bound on their rounding, so no row that
-    :func:`_is_duplicate` would reject goes unflagged.
+    :func:`_is_duplicate` would reject goes unflagged.  A lone row with no
+    accepted rows is flagged by nothing and costs no product.
     """
+    if len(X) <= 1 and not len(accepted):
+        return np.zeros(len(X), dtype=bool)
     sq = np.einsum("na,na->n", X, X)
     rounding = (2 * X.shape[1] + 4) * _EPS
 
@@ -543,23 +566,17 @@ def sample_with_zero_pattern(
 
 
 class _Run:
-    """One stratum of :func:`_sample`: its starts, attempts, points and tally."""
+    """One stratum of :func:`_sample`: its seed, free coordinates, attempts, points and tally."""
 
     def __init__(self, dim: int, pinned, seed: int, count: int, budget: int):
-        self.free = np.setdiff1d(np.arange(dim), pinned)
-        self.draw = _start_source(seed, self.free.size)
+        self.free = np.ones(dim, dtype=bool)
+        self.free[list(pinned)] = False  # a () index would pin every coordinate
+        self.seed, self.free_dim = seed, int(np.count_nonzero(self.free))
         self.count, self.budget, self.attempt = count, budget, 0
         self.points: list[VarietyPoint] = []
         self.accepted = np.empty((count, dim))
         self.tally = dict.fromkeys(("not_converged", "line_search_stalls", "singular",
                                     "duplicates"), 0)
-
-    def starts(self, size: int) -> np.ndarray:
-        """The next ``size`` attempts' starts, zero on the pinned coordinates."""
-        starts = np.zeros((size, self.accepted.shape[1]))
-        starts[:, self.free] = self.draw(self.attempt, size)
-        self.attempt += size
-        return starts
 
     def accept(self, status: np.ndarray, X: np.ndarray, certified: list) -> None:
         """Tally a block's attempts; accept the certified rows ``X`` in attempt order."""
@@ -605,14 +622,16 @@ def _sample(
 
     A stratum is ``(pinned, seed, count)``: the real coordinates its starts
     hold at zero, the seed of its starts and the points it needs.  The link
-    is the ambient one, or with ``null_sum`` the null quadric's.  Each round
-    stacks every unfinished stratum's next attempts, at most
-    :data:`_ATTEMPT_BLOCK` in all, and projects and certifies them as one
-    block.  A stratum keeps its own attempt order, stream, budget, tally and
-    duplicate screen, so its points are those of its one-stratum call, bit
-    for bit.  When the first unfinished stratum has spent its budget, its
-    :class:`SamplingBudgetError` is raised, as one-stratum calls in list
-    order would have raised it.
+    is the ambient one, or with ``null_sum`` the null quadric's, both built
+    once per configuration (:func:`_link`).  Each round stacks every
+    unfinished stratum's next attempts, at most :data:`_ATTEMPT_BLOCK` in
+    all, drawn straight into one array, and projects and certifies them as
+    one block.  One start source (:func:`_start_source`) serves every
+    stratum of the call.  A stratum keeps its own attempt order, stream,
+    budget, tally and duplicate screen, so its points are those of its
+    one-stratum call, bit for bit.  When the first unfinished stratum has
+    spent its budget, its :class:`SamplingBudgetError` is raised, as
+    one-stratum calls in list order would have raised it.
     """
     for _, seed, count in strata:
         if not all(map(_is_int, (count, seed, max_attempts_per_point))):
@@ -623,8 +642,8 @@ def _sample(
         raise StructuralError("max_attempts_per_point must be positive")
     check_tolerances(tol, rank_tol)
     dim = cfg.ambient_real_dim
-    ambient = _link(cfg)
-    grad, rhs = _link(cfg, null_sum) if null_sum else ambient
+    ambient, (grad, rhs) = _link(cfg), _link(cfg, null_sum)
+    draw = _start_source()
     runs = [_Run(dim, pinned, seed, count, count * max_attempts_per_point)
             for pinned, seed, count in strata]
     while True:
@@ -641,7 +660,12 @@ def _sample(
             if size:
                 block.append((run, size))
                 room -= size
-        starts = np.vstack([run.starts(size) for run, size in block])
+        starts = np.zeros((sum(size for _, size in block), dim))
+        row = 0
+        for run, size in block:
+            starts[row : row + size, run.free] = draw(run.seed, run.attempt, size, run.free_dim)
+            run.attempt += size
+            row += size
         X, _, status = _project_block(grad, rhs, starts, tol, MAX_ITER)
         converged = status == _CONVERGED
         certified = _certify_block(cfg, ambient, X[converged], tol, rank_tol)

@@ -658,8 +658,10 @@ def kernel_family_reference(cfg, coords):
         cols.append(kernel_vector_reference(cfg, coords, np.zeros(cfg.m), 1.0))
     elif cfg.kind == "mixed-m1":
         if np.any(np.abs(w) > ZERO_TOL):
-            cols = [kernel_vector_reference(cfg, coords, np.conj(np.sum(w**2)),
-                                            -2.0 * float(np.sum(np.abs(w) ** 2)))]
+            # Tangency: sum_r (2 conj(T) |w_r|^2 + mu w_r^2) / a_r = 0.
+            a = cfg.weights_a
+            cols = [kernel_vector_reference(cfg, coords, np.conj(np.sum(w**2 / a)),
+                                            -2.0 * float(np.sum(np.abs(w) ** 2 / a)))]
         else:
             cols = [kernel_vector_reference(cfg, coords, T, mu)
                     for T, mu in ((1.0, 0.0), (1j, 0.0), (0j, 1.0))]

@@ -131,6 +131,16 @@ def test_verify_mixed_m1_covers_strata(tmp_path, mixed_s2, capsys):
     assert "FAIL" not in out
 
 
+def test_verify_mixed_m1_with_unequal_w_weights(tmp_path, capsys):
+    """The closed-form family agrees on a link whose w's carry the weights (1, 3)."""
+    cfg = Configuration(roots_of_unity(5, (1,)), kind="mixed-m1", s=2, weights_a=[1.0, 3.0])
+    path = write_config(tmp_path, cfg)
+    assert main(["verify", path, "--samples", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "closed-form kernel family agreement: PASS (9/9)" in out
+    assert "FAIL" not in out
+
+
 def test_verify_mixed_general(tmp_path, mixed_general_m2, capsys):
     path = write_config(tmp_path, mixed_general_m2)
     assert main(["verify", path, "--samples", "3", "--seed", "2"]) == 0

@@ -1,6 +1,7 @@
 """The 1-form alpha, its differential, kernel strata and contact volumes."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentangle import (
+    Configuration,
     NumericalError,
     StructuralError,
     alpha_on_frame,
@@ -33,12 +35,13 @@ from momentangle import (
     system_jacobian,
     tangent_frame,
 )
-from momentangle import forms
-from momentangle.cli import _verification_cases
+from momentangle import forms, sample_points
+from momentangle.cli import ANGLE_LIMIT, _verification_cases
 from momentangle.config import DEFAULT_RANK_TOL, DEGENERACY_BAND
 from momentangle.forms import _volume_from_frame_data
 from momentangle.variety import ZERO_TOL
 
+from conftest import roots_of_unity
 from _oracles import (
     brute_force_contact_volume,
     contact_volume_scale,
@@ -261,6 +264,37 @@ def test_kernel_family_matches_svd_kernel(mixed_s1, mixed_general_m2, batch):
             assert basis.shape[1] == numeric.shape[1]
             assert subspace_angle(basis, numeric) < 1e-6
             assert kernel_family_angle(cfg, point) < 1e-6
+
+
+#: Links whose w's carry form weights: (lambdas, kind, s).
+WEIGHTED_LINKS = [(roots_of_unity(5, (1,)), "mixed-m1", 1),
+                  (roots_of_unity(5, (1,)), "mixed-m1", 2),
+                  (roots_of_unity(5, (1,)), "mixed-m1", 3),
+                  (roots_of_unity(5, (1,)), "mixed-general", None),
+                  (roots_of_unity(7, (1, 2)), "mixed-general", None),
+                  (roots_of_unity(7, (1, 2, 3)), "mixed-general", None)]
+
+
+@functools.lru_cache(maxsize=None)
+def _generic_points(link: int):
+    """Three generic points of WEIGHTED_LINKS[link]; the link does not depend on the weights."""
+    lambdas, kind, s = WEIGHTED_LINKS[link]
+    return lambdas, kind, s, sample_points(Configuration(lambdas, kind, s), 3, seed=link)
+
+
+@given(st.integers(0, len(WEIGHTED_LINKS) - 1), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_family_holds_for_any_positive_weights(link, data):
+    """Tangency weighs each w_r^2 by 1/a_r, so the family's T does too: the closed
+    form spans the numerical kernel for every choice of positive weights."""
+    lambdas, kind, s, points = _generic_points(link)
+    positive = st.floats(0.05, 20.0)
+    weights_a = data.draw(st.lists(positive, min_size=s or lambdas.shape[1],
+                                   max_size=s or lambdas.shape[1]))
+    weights_b = data.draw(st.lists(positive, min_size=len(lambdas), max_size=len(lambdas)))
+    cfg = Configuration(lambdas, kind, s, weights_a, weights_b)
+    for point in points:
+        assert kernel_family_angle(cfg, point) < ANGLE_LIMIT
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)

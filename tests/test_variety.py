@@ -1,5 +1,7 @@
 """Sampling, projection and certification on the link varieties."""
 
+import gc
+import weakref
 from itertools import combinations
 from unittest import mock
 
@@ -408,10 +410,11 @@ def test_sampler_takes_no_svd_fallback_on_fixtures(request, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 4, 2**63 + 11, 2**64 + 4, -3])
 def test_starts_are_fresh_philox_streams(seed):
     dim = 14
-    draw = variety._start_source(seed, dim)
+    draw = variety._start_source()
+    draw(seed + 1, 5, 2, dim + 3)  # another stream of the same source first
     # Consecutive calls, and attempts on both sides of the 256-attempt blocks.
     for first, size in [(0, 3), (250, 12), (511, 2), (1, 1), (2**64 - 1, 2)]:
-        starts = draw(first, size)
+        starts = draw(seed, first, size, dim)
         assert starts.shape == (size, dim)
         for row, index in enumerate(range(first, first + size)):
             key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
@@ -506,7 +509,7 @@ def test_pinned_coordinates_stay_exactly_zero(request, monkeypatch, svd_steps):
     cfg = _empty_stratum_link()
     pinned = [0, 1, 2, 3]
     starts = np.zeros((40, cfg.ambient_real_dim))
-    starts[:, 4:] = variety._start_source(0, cfg.ambient_real_dim - 4)(0, 40)
+    starts[:, 4:] = variety._start_source()(0, 0, 40, cfg.ambient_real_dim - 4)
     fallback_rows.clear()
     X, _, status = variety._project_block(*variety._link(cfg), starts, 1e-10, variety.MAX_ITER)
     assert sum(fallback_rows) > 0 and (status != variety._CONVERGED).all()
@@ -551,9 +554,10 @@ def _repeat_every_fifth_start(monkeypatch):
     """Attempt i starts where attempt i mod 5 does, so at most five points are distinct."""
     source = variety._start_source
 
-    def repeating(seed, dim):
-        draw = source(seed, dim)
-        return lambda first, size: np.vstack([draw(i % 5, 1) for i in range(first, first + size)])
+    def repeating():
+        draw = source()
+        return lambda seed, first, size, dim: np.vstack(
+            [draw(seed, i % 5, 1, dim) for i in range(first, first + size)])
 
     monkeypatch.setattr(variety, "_start_source", repeating)
 
@@ -595,6 +599,44 @@ def test_first_stratum_out_of_budget_raises_its_one_stratum_error(monkeypatch, b
     if repeat:
         assert one(generic).outcomes["attempts"] == 24 > one(other).outcomes["attempts"]
         assert len(one(generic).points) == 5
+
+
+@pytest.mark.parametrize("fixture, null_sum", [("pentagon", False), ("mixed_general_m2", False),
+                                              ("mixed_s2", False), ("mixed_s2", True)])
+def test_link_is_built_once_per_configuration_and_read_only(fixture, null_sum, request):
+    """Repeated calls return the same read-only arrays; an equal configuration built
+    apart gets its own, and its link goes when it does."""
+    cfg = request.getfixturevalue(fixture)
+    grad, rhs = variety._link(cfg, null_sum)
+    again = variety._link(cfg, null_sum)
+    assert again[0] is grad and again[1] is rhs
+    for array in (grad, rhs):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    twin = Configuration(lambdas=cfg.lambdas, kind=cfg.kind, s=cfg.s)
+    for mine, theirs in zip((grad, rhs), variety._link(twin, null_sum)):
+        np.testing.assert_array_equal(mine, theirs)
+        assert not np.shares_memory(mine, theirs)
+    held = len(variety._LINKS)
+    gone = weakref.ref(twin)
+    del twin
+    gc.collect()
+    assert gone() is None
+    assert len(variety._LINKS) < held and cfg in variety._LINKS
+
+
+def test_stacked_sample_builds_one_philox(mixed_general_m3, monkeypatch):
+    """The eight strata of a mixed-general m = 3 link draw from one Philox generator."""
+    built = []
+    philox = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox", lambda *a, **k: built.append(1) or philox(*a, **k))
+    cfg = mixed_general_m3
+    strata = [((), 7, 3)] + [(variety._stratum(cfg, K)[0], 8 + i, 3) for i, K in enumerate(
+        K for size in (1, 2, 3) for K in combinations(range(3), size))]
+    assert len(strata) == 8
+    points = variety._sample(cfg, strata)
+    assert [len(p) for p in points] == [3] * 8
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("fixture", list(W_COUNTS))
