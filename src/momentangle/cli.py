@@ -149,6 +149,13 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="timestamp embedded in reports (default: current UTC time)")
 
 
+def _checked_samples(samples: int) -> int:
+    """``--samples`` as given; :class:`StructuralError` unless it is positive."""
+    if samples < 1:
+        raise StructuralError(f"--samples must be positive, got {samples}")
+    return samples
+
+
 def _manifest(args, command: str, cfg_dict: dict | None, tolerances: dict) -> RunManifest:
     timestamp = args.timestamp or datetime.now(timezone.utc).isoformat()
     return RunManifest(
@@ -243,7 +250,8 @@ def cmd_verify(args) -> int:
     manifest = _manifest(args, "verify", cfg_dict,
                          {"tol": args.tol, "rank_tol": args.rank_tol})
 
-    cases = _verification_cases(cfg, args.samples, args.seed, args.tol, args.rank_tol)
+    cases = _verification_cases(cfg, _checked_samples(args.samples), args.seed, args.tol,
+                                args.rank_tol)
     checks: dict[str, tuple[int, int]] = {}
 
     def record(name: str, ok: np.ndarray) -> None:
@@ -360,12 +368,10 @@ def cmd_cover(args) -> int:
         if flat.size != 2 * cfg.n:
             raise StructuralError(f"direction needs {2 * cfg.n} numbers (re,im pairs)")
         directions.append(complexify(flat))
-    elif args.samples < 1:
-        raise StructuralError("count must be positive")
     else:
         rng = np.random.Generator(np.random.Philox(key=np.array(
             [args.seed % (1 << 64), 0], dtype=np.uint64)))
-        for _ in range(args.samples):
+        for _ in range(_checked_samples(args.samples)):
             v = rng.normal(size=2 * cfg.n)
             directions.append(complexify(v) / np.linalg.norm(v))
 
@@ -417,8 +423,8 @@ def cmd_sample(args) -> int:
         pinned, null_sum = _stratum(cfg, pattern)
     elif args.null_stratum:
         pinned, null_sum = _stratum(cfg, None)
-    (points,) = _sample(cfg, [(pinned, args.seed, args.samples)], args.tol, args.rank_tol,
-                        null_sum=null_sum)
+    (points,) = _sample(cfg, [(pinned, args.seed, _checked_samples(args.samples))], args.tol,
+                        args.rank_tol, null_sum=null_sum)
 
     worst = max(p.residual_norm for p in points)
     print(f"certified {len(points)} points; worst residual {format_float(worst)}")

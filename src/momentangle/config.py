@@ -13,18 +13,21 @@ Two convex-position conditions drive everything downstream:
   ``2m`` of them.
 
 A configuration satisfying both is *admissible*.  Every hull verdict, for
-the Siegel condition and for a ``2m``-subset, is :func:`_hull_verdict`: a
-non-negative least-squares solve gives either a hull point near the origin
-or a plane that separates the hull from it, each checked by recomputation,
-and the hull-distance LP (:func:`hull_distance`) runs only when neither
-certificate clears the tie band.  For weak hyperbolicity, one batched SVD
-first bounds the hull distance of every ``2m``-subset from below by
-``sigma_min / (2m)``; only the subsets that bound leaves inside the tie band
-get a hull verdict, in lexicographic order.  The package's one LP is in
-:func:`hull_distance` and its one NNLS in :func:`_hull_weights`; every hull
-distance is :func:`witness_distance` of weights, a hull point as witness:
-the NNLS or LP weights here, a point's own t = |z|^2 in :mod:`.toric`.
-``scipy.optimize`` is imported on the first solve, not with the package.
+the Siegel condition and for a ``2m``-subset, is :func:`_hull_verdict`: the
+non-negative least-squares weights of the hull give either a hull point
+near the origin or a plane that separates the hull from it, each checked by
+recomputation, and the hull-distance LP (:func:`hull_distance`) runs only
+when neither certificate clears the tie band.  For weak hyperbolicity, one
+batched SVD first bounds the hull distance of every ``2m``-subset from below
+by ``sigma_min / (2m)``; only the subsets that bound leaves inside the tie
+band get a hull verdict, in lexicographic order.  The package's one LP is in
+:func:`hull_distance` and its one NNLS in :func:`_hull_weights`, which
+first tries a plain least-squares solve and calls NNLS only when that gives
+a negative weight; every hull distance is :func:`witness_distance` of
+weights, a hull point as witness: the NNLS or LP weights here, a point's
+own t = |z|^2 in :mod:`.toric`.  ``scipy.optimize`` is imported on the
+first NNLS or LP, not with the package, so hulls whose least-squares
+weights are all ``>= 0``, the paper's fixtures among them, never load it.
 All tolerances are explicit.
 
 Conventions used throughout the package:
@@ -287,7 +290,11 @@ def linprog(*args, **kwargs):
 
 
 def nnls(a, b):
-    """``scipy.optimize.nnls``, imported on the first call (see :func:`linprog`)."""
+    """``scipy.optimize.nnls``, imported on the first call (see :func:`linprog`).
+
+    Called only by :func:`_hull_weights`, for a hull whose least-squares
+    weights have a negative entry.
+    """
     from scipy.optimize import nnls
 
     return nnls(a, b)
@@ -299,9 +306,9 @@ def witness_distance(points: np.ndarray, weights: np.ndarray):
     The distance of one hull point, its witness: an upper bound on the hull's.
     Stacks ``(..., p, d)`` and ``(..., p)`` give an array ``(...)``, same bits.
     """
-    t = np.clip(weights, 0.0, None)
+    t = np.maximum(weights, 0.0)
     t = t / t.sum(axis=-1, keepdims=True)
-    dist = np.max(np.abs(t[..., None, :] @ points), axis=(-2, -1))
+    dist = np.abs(t[..., None, :] @ points).max(axis=(-2, -1))
     return float(dist) if dist.ndim == 0 else dist
 
 
@@ -342,13 +349,33 @@ def hull_distance(points: np.ndarray) -> float:
     return witness_distance(pts, res.x[:p])
 
 
+def _least_squares(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The minimum-norm least-squares solution of ``a t = b``, of any rank (``np.linalg.lstsq``)."""
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
 def _hull_weights(points: np.ndarray) -> np.ndarray | None:
-    """Unchecked NNLS weights ``t >= 0`` of ``[P^T; 1^T] t = e_last``; None if NNLS raises."""
+    """Unchecked NNLS weights ``t >= 0`` of ``[P^T; 1^T] t = e_last``; None if NNLS raises.
+
+    The least-squares solution (:func:`_least_squares`) comes first: when it
+    is ``>= 0`` it minimizes ``|A t - e|`` over all ``t``, so over ``t >= 0``
+    too, and it is returned as it is.  Every minimizer has the same ``A t``,
+    so the hull point ``P^T t / sum t`` and the plane ``y = P^T t`` of
+    :func:`_hull_verdict` are those of any NNLS solution, and the KKT bound
+    ``p_j . y >= |A t - e|^2`` holds with equality.  Only a negative entry, or
+    ``lstsq`` raising, takes the NNLS solve (:func:`nnls`).
+    """
     p, d = points.shape
+    a = np.ones((d + 1, p))
+    a[:d] = points.T
     e = np.zeros(d + 1)
     e[-1] = 1.0
+    with contextlib.suppress(np.linalg.LinAlgError):
+        t = _least_squares(a, e)
+        if (t >= 0).all():
+            return t
     try:
-        return nnls(np.vstack([points.T, np.ones(p)]), e)[0]
+        return nnls(a, e)[0]
     except RuntimeError:
         return None
 
@@ -358,7 +385,8 @@ def _hull_verdict(points: np.ndarray, tol: float) -> tuple[bool, bool]:
 
     The NNLS weights ``t >= 0`` of :func:`_hull_weights`, for
     ``A = [P^T; 1^T]`` and ``e = (0, ..., 0, 1)``, certify most verdicts
-    without an LP:
+    without an LP.  They are the least-squares solution when it has no
+    negative entry, and scipy's NNLS solution otherwise; either way:
 
     * inside, not a tie: ``t`` is a hull point whose :func:`witness_distance`,
       plus a rounding allowance, is at most ``tol / DEGENERACY_BAND``;
@@ -369,8 +397,9 @@ def _hull_verdict(points: np.ndarray, tol: float) -> tuple[bool, bool]:
       must exceed ``DEGENERACY_BAND * tol * |y|_1``.
 
     Both certificates are recomputed from ``points``; the solver's answer is
-    never taken on trust.  Otherwise, or when NNLS fails to converge, the
-    LP decides as :func:`hull_distance` ``<= tol`` and :func:`in_tie_band`.
+    never taken on trust.  Otherwise, or when there are no weights (NNLS
+    fails to converge), the LP decides as :func:`hull_distance` ``<= tol``
+    and :func:`in_tie_band`.
     """
     pts = _hull_points(points)
     p, d = pts.shape
@@ -379,13 +408,13 @@ def _hull_verdict(points: np.ndarray, tol: float) -> tuple[bool, bool]:
         # A computed dot product of k terms is off by at most k * eps times
         # the sum of the absolute products; 16 leaves room for the rest.
         eps = np.finfo(float).eps
-        if t.sum() > 0 and (witness_distance(pts, t) + 16 * p * eps * np.max(np.abs(pts))
+        if t.sum() > 0 and (witness_distance(pts, t) + 16 * p * eps * np.abs(pts).max()
                             <= tol / DEGENERACY_BAND):
             return True, False
         y = pts.T @ t
         norms = np.linalg.norm(pts, axis=1)
-        margin = np.min(pts @ y) - 16 * d * eps * np.max(norms) * np.linalg.norm(y)
-        if margin > DEGENERACY_BAND * tol * np.sum(np.abs(y)):
+        margin = (pts @ y).min() - 16 * d * eps * norms.max() * np.linalg.norm(y)
+        if margin > DEGENERACY_BAND * tol * np.abs(y).sum():
             return False, False
     dist = hull_distance(pts)
     return dist <= tol, in_tie_band(dist, tol)

@@ -355,9 +355,11 @@ def star_shaped_check(cfg: Configuration, samples: int = 50, ray_steps: int = 20
     [0, 1] grid, the fiber polytope at r*w must be nonempty: its target
     -(r w)^2 / (1 - r^2 |w|^2) must lie in the hull of the lambda_j.  The
     fibers are convex in (t, r^2), so the weights (1 - r^2) t_gale + r^2 t,
-    with t_gale the NNLS weights of the Siegel verdict, witness the grid point
-    when their stacked :func:`.config.witness_distance` is at most
-    FEASIBILITY_TOL.  Any other grid point (all when NNLS raises) gets
+    with t_gale the hull weights of the Siegel verdict
+    (:func:`.config._hull_weights`: least squares when it is ``>= 0``, NNLS
+    otherwise), witness the grid point when their stacked
+    :func:`.config.witness_distance` is at most FEASIBILITY_TOL.  Any other
+    grid point (all when there are no weights: NNLS raised) gets
     :func:`.config._hull_verdict`; a target outside is reported as (ray, r).
     """
     if cfg.kind != "mixed-general":

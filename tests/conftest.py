@@ -11,6 +11,11 @@ def roots_of_unity(n: int, powers) -> np.ndarray:
     return np.column_stack([np.exp(2.0 * np.pi * 1j * j * k / n) for k in powers])
 
 
+#: An admissible classical m = 1 configuration whose Siegel solve needs NNLS:
+#: the minimum-norm least-squares weights of its hull have an entry -1/14.
+NEGATIVE_LEAST_SQUARES = np.array([3j, -1 + 1j, -3 - 1j, 1, 1j])
+
+
 @pytest.fixture(scope="session")
 def pentagon() -> Configuration:
     """Classical m = 1 pentagon (fifth roots of unity)."""

@@ -25,7 +25,7 @@ import momentangle.variety
 from momentangle import cli
 from momentangle.cli import main
 from momentangle.config import Configuration, configuration_to_dict
-from conftest import roots_of_unity
+from conftest import NEGATIVE_LEAST_SQUARES, roots_of_unity
 
 
 def write_config(tmp_path, cfg: Configuration, name: str = "cfg.json") -> str:
@@ -481,7 +481,16 @@ def test_cover_rejects_non_positive_samples(tmp_path, mixed_general_m1, capsys, 
     path = write_config(tmp_path, mixed_general_m1)
     report = tmp_path / "cover.json"
     assert main(["cover", path, "--samples", samples, "--json", str(report)]) == 2
-    assert "count must be positive" in capsys.readouterr().err
+    assert f"error: --samples must be positive, got {samples}" in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_non_positive_samples_error_names_the_flag(tmp_path, pentagon, capsys, command):
+    path = write_config(tmp_path, pentagon)
+    report = tmp_path / "report.json"
+    assert main([command, path, "--samples", "0", "--json", str(report)]) == 2
+    assert capsys.readouterr().err == "error: --samples must be positive, got 0\n"
     assert not report.exists()
 
 
@@ -730,20 +739,27 @@ def test_verify_report_is_identical_across_blas_thread_counts(tmp_path, mixed_ge
 @pytest.mark.parametrize("argv, solves", [
     (["count", "--n", "12"], False),
     (["sample", "{config}", "--samples", "3"], False),
-    (["check", "{config}"], True),
+    (["check", "{config}"], False),
     (["verify", "{config}", "--samples", "2"], False),
     (["classify", "--weights", "1,1,1,1,1"], False),
     (["cover", "{mixed}", "--samples", "2"], False),
-    (["gale", "{config}"], True),
+    (["gale", "{config}"], False),
+    (["classify", "{config}"], False),
+    (["check", "{planted}"], True),
 ])
 def test_scipy_optimize_is_imported_only_by_commands_that_solve(tmp_path, pentagon,
                                                                  mixed_general_m2, argv, solves):
-    """Only the commands that solve an LP or NNLS (``check``, ``gale``) load
-    ``scipy.optimize``, and with it ``scipy``; the others, ``verify`` with its
-    Pfaffians among them, load no scipy module at all."""
+    """Only a command that reaches the NNLS or the LP loads ``scipy.optimize``,
+    and with it ``scipy``: ``check`` on a configuration whose least-squares
+    hull weights have a negative entry.  On the pentagon, whose hull weights
+    all come from least squares, ``check``, ``gale`` and ``classify`` load no
+    scipy module, nor does any other command, ``verify`` with its Pfaffians
+    among them."""
+    planted = Configuration(lambdas=NEGATIVE_LEAST_SQUARES.reshape(-1, 1), kind="classical")
     paths = {"config": write_config(tmp_path, pentagon),
-             "mixed": write_config(tmp_path, mixed_general_m2, "mixed.json")}
-    code = ("import sys; from momentangle import cli; cli.main(sys.argv[1:]); "
+             "mixed": write_config(tmp_path, mixed_general_m2, "mixed.json"),
+             "planted": write_config(tmp_path, planted, "planted.json")}
+    code = ("import sys; from momentangle import cli; assert cli.main(sys.argv[1:]) == 0; "
             "print('scipy.optimize' in sys.modules, "
             "any(name.split('.')[0] == 'scipy' for name in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code, *(a.format(**paths) for a in argv)],

@@ -43,7 +43,7 @@ from _oracles import (
     first_subset_around_origin_brute,
     origin_in_hull_brute,
 )
-from conftest import roots_of_unity
+from conftest import NEGATIVE_LEAST_SQUARES, roots_of_unity
 
 
 def test_pentagon_is_admissible(pentagon):
@@ -319,23 +319,130 @@ def test_hull_verdicts_match_both_references_on_every_route(monkeypatch):
 
 
 def _uniform_weights(a, b):
-    return np.full(a.shape[1], 1.0 / a.shape[1]), 0.0
+    return np.full(a.shape[1], 1.0 / a.shape[1])
+
+
+def _negative_weights(a, b):
+    return np.full(a.shape[1], -1.0)
+
+
+def _singular(a, b):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
 
 
 def _no_convergence(a, b):
     raise RuntimeError("Maximum number of iterations reached.")
 
 
-@pytest.mark.parametrize("fake_nnls", [_uniform_weights, _no_convergence])
-def test_hull_verdicts_do_not_trust_nnls(monkeypatch, fake_nnls, pentagon, hexagon_m2):
-    """Wrong or missing NNLS weights change no verdict: both certificates are
-    recomputed, and the LP decides what they do not settle."""
-    monkeypatch.setattr(momentangle.config, "nnls", fake_nnls)
+#: Each wrong answer, by the solver it replaces: uniform weights from the
+#: least-squares solve are taken as they are; negative ones send every hull
+#: on to NNLS, which answers wrongly too.
+_WRONG_SOLVES = {
+    "_uniform_weights": [{"_least_squares": _uniform_weights},
+                         {"_least_squares": _negative_weights,
+                          "nnls": lambda a, b: (_uniform_weights(a, b), 0.0)}],
+    "_no_convergence": [{"_least_squares": _singular, "nnls": _no_convergence}],
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(_WRONG_SOLVES))
+def test_hull_verdicts_do_not_trust_nnls(monkeypatch, wrong, pentagon, hexagon_m2):
+    """Wrong or missing weights, from the least-squares solve or from NNLS,
+    change no verdict: both certificates are recomputed, and the LP decides
+    what they do not settle.  Each fake is called."""
     rng = np.random.default_rng(8)
     cases = [pentagon, hexagon_m2] + [_hull_case(rng, design) for design in HULL_DESIGNS * 4]
-    for cfg in cases:
-        for tol in (1e-9, 1e-7):
-            _check_against_lp_reference(cfg, tol)
+    for fakes in _WRONG_SOLVES[wrong]:
+        calls = Counter()
+        for name, fake in fakes.items():
+            def counted(a, b, name=name, fake=fake):
+                calls[name] += 1
+                return fake(a, b)
+
+            monkeypatch.setattr(momentangle.config, name, counted)
+        for cfg in cases:
+            for tol in (1e-9, 1e-7):
+                _check_against_lp_reference(cfg, tol)
+        assert set(calls) == set(fakes), calls
+        monkeypatch.undo()
+
+
+def _hull_system(points):
+    """``A = [P^T; 1^T]`` and ``e = (0, ..., 0, 1)`` of the hull weights of ``points``."""
+    a = np.vstack([points.T, np.ones(len(points))])
+    e = np.zeros(len(a))
+    e[-1] = 1.0
+    return a, e
+
+
+def _count_nnls(monkeypatch) -> list:
+    calls = []
+    nnls = momentangle.config.nnls
+    monkeypatch.setattr(momentangle.config, "nnls", lambda a, b: calls.append(1) or nnls(a, b))
+    return calls
+
+
+def test_least_squares_hull_weights_are_nnls_weights(monkeypatch):
+    """Weights that ``_hull_weights`` returns without calling NNLS are >= 0,
+    and their residual |A t - e| is scipy NNLS's, to rounding: the
+    least-squares solution minimizes over all t, so over t >= 0 as well."""
+    from scipy.optimize import nnls as scipy_nnls
+
+    calls = _count_nnls(monkeypatch)
+    routes = Counter()
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(HULL_DESIGNS + ("gaussian",)),
+           st.integers(1, 12), st.sampled_from([2, 4, 6]))
+    @settings(max_examples=80, deadline=None)
+    def shortcut(seed, design, p, d):
+        rng = np.random.default_rng(seed)
+        if design == "gaussian":
+            sets = [rng.normal(size=(p, d))]
+        else:  # the Siegel hull and a 2m-subset, as the verdicts see them
+            pts = _hull_case(rng, design).realified_lambdas()
+            sets = [pts, pts[rng.choice(len(pts), size=pts.shape[1], replace=False)]]
+        for points in sets:
+            before = len(calls)
+            t = momentangle.config._hull_weights(points)
+            if len(calls) > before:
+                routes["nnls"] += 1
+                continue
+            routes["least squares"] += 1
+            assert np.all(t >= 0)
+            a, e = _hull_system(points)
+            residual = scipy_nnls(a, e)[1]
+            assert abs(np.linalg.norm(a @ t - e) - residual) <= 1e-12 * (1 + np.linalg.norm(a, 2))
+
+    shortcut()
+    assert routes["least squares"] and routes["nnls"], routes
+
+
+def test_fixture_admissibility_calls_no_nnls(monkeypatch, pentagon, hexagon_m2, mixed_s1,
+                                             mixed_s2, mixed_general_m1, mixed_general_m2,
+                                             mixed_general_m3):
+    """Every hull verdict of the fixtures takes its weights from least squares."""
+    calls = _count_nnls(monkeypatch)
+    for cfg in (pentagon, hexagon_m2):
+        assert check_admissible(cfg).admissible
+    for cfg in (mixed_s1, mixed_s2, mixed_general_m1, mixed_general_m2, mixed_general_m3):
+        assert check_mixed_admissible(cfg).admissible
+    assert calls == []
+
+
+@pytest.mark.parametrize("lam, admissible", [
+    (NEGATIVE_LEAST_SQUARES, True),
+    (np.exp(1j * np.linspace(-1.0, 1.0, 5)), False),  # half plane: outside, so t has a t_j < 0
+])
+def test_negative_least_squares_weights_take_nnls(monkeypatch, lam, admissible):
+    cfg = Configuration(lambdas=lam.reshape(-1, 1), kind="classical")
+    a, e = _hull_system(cfg.realified_lambdas())
+    assert np.linalg.lstsq(a, e, rcond=None)[0].min() < 0
+    calls = _count_nnls(monkeypatch)
+    report = check_admissible(cfg)
+    assert calls
+    assert report.admissible == admissible
+    assert (report.siegel, report.weak_hyperbolicity, report.violating_subset,
+            report.degenerate) == admissibility_lp_reference(cfg, 1e-9)[0]
 
 
 @given(st.integers(0, 2**32 - 1))

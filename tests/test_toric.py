@@ -305,14 +305,11 @@ def test_star_check_solves_no_lp_unless_the_witness_fails(
 
 def test_star_check_without_an_nnls_point_takes_every_verdict_from_the_hull_rule(
         mixed_general_m2, monkeypatch):
-    """NNLS that fails to converge gives no Gale point: every grid point
-    gets a hull verdict, and the report is unchanged."""
+    """Hull weights that NNLS fails to give (``_hull_weights`` returns None)
+    leave no Gale point: every grid point gets a hull verdict, and the report
+    is unchanged."""
     expected = star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0)
-
-    def no_convergence(a, b):
-        raise RuntimeError("Maximum number of iterations reached.")
-
-    monkeypatch.setattr(momentangle.config, "nnls", no_convergence)
+    monkeypatch.setattr(toric, "_hull_weights", lambda pts: None)
     verdicts = _count_hull_verdicts(monkeypatch)
     assert star_shaped_check(mixed_general_m2, samples=3, ray_steps=5, seed=0) == expected
     assert len(verdicts) == 3 * 5
