@@ -302,9 +302,10 @@ def cmd_classify(args) -> int:
     manifest_tols: dict = {}
     if args.weights is not None:
         try:
-            weights = CyclicWeights(tuple(int(x) for x in args.weights.split(",")))
+            parsed = tuple(int(x) for x in args.weights.split(","))
         except ValueError as exc:
             raise StructuralError(f"cannot parse weights {args.weights!r}") from exc
+        weights = CyclicWeights(parsed)  # its StructuralError is a ValueError too
         cfg_dict = None
         source = {"weights": list(weights.weights)}
     else:

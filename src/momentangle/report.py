@@ -36,32 +36,30 @@ def canonical_json(obj) -> str:
 
 
 def _write(obj, out: list[str]) -> None:
-    # The containers and floats of a report first; no two branches match one value.
+    # The exact types a report is made of first, then every type by isinstance.
+    kind = type(obj)
+    if kind is float:
+        out.append(format_float(obj))
+    elif kind is dict:
+        _write_dict(obj, out)
+    elif kind is list or kind is tuple:
+        _write_list(obj, out)
+    elif kind is str:
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif kind is int:
+        out.append(str(obj))
+    else:
+        _write_other(obj, out)
+
+
+def _write_other(obj, out: list[str]) -> None:
+    # No two branches match one value.
     if isinstance(obj, float):  # np.float64 is a float too
         out.append(format_float(obj))
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise TypeError(f"report keys must be strings, got {key!r}")
-            out.append(_key(key) if i == 0 else "," + _key(key))
-            _write(obj[key], out)
-        out.append("}")
+        _write_dict(obj, out)
     elif isinstance(obj, (list, tuple)):
-        if obj and all(isinstance(item, float) for item in obj):
-            text = ",".join([format(item, ".17g") for item in obj])
-            # nan and inf hold an "n", and a "-0" token is -0.0: format_float
-            # raises on the first and normalizes the second.
-            if "n" in text or "-0," in text + ",":
-                text = ",".join(map(format_float, obj))
-            out.append("[" + text + "]")
-        else:
-            out.append("[")
-            for i, item in enumerate(obj):
-                if i:
-                    out.append(",")
-                _write(item, out)
-            out.append("]")
+        _write_list(obj, out)
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=True))
     elif obj is None:
@@ -78,6 +76,43 @@ def _write(obj, out: list[str]) -> None:
         _write(obj.tolist(), out)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _write_dict(obj: dict, out: list[str]) -> None:
+    out.append("{")
+    for i, key in enumerate(sorted(obj)):
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be strings, got {key!r}")
+        out.append(_key(key) if i == 0 else "," + _key(key))
+        _write(obj[key], out)
+    out.append("}")
+
+
+#: The float types whose lists take the one-``%`` path of :func:`_write_list`.
+_FLOAT_TYPES = frozenset({float, np.float64})
+
+
+def _write_list(obj, out: list[str]) -> None:
+    if obj and _FLOAT_TYPES.issuperset(map(type, obj)):
+        text = _floats(len(obj)) % tuple(obj)
+        # nan and inf hold an "n", and a "-0" token is -0.0: format_float
+        # raises on the first and normalizes the second.
+        if "n" in text or "-0," in text + ",":
+            text = ",".join(map(format_float, obj))
+        out.append("[" + text + "]")
+    else:
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _write(item, out)
+        out.append("]")
+
+
+@lru_cache(maxsize=256)
+def _floats(count: int) -> str:
+    """The ``%`` template of ``count`` floats in the report's format, comma-separated."""
+    return ",".join(["%.17g"] * count)
 
 
 @lru_cache(maxsize=4096)

@@ -35,14 +35,16 @@ one array.  One Gauss-Newton iteration runs over the block, each row with
 its own convergence test and step halving.  A step comes from the normal
 equations ``(J J^T) y = -r``, ``s = J^T y``, and is kept only where the
 recomputed ``|J s + r|_inf`` is within 1e-8 of ``|r|_inf``; the other rows
-take the minimum-norm step from an SVD.  The
-singular values of one stacked SVD, with no vectors, certify the converged
-rows, and one Gram-product screen per stratum and block finds the rows that
-may repeat an accepted point.  Points are accepted in attempt order, and a
-block never holds more of a stratum's attempts than points it still needs,
-so the accepted points do not depend on the block size: a shorter request
-gives a prefix of a longer one, bit for bit.  :func:`project_to_variety` and
-:func:`certify` are the one-row case of the same code.
+take the minimum-norm step from an SVD.  One Cholesky of the stacked
+``J J^T``, shifted by a multiple of its trace, proves the converged rows
+full rank; the singular values of one stacked SVD rank the block only where
+it fails (:func:`_jacobian_ranks`).  One Gram-product screen per stratum
+and block finds the rows that may repeat an accepted point.  Points are
+accepted in attempt order, and a block never holds more of a stratum's
+attempts than points it still needs, so the accepted points do not depend
+on the block size: a shorter request gives a prefix of a longer one, bit
+for bit.  :func:`project_to_variety` and :func:`certify` are the one-row
+case of the same code.
 
 A w-degeneracy stratum pins some w coordinates to zero.  The quadrics couple
 each w coordinate only with its own Re/Im partner, so the Jacobian columns
@@ -58,6 +60,7 @@ equations, and with them a link of its own.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 
@@ -347,19 +350,95 @@ def _zero_mask(cfg: Configuration, X: np.ndarray) -> np.ndarray:
     return np.hypot(X[:, 0 : 2 * s : 2], X[:, 1 : 2 * s : 2]) <= ZERO_TOL
 
 
+#: Traces of ``J J^T`` that :func:`_jacobian_ranks` screens: far enough from
+#: underflow and overflow that the rounding model of its proof holds.
+_SCREEN_TRACES = (2.0**-900, 2.0**900)
+
+
+def _jacobian_ranks(jac: np.ndarray, rank_tol: float) -> np.ndarray:
+    """:func:`.config.numerical_rank` of each ``(n, D)`` Jacobian of the stack ``jac``.
+
+    One stacked product forms ``G = J J^T``, whose trace is ``T = |J|_F^2``,
+    and one stacked Cholesky factors ``G - s T I`` with
+
+        s = (2 r + c1 eps)^2 + c2 eps,   c1 = 2 n D,   c2 = 2 (D + n + 3),
+
+    ``r = rank_tol`` and ``eps`` the machine epsilon.  If it succeeds, every
+    row has rank ``n``.  If it fails anywhere, or a trace lies outside
+    :data:`_SCREEN_TRACES`, the whole block is ranked by the singular values
+    of one SVD without vectors.  So ``numerical_rank`` stays the one rank
+    rule: the screen only proves that every row is above its cut.
+
+    Why a cleared row is one the SVD ranks ``n`` too (first order in
+    ``u = eps / 2``, ``gamma_k = k u / (1 - k u)``; Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 3 and 10; Rump,
+    "Verification of positive definiteness", *BIT* 46, 2006):
+
+    1. Each entry of the computed ``G`` is a dot product of length ``D``:
+       it is off by at most ``gamma_D |J||J|^T``, which is at most
+       ``gamma_D T`` in the 2-norm.
+    2. Subtracting the shift rounds each diagonal entry by at most ``u T``.
+       If ``s >= 1``, the shift is at least every diagonal entry, the first
+       pivot is not positive and the Cholesky fails: for ``r >= 1/2`` no row
+       is ever cleared.
+    3. A Cholesky that runs to completion on a symmetric ``A`` gives
+       ``R^T R = A + E`` with ``|E| <= gamma_{n+1} |R^T||R|``, so
+       ``|E|_2 <= gamma_{n+1} tr A / (1 - gamma_{n+1})``, and
+       ``lambda_min(A) >= -|E|_2`` as ``R^T R`` is semidefinite.  This
+       holds whether or not ``A`` is positive definite (Rump).
+    4. The computed shift is at least ``s T (1 - (D + n + 3) u)``: each
+       diagonal entry is within ``gamma_D`` of ``G``'s, their sum rounds
+       ``n - 1`` times, and ``s`` and the product four times more.
+
+    A Cholesky that succeeds has ``s < 1`` (step 2), so summing
+    ``D + 1 + (n + 1) + (D + n + 3)`` units of ``u T`` gives
+    ``lambda_min(J J^T) >= s T - (D + n + 5/2) eps T``, which leaves
+    ``(2 r + c1 eps)^2 T`` and ``(D + n + 7/2) eps T`` over for the
+    second-order terms.  As ``T >= sigma_1^2``, the exact singular values
+    have ``sigma_n >= (2 r + c1 eps) sigma_1``.  The SVD is backward stable:
+    its values are exact for ``J + F`` with ``|F|_2 <= p eps |J|_2``, ``p``
+    a modest function of the shape (LAPACK Users' Guide, sec. 4.9), taken
+    as ``p <= n D = c1 / 2``, so by Weyl each computed value is within
+    ``p eps sigma_1`` of its exact one.  The computed ``sigma_n`` is then
+    at least ``(2 r + p eps) sigma_1 > r (1 + p eps) sigma_1``, and so above
+    ``r`` times the computed ``sigma_1``, for every ``r`` in (0, 1).
+
+    Forming ``J J^T`` squares the condition number, so a row with
+    ``sigma_n / sigma_1`` below about ``sqrt(c2 eps)``, some 1e-7, always
+    takes the SVD, whatever ``r``.
+    """
+    eq, dim = jac.shape[1:]
+    with np.errstate(all="ignore"):  # an overflow fails the trace check
+        gram = jac @ jac.transpose(0, 2, 1)
+    diagonal = gram.reshape(len(jac), eq * eq)[:, :: eq + 1]  # a view into gram
+    trace = diagonal.sum(axis=1)
+    lo, hi = _SCREEN_TRACES
+    # An empty block passes; a nan trace fails both comparisons.
+    if lo <= trace.min(initial=hi) and trace.max(initial=lo) <= hi:
+        diagonal -= ((2 * rank_tol + 2 * eq * dim * _EPS) ** 2
+                     + 2 * (dim + eq + 3) * _EPS) * trace[:, None]
+        try:
+            np.linalg.cholesky(gram)
+            return np.full(len(jac), eq)
+        except np.linalg.LinAlgError:
+            pass
+    return numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_tol)
+
+
 def _certify_block(
     cfg: Configuration, link: tuple[np.ndarray, np.ndarray], X: np.ndarray,
     tol: float, rank_tol: float,
 ) -> list[VarietyPoint | NumericalError]:
     """Certify every row of ``X`` on the ambient ``link``: a point, or the error that rejects it.
 
-    The singular values of the stacked Jacobians, from one SVD without
-    vectors, give the ranks; no frame is built.
+    The ranks come from :func:`_jacobian_ranks`: one shifted Cholesky of the
+    stacked ``J J^T`` proves every row full rank, or else one SVD without
+    vectors ranks them; no frame is built.
     """
     eq = cfg.equation_count
     jac, R = _evaluate(*link, X)
     res_norms = np.max(np.abs(R), axis=1)
-    ranks = numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_tol)
+    ranks = _jacobian_ranks(jac, rank_tol)
     zero = _zero_mask(cfg, X).tolist()
 
     out: list[VarietyPoint | NumericalError] = []
@@ -452,11 +531,11 @@ def _start_source():
     def draw(seed: int, first: int, size: int, dim: int) -> np.ndarray:
         key[0] = seed % (1 << 64)
         starts = np.empty((size, dim))
-        for row in range(size):
-            key[1] = (first + row) % (1 << 64)
+        for index, row in enumerate(starts, first):
+            key[1] = index % (1 << 64)
             bits.state = state
-            start = gen.normal(size=dim)
-            starts[row] = start / np.linalg.norm(start)
+            gen.standard_normal(out=row)
+            row /= math.sqrt(row.dot(row))  # np.linalg.norm of a vector, bit for bit
         return starts
 
     return draw

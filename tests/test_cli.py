@@ -232,6 +232,19 @@ def test_classify_requires_exactly_one_source(tmp_path, pentagon, capsys):
     assert main(["classify", "--weights", "1,oops,1"]) == 2
 
 
+@pytest.mark.parametrize("weights, message", [
+    ("1,1,1,1", "error: weights must have odd length >= 3, got length 4"),
+    ("0,1,1,1,1", "error: weights must be >= 1"),
+    ("1,oops,1", "error: cannot parse weights '1,oops,1'"),
+])
+def test_classify_weights_errors_say_what_is_wrong(weights, message, capsys):
+    """Weights that parse but are not cyclic weights keep their own message."""
+    assert main(["classify", "--weights", weights]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == message
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # gale
 # ---------------------------------------------------------------------------

@@ -130,6 +130,9 @@ def _leaves(floats):
         st.booleans().map(np.bool_), st.builds(complex, floats, floats),
         st.builds(complex, floats, floats).map(np.complex128),
         st.lists(floats, max_size=6), st.lists(floats.map(np.float64), max_size=4),
+        st.lists(floats, min_size=7, max_size=40),  # the lengths of sampled coordinates
+        st.lists(st.one_of(floats, floats.map(np.float64), st.just(-0.0),
+                           st.just(np.float64(-0.0))), max_size=40),
         st.lists(floats, max_size=6).map(np.array),
         st.lists(st.lists(floats, min_size=2, max_size=2), max_size=3).map(np.array),
     )

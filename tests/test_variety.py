@@ -14,9 +14,11 @@ from momentangle import (
     Configuration,
     ProjectionError,
     SamplingBudgetError,
+    SingularPointError,
     StructuralError,
     VarietyPoint,
     certify,
+    check_admissible,
     complexify,
     evaluate_stack,
     evaluate_system,
@@ -32,6 +34,7 @@ from momentangle import (
 )
 
 from _oracles import jacobian_ranks_reference, sample_reference, system_oracle
+from conftest import roots_of_unity
 
 
 @pytest.mark.parametrize("fixture", ["pentagon", "mixed_s2", "mixed_general_m2"])
@@ -240,6 +243,95 @@ def test_jacobian_ranks_come_from_the_frame_svd(fixture, stratum, request):
     assert [jacobian_rank(cfg, p) for p in points] == expected[: len(points)].tolist()
 
 
+#: Relative rank cuts of the screen tests, from far below the rounding of
+#: ``J J^T`` up to cuts the screen can never clear.
+SCREEN_RANK_TOLS = [1e-15, 1e-8, 1e-3, 0.5, 0.9]
+#: ``sigma_n / sigma_1`` of a synthetic row, as a function of the cut ``r``.
+SCREEN_RATIOS = {
+    "below cut": lambda r, rng: r * (1 - 1e-6),
+    "above cut": lambda r, rng: r * (1 + 1e-6),
+    "below twice the cut": lambda r, rng: min(1.0, 2 * r * (1 - 1e-6)),
+    "above twice the cut": lambda r, rng: min(1.0, 2 * r * (1 + 1e-6)),
+    "singular": lambda r, rng: 0.0,
+    "generic": lambda r, rng: rng.uniform(0.05, 1.0),
+}
+
+
+def _synthetic_jacobian(rng, eq, dim, pinned, ratio):
+    """``U diag(sigma) V^T`` with ``sigma_n / sigma_1 = ratio``, a random scale,
+    and exactly zero columns at ``pinned``.
+
+    Half the rows have ``sigma = (1, ratio, ..., ratio)``, whose trace is
+    about ``sigma_1^2``: there a shift of the trace is as large as it can
+    be against ``sigma_n^2``, so a screen that clears too much shows.
+    """
+    u = np.linalg.qr(rng.normal(size=(eq, eq)))[0]
+    v = np.zeros((dim, eq))
+    free = np.setdiff1d(np.arange(dim), pinned)
+    v[free] = np.linalg.qr(rng.normal(size=(len(free), eq)))[0]
+    sigma = np.sort(rng.uniform(ratio, 1.0, size=eq))[::-1]
+    if rng.random() < 0.5:
+        sigma[:] = ratio
+    sigma[0], sigma[-1] = 1.0, ratio
+    return 10.0 ** rng.uniform(-3, 3) * (u * sigma) @ v.T
+
+
+@given(st.sampled_from(SCREEN_RANK_TOLS), st.sampled_from([3, 5, 7]), st.integers(0, 23),
+       st.integers(0, 8), st.lists(st.sampled_from(sorted(SCREEN_RATIOS)), min_size=1,
+                                   max_size=6),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_rank_screen_gives_the_svd_ranks(rank_tol, eq, extra, pinned, kinds, seed):
+    """Rows at the cut, at twice the cut, singular, with zero columns, or generic:
+    the ranks ``_certify_block`` uses are ``numerical_rank`` of the SVD."""
+    rng = np.random.default_rng(seed)
+    dim = eq + extra + pinned
+    jac = np.array([_synthetic_jacobian(rng, eq, dim, np.arange(pinned),
+                                        SCREEN_RATIOS[kind](rank_tol, rng)) for kind in kinds])
+    with mock.patch.object(variety, "numerical_rank", wraps=variety.numerical_rank) as svd_ranks:
+        ranks = variety._jacobian_ranks(jac, rank_tol)
+    expected = variety.numerical_rank(np.linalg.svd(jac, compute_uv=False), rank_tol)
+    np.testing.assert_array_equal(ranks, expected)
+    if rank_tol >= 0.5:
+        assert svd_ranks.call_count == 1  # no row is ever cleared
+    elif set(kinds) == {"generic"} and rank_tol <= 1e-3:
+        assert svd_ranks.call_count == 0  # every such row is far above the cut
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e160])
+def test_rank_screen_leaves_extreme_scales_to_the_svd(scale):
+    """Where ``J J^T`` underflows or overflows, the rounding model fails: at
+    1e160 the unguarded Cholesky of the overflowed stack succeeds, with a
+    rank-deficient row in it.  The SVD ranks such blocks."""
+    rng = np.random.default_rng(1)
+    jac = rng.normal(size=(3, 5, 14))
+    jac[1, -1] = jac[1, 0]
+    jac *= scale
+    with mock.patch.object(variety, "numerical_rank", wraps=variety.numerical_rank) as svd_ranks:
+        ranks = variety._jacobian_ranks(jac, 1e-8)
+    assert svd_ranks.call_count == 1
+    assert ranks.tolist() == [5, 4, 5]
+
+
+def test_singular_point_of_a_non_admissible_link_takes_the_svd():
+    """The hexagon's antipodal pair (0, 3) breaks weak hyperbolicity; the link
+    point on that pair has Jacobian rank 2, so its block falls back to the SVD."""
+    cfg = Configuration(lambdas=roots_of_unity(6, (1,)), kind="classical")
+    assert check_admissible(cfg).violating_subset == (0, 3)
+    z = np.zeros(6, dtype=complex)
+    z[[0, 3]] = np.sqrt(0.5)
+    singular = realify(z)
+    X = np.vstack([[p.coordinates for p in sample_points(cfg, 4, seed=1)], singular])
+    with mock.patch.object(variety, "numerical_rank", wraps=variety.numerical_rank) as svd_ranks:
+        certified = variety._certify_block(cfg, variety._link(cfg), X, 1e-10, 1e-8)
+    assert svd_ranks.call_count == 1
+    assert [type(p).__name__ for p in certified] == ["VarietyPoint"] * 4 + ["SingularPointError"]
+    assert str(certified[-1]) == "singular point: Jacobian rank 2 < 3"
+    np.testing.assert_array_equal(jacobian_ranks_reference(cfg, X), [3, 3, 3, 3, 2])
+    with pytest.raises(SingularPointError, match="rank 2 < 3"):
+        certify(cfg, singular)
+
+
 #: Arguments that are not integers, or are integers only by subclass (bools).
 NOT_INTEGERS = st.one_of(st.booleans(), st.floats(), st.none(), st.text(max_size=2),
                          st.integers(-5, 5).map(np.int64), st.integers(0, 5).map(complex))
@@ -391,14 +483,18 @@ def test_gauss_newton_steps_are_checked_min_norm_steps(stack):
 
 
 def test_sampler_takes_no_svd_fallback_on_fixtures(request, monkeypatch):
-    """Every Gauss-Newton row on every fixture and stratum keeps its normal-equation step."""
+    """Every Gauss-Newton row on every fixture and stratum keeps its normal-equation
+    step, and every certified block passes the rank screen with no SVD."""
     rows = []
     svd_steps = variety._min_norm_steps
     monkeypatch.setattr(variety, "_min_norm_steps",
                         lambda jac, rhs: rows.append(len(jac)) or svd_steps(jac, rhs))
+    svd_ranks = mock.Mock(wraps=variety.numerical_rank)
+    monkeypatch.setattr(variety, "numerical_rank", svd_ranks)
     for fixture, stratum in STRATA:
         _draw(request.getfixturevalue(fixture), stratum, 30, seed=4)
     assert sum(rows) == 0
+    assert svd_ranks.call_count == 0
     # The counter counts: the empty stratum of test_sampling_budget_error
     # drives its rows into the rank-deficient fallback.
     with pytest.raises(SamplingBudgetError):
@@ -409,17 +505,20 @@ def test_sampler_takes_no_svd_fallback_on_fixtures(request, monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 4, 2**63 + 11, 2**64 + 4, -3])
 def test_starts_are_fresh_philox_streams(seed):
-    dim = 14
+    """Every start is its own fresh stream's normals over their ``np.linalg.norm``,
+    bit for bit; dimensions 1 and 30 bound those of the fixtures."""
     draw = variety._start_source()
-    draw(seed + 1, 5, 2, dim + 3)  # another stream of the same source first
-    # Consecutive calls, and attempts on both sides of the 256-attempt blocks.
-    for first, size in [(0, 3), (250, 12), (511, 2), (1, 1), (2**64 - 1, 2)]:
-        starts = draw(seed, first, size, dim)
-        assert starts.shape == (size, dim)
-        for row, index in enumerate(range(first, first + size)):
-            key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
-            start = np.random.Generator(np.random.Philox(key=key)).normal(size=dim)
-            np.testing.assert_array_equal(starts[row], start / np.linalg.norm(start))
+    for dim in (1, 14, 30):
+        draw(seed + 1, 5, 2, dim + 3)  # another stream of the same source first
+        # Consecutive calls, and attempts on both sides of the 256-attempt blocks.
+        for first, size in [(0, 3), (250, 12), (511, 2), (1, 1), (2**64 - 1, 2)]:
+            starts = draw(seed, first, size, dim)
+            assert starts.shape == (size, dim)
+            for row, index in enumerate(range(first, first + size)):
+                key = np.array([seed % 2**64, index % 2**64], dtype=np.uint64)
+                start = np.random.Generator(np.random.Philox(key=key)).normal(size=dim)
+                expected = start / np.linalg.norm(start)
+                assert starts[row].tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("fixture, stratum", [("pentagon", None), ("mixed_general_m2", (1,)),
