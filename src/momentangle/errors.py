@@ -30,7 +30,7 @@ class SamplingBudgetError(NumericalError):
     The points that did certify are attached so partial results are not lost,
     and ``outcomes`` counts the attempts and why the rejected ones failed
     (keys ``attempts``, ``not_converged``, ``line_search_stalls``,
-    ``singular``, ``duplicates``).
+    ``singular``).
     """
 
     def __init__(self, message, points, requested, outcomes):

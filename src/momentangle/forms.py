@@ -218,7 +218,7 @@ def kernel_family_basis(cfg: Configuration, coords) -> np.ndarray:
     the resulting dimensions.
     """
     coords = np.asarray(coords, dtype=float)[None]
-    T, mu = _family_parameters(cfg, coords)
+    T, mu = _family_parameters(cfg, coords, _leaves(cfg, coords))
     used = (T[0] != 0).any(axis=1) | (mu[0] != 0)
     return _kernel_vectors(cfg, coords, T[:, used], mu[:, used])[0]
 
@@ -229,16 +229,16 @@ def _leaves(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
     return ~((~_zero_mask(cfg, coords)) @ cfg._w_join).astype(bool)
 
 
-def _family_parameters(cfg: Configuration, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _family_parameters(cfg: Configuration, coords: np.ndarray,
+                       leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(T, mu) of the closed-form kernel family at a stack of points ``(N, D)``.
 
     Every point gets 2m+1 columns, (T, mu) = (0, 0) padding as v(0, 0) = 0:
-    v(e_k, 0) and v(i e_k, 0) in columns 2k, 2k+1 for each leaf k
-    (:func:`_leaves`), then v(T, 1) with T_k = 0 on the leaves and
-    T_k = -conj(sum_r w_r^2 / a_r) / (2 sum_r |w_r|^2 / a_r), the tangent
-    value, over the w_r joining each other quadric.
+    v(e_k, 0) and v(i e_k, 0) in columns 2k, 2k+1 for each leaf k (the
+    ``leaves`` of :func:`_leaves`), then v(T, 1) with T_k = 0 on the leaves
+    and T_k = -conj(sum_r w_r^2 / a_r) / (2 sum_r |w_r|^2 / a_r), the
+    tangent value, over the w_r joining each other quadric.
     """
-    leaves = _leaves(cfg, coords)
     w = complexify(coords)[:, : cfg.w_count]
     k = np.arange(cfg.m)
     T = np.zeros((len(coords), 2 * cfg.m + 1, cfg.m), dtype=complex)
@@ -251,19 +251,19 @@ def _family_parameters(cfg: Configuration, coords: np.ndarray) -> tuple[np.ndarr
     return T, mu
 
 
-def _family_stack(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
+def _family_stack(cfg: Configuration, coords: np.ndarray, leaves: np.ndarray) -> np.ndarray:
     """The padded closed-form kernel family at a stack of points: ``(N, D, c)``."""
-    return _kernel_vectors(cfg, coords, *_family_parameters(cfg, coords))
+    return _kernel_vectors(cfg, coords, *_family_parameters(cfg, coords, leaves))
 
 
 def expected_kernel_dims(cfg: Configuration, point: VarietyPoint) -> tuple[int, int]:
     """(dim ker dalpha|_T, dim ker alpha cap ker dalpha): (2l+1, 2l) for l leaves."""
-    return tuple(_expected_dims(cfg, point.coordinates[None])[0].tolist())
+    return tuple(_expected_dims(_leaves(cfg, point.coordinates[None]))[0].tolist())
 
 
-def _expected_dims(cfg: Configuration, coords: np.ndarray) -> np.ndarray:
+def _expected_dims(leaves: np.ndarray) -> np.ndarray:
     """(2l+1, 2l) for the l leaves (:func:`_leaves`) at each point of a stack: ``(N, 2)``."""
-    cap = 2 * np.count_nonzero(_leaves(cfg, coords), axis=1)
+    cap = 2 * np.count_nonzero(leaves, axis=1)
     return np.column_stack([cap + 1, cap])
 
 
@@ -368,12 +368,12 @@ def evaluate_stack(
 
     Every certified point of a configuration has frame dimension
     ``manifold_dim``, so all strata stack together: each SVD runs over a
-    block of points, the closed-form family is built once per block, and
-    only the bordered Pfaffians run point by point.  A point's results do
-    not depend on the other points in the stack, so blocks of at most
-    ``_ATTEMPT_BLOCK`` points (the sampler's block) bound the memory of a
-    long run without changing a value.  No points, or coordinates of the
-    wrong length or not finite, raise StructuralError.
+    block of points, the leaves and the closed-form family are built once
+    per block, and the bordered Pfaffians are one stacked elimination.  A
+    point's results do not depend on the other points in the stack, so
+    blocks of at most ``_ATTEMPT_BLOCK`` points (the sampler's block) bound
+    the memory of a long run without changing a value.  No points, or
+    coordinates of the wrong length or not finite, raise StructuralError.
     """
     if not points:
         raise StructuralError("evaluate_stack needs at least one point")
@@ -394,7 +394,8 @@ def _evaluate_block(cfg: Configuration, coords: np.ndarray, rank_tol: float) -> 
     dmat = _dalpha_stack(cfg, frames)
     sigma_d, _, kernel = _dalpha_kernels(frames, dmat, rank_tol)
     ranks, indeterminate = _rank_checks(a, dmat, sigma_d, rank_tol)
-    family = _family_stack(cfg, coords)
+    leaves = _leaves(cfg, coords)
+    family = _family_stack(cfg, coords, leaves)
     leaf_rank = leaf_magnitude = leaf_bound = None
     if cfg.kind == "classical":  # the first 2m columns span the leaf
         leaf_rank = _leaf_ranks(family[..., : 2 * cfg.m], rank_tol)
@@ -404,7 +405,7 @@ def _evaluate_block(cfg: Configuration, coords: np.ndarray, rank_tol: float) -> 
         jacobian_rank=jacobian_rank,
         ker_dalpha_dim=d - ranks[:, 0],
         ker_alpha_cap_ker_dalpha_dim=d - ranks[:, 1],
-        expected_kernel_dims=_expected_dims(cfg, coords),
+        expected_kernel_dims=_expected_dims(leaves),
         indeterminate=indeterminate,
         contact_volume=volume,
         contact_volume_bound=volume_bound,
@@ -530,7 +531,8 @@ def kernel_family_angle(cfg: Configuration, point: VarietyPoint,
     numerically computed kernel of dalpha on the tangent frame."""
     frames = tangent_frame(cfg, point)[None]
     kernel = _dalpha_kernels(frames, _dalpha_stack(cfg, frames), rank_tol)[2]
-    family = _family_stack(cfg, point.coordinates[None])
+    coords = point.coordinates[None]
+    family = _family_stack(cfg, coords, _leaves(cfg, coords))
     return float(_largest_angles(_orth(family), kernel)[0])
 
 
@@ -562,7 +564,8 @@ def _leaf_span(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
     """The leaf vectors v(e_k, 0), v(i e_k, 0) at a classical point: ``(1, D, 2m)``."""
     if cfg.kind != "classical":
         raise StructuralError("symplectic leaves are defined for classical links")
-    return _family_stack(cfg, point.coordinates[None])[..., : 2 * cfg.m]
+    coords = point.coordinates[None]
+    return _family_stack(cfg, coords, _leaves(cfg, coords))[..., : 2 * cfg.m]
 
 
 def _leaf_ranks(leaf: np.ndarray, rank_tol: float) -> np.ndarray:

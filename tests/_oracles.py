@@ -380,7 +380,7 @@ def jacobian_oracle(cfg, coords):
 
 
 def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
-                     rank_tol=1e-8, max_attempts_per_point=50, start_index=None, tally=None):
+                     rank_tol=1e-8, max_attempts_per_point=50, tally=None):
     """Certified samples by the plain sequential loop, one attempt at a time.
 
     Attempt ``i`` starts from a Gaussian drawn from the Philox stream keyed by
@@ -391,9 +391,8 @@ def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
     point is kept when the link's Jacobian has full rank (per-point SVD) and
     it is not within 1e-6 of a kept point.  Returns ``(coords, frame,
     zero_pattern)`` per point, the frame oriented so that
-    ``det [J^T | frame] > 0``.  ``start_index(i)``, when given, replaces the
-    stream index of attempt ``i`` (to repeat starts on purpose), and a
-    ``tally`` dict receives the number of duplicates discarded.
+    ``det [J^T | frame] > 0``.  A ``tally`` dict, when given, receives the
+    number of duplicates discarded under ``"duplicates"``.
     """
     dim, s = cfg.ambient_real_dim, cfg.w_count
     free = np.setdiff1d(np.arange(dim), list(pinned))
@@ -438,11 +437,12 @@ def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
         return y if np.linalg.norm(r, np.inf) <= tol else None
 
     found = []
+    if tally is not None:
+        tally["duplicates"] = 0
     for attempt in range(count * max_attempts_per_point):
         if len(found) == count:
             break
-        index = attempt if start_index is None else start_index(attempt)
-        key = np.array([seed % (1 << 64), index % (1 << 64)], dtype=np.uint64)
+        key = np.array([seed % (1 << 64), attempt % (1 << 64)], dtype=np.uint64)
         start = np.random.Generator(np.random.Philox(key=key)).normal(size=free.size)
         y = project(start / np.linalg.norm(start))
         if y is None:
@@ -455,7 +455,7 @@ def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
         frame = frame_reference(cfg, x)
         if any(np.linalg.norm(x - other) < 1e-6 for other, _, _ in found):
             if tally is not None:
-                tally["duplicates"] = tally.get("duplicates", 0) + 1
+                tally["duplicates"] += 1
             continue
         w = x[0:2 * s:2] + 1j * x[1:2 * s:2]
         found.append((x, frame, tuple(int(k) for k in np.nonzero(np.abs(w) <= 1e-8)[0])))

@@ -183,7 +183,7 @@ def test_verify_classical_does_not_depend_on_the_scale_of_lambda(tmp_path, penta
 def test_verify_catches_a_volume_that_does_not_vanish(tmp_path, mixed_s1, capsys, monkeypatch):
     """Generic points planted as degenerate: their volumes fail the vanishing check."""
     monkeypatch.setattr(momentangle.forms, "_expected_dims",
-                        lambda cfg, zero: np.tile([3, 2], (len(zero), 1)))
+                        lambda leaves: np.tile([3, 2], (len(leaves), 1)))
     assert main(["verify", write_config(tmp_path, mixed_s1), "--samples", "3"]) == 1
     assert "contact volume vanishes on degenerate strata: FAIL (3/6)" in capsys.readouterr().out
 
