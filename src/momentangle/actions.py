@@ -29,8 +29,15 @@ count and the 2^l sign-choice candidates come from one ray (:func:`_fiber`);
 the candidates are the preimages as built, with no dedupe: a live k has
 |w_k| > sqrt(tol), so two candidates differ by more than 2 sqrt(tol).
 The candidates of up to 256 // 2^m directions are certified together, one
-stacked SVD per block (:func:`_fibers`); :func:`fiber_points` is the
-one-direction case.
+:func:`.variety._jacobian_ranks` screen (a shifted Cholesky, with the
+stacked SVD only where it fails) per block of at most 256 candidates
+(:func:`_fibers`); :func:`fiber_points` is the one-direction case.
+
+Whether a w_k is zero is decided by one rule, |w_k|^2 <= ``ZERO_TOL``
+(:func:`.variety._zero_mask`): a lift's |w_k|^2 is |F_k| r^2, so the
+covering's live test |F_k| r^2 > tol at its default ``ZERO_TOL`` is the
+same rule, and :func:`sign_orbit` and :func:`isotropy_stratum` read the
+zeros the point's ``zero_pattern`` and the leaves of :mod:`.forms` read.
 """
 
 from __future__ import annotations
@@ -46,15 +53,16 @@ from .errors import NumericalError, StructuralError
 from .variety import (
     _ATTEMPT_BLOCK,
     DEFAULT_TOL,
+    ZERO_TOL,
     VarietyPoint,
     _certify_block,
     _link,
+    _zero_mask,
     certify,
     realify,
 )
 
 UNIT_TOL = 1e-12
-DEFAULT_BRANCH_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -221,13 +229,18 @@ class FiberCount:
 
 
 def fiber_count(cfg: Configuration, direction,
-                tol: float = DEFAULT_BRANCH_TOL) -> FiberCount:
-    """Cardinality of the covering fiber over a unit z-direction; nothing is certified."""
+                tol: float = ZERO_TOL) -> FiberCount:
+    """Cardinality of the covering fiber over a unit z-direction; nothing is certified.
+
+    Quadric k is live when |F_k| r^2 > ``tol``.  That is the |w_k|^2 of
+    each lift, so at the default ``ZERO_TOL`` the count over a point's own
+    z block is the size of its :func:`sign_orbit` off the near-branch band.
+    """
     return _fiber(cfg, direction, tol)[0]
 
 
 def fiber_points(cfg: Configuration, direction,
-                 tol: float = DEFAULT_BRANCH_TOL) -> list[VarietyPoint]:
+                 tol: float = ZERO_TOL) -> list[VarietyPoint]:
     """All preimages of a direction, by exhaustive sign-choice construction.
 
     Builds w_k = +-sqrt(-F_k r^2) for every k with |F_k| r^2 > tol (w_k = 0
@@ -299,29 +312,29 @@ def sign_orbit(cfg: Configuration, point: VarietyPoint) -> list[VarietyPoint]:
     """The (Z/2)^m orbit of a point: 2^(m - |zero_pattern|) points.
 
     Only the w_k outside ``point.zero_pattern`` are flipped, one image per
-    choice of their signs in ``itertools.product`` order; a w_k in it
-    vanishes to ``ZERO_TOL`` and keeps its sign.
+    choice of their signs in ``itertools.product`` order; a w_k in it has
+    |w_k|^2 <= ``ZERO_TOL`` and keeps its sign, so the orbit has as many
+    points as :func:`fiber_count` counts over the point's z block.
     """
     choices = [(1.0,) if k in point.zero_pattern else (1.0, -1.0) for k in range(cfg.m)]
     return [sign_act(cfg, point, np.array(signs)) for signs in product(*choices)]
 
 
 def isotropy_stratum(cfg: Configuration, point: VarietyPoint,
-                     tol: float = DEFAULT_BRANCH_TOL) -> tuple[int, ...]:
-    """Indices k (0-based) with F_k(z) = 0 at the point — its isotropy type.
+                     tol: float = ZERO_TOL) -> tuple[int, ...]:
+    """Indices k (0-based) with w_k = 0 at the point — its isotropy type.
 
-    On the link |w_k|^2 = |F_k(z)| exactly, so the characterizations
-    "|F_k| <= tol" and "|w_k| <= sqrt(tol)" must agree; a mismatch means the
-    point does not lie on the link to tolerance, and raises.
+    The zeros are :func:`.variety._zero_mask`'s, |w_k|^2 <= ``tol``; at the
+    default ``ZERO_TOL`` they are ``point.zero_pattern``.  On the link
+    |w_k|^2 = |F_k(z)| exactly, so "|F_k| <= tol" must agree; a mismatch
+    means the point does not lie on the link to tolerance, and raises.
     """
     check_tolerances(tol)
     if cfg.kind != "mixed-general":
         raise StructuralError("isotropy strata are defined for mixed-general links")
-    w = point.w_block(cfg)
-    z = point.z_block(cfg)
-    F = cfg.lambdas.T @ (np.abs(z) ** 2)
-    from_quadrics = tuple(int(k) for k in np.nonzero(np.abs(F) <= tol)[0])
-    from_w = tuple(int(k) for k in np.nonzero(np.abs(w) <= np.sqrt(tol))[0])
+    F = cfg.lambdas.T @ (np.abs(point.z_block(cfg)) ** 2)
+    from_quadrics = tuple(np.flatnonzero(np.abs(F) <= tol).tolist())
+    from_w = tuple(np.flatnonzero(_zero_mask(cfg, point.coordinates[None], tol)[0]).tolist())
     if from_quadrics != from_w:
         raise NumericalError(
             f"inconsistent isotropy data: F-zeros {from_quadrics} vs w-zeros {from_w}"

@@ -34,13 +34,13 @@ from .config import (
     configuration_to_dict,
     load_configuration,
 )
-from .errors import NumericalError, ProjectionError, SamplingBudgetError, StructuralError
+from .errors import NumericalError, StructuralError
 from .forms import evaluate_stack, vanishes, volume_sign
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
 from .toric import _checked_scale, _gale_polytope
 from .actions import _fibers
-from .variety import _sample, _stratum
+from .variety import ZERO_TOL, _sample, _stratum
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NumericalError, ProjectionError, SamplingBudgetError) as exc:
+    except NumericalError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", help="interleaved re,im,... of a direction in C^n")
     p.add_argument("--samples", type=int, default=5, help="random directions when none given")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=ZERO_TOL)
     _common_flags(p)
     p.set_defaults(func=cmd_cover)
 

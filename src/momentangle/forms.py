@@ -30,6 +30,16 @@ outside {w = 0}: there the kernel is spanned by one v(T, 1) (v(0, 1) when the
 a_r are equal), alpha remains contact, and the contact volume vanishes only
 on {w = 0}.
 
+A w_r vanishes when |w_r|^2 <= ``ZERO_TOL`` (:func:`.variety._zero_mask`,
+the package's one w-zero rule).  The square is what dalpha sees: near a
+leaf, the singular value that separates it on the tangent space grows like
+|w_r|^2 (2.5-2.8 |w_r|^2 times the largest on the mixed-general m = 2
+fixture, 0.8-1.0 on the s = 2 mixed-m1 link with weights_a (1, 3)), so at
+unit scale the cut lies in the tie band of the rank rule, and a point where
+the zero rule and the ranks could disagree is ``indeterminate``.  The cut
+is absolute while the slope scales like 1/|lambda|^2 (about 4e-4 at
+lambda * 100), so far from unit scale the two can part outside the band.
+
 ``contact_volume`` evaluates ``alpha ^ (dalpha)^k`` (k = (dim-1)/2) on the
 point's oriented orthonormal frame, with a_i = alpha(e_i) and
 M = dalpha(e_i, e_j).  Its expansion in the d minors of M is the first-row

@@ -79,6 +79,10 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-10
+#: A w_k is zero when |w_k|^2 <= ZERO_TOL (:func:`_zero_mask`), the
+#: package's one w-zero rule; the square is cut, not the modulus, because
+#: the singular value a leaf adds to dalpha on the tangent space grows like
+#: |w_k|^2, and |w_k|^2 = |F_k(z)| is what the covering cuts.
 ZERO_TOL = 1e-8
 MAX_HALVINGS = 30
 MAX_ITER = 100
@@ -102,8 +106,10 @@ class VarietyPoint:
     residual_norm:
         Infinity norm of the defining residuals at the point.
     zero_pattern:
-        Indices of w coordinates that vanish within the zero tolerance
-        (always empty for classical points).
+        Indices k of the w coordinates with |w_k|^2 <= ``ZERO_TOL``
+        (:func:`_zero_mask`; always empty for classical points): the leaves
+        :mod:`.forms` expects, the signs :func:`.actions.sign_orbit` keeps
+        and the isotropy type :func:`.actions.isotropy_stratum` reports.
 
     Frames are built on demand: :func:`tangent_frame` gives the oriented
     tangent frame at the point.
@@ -324,8 +330,7 @@ def _projection_error(status: int, residual: np.ndarray, max_iter: int) -> Proje
     best = float(np.linalg.norm(residual, np.inf))
     if status == _STALLED:
         return ProjectionError(
-            f"line search stalled after {MAX_HALVINGS} halvings "
-            f"(best residual {np.linalg.norm(residual):.3e})",
+            f"line search stalled after {MAX_HALVINGS} halvings (best residual {best:.3e})",
             best_residual=best,
         )
     return ProjectionError(
@@ -358,11 +363,18 @@ def project_to_variety(
     return X[0]
 
 
-def _zero_mask(cfg: Configuration, X: np.ndarray) -> np.ndarray:
-    """``(N, w_count)``: which |w_k| <= ZERO_TOL in the rows of ``X``; the package's
-    one w-zero test, for zero patterns and the leaf quadrics of :mod:`.forms`."""
+def _zero_mask(cfg: Configuration, X: np.ndarray, tol: float = ZERO_TOL) -> np.ndarray:
+    """``(N, w_count)``: which |w_k|^2 <= ``tol`` in the rows of ``X``.
+
+    The package's one w-zero test, for zero patterns, the leaf quadrics of
+    :mod:`.forms` and the w side of :func:`.actions.isotropy_stratum`.  It
+    cuts |w_k|^2 because the singular value that tells dalpha a leaf from
+    no leaf grows like |w_k|^2 (:mod:`.forms`), and because |w_k|^2 is
+    |F_k(z)| on the link, which the covering cuts (:func:`.actions.fiber_count`).
+    """
     s = cfg.w_count
-    return np.hypot(X[:, 0 : 2 * s : 2], X[:, 1 : 2 * s : 2]) <= ZERO_TOL
+    re, im = X[:, 0 : 2 * s : 2], X[:, 1 : 2 * s : 2]
+    return re * re + im * im <= tol
 
 
 #: Traces of ``J J^T`` that :func:`_jacobian_ranks` screens: far enough from

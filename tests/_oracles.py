@@ -16,6 +16,13 @@ from math import comb, factorial
 
 import numpy as np
 
+ZERO_TOL = 1e-8  # w_k counts as zero when |w_k|^2 is at most this
+
+
+def _w_zero(w):
+    """Which complex w_k count as zero: |w_k|^2 <= ZERO_TOL."""
+    return w.real**2 + w.imag**2 <= ZERO_TOL
+
 
 def origin_in_hull_brute(points, tol: float = 1e-9) -> bool:
     """Convex-hull membership of the origin by Caratheodory enumeration.
@@ -458,7 +465,7 @@ def sample_reference(cfg, count, seed, pinned=(), null_sum=False, tol=1e-10,
                 tally["duplicates"] += 1
             continue
         w = x[0:2 * s:2] + 1j * x[1:2 * s:2]
-        found.append((x, frame, tuple(int(k) for k in np.nonzero(np.abs(w) <= 1e-8)[0])))
+        found.append((x, frame, tuple(int(k) for k in np.nonzero(_w_zero(w))[0])))
     return found
 
 
@@ -612,9 +619,6 @@ def pfaffian_lapack(matrix) -> float:
     return float(sign * np.prod(h[np.arange(0, n - 1, 2), np.arange(1, n, 2)]))
 
 
-ZERO_TOL = 1e-8  # a w coordinate below this modulus counts as zero
-
-
 def _form_weights(cfg):
     return np.concatenate([cfg.weights_a, cfg.weights_b])
 
@@ -657,7 +661,7 @@ def kernel_family_reference(cfg, coords):
         cols = _leaf_columns(cfg, coords, range(cfg.m))
         cols.append(kernel_vector_reference(cfg, coords, np.zeros(cfg.m), 1.0))
     elif cfg.kind == "mixed-m1":
-        if np.any(np.abs(w) > ZERO_TOL):
+        if not np.all(_w_zero(w)):
             # Tangency: sum_r (2 conj(T) |w_r|^2 + mu w_r^2) / a_r = 0.
             a = cfg.weights_a
             cols = [kernel_vector_reference(cfg, coords, np.conj(np.sum(w**2 / a)),
@@ -666,7 +670,7 @@ def kernel_family_reference(cfg, coords):
             cols = [kernel_vector_reference(cfg, coords, T, mu)
                     for T, mu in ((1.0, 0.0), (1j, 0.0), (0j, 1.0))]
     else:
-        zero = np.abs(w) <= ZERO_TOL
+        zero = _w_zero(w)
         T = np.zeros(cfg.m, dtype=complex)
         T[~zero] = -0.5 * np.conj(w[~zero]) / w[~zero]
         cols = _leaf_columns(cfg, coords, np.flatnonzero(zero))
@@ -721,7 +725,7 @@ def point_checks_reference(cfg, point, rank_tol=1e-8):
     volume = float(factorial(k) * pfaffian_lapack(bordered))
 
     w = (coords[0::2] + 1j * coords[1::2])[: cfg.w_count]
-    zeros = int(np.count_nonzero(np.abs(w) <= ZERO_TOL))
+    zeros = int(np.count_nonzero(_w_zero(w)))
     if cfg.kind == "classical":
         expected = (2 * cfg.m + 1, 2 * cfg.m)
     elif cfg.kind == "mixed-m1":

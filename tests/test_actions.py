@@ -18,6 +18,7 @@ from momentangle import (
     fiber_points,
     foliation_flow,
     isotropy_stratum,
+    project_to_variety,
     quadric_values,
     ray_radius,
     sample_with_zero_pattern,
@@ -70,17 +71,33 @@ def test_sign_action_validation(pentagon, mixed_general_m2, batch):
         sign_act(mixed_general_m2, point, np.array([0.5, 1.0]))
 
 
-@pytest.mark.parametrize("w0", [0.0, 5e-9, 2e-8, 1e-7, 4e-7, 6e-7])
+@pytest.mark.parametrize("w0", [0.0, 5e-9, 2e-8, 1e-7, 4e-7, 6e-7, 5e-5, 2e-4])
 def test_sign_orbit_halves_on_stratum(mixed_general_m2, batch, w0):
-    """A point of the stratum (0,) with |w_0| set to ``w0``: its orbit has
-    2^(m - |zero_pattern|) points, however close w_0 lies to zero."""
+    """A point of the stratum (0,) with |w_0| set to ``w0`` and projected: its
+    orbit has 2^(m - |zero_pattern|) points, however close w_0 lies to zero."""
     cfg = mixed_general_m2
     coords = batch(cfg, 1, (0,))[0].coordinates.copy()
     coords[0] = w0
-    point = certify(cfg, coords)
+    point = certify(cfg, project_to_variety(cfg, coords))
     orbit = sign_orbit(cfg, point)
     assert len(orbit) == 2 ** (cfg.m - len(point.zero_pattern))
-    assert len(orbit) == (2 if w0 <= ZERO_TOL else 4)
+    assert len(orbit) == (2 if w0**2 <= ZERO_TOL else 4)
+
+
+def test_one_zero_rule_at_a_small_w(mixed_general_m2, batch):
+    """A stratum point with w_0 moved to 1e-6 has |w_0|^2 = 1e-12 <= ZERO_TOL:
+    its zero pattern, isotropy type, sign orbit and fiber count all read w_0
+    as zero."""
+    cfg = mixed_general_m2
+    coords = batch(cfg, 1, (0,))[0].coordinates.copy()
+    coords[0] = 1e-6
+    point = certify(cfg, project_to_variety(cfg, coords))
+    assert abs(point.w_block(cfg)[0]) == pytest.approx(1e-6, rel=1e-3)
+    assert point.zero_pattern == (0,)
+    assert isotropy_stratum(cfg, point) == (0,)
+    assert len(sign_orbit(cfg, point)) == 2
+    count = fiber_count(cfg, point.z_block(cfg))
+    assert (count.count, count.near_branch) == (2, False)
 
 
 def test_foliation_flow_velocity(pentagon, batch):

@@ -5,7 +5,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momentangle import (
@@ -22,6 +22,8 @@ from momentangle import (
     eval_dalpha,
     evaluate_stack,
     expected_kernel_dims,
+    fiber_count,
+    isotropy_stratum,
     kernel_analysis,
     kernel_family_angle,
     kernel_family_basis,
@@ -29,7 +31,9 @@ from momentangle import (
     null_quadric_value,
     numerical_kernel,
     orientation_sign,
+    project_to_variety,
     rank_trichotomy,
+    sign_orbit,
     subspace_angle,
     symplectic_leaf_rank,
     system_jacobian,
@@ -246,14 +250,62 @@ def test_kernel_dims_mixed_general_strata(mixed_general_m2, batch):
 
 
 def test_zero_pattern_and_expected_dims_agree_at_the_zero_cut(mixed_general_m2, batch):
-    """With |w_0| placed at ZERO_TOL, the point's zero pattern and the stratum
-    its checks expect come from one w-zero test, at every phase of w_0."""
+    """With |w_0| placed at sqrt(ZERO_TOL), where |w_0|^2 meets the cut, the
+    point's zero pattern and the stratum its checks expect come from one
+    w-zero test, at every phase of w_0."""
     cfg = mixed_general_m2
-    coords = batch(cfg, 1, (0,))[0].coordinates.copy()
+    cut = np.sqrt(ZERO_TOL)
+    start = batch(cfg, 1, (0,))[0].coordinates.copy()
+    patterns = set()
     for theta in np.linspace(0.0, 2.0 * np.pi, 721):
-        coords[0:2] = ZERO_TOL * np.cos(theta), ZERO_TOL * np.sin(theta)
+        start[0:2] = cut * np.cos(theta), cut * np.sin(theta)
+        coords = project_to_variety(cfg, start)
+        coords[0:2] *= cut / np.hypot(*coords[0:2])  # w_0^2 moves by about 1e-16
         point = certify(cfg, coords)
         assert (point.zero_pattern == (0,)) == (expected_kernel_dims(cfg, point) == (3, 2))
+        patterns.add(point.zero_pattern)
+    assert patterns == {(), (0,)}  # the rounding of |w_0|^2 falls on both sides
+
+
+#: Links with a stratum point whose w_0 is moved off zero: (configuration,
+#: the stratum's pinned w).  The mixed-m1 links keep w_1 = 0 exactly.
+SMALL_W_LINKS = {
+    "mixed_general_m2": (Configuration(roots_of_unity(7, (1, 2)), "mixed-general"), (0,)),
+    "mixed_s2": (Configuration(roots_of_unity(5, (1,)), "mixed-m1", 2), (0, 1)),
+    "mixed_s2_weighted": (Configuration(roots_of_unity(5, (1,)), "mixed-m1", 2, [1.0, 3.0]),
+                          (0, 1)),
+}
+
+
+@given(name=st.sampled_from(sorted(SMALL_W_LINKS)), exponent=st.floats(-9.0, -2.0),
+       phase=st.floats(0.0, 2.0 * np.pi), index=st.integers(0, 3))
+@example(name="mixed_general_m2", exponent=-7.0, phase=0.0, index=0)
+@example(name="mixed_general_m2", exponent=-5.0, phase=2.0, index=1)
+@example(name="mixed_general_m2", exponent=float(np.log10(3e-4)), phase=4.0, index=2)
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_small_w_verdicts_follow_the_one_zero_rule(batch, name, exponent, phase, index):
+    """A stratum point with |w_0| = 10^exponent, projected and certified: the
+    leaf that verify expects is there exactly when |w_0|^2 <= ZERO_TOL, and
+    unless a rank is indeterminate the SVD's kernel dimensions and the
+    contact volume's vanishing agree with it; on the mixed-general link the
+    isotropy type is the zero pattern, and the sign orbit has as many points
+    as the fiber over the point's z block, off the near-branch band."""
+    cfg, pinned = SMALL_W_LINKS[name]
+    coords = batch(cfg, 4, pinned)[index].coordinates.copy()
+    coords[0:2] = 10.0**exponent * np.cos(phase), 10.0**exponent * np.sin(phase)
+    point = certify(cfg, project_to_variety(cfg, coords))
+    leaf = abs(point.w_block(cfg)[0]) ** 2 <= ZERO_TOL
+    ev = evaluate_stack(cfg, [point])
+    assert tuple(ev.expected_kernel_dims[0].tolist()) == ((3, 2) if leaf else (1, 0))
+    if not ev.indeterminate[0]:
+        dims = (ev.ker_dalpha_dim[0], ev.ker_alpha_cap_ker_dalpha_dim[0])
+        assert dims == tuple(ev.expected_kernel_dims[0])
+        assert forms.vanishes(ev.contact_volume[0], ev.contact_volume_bound[0]) == leaf
+    if cfg.kind == "mixed-general":
+        assert isotropy_stratum(cfg, point) == point.zero_pattern
+        count = fiber_count(cfg, point.z_block(cfg))
+        if not count.near_branch:
+            assert len(sign_orbit(cfg, point)) == count.count
 
 
 def test_kernel_family_matches_svd_kernel(mixed_s1, mixed_general_m2, batch):

@@ -99,6 +99,18 @@ def test_projection_reports_best_residual(pentagon):
     assert info.value.best_residual > 0
 
 
+def test_stalled_projection_prints_its_best_residual():
+    """A stalled projection names the infinity norm it stores as
+    ``best_residual``, as the no-convergence message does."""
+    cfg = _empty_stratum_link()
+    start = np.zeros(cfg.ambient_real_dim)
+    start[2 * cfg.w_count :: 2] = 1.0  # w = 0 and every z_j = 1
+    with pytest.raises(ProjectionError, match="line search stalled") as info:
+        project_to_variety(cfg, start)
+    assert info.value.best_residual == pytest.approx(0.5)
+    assert str(info.value).endswith(f"(best residual {info.value.best_residual:.3e})")
+
+
 def test_prefix_stable_streams(pentagon):
     short = sample_points(pentagon, 3, seed=9)
     long = sample_points(pentagon, 6, seed=9)
