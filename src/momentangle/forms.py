@@ -62,13 +62,18 @@ ranks.  alpha and dalpha are two batched products; each other rank (dalpha,
 numerical kernel comes from the same SVD of dalpha that gives its rank, kept
 at width d with zero columns; the closed-form family is one array of (T, mu)
 parameters, zero-padded to the width 2m+1 (v(0, 0) = 0); the bordered
-Pfaffians are one stacked elimination.  The one-point functions
+Pfaffians are one stacked elimination.  A point's values do not depend on
+the stack it is evaluated in, and each one-point function
 (:func:`kernel_analysis`, :func:`kernel_family_angle`,
-:func:`contact_volume`, ...) are the N = 1 case of the same code, so a
-point's values do not depend on the stack it is evaluated in;
-:func:`kernel_analysis` ranks dalpha from the same full SVD
-(:func:`_dalpha_kernels`) as :func:`evaluate_stack`, so the two agree on
-every rank even where a singular value sits at the cut.
+:func:`contact_volume`, :func:`orientation_sign`,
+:func:`symplectic_leaf_rank`, :func:`leaf_two_form_magnitude`,
+:func:`rank_trichotomy`) reads its result from one
+``evaluate_stack(cfg, [point], rank_tol)`` call: so a point gets the same
+values, every rank included, alone as in any stack, even where a singular
+value sits at the cut.  Only the defect-2 plane of :func:`rank_trichotomy`
+builds a frame of its own (:func:`_on_frame`).  Coordinate vectors from
+outside pass :func:`.variety._ambient`: a wrong length or shape, or a
+non-finite entry, raises StructuralError.
 
 Numerical-rank note: ranks use the relative rule of
 :func:`.config.numerical_rank`, and singular values in the tie band
@@ -130,10 +135,7 @@ def coordinate_weights(cfg: Configuration) -> np.ndarray:
 
 def eval_alpha(cfg: Configuration, point, vector) -> float:
     """alpha at ``point`` on ``vector``: 2 sum wt (x v_y - y v_x)."""
-    p = np.asarray(point, dtype=float)
-    v = np.asarray(vector, dtype=float)
-    if p.size != cfg.ambient_real_dim or v.size != cfg.ambient_real_dim:
-        raise StructuralError("ambient vectors expected")
+    p, v = _ambient(cfg, [point, vector])
     wt = coordinate_weights(cfg)
     return float(2.0 * np.sum(wt * (p[0::2] * v[1::2] - p[1::2] * v[0::2])))
 
@@ -143,10 +145,7 @@ def eval_dalpha(cfg: Configuration, u, v) -> float:
 
     No base point is needed — dalpha has constant coefficients.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.size != cfg.ambient_real_dim or v.size != cfg.ambient_real_dim:
-        raise StructuralError("ambient vectors expected")
+    u, v = _ambient(cfg, [u, v])
     wt = coordinate_weights(cfg)
     return float(4.0 * np.sum(wt * (u[0::2] * v[1::2] - u[1::2] * v[0::2])))
 
@@ -192,8 +191,11 @@ def closed_form_kernel_vector(cfg: Configuration, coords, T, mu: float) -> np.nd
     T_arr = np.atleast_1d(np.asarray(T, dtype=complex))
     if T_arr.shape != (cfg.m,):
         raise StructuralError(f"expected {cfg.m} components in T")
-    coords = np.asarray(coords, dtype=float)[None]
-    return _kernel_vectors(cfg, coords, T_arr[None, None], np.array([[float(mu)]]))[0, :, 0]
+    mu = float(mu)
+    if not (np.all(np.isfinite(T_arr)) and np.isfinite(mu)):
+        raise StructuralError("T and mu must be finite")
+    return _kernel_vectors(cfg, _ambient(cfg, [coords]), T_arr[None, None],
+                           np.array([[mu]]))[0, :, 0]
 
 
 def _kernel_vectors(cfg: Configuration, coords: np.ndarray, T: np.ndarray,
@@ -217,7 +219,7 @@ def null_quadric_value(cfg: Configuration, coords) -> complex:
     """sum_r w_r^2 for a mixed-m1 point (the stratum function)."""
     if cfg.kind != "mixed-m1":
         raise StructuralError("null_quadric_value applies to mixed-m1 only")
-    w = complexify(np.asarray(coords, dtype=float))[: cfg.w_count]
+    w = complexify(_ambient(cfg, [coords])[0])[: cfg.w_count]
     return complex(np.sum(w**2))
 
 
@@ -227,7 +229,7 @@ def kernel_family_basis(cfg: Configuration, coords) -> np.ndarray:
     The parameter count depends on the stratum; see the module docstring for
     the resulting dimensions.
     """
-    coords = np.asarray(coords, dtype=float)[None]
+    coords = _ambient(cfg, [coords])
     T, mu = _family_parameters(cfg, coords, _leaves(cfg, coords))
     used = (T[0] != 0).any(axis=1) | (mu[0] != 0)
     return _kernel_vectors(cfg, coords, T[:, used], mu[:, used])[0]
@@ -261,14 +263,9 @@ def _family_parameters(cfg: Configuration, coords: np.ndarray,
     return T, mu
 
 
-def _family_stack(cfg: Configuration, coords: np.ndarray, leaves: np.ndarray) -> np.ndarray:
-    """The padded closed-form kernel family at a stack of points: ``(N, D, c)``."""
-    return _kernel_vectors(cfg, coords, *_family_parameters(cfg, coords, leaves))
-
-
 def expected_kernel_dims(cfg: Configuration, point: VarietyPoint) -> tuple[int, int]:
     """(dim ker dalpha|_T, dim ker alpha cap ker dalpha): (2l+1, 2l) for l leaves."""
-    return tuple(_expected_dims(_leaves(cfg, point.coordinates[None]))[0].tolist())
+    return tuple(_expected_dims(_leaves(cfg, _ambient(cfg, [point.coordinates])))[0].tolist())
 
 
 def _expected_dims(leaves: np.ndarray) -> np.ndarray:
@@ -321,28 +318,21 @@ def kernel_analysis(
 ) -> FormEvaluation:
     """Kernel dimensions, restricted rank and contact volume at a point.
 
-    Everything is computed in the coordinates of the point's orthonormal
-    tangent frame.  Singular values in the tie band of the rank cut
+    Read from ``evaluate_stack(cfg, [point], rank_tol)``, so everything is
+    computed in the coordinates of the point's orthonormal tangent frame.
+    Singular values in the tie band of the rank cut
     (:func:`.config.in_tie_band`) set ``indeterminate`` instead of silently
     rounding the verdict.
     """
-    return _kernel_analysis(*_on_frame(cfg, point), rank_tol)
-
-
-def _kernel_analysis(frame: np.ndarray, a: np.ndarray, dmat: np.ndarray,
-                     rank_tol: float) -> FormEvaluation:
-    """:func:`kernel_analysis` from a point's :func:`_on_frame` data."""
-    d = frame.shape[1]
-    sigma_d = _dalpha_kernels(frame[None], dmat[None], rank_tol)[0]
-    ranks, indeterminate = _rank_checks(a[None], dmat[None], sigma_d, rank_tol)
-    rank_d, rank_s, rank_r = ranks[0].tolist()
+    ev = evaluate_stack(cfg, [point], rank_tol)
+    d, rank_r = cfg.manifold_dim, int(ev.rank_dalpha_on_ker_alpha[0])
     return FormEvaluation(
-        ker_dalpha_dim=d - rank_d,
-        ker_alpha_cap_ker_dalpha_dim=d - rank_s,
+        ker_dalpha_dim=int(ev.ker_dalpha_dim[0]),
+        ker_alpha_cap_ker_dalpha_dim=int(ev.ker_alpha_cap_ker_dalpha_dim[0]),
         rank_dalpha_on_ker_alpha=rank_r,
-        contact_volume=_volume_from_frame_data(a, dmat),
+        contact_volume=float(ev.contact_volume[0]),
         trichotomy="contact" if rank_r == d - 1 else "defect2" if rank_r == d - 3 else "deep",
-        indeterminate=bool(indeterminate[0]),
+        indeterminate=bool(ev.indeterminate[0]),
     )
 
 
@@ -358,6 +348,7 @@ class StackEvaluation:
     jacobian_rank: np.ndarray
     ker_dalpha_dim: np.ndarray
     ker_alpha_cap_ker_dalpha_dim: np.ndarray
+    rank_dalpha_on_ker_alpha: np.ndarray
     expected_kernel_dims: np.ndarray  # (N, 2)
     indeterminate: np.ndarray
     contact_volume: np.ndarray
@@ -405,16 +396,18 @@ def _evaluate_block(cfg: Configuration, coords: np.ndarray, rank_tol: float) -> 
     sigma_d, _, kernel = _dalpha_kernels(frames, dmat, rank_tol)
     ranks, indeterminate = _rank_checks(a, dmat, sigma_d, rank_tol)
     leaves = _leaves(cfg, coords)
-    family = _family_stack(cfg, coords, leaves)
+    family = _kernel_vectors(cfg, coords, *_family_parameters(cfg, coords, leaves))
     leaf_rank = leaf_magnitude = leaf_bound = None
     if cfg.kind == "classical":  # the first 2m columns span the leaf
-        leaf_rank = _leaf_ranks(family[..., : 2 * cfg.m], rank_tol)
-        leaf_magnitude, leaf_bound = _leaf_magnitudes(cfg, family[..., : 2 * cfg.m])
+        leaf = family[..., : 2 * cfg.m]
+        leaf_rank = numerical_rank(np.linalg.svd(leaf, compute_uv=False), rank_tol)
+        leaf_magnitude, leaf_bound = _leaf_magnitudes(cfg, leaf)
     volume, volume_bound = _volumes(a, dmat)
     return StackEvaluation(
         jacobian_rank=jacobian_rank,
         ker_dalpha_dim=d - ranks[:, 0],
         ker_alpha_cap_ker_dalpha_dim=d - ranks[:, 1],
+        rank_dalpha_on_ker_alpha=ranks[:, 2],
         expected_kernel_dims=_expected_dims(leaves),
         indeterminate=indeterminate,
         contact_volume=volume,
@@ -436,12 +429,13 @@ def rank_trichotomy(
     With frame dimension 2k+1 the restricted rank is 2k (contact), 2k-2
     (a single degenerate 2-plane, which is ker alpha cap ker dalpha and is
     returned in ambient coordinates), or lower (total degeneracy beyond one
-    block, as on classical links with m >= 2).
+    block, as on classical links with m >= 2).  The label and rank are
+    :func:`kernel_analysis`'s; only the defect-2 plane builds a frame of its own.
     """
-    frame, a, dmat = _on_frame(cfg, point)
-    evaluation = _kernel_analysis(frame, a, dmat, rank_tol)
+    evaluation = kernel_analysis(cfg, point, rank_tol)
     label, rank = evaluation.trichotomy, evaluation.rank_dalpha_on_ker_alpha
     if label == "defect2":
+        frame, a, dmat = _on_frame(cfg, point)
         _, sigma, vh = np.linalg.svd(np.vstack([dmat, a]))
         return RankTrichotomy(label, rank, 2, frame @ vh[numerical_rank(sigma, rank_tol):].T)
     return RankTrichotomy(label, rank, cfg.manifold_dim - 1 if label == "contact" else 0, None)
@@ -449,7 +443,7 @@ def rank_trichotomy(
 
 def contact_volume(cfg: Configuration, point: VarietyPoint) -> float:
     """alpha ^ (dalpha)^k on the oriented orthonormal tangent frame."""
-    return _volume_from_frame_data(*_on_frame(cfg, point)[1:])
+    return float(evaluate_stack(cfg, [point]).contact_volume[0])
 
 
 #: A quantity that vanishes in exact arithmetic reads zero when its modulus is
@@ -467,13 +461,9 @@ def vanishes(value, bound):
     return np.abs(value) <= VANISHING_FACTOR * bound
 
 
-def _volume_from_frame_data(a: np.ndarray, dmat: np.ndarray) -> float:
-    """k! * Pf([[0, a^T], [-a, M]]), the bordered form of the minor expansion."""
-    return float(_volumes(a[None], dmat[None])[0][0])
-
-
 def _volumes(a: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_volume_from_frame_data` for a stack ``(N, d)``, ``(N, d, d)``, and its bounds.
+    """k! * Pf([[0, a^T], [-a, M]]), the bordered form of the minor expansion,
+    for a stack ``(N, d)``, ``(N, d, d)``, and its bounds.
 
     The bordered matrices B are built at once, and one stacked elimination
     (:func:`.pfaffian._pfaffians`) takes all their Pfaffians.  Since
@@ -496,9 +486,13 @@ def subspace_angle(span_a: np.ndarray, span_b: np.ndarray) -> float:
 
     Computed from sin(theta) = ||(I - P_B) Q_A||_2, which stays accurate for
     tiny angles where the arccos of singular values loses all precision.
-    Symmetric when the spans have equal dimension.
+    Symmetric when the spans have equal dimension.  Spans that are not
+    matrices of one ambient dimension raise StructuralError.
     """
     span_a, span_b = (np.asarray(span, dtype=float) for span in (span_a, span_b))
+    if span_a.ndim != 2 or span_b.ndim != 2 or len(span_a) != len(span_b):
+        raise StructuralError(f"expected spans (D, k) of one ambient dimension D, "
+                              f"got shapes {span_a.shape} and {span_b.shape}")
     if span_a.size == 0:
         return 0.0
     if span_b.size == 0:
@@ -539,11 +533,7 @@ def kernel_family_angle(cfg: Configuration, point: VarietyPoint,
                         rank_tol: float = DEFAULT_RANK_TOL) -> float:
     """Largest principal angle between the closed-form kernel family and the
     numerically computed kernel of dalpha on the tangent frame."""
-    frames = tangent_frame(cfg, point)[None]
-    kernel = _dalpha_kernels(frames, _dalpha_stack(cfg, frames), rank_tol)[2]
-    coords = point.coordinates[None]
-    family = _family_stack(cfg, coords, _leaves(cfg, coords))
-    return float(_largest_angles(_orth(family), kernel)[0])
+    return float(evaluate_stack(cfg, [point], rank_tol).family_angle[0])
 
 
 def symplectic_leaf_rank(
@@ -561,25 +551,22 @@ def symplectic_leaf_rank(
     the one transported from R^{2m} by the action.  Use
     :func:`leaf_two_form_magnitude` to check the vanishing.
     """
-    return int(_leaf_ranks(_leaf_span(cfg, point), rank_tol)[0])
+    return int(_leaf_evaluation(cfg, point, rank_tol).leaf_rank[0])
 
 
 def leaf_two_form_magnitude(cfg: Configuration, point: VarietyPoint) -> float:
     """max |dalpha(v_a, v_b)| over the leaf vectors — identically 0 in exact
     arithmetic (dalpha is totally degenerate on the leaves)."""
-    return float(_leaf_magnitudes(cfg, _leaf_span(cfg, point))[0][0])
+    return float(_leaf_evaluation(cfg, point).leaf_two_form_magnitude[0])
 
 
-def _leaf_span(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
-    """The leaf vectors v(e_k, 0), v(i e_k, 0) at a classical point: ``(1, D, 2m)``."""
+def _leaf_evaluation(cfg: Configuration, point: VarietyPoint,
+                     rank_tol: float = DEFAULT_RANK_TOL) -> StackEvaluation:
+    """``evaluate_stack(cfg, [point], rank_tol)`` at a classical point, the
+    only kind whose leaf fields it sets."""
     if cfg.kind != "classical":
         raise StructuralError("symplectic leaves are defined for classical links")
-    coords = point.coordinates[None]
-    return _family_stack(cfg, coords, _leaves(cfg, coords))[..., : 2 * cfg.m]
-
-
-def _leaf_ranks(leaf: np.ndarray, rank_tol: float) -> np.ndarray:
-    return numerical_rank(np.linalg.svd(leaf, compute_uv=False), rank_tol)
+    return evaluate_stack(cfg, [point], rank_tol)
 
 
 def _leaf_magnitudes(cfg: Configuration, leaf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -598,9 +585,8 @@ def orientation_sign(cfg: Configuration, reference: VarietyPoint) -> float:
     positive at the reference point.  The reference must lie off the
     degeneracy stratum (where the volume vanishes identically).
     """
-    _, a, dmat = _on_frame(cfg, reference)
-    volume, bound = _volumes(a[None], dmat[None])
-    return volume_sign(volume[0], bound[0])
+    ev = evaluate_stack(cfg, [reference])
+    return volume_sign(ev.contact_volume[0], ev.contact_volume_bound[0])
 
 
 def volume_sign(volume: float, bound: float) -> float:

@@ -20,24 +20,20 @@ from momentangle import (
     check_admissible,
     classify,
     configuration_to_dict,
-    contact_volume,
     estimate_c,
-    expected_kernel_dims,
+    evaluate_stack,
     fiber_count,
     fiber_points,
     gale_transform,
     jacobian_rank,
-    kernel_analysis,
-    kernel_family_angle,
     moment_image_check,
     normalize_configuration,
     orientation_sign,
     sign_orbit,
     star_shaped_check,
-    symplectic_leaf_rank,
 )
 from momentangle.cli import main
-from momentangle.forms import _volume_from_frame_data
+from momentangle.forms import _volumes
 
 from _oracles import (admissible_brute, brute_force_contact_volume, c_exact,
                       contact_volume_scale)
@@ -156,14 +152,12 @@ def test_criterion_03_kernel_dimension_table(announce, batch, pentagon,
     indeterminate = 0
     total = 0
     for name, cfg, points, expected in table:
-        for point in points:
-            evaluation = kernel_analysis(cfg, point, RANK_TOL)
-            total += 1
-            indeterminate += evaluation.indeterminate
-            got = (evaluation.ker_dalpha_dim,
-                   evaluation.ker_alpha_cap_ker_dalpha_dim)
-            if got != expected or expected_kernel_dims(cfg, point) != expected:
-                mismatches.append((name, got, expected))
+        ev = evaluate_stack(cfg, points, RANK_TOL)
+        total += len(points)
+        indeterminate += int(np.count_nonzero(ev.indeterminate))
+        got = np.column_stack([ev.ker_dalpha_dim, ev.ker_alpha_cap_ker_dalpha_dim])
+        wrong = ((got != expected) | (ev.expected_kernel_dims != expected)).any(axis=1)
+        mismatches += [(name, tuple(dims), expected) for dims in got[wrong].tolist()]
     ok = not mismatches and indeterminate < 0.01 * total
     announce(3, f"kernel dimension table on {total} samples across 11 strata",
              ok, f"mismatches {mismatches[:5]}, indeterminate {indeterminate}/{total}")
@@ -177,10 +171,9 @@ def test_criterion_04_closed_form_kernel_agreement(announce, batch, pentagon,
     worst = 0.0
     where = ""
     for name, cfg, points, _ in table:
-        for point in points:
-            angle = kernel_family_angle(cfg, point, RANK_TOL)
-            if angle > worst:
-                worst, where = angle, name
+        angle = float(evaluate_stack(cfg, points, RANK_TOL).family_angle.max())
+        if angle > worst:
+            worst, where = angle, name
     ok = worst < ANGLE_TOL
     announce(4, f"closed-form kernel family within {ANGLE_TOL} rad of the SVD kernel",
              ok, f"worst angle {worst:.3e} at {where}")
@@ -206,15 +199,14 @@ def test_criterion_05_confoliation_positivity(announce, batch, mixed_s1,
         zero_bound = VOLUME_ZERO_FACTOR * contact_volume_scale(cfg)
         n_off = n_on = 0
         for points in off_batches:
-            for point in points:
-                n_off += 1
-                if not kappa * contact_volume(cfg, point) > 0:
-                    bad.append((name, "off", point.zero_pattern))
+            n_off += len(points)
+            volume = evaluate_stack(cfg, points).contact_volume
+            bad += [(name, "off", points[i].zero_pattern)
+                    for i in np.flatnonzero(~(kappa * volume > 0))]
         for points in on_batches:
-            for point in points:
-                n_on += 1
-                if not abs(contact_volume(cfg, point)) < zero_bound:
-                    bad.append((name, "on", abs(contact_volume(cfg, point))))
+            n_on += len(points)
+            volume = np.abs(evaluate_stack(cfg, points).contact_volume)
+            bad += [(name, "on", v) for v in volume[~(volume < zero_bound)]]
         assert n_off >= CASE_SAMPLES and n_on >= CASE_SAMPLES, name
     ok = not bad
     announce(5, "calibrated contact volume positive off strata, zero on strata",
@@ -229,7 +221,7 @@ def test_criterion_06_pfaffian_oracle(announce):
             a = rng.normal(size=dim)
             raw = rng.normal(size=(dim, dim))
             skew = raw - raw.T
-            fast = _volume_from_frame_data(a, skew)
+            fast = float(_volumes(a[None], skew[None])[0][0])
             brute = brute_force_contact_volume(a, skew)
             rel = abs(fast - brute) / max(abs(fast), abs(brute), 1e-300)
             worst = max(worst, rel)
@@ -242,9 +234,9 @@ def test_criterion_07_leaf_rank(announce, batch, pentagon, hexagon_m2):
     bad = 0
     total = 0
     for cfg in (pentagon, hexagon_m2):
-        for point in batch(cfg, CASE_SAMPLES):
-            total += 1
-            bad += symplectic_leaf_rank(cfg, point, RANK_TOL) != 2 * cfg.m
+        ranks = evaluate_stack(cfg, batch(cfg, CASE_SAMPLES), RANK_TOL).leaf_rank
+        total += len(ranks)
+        bad += int(np.count_nonzero(ranks != 2 * cfg.m))
     ok = bad == 0
     announce(7, f"leaf 2-form rank exactly 2m on {total} classical samples",
              ok, f"{bad} rank failures")

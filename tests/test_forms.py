@@ -12,6 +12,7 @@ from momentangle import (
     Configuration,
     NumericalError,
     StructuralError,
+    VarietyPoint,
     alpha_on_frame,
     certify,
     closed_form_kernel_vector,
@@ -42,7 +43,6 @@ from momentangle import (
 from momentangle import forms, sample_points
 from momentangle.cli import ANGLE_LIMIT, _verification_cases
 from momentangle.config import DEFAULT_RANK_TOL, DEGENERACY_BAND
-from momentangle.forms import _volume_from_frame_data
 from momentangle.variety import ZERO_TOL
 
 from conftest import roots_of_unity
@@ -449,14 +449,24 @@ def test_rank_trichotomy_details(pentagon, mixed_s1, mixed_general_m2, batch):
     assert deep.perp_dim == 0
 
 
-def test_rank_trichotomy_builds_one_frame(pentagon, batch, monkeypatch):
-    """The restricted rank and the defect plane come from one frame's alpha and dalpha."""
-    frames = []
-    frame_of = forms.tangent_frame
-    monkeypatch.setattr(forms, "tangent_frame",
-                        lambda cfg, point: frames.append(point) or frame_of(cfg, point))
-    assert rank_trichotomy(pentagon, batch(pentagon, 1)[0]).label == "defect2"
-    assert len(frames) == 1
+def test_rank_trichotomy_builds_one_frame(pentagon, mixed_s1, mixed_general_m2, batch,
+                                          monkeypatch):
+    """The label and rank are ``kernel_analysis``'s, and only a defect-2
+    verdict builds a frame of its own: one ``_on_frame`` call for its plane."""
+    calls = []
+    on_frame = forms._on_frame
+    monkeypatch.setattr(forms, "_on_frame",
+                        lambda cfg, point: calls.append(point) or on_frame(cfg, point))
+    for cfg, pattern, label, frames in [(pentagon, None, "defect2", 1),
+                                        (mixed_s1, None, "contact", 0),
+                                        (mixed_general_m2, (0, 1), "deep", 0)]:
+        point = batch(cfg, 1, pattern)[0]
+        calls.clear()
+        verdict = rank_trichotomy(cfg, point)
+        assert len(calls) == frames
+        evaluation = kernel_analysis(cfg, point)
+        assert verdict.label == evaluation.trichotomy == label
+        assert verdict.rank == evaluation.rank_dalpha_on_ker_alpha
 
 
 def test_defect2_perp_basis_spans_the_cap(pentagon, batch):
@@ -480,7 +490,7 @@ def test_volume_engines_agree_on_random_data():
             m = rng.normal(size=(d, d))
             m = m - m.T
             fast = pytest.approx(brute_force_contact_volume(a, m), rel=1e-9, abs=1e-12)
-            assert _volume_from_frame_data(a, m) == fast
+            assert forms._volumes(a[None], m[None])[0][0] == fast
     # permutation-sum oracle is factorially slow; check it once at d = 5
     a = rng.normal(size=5)
     m = rng.normal(size=(5, 5))
@@ -536,6 +546,51 @@ def test_subspace_angle_sanity():
     assert subspace_angle(e[:, :1], e[:, 1:2]) == pytest.approx(np.pi / 2)
     tilted = np.array([[1.0], [1.0], [0.0], [0.0]])
     assert subspace_angle(e[:, :1], tilted) == pytest.approx(np.pi / 4)
+    with pytest.raises(StructuralError, match=r"\(4, 2\) and \(5, 1\)"):
+        subspace_angle(e[:, :2], np.ones((5, 1)))
+    with pytest.raises(StructuralError, match=r"\(4,\) and \(4, 1\)"):
+        subspace_angle(np.ones(4), e[:, :1])
+
+
+#: The functions of ``forms`` that take coordinate vectors (or, for
+#: ``expected_kernel_dims``, a point's), each called with ``bad`` in one slot
+#: and a good point ``x`` in the others.
+COORDINATE_CALLS = {
+    "closed_form_kernel_vector": lambda cfg, x, bad: closed_form_kernel_vector(cfg, bad, 0.5j, 1.0),
+    "kernel_family_basis": lambda cfg, x, bad: kernel_family_basis(cfg, bad),
+    "null_quadric_value": lambda cfg, x, bad: null_quadric_value(cfg, bad),
+    "eval_alpha point": lambda cfg, x, bad: eval_alpha(cfg, bad, x),
+    "eval_alpha vector": lambda cfg, x, bad: eval_alpha(cfg, x, bad),
+    "eval_dalpha": lambda cfg, x, bad: eval_dalpha(cfg, x, bad),
+    "expected_kernel_dims":
+        lambda cfg, x, bad: expected_kernel_dims(cfg, VarietyPoint(bad, 0.0, ())),
+}
+#: Malformed versions of a coordinate vector of length 14, and the error they raise.
+BAD_COORDINATES = {
+    "short": (lambda x: x[:4], r"length 14, got \(4,\)"),
+    "2-d": (lambda x: x.reshape(2, 7), r"length 14, got \(2, 7\)"),
+    "nan": (lambda x: np.concatenate([[np.nan], x[1:]]), "finite"),
+    "inf": (lambda x: np.concatenate([x[:-1], [-np.inf]]), "finite"),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_COORDINATES)
+@pytest.mark.parametrize("call", COORDINATE_CALLS)
+def test_coordinate_vectors_are_checked_at_the_boundary(mixed_s2, batch, call, bad):
+    """A coordinate vector of the wrong length or shape, or with a non-finite
+    entry, raises StructuralError instead of giving a value or a RuntimeWarning."""
+    x = batch(mixed_s2, 1)[0].coordinates
+    make, match = BAD_COORDINATES[bad]
+    with pytest.raises(StructuralError, match=match):
+        COORDINATE_CALLS[call](mixed_s2, x, make(x))
+
+
+@pytest.mark.parametrize("T,mu", [(np.nan, 1.0), (complex(0.0, np.inf), 1.0), (0.5j, np.nan),
+                                  (0.5j, -np.inf)])
+def test_closed_form_kernel_vector_rejects_non_finite_parameters(mixed_s2, batch, T, mu):
+    x = batch(mixed_s2, 1)[0].coordinates
+    with pytest.raises(StructuralError, match="finite"):
+        closed_form_kernel_vector(mixed_s2, x, T, mu)
 
 
 @given(st.integers(0, 2**32 - 1))
