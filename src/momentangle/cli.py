@@ -35,7 +35,7 @@ from .config import (
     load_configuration,
 )
 from .errors import NumericalError, StructuralError
-from .forms import evaluate_stack, vanishes, volume_sign
+from .forms import VOLUME_MODULUS_RTOL, evaluate_stack, vanishes, volume_sign
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
 from .toric import _checked_scale, _gale_polytope
@@ -261,9 +261,11 @@ def cmd_verify(args) -> int:
 
     points = [point for _, case_points in cases for point in case_points]
     ev = evaluate_stack(cfg, points, args.rank_tol)
-    volume, zero = ev.contact_volume, vanishes(ev.contact_volume, ev.contact_volume_bound)
+    volume, modulus = ev.contact_volume, ev.contact_volume_modulus
+    cap = ev.ker_alpha_cap_ker_dalpha_dim
+    zero = cap > 0  # rank B < d + 1: the volume vanishes (forms module docstring)
     # The first point calibrates the orientation (forms.orientation_sign).
-    kappa = 0.0 if cfg.kind == "classical" else volume_sign(volume[0], ev.contact_volume_bound[0])
+    kappa = 0.0 if cfg.kind == "classical" else volume_sign(volume[0], cap[0])
     record("jacobian rank maximal", ev.jacobian_rank == cfg.equation_count)
     record("kernel dimensions per stratum",
            (ev.ker_dalpha_dim == ev.expected_kernel_dims[:, 0])
@@ -279,8 +281,9 @@ def cmd_verify(args) -> int:
         # ker alpha cap ker dalpha != 0 in the dimension table.
         degenerate = ev.expected_kernel_dims[:, 1] > 0
         record("contact volume vanishes on degenerate strata", zero[degenerate])
+        matches = np.abs(np.abs(volume) - modulus) <= VOLUME_MODULUS_RTOL * modulus
         record("contact volume positive off degenerate strata",
-               ((kappa * volume > 0) & ~zero)[~degenerate])
+               ((kappa * volume > 0) & ~zero & matches)[~degenerate])
     record("no indeterminate ranks", ~ev.indeterminate)
 
     all_ok = True

@@ -51,37 +51,62 @@ expansion of one bordered Pfaffian:
 so the volume costs one Pfaffian of a (d+1) x (d+1) matrix.  It is the
 Hodge star of the confoliation form in the induced metric.
 
+The same B = [[0, a^T], [-a, M]] decides every alpha-rank.  alpha never
+vanishes on these links (alpha(i z_j) = 2 b_j |z_j|^2), so write B in the
+orthonormal basis (a/|a|, K) of the frame coordinates, K spanning ker alpha.
+The border row then reads (0, |a|, 0, ..., 0), and eliminating it and the
+a/|a| row and column against the entry |a| leaves exactly K^T M K, dalpha
+on ker alpha:
+
+    rank B = 2 + rank(K^T M K),   Pf B = +-|a| Pf(K^T M K).
+
+Now let (x_0, y) be in ker B: alpha(y) = 0 and M y = x_0 a.  If x_0 != 0, a
+lies in the range of the skew M, which is orthogonal to ker M, so ker dalpha
+lies in ker alpha.  On every stratum it does not (their dimensions are 2l+1
+and 2l), so x_0 = 0 and ker B = 0 (+) (ker alpha cap ker dalpha).  Hence
+
+    dim(ker alpha cap ker dalpha) = d + 1 - rank B,
+    rank(dalpha on ker alpha) = rank B - 2,
+
+and the contact volume vanishes exactly when rank B < d + 1.
+
 Stacked evaluation: every certified point of a configuration has the same
 frame dimension d = ``manifold_dim``, so :func:`evaluate_stack` takes the
 points of a whole ``verify`` run, from every stratum, as frames (N, D, d),
 in blocks of at most the sampler's block size.  Certified points carry no
 frame: one full SVD of each block's Jacobians
 (:func:`.variety._tangent_frames`) builds the frames and gives the Jacobian
-ranks.  alpha and dalpha are two batched products; each other rank (dalpha,
-[dalpha; alpha], dalpha on ker alpha, leaf span) is one SVD of a stack; the
-numerical kernel comes from the same SVD of dalpha that gives its rank, kept
-at width d with zero columns; the closed-form family is one array of (T, mu)
-parameters, zero-padded to the width 2m+1 (v(0, 0) = 0); the bordered
-Pfaffians are one stacked elimination.  A point's values do not depend on
-the stack it is evaluated in, and each one-point function
-(:func:`kernel_analysis`, :func:`kernel_family_angle`,
+ranks.  alpha and dalpha are two batched products; the rank of dalpha and
+its numerical kernel, kept at width d with zero columns, come from one SVD
+of the stack; one SVD of the stacked B without vectors gives the other two
+alpha-ranks and the volume's modulus, and one call of the rank rule ranks
+dalpha and B together; the leaf span is one SVD of a stack; the closed-form
+family is one array of (T, mu) parameters, zero-padded to the width 2m+1
+(v(0, 0) = 0); the bordered Pfaffians are one stacked elimination.  A
+point's values do not depend on the stack it is evaluated in, and each
+one-point function (:func:`kernel_analysis`, :func:`kernel_family_angle`,
 :func:`contact_volume`, :func:`orientation_sign`,
 :func:`symplectic_leaf_rank`, :func:`leaf_two_form_magnitude`,
 :func:`rank_trichotomy`) reads its result from one
 ``evaluate_stack(cfg, [point], rank_tol)`` call: so a point gets the same
 values, every rank included, alone as in any stack, even where a singular
 value sits at the cut.  Only the defect-2 plane of :func:`rank_trichotomy`
-builds a frame of its own (:func:`_on_frame`).  Coordinate vectors from
+builds a frame of its own (:func:`_on_frame`), and takes the plane from the
+right singular vectors of that frame's B.  Coordinate vectors from
 outside pass :func:`.variety._ambient`: a wrong length or shape, or a
 non-finite entry, raises StructuralError.
 
 Numerical-rank note: ranks use the relative rule of
-:func:`.config.numerical_rank`, and singular values in the tie band
-(:func:`.config.in_tie_band`) around its cut set ``indeterminate``.  That rule
-is meaningless for matrices that vanish identically in exact arithmetic — a
-pure-roundoff matrix is "full rank" relative to itself — so quantities
-expected to vanish (the contact volume on the strata, the leaf 2-form) come
-with per-point bounds on their moduli, from the point's own data, for
+:func:`.config.numerical_rank`, and singular values of dalpha or B in the
+tie band (:func:`.config.in_tie_band`) around its cut set ``indeterminate``.
+So "the contact volume vanishes" is a rank verdict, rank B < d + 1, with the
+tie band of the kernel dimensions; B never vanishes, as its border is
+alpha != 0.  The Pfaffian of B gives the volume's value and sign, and
+``verify`` also asks it to agree with the modulus k! * sqrt(prod_i
+sigma_i(B)) to ``VOLUME_MODULUS_RTOL``.  The rank rule is meaningless for a
+matrix that vanishes identically in exact arithmetic — a pure-roundoff
+matrix is "full rank" relative to itself — so the leaf 2-form, which does,
+comes with a per-point bound on its modulus, from the point's own data, for
 :func:`vanishes` to compare against: so no verdict depends on the frame
 dimension or on the scale of lambda.
 """
@@ -287,26 +312,18 @@ def _dalpha_kernels(frames: np.ndarray, dmat: np.ndarray, rank_tol: float):
     return sigma, rank, (frames @ vh.transpose(0, 2, 1)) * keep[:, None, :]
 
 
-def _rank_checks(a: np.ndarray, dmat: np.ndarray, sigma_d: np.ndarray, rank_tol: float):
-    """Ranks of dalpha, [dalpha; alpha] and dalpha on ker alpha, with tie flags.
+def _rank_checks(sigma_d: np.ndarray, sigma_b: np.ndarray, rank_tol: float):
+    """Ranks of dalpha and of the bordered matrix B, with tie flags.
 
-    ``a`` is ``(N, d)``, ``dmat`` ``(N, d, d)`` and ``sigma_d`` the singular
-    values of ``dmat``, which the caller computes with or without vectors.
-    The three rows of singular values share one ``(N, 3, d)`` array, the
-    shorter restricted row padded with a zero, which is never above a cut
-    nor in its tie band; so one call of the rank rule ranks all three.
-    Returns the ranks ``(N, 3)`` and ``indeterminate`` ``(N,)``.
+    ``sigma_d`` ``(N, d)`` are the singular values of dalpha, which the
+    caller computes with or without vectors, and ``sigma_b`` ``(N, d+1)``
+    those of B (:func:`_volumes`).  The two rows share one ``(N, 2, d+1)``
+    array, dalpha's padded with a zero, which is never above a cut nor in
+    its tie band; so one call of the rank rule ranks both.  Returns the
+    ranks ``(N, 2)`` and ``indeterminate`` ``(N,)``.
     """
-    # dalpha restricted to ker alpha (alpha never vanishes on these links)
-    if not a.any(axis=1).all():
-        raise NumericalError("alpha vanished on the tangent frame")
-    ker_alpha = np.linalg.svd(a[:, None, :])[2][:, 1:].transpose(0, 2, 1)
-    sigmas = np.zeros((len(a), 3, a.shape[1]))
-    sigmas[:, 0] = sigma_d
-    sigmas[:, 1] = np.linalg.svd(np.concatenate([dmat, a[:, None, :]], axis=1),
-                                 compute_uv=False)
-    sigmas[:, 2, :-1] = np.linalg.svd(ker_alpha.transpose(0, 2, 1) @ dmat @ ker_alpha,
-                                      compute_uv=False)
+    sigmas = np.zeros((len(sigma_b), 2, sigma_b.shape[1]))
+    sigmas[:, 0, :-1], sigmas[:, 1] = sigma_d, sigma_b
     indeterminate = in_tie_band(sigmas, rank_cut(sigmas, rank_tol)).any(axis=(1, 2))
     return numerical_rank(sigmas, rank_tol), indeterminate
 
@@ -341,8 +358,10 @@ class StackEvaluation:
     """Every per-point quantity ``momentangle verify`` checks, for N points.
 
     Each array has one entry per point, in the order given.  The leaf
-    fields are set for classical configurations only.  A ``*_bound`` bounds
-    the modulus of the field before it (:func:`vanishes`).
+    fields are set for classical configurations only.
+    ``contact_volume_modulus`` is k! * sqrt(prod_i sigma_i(B)), which
+    |``contact_volume``| equals in exact arithmetic; ``leaf_two_form_bound``
+    bounds the modulus of the field before it (:func:`vanishes`).
     """
 
     jacobian_rank: np.ndarray
@@ -352,7 +371,7 @@ class StackEvaluation:
     expected_kernel_dims: np.ndarray  # (N, 2)
     indeterminate: np.ndarray
     contact_volume: np.ndarray
-    contact_volume_bound: np.ndarray
+    contact_volume_modulus: np.ndarray
     family_angle: np.ndarray
     leaf_rank: np.ndarray | None
     leaf_two_form_magnitude: np.ndarray | None
@@ -373,7 +392,8 @@ def evaluate_stack(
     per block, and the bordered Pfaffians are one stacked elimination.  A
     point's results do not depend on the other points in the stack, so
     blocks of at most ``_ATTEMPT_BLOCK`` points (the sampler's block) bound
-    the memory of a long run without changing a value.  No points, or
+    the memory of a long run without changing a value, and a stack of one
+    block returns that block's evaluation as it is.  No points, or
     coordinates of the wrong length or not finite, raise StructuralError.
     """
     if not points:
@@ -381,6 +401,8 @@ def evaluate_stack(
     coords = _ambient(cfg, [p.coordinates for p in points])
     blocks = [_evaluate_block(cfg, coords[i : i + _ATTEMPT_BLOCK], rank_tol)
               for i in range(0, len(coords), _ATTEMPT_BLOCK)]
+    if len(blocks) == 1:
+        return blocks[0]
     return StackEvaluation(**{
         f.name: None if getattr(blocks[0], f.name) is None
         else np.concatenate([getattr(block, f.name) for block in blocks])
@@ -394,7 +416,8 @@ def _evaluate_block(cfg: Configuration, coords: np.ndarray, rank_tol: float) -> 
     a = _alpha_stack(cfg, coords, frames)
     dmat = _dalpha_stack(cfg, frames)
     sigma_d, _, kernel = _dalpha_kernels(frames, dmat, rank_tol)
-    ranks, indeterminate = _rank_checks(a, dmat, sigma_d, rank_tol)
+    volume, modulus, sigma_b = _volumes(a, dmat)
+    ranks, indeterminate = _rank_checks(sigma_d, sigma_b, rank_tol)
     leaves = _leaves(cfg, coords)
     family = _kernel_vectors(cfg, coords, *_family_parameters(cfg, coords, leaves))
     leaf_rank = leaf_magnitude = leaf_bound = None
@@ -402,16 +425,15 @@ def _evaluate_block(cfg: Configuration, coords: np.ndarray, rank_tol: float) -> 
         leaf = family[..., : 2 * cfg.m]
         leaf_rank = numerical_rank(np.linalg.svd(leaf, compute_uv=False), rank_tol)
         leaf_magnitude, leaf_bound = _leaf_magnitudes(cfg, leaf)
-    volume, volume_bound = _volumes(a, dmat)
     return StackEvaluation(
         jacobian_rank=jacobian_rank,
         ker_dalpha_dim=d - ranks[:, 0],
-        ker_alpha_cap_ker_dalpha_dim=d - ranks[:, 1],
-        rank_dalpha_on_ker_alpha=ranks[:, 2],
+        ker_alpha_cap_ker_dalpha_dim=d + 1 - ranks[:, 1],
+        rank_dalpha_on_ker_alpha=ranks[:, 1] - 2,
         expected_kernel_dims=_expected_dims(leaves),
         indeterminate=indeterminate,
         contact_volume=volume,
-        contact_volume_bound=volume_bound,
+        contact_volume_modulus=modulus,
         family_angle=_largest_angles(_orth(family), kernel),
         leaf_rank=leaf_rank,
         leaf_two_form_magnitude=leaf_magnitude,
@@ -430,14 +452,16 @@ def rank_trichotomy(
     (a single degenerate 2-plane, which is ker alpha cap ker dalpha and is
     returned in ambient coordinates), or lower (total degeneracy beyond one
     block, as on classical links with m >= 2).  The label and rank are
-    :func:`kernel_analysis`'s; only the defect-2 plane builds a frame of its own.
+    :func:`kernel_analysis`'s; only the defect-2 plane builds a frame of its
+    own.  The plane is the frame part of ker B (module docstring): the right
+    singular vectors of B past its rank, rank + 2, mapped by the frame.
     """
     evaluation = kernel_analysis(cfg, point, rank_tol)
     label, rank = evaluation.trichotomy, evaluation.rank_dalpha_on_ker_alpha
     if label == "defect2":
         frame, a, dmat = _on_frame(cfg, point)
-        _, sigma, vh = np.linalg.svd(np.vstack([dmat, a]))
-        return RankTrichotomy(label, rank, 2, frame @ vh[numerical_rank(sigma, rank_tol):].T)
+        vh = np.linalg.svd(_bordered(a[None], dmat[None])[0])[2]
+        return RankTrichotomy(label, rank, 2, frame @ vh[rank + 2 :, 1:].T)
     return RankTrichotomy(label, rank, cfg.manifold_dim - 1 if label == "contact" else 0, None)
 
 
@@ -446,39 +470,61 @@ def contact_volume(cfg: Configuration, point: VarietyPoint) -> float:
     return float(evaluate_stack(cfg, [point]).contact_volume[0])
 
 
-#: A quantity that vanishes in exact arithmetic reads zero when its modulus is
-#: at most this factor times its per-point bound (:func:`vanishes`).
+#: The leaf 2-form, which vanishes identically in exact arithmetic, reads zero
+#: when its modulus is at most this factor times its per-point bound
+#: (:func:`vanishes`).
 VANISHING_FACTOR = 1e-9
+
+#: ``verify`` counts a contact volume positive only when |Pf B| lies within
+#: this relative distance of its modulus k! * sqrt(prod_i sigma_i(B)), two
+#: unrelated algorithms for one number.
+VOLUME_MODULUS_RTOL = 1e-6
 
 
 def vanishes(value, bound):
-    """Whether ``|value| <= VANISHING_FACTOR * bound``, elementwise.
+    """Whether ``|value| <= VANISHING_FACTOR * bound``, elementwise: the test
+    of the leaf 2-form, whose ``bound`` comes from the point's own data
+    (:func:`_leaf_magnitudes`).
 
-    ``bound`` comes from the point's own data (:func:`_volumes`,
-    :func:`_leaf_magnitudes`).  At frame dimensions 7 to 29, zero volumes
-    read at most 5e-16 of their bound and nonzero ones at least 4e-7.
+    The contact volume needs no such cut: it vanishes exactly where B is
+    singular, which the rank rule decides (module docstring).
     """
     return np.abs(value) <= VANISHING_FACTOR * bound
 
 
-def _volumes(a: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """k! * Pf([[0, a^T], [-a, M]]), the bordered form of the minor expansion,
-    for a stack ``(N, d)``, ``(N, d, d)``, and its bounds.
+def _bordered(a: np.ndarray, dmat: np.ndarray) -> np.ndarray:
+    """B = [[0, a^T], [-a, M]] for a stack ``(N, d)``, ``(N, d, d)``: ``(N, d+1, d+1)``.
 
-    The bordered matrices B are built at once, and one stacked elimination
-    (:func:`.pfaffian._pfaffians`) takes all their Pfaffians.  Since
-    Pf(B)^2 = det B, Hadamard's inequality bounds each volume by
-    k! * sqrt(prod_i |B_i|_2) over the rows B_i, computed in logs.
+    The rank identities of B (module docstring) need alpha != 0 on each
+    frame, which holds on these links, as alpha(i z_j) = 2 b_j |z_j|^2.
     """
     n, d = a.shape
     if d % 2 == 0:
         raise StructuralError("contact volume needs an odd frame dimension")
+    if not a.any(axis=1).all():
+        raise NumericalError("alpha vanished on the tangent frame")
     bordered = np.zeros((n, d + 1, d + 1))
     bordered[:, 0, 1:], bordered[:, 1:, 0], bordered[:, 1:, 1:] = a, -a, dmat
-    scale = factorial((d - 1) // 2)
-    with np.errstate(divide="ignore"):  # a zero row bounds the volume by 0
-        log_rows = np.log(np.linalg.norm(bordered, axis=2)).sum(axis=1)
-    return scale * _pfaffians(bordered), scale * np.exp(0.5 * log_rows)
+    return bordered
+
+
+def _volumes(a: np.ndarray, dmat: np.ndarray) -> tuple[np.ndarray, ...]:
+    """k! * Pf(B), the bordered form of the minor expansion, its modulus
+    k! * sqrt(prod_i sigma_i(B)) and the singular values sigma(B), for a
+    stack ``(N, d)``, ``(N, d, d)``.
+
+    The bordered matrices B are built at once; one stacked elimination
+    (:func:`.pfaffian._pfaffians`) takes all their Pfaffians, and one
+    stacked SVD without vectors all their singular values.  Since
+    Pf(B)^2 = det B, the modulus equals |k! * Pf(B)| in exact arithmetic;
+    it is computed in logs.
+    """
+    bordered = _bordered(a, dmat)
+    sigma = np.linalg.svd(bordered, compute_uv=False)
+    scale = factorial((a.shape[1] - 1) // 2)
+    with np.errstate(divide="ignore"):  # a zero singular value gives modulus 0
+        modulus = scale * np.exp(0.5 * np.log(sigma).sum(axis=1))
+    return scale * _pfaffians(bordered), modulus, sigma
 
 
 def subspace_angle(span_a: np.ndarray, span_b: np.ndarray) -> float:
@@ -586,12 +632,14 @@ def orientation_sign(cfg: Configuration, reference: VarietyPoint) -> float:
     degeneracy stratum (where the volume vanishes identically).
     """
     ev = evaluate_stack(cfg, [reference])
-    return volume_sign(ev.contact_volume[0], ev.contact_volume_bound[0])
+    return volume_sign(ev.contact_volume[0], ev.ker_alpha_cap_ker_dalpha_dim[0])
 
 
-def volume_sign(volume: float, bound: float) -> float:
-    """:func:`orientation_sign` from the reference point's contact volume and its bound."""
-    if vanishes(volume, bound):
+def volume_sign(volume: float, cap_dim: int) -> float:
+    """:func:`orientation_sign` from the reference point's contact volume and
+    its dim(ker alpha cap ker dalpha), the corank of B: the volume vanishes
+    when that is positive."""
+    if cap_dim > 0:
         raise NumericalError(
             "reference point lies on (or too close to) the degeneracy stratum; "
             "cannot calibrate the orientation"

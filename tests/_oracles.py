@@ -693,6 +693,30 @@ def rank_checks_reference(a, dmat, rank_tol):
     return ranks, ties
 
 
+def bordered_rank_checks_reference(a, dmat, rank_tol):
+    """Ranks and tie flags of dalpha and of B = [[0, a^T], [-a, dalpha]], one
+    SVD per matrix, for alpha ``a`` and dalpha ``dmat`` on one frame."""
+    bordered = np.block([[np.zeros((1, 1)), a[None, :]], [-a[:, None], dmat]])
+    ranks, ties = zip(*(_rank_and_tie(np.linalg.svd(matrix, compute_uv=False), rank_tol)
+                        for matrix in (dmat, bordered)))
+    return ranks, ties
+
+
+def hadamard_volume_bound(a, dmat) -> float:
+    """Hadamard's bound k! * sqrt(prod_i |B_i|_2) on the contact volume of one
+    frame, over the rows B_i of B = [[0, a^T], [-a, dalpha]] (Pf(B)^2 = det B)."""
+    bordered = np.block([[np.zeros((1, 1)), a[None, :]], [-a[:, None], dmat]])
+    k = (len(a) - 1) // 2
+    return factorial(k) * math.exp(0.5 * float(np.log(np.linalg.norm(bordered, axis=1)).sum()))
+
+
+def cap_plane_reference(frame, a, dmat, rank_tol=1e-8):
+    """Ambient orthonormal basis of ker alpha cap ker dalpha: the kernel of
+    the stacked [dalpha; alpha] on the frame, mapped by the frame."""
+    _, sigma, vh = np.linalg.svd(np.vstack([dmat, a]))
+    return frame @ vh[_rank_and_tie(sigma, rank_tol)[0]:].T
+
+
 def point_checks_reference(cfg, point, rank_tol=1e-8):
     """Every per-point quantity ``verify`` checks, one point at a time.
 

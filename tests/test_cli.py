@@ -194,9 +194,9 @@ def test_verify_counts_a_positive_volume_below_its_zero_bound_as_zero(tmp_path, 
     volumes = momentangle.forms._volumes
 
     def shrunk(a, dmat):
-        volume, bound = volumes(a, dmat)
+        volume, modulus, sigma = volumes(a, dmat)
         volume[1:] *= 1e-12  # the first point calibrates the orientation
-        return volume, bound
+        return volume, modulus, sigma
 
     monkeypatch.setattr(momentangle.forms, "_volumes", shrunk)
     assert main(["verify", write_config(tmp_path, mixed_s1), "--samples", "3"]) == 1

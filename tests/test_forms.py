@@ -43,15 +43,18 @@ from momentangle import (
 from momentangle import forms, sample_points
 from momentangle.cli import ANGLE_LIMIT, _verification_cases
 from momentangle.config import DEFAULT_RANK_TOL, DEGENERACY_BAND
+from momentangle.forms import VOLUME_MODULUS_RTOL
 from momentangle.variety import ZERO_TOL
 
 from conftest import roots_of_unity
 from _oracles import (
+    bordered_rank_checks_reference,
     brute_force_contact_volume,
+    cap_plane_reference,
     contact_volume_scale,
+    hadamard_volume_bound,
     permutation_sum_contact_volume,
     point_checks_reference,
-    rank_checks_reference,
 )
 from test_acceptance import PFAFFIAN_REL_TOL
 
@@ -172,15 +175,15 @@ def test_indeterminate_follows_the_tie_band(pentagon, batch, rank_tol, indetermi
 
 
 def test_rank_checks_match_the_oracle_row_by_row():
-    """Random alpha and skew dalpha (d = 5) over a grid of cuts: the three
-    singular-value rows, ranked in one padded stack, give the oracle's ranks
-    and tie flags, including ties in the restricted row alone."""
+    """Random alpha and skew dalpha (d = 5) over a grid of cuts: the singular
+    values of dalpha and of the bordered B, ranked in one padded stack, give
+    the oracle's ranks and tie flags, including ties in B's row alone."""
     rng = np.random.default_rng(0)
     a = rng.normal(size=(200, 5))
     m = rng.normal(size=(200, 5, 5)) * np.geomspace(1.0, 1e-3, 5)
-    # dalpha = diag(J, J/2, 0) and alpha = (cos t, 0, 0, 0, sin t): on ker alpha
-    # dalpha has singular values (1/2, 1/2, sin t, sin t), and [dalpha; alpha]
-    # a smallest one below sin t, so some t tie the restricted row alone
+    # dalpha = diag(J, J/2, 0) and alpha = (cos t, 0, 0, 0, sin t): dalpha has
+    # singular values (1, 1, 1/2, 1/2, 0), and B about (sqrt 2, sqrt 2, 1/2,
+    # 1/2, sin t / sqrt 2, sin t / sqrt 2), so some t tie B's row alone
     t = np.geomspace(1e-6, 1e-1, 40)
     a = np.concatenate([a, np.column_stack([np.cos(t), 0 * t, 0 * t, 0 * t, np.sin(t)])])
     block = np.zeros((40, 5, 5))
@@ -188,15 +191,16 @@ def test_rank_checks_match_the_oracle_row_by_row():
     m = np.concatenate([m, block])
     dmat = m - m.transpose(0, 2, 1)
     sigma_d = np.linalg.svd(dmat, compute_uv=False)
-    restricted_only = 0
+    sigma_b = forms._volumes(a, dmat)[2]
+    bordered_only = 0
     for rank_tol in np.geomspace(1e-3, 0.5, 12):
-        ranks, indeterminate = forms._rank_checks(a, dmat, sigma_d, rank_tol)
+        ranks, indeterminate = forms._rank_checks(sigma_d, sigma_b, rank_tol)
         for i in range(len(a)):
-            ref_ranks, ref_ties = rank_checks_reference(a[i], dmat[i], rank_tol)
+            ref_ranks, ref_ties = bordered_rank_checks_reference(a[i], dmat[i], rank_tol)
             assert ranks[i].tolist() == list(ref_ranks)
             assert indeterminate[i] == any(ref_ties)
-            restricted_only += ref_ties == (False, False, True)
-    assert restricted_only > 0
+            bordered_only += ref_ties == (False, True)
+    assert bordered_only > 0
 
 
 def test_kernel_dims_classical(pentagon, hexagon_m2, batch):
@@ -277,6 +281,15 @@ SMALL_W_LINKS = {
 }
 
 
+def _moved_w0(batch, name, index, size, phase):
+    """Stratum point ``index`` of ``SMALL_W_LINKS[name]`` with w_0 moved to
+    size * e^(i phase), projected and certified: the link and the point."""
+    cfg, pinned = SMALL_W_LINKS[name]
+    coords = batch(cfg, 4, pinned)[index].coordinates.copy()
+    coords[0:2] = size * np.cos(phase), size * np.sin(phase)
+    return cfg, certify(cfg, project_to_variety(cfg, coords))
+
+
 @given(name=st.sampled_from(sorted(SMALL_W_LINKS)), exponent=st.floats(-9.0, -2.0),
        phase=st.floats(0.0, 2.0 * np.pi), index=st.integers(0, 3))
 @example(name="mixed_general_m2", exponent=-7.0, phase=0.0, index=0)
@@ -286,26 +299,64 @@ SMALL_W_LINKS = {
 def test_small_w_verdicts_follow_the_one_zero_rule(batch, name, exponent, phase, index):
     """A stratum point with |w_0| = 10^exponent, projected and certified: the
     leaf that verify expects is there exactly when |w_0|^2 <= ZERO_TOL, and
-    unless a rank is indeterminate the SVD's kernel dimensions and the
-    contact volume's vanishing agree with it; on the mixed-general link the
-    isotropy type is the zero pattern, and the sign orbit has as many points
-    as the fiber over the point's z block, off the near-branch band."""
-    cfg, pinned = SMALL_W_LINKS[name]
-    coords = batch(cfg, 4, pinned)[index].coordinates.copy()
-    coords[0:2] = 10.0**exponent * np.cos(phase), 10.0**exponent * np.sin(phase)
-    point = certify(cfg, project_to_variety(cfg, coords))
+    unless a rank is indeterminate the SVD's kernel dimensions, and so the
+    contact volume's vanishing (rank B < d + 1), agree with it; on the
+    mixed-general link the isotropy type is the zero pattern, and the sign
+    orbit has as many points as the fiber over the point's z block, off the
+    near-branch band."""
+    cfg, point = _moved_w0(batch, name, index, 10.0**exponent, phase)
     leaf = abs(point.w_block(cfg)[0]) ** 2 <= ZERO_TOL
     ev = evaluate_stack(cfg, [point])
     assert tuple(ev.expected_kernel_dims[0].tolist()) == ((3, 2) if leaf else (1, 0))
     if not ev.indeterminate[0]:
         dims = (ev.ker_dalpha_dim[0], ev.ker_alpha_cap_ker_dalpha_dim[0])
         assert dims == tuple(ev.expected_kernel_dims[0])
-        assert forms.vanishes(ev.contact_volume[0], ev.contact_volume_bound[0]) == leaf
     if cfg.kind == "mixed-general":
         assert isotropy_stratum(cfg, point) == point.zero_pattern
         count = fiber_count(cfg, point.z_block(cfg))
         if not count.near_branch:
             assert len(sign_orbit(cfg, point)) == count.count
+
+
+#: Leaf points of the weighted s = 2 link, (index, |w_0|, phase): |w_0|^2 is
+#: 6e-10 to 9e-10, below ZERO_TOL, while the volume is above 1e-9 of its
+#: Hadamard bound, the zero cut ``verify`` once used.
+LEAF_BAND_POINTS = [(0, 2.5e-5, 0.0), (1, 3e-5, 1.0), (2, 2.5e-5, 4.0), (3, 3e-5, 2.0)]
+
+
+@pytest.mark.parametrize("index, size, phase", LEAF_BAND_POINTS)
+def test_a_leaf_volume_above_the_hadamard_cut_still_vanishes(batch, index, size, phase):
+    """Near a leaf the volume outgrows 1e-9 of its Hadamard bound before
+    the rank rule loses the leaf.  There B reads singular with no tie, so
+    the volume vanishes with the zero rule, and the point cannot calibrate
+    the orientation."""
+    cfg, point = _moved_w0(batch, "mixed_s2_weighted", index, size, phase)
+    ev = evaluate_stack(cfg, [point])
+    assert point.zero_pattern == (0, 1) and not ev.indeterminate[0]
+    assert (ev.ker_dalpha_dim[0], ev.ker_alpha_cap_ker_dalpha_dim[0]) == (3, 2)
+    assert abs(ev.contact_volume[0]) > 1e-9 * hadamard_volume_bound(
+        *forms._on_frame(cfg, point)[1:])
+    with pytest.raises(NumericalError, match="degeneracy stratum"):
+        orientation_sign(cfg, point)
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_W_LINKS))
+def test_the_pfaffian_of_b_matches_its_singular_values_near_a_leaf(batch, name):
+    """Off the leaf but near it, where sigma_min(B) / sigma_max(B) falls
+    below 1e-7, |Pf B| from the elimination and sqrt(prod sigma_i(B)) from
+    the SVD, two unrelated algorithms, agree within ``VOLUME_MODULUS_RTOL``."""
+    smallest = 1.0
+    for size in (2e-4, 3e-4, 1e-3):
+        for index in range(4):
+            cfg, point = _moved_w0(batch, name, index, size, float(index))
+            ev = evaluate_stack(cfg, [point])
+            assert ev.ker_alpha_cap_ker_dalpha_dim[0] == 0
+            modulus = ev.contact_volume_modulus[0]
+            assert abs(abs(ev.contact_volume[0]) - modulus) <= VOLUME_MODULUS_RTOL * modulus
+            frame, a, dmat = forms._on_frame(cfg, point)
+            sigma = forms._volumes(a[None], dmat[None])[2][0]
+            smallest = min(smallest, sigma[-1] / sigma[0])
+    assert smallest < 1e-7
 
 
 def test_kernel_family_matches_svd_kernel(mixed_s1, mixed_general_m2, batch):
@@ -355,11 +406,14 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypat
     points each, stacked in one call.
 
     Counts and flags equal the per-point oracle's; volumes agree to
-    PFAFFIAN_REL_TOL (relative, or of the volume scale where they vanish)
-    and family angles to 1e-12 rad.  Evaluated alone, a point gets exactly
-    the values it gets inside the stack.  The restricted rank and the
-    trichotomy label, which ``verify`` does not record, are compared through
-    ``kernel_analysis``, the N = 1 call of the same rank checks.
+    PFAFFIAN_REL_TOL (relative, or of the volume scale where they vanish),
+    lie within their Hadamard bounds and, where B is nonsingular, within
+    1e-12 of their moduli k! sqrt(prod sigma_i(B)), an SVD that shares
+    nothing with the elimination; family angles agree to 1e-12 rad.
+    Evaluated alone, a point gets exactly the values it gets inside the
+    stack.  The restricted rank and the trichotomy label, which ``verify``
+    does not record, are compared through ``kernel_analysis``, the N = 1
+    call of the same rank checks.
     """
     cfg = request.getfixturevalue(fixture)
     cases = _verification_cases(cfg, 20, 0, 1e-10, DEFAULT_RANK_TOL)
@@ -379,14 +433,18 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypat
         assert tuple(stack.expected_kernel_dims[i]) == ref["expected_kernel_dims"]
         assert stack.contact_volume[i] == pytest.approx(
             ref["contact_volume"], rel=PFAFFIAN_REL_TOL, abs=PFAFFIAN_REL_TOL * scale)
-        assert abs(stack.contact_volume[i]) <= stack.contact_volume_bound[i]  # Hadamard
+        assert abs(stack.contact_volume[i]) <= hadamard_volume_bound(
+            *forms._on_frame(cfg, point)[1:])
+        if stack.ker_alpha_cap_ker_dalpha_dim[i] == 0:
+            modulus = stack.contact_volume_modulus[i]
+            assert abs(abs(stack.contact_volume[i]) - modulus) <= 1e-12 * modulus
         assert abs(stack.family_angle[i] - ref["family_angle"]) <= 1e-12
         if classical:
             assert abs(stack.leaf_two_form_magnitude[i] - ref["leaf_two_form_magnitude"]) <= 1e-12
 
         alone = evaluate_stack(cfg, [point])
         for field in EXACT_FIELDS + ["expected_kernel_dims", "contact_volume",
-                                     "contact_volume_bound", "family_angle",
+                                     "contact_volume_modulus", "family_angle",
                                      *("leaf_rank", "leaf_two_form_magnitude",
                                        "leaf_two_form_bound") * classical]:
             np.testing.assert_array_equal(getattr(alone, field)[0], getattr(stack, field)[i])
@@ -467,6 +525,23 @@ def test_rank_trichotomy_builds_one_frame(pentagon, mixed_s1, mixed_general_m2, 
         evaluation = kernel_analysis(cfg, point)
         assert verdict.label == evaluation.trichotomy == label
         assert verdict.rank == evaluation.rank_dalpha_on_ker_alpha
+
+
+@pytest.mark.parametrize("fixture, pattern", [
+    ("pentagon", None), ("mixed_s1", (0,)), ("mixed_s2", (0, 1)), ("mixed_general_m1", (0,)),
+    ("mixed_general_m2", (0,)), ("mixed_general_m2", (1,)), ("mixed_general_m3", (2,))])
+def test_defect2_plane_from_b_matches_the_kernel_of_dalpha_and_alpha(request, batch, fixture,
+                                                                     pattern):
+    """The defect-2 plane, the frame part of B's right singular vectors past
+    its rank, is orthonormal and spans the kernel of the stacked
+    [dalpha; alpha] within 1e-10 rad."""
+    cfg = request.getfixturevalue(fixture)
+    for point in batch(cfg, 5, pattern):
+        plane = rank_trichotomy(cfg, point).perp_basis
+        reference = cap_plane_reference(*forms._on_frame(cfg, point))
+        assert plane.shape == reference.shape == (cfg.ambient_real_dim, 2)
+        np.testing.assert_allclose(plane.T @ plane, np.eye(2), atol=1e-12)
+        assert subspace_angle(plane, reference) < 1e-10
 
 
 def test_defect2_perp_basis_spans_the_cap(pentagon, batch):

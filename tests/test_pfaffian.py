@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momentangle import Configuration, StructuralError, evaluate_stack, pfaffian
+from momentangle import Configuration, StructuralError, evaluate_stack, forms, pfaffian
 from momentangle.cli import _verification_cases
 from momentangle.pfaffian import _pfaffians
 
-from _oracles import pfaffian_lapack, pfaffian_naive
+from _oracles import hadamard_volume_bound, pfaffian_lapack, pfaffian_naive
 from conftest import roots_of_unity
 
 
@@ -193,7 +193,7 @@ MARGIN_LINKS = [
 
 @pytest.mark.parametrize("name, spec", MARGIN_LINKS, ids=[name for name, _ in MARGIN_LINKS])
 def test_contact_volume_margins_on_and_off_strata(request, name, spec):
-    """The zero rule cuts at 1e-9 of the Hadamard bound H; the elimination
+    """Against the Hadamard bound H of each point's frame, the elimination
     leaves on-stratum volumes (and every classical one) below 1e-14 H, and
     the others above 1e-7 H, at frame dimensions 7 to 29."""
     if spec is None:
@@ -203,7 +203,8 @@ def test_contact_volume_margins_on_and_off_strata(request, name, spec):
         cfg = Configuration(lambdas=roots_of_unity(n, powers), kind=kind, s=s)
     points = [p for _, case in _verification_cases(cfg, 20, 0, 1e-10, 1e-8) for p in case]
     ev = evaluate_stack(cfg, points)
-    ratio = np.abs(ev.contact_volume) / ev.contact_volume_bound
+    bound = [hadamard_volume_bound(*forms._on_frame(cfg, point)[1:]) for point in points]
+    ratio = np.abs(ev.contact_volume) / bound
     on = np.ones(len(points), bool) if cfg.kind == "classical" else ev.expected_kernel_dims[:, 1] > 0
     assert on.any()
     assert ratio[on].max() <= 1e-14
