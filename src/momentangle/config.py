@@ -18,16 +18,17 @@ non-negative least-squares weights of the hull give either a hull point
 near the origin or a plane that separates the hull from it, each checked by
 recomputation, and the hull-distance LP (:func:`hull_distance`) runs only
 when neither certificate clears the tie band.  For weak hyperbolicity, one
-batched SVD first bounds the hull distance of every ``2m``-subset from below
-by ``sigma_min / (2m)``; only the subsets that bound leaves inside the tie
-band get a hull verdict, in lexicographic order.  The package's one LP is in
-:func:`hull_distance` and its one NNLS in :func:`_hull_weights`, which
-first tries a plain least-squares solve and calls NNLS only when that gives
-a negative weight; every hull distance is :func:`witness_distance` of
-weights, a hull point as witness: the NNLS or LP weights here, a point's
-own t = |z|^2 in :mod:`.toric`.  ``scipy.optimize`` is imported on the
-first NNLS or LP, not with the package, so hulls whose least-squares
-weights are all ``>= 0``, the paper's fixtures among them, never load it.
+stacked ``slogdet`` per block of ``2m``-subsets bounds each subset's hull
+distance from below (:func:`_sigma_min_floors`); only the subsets that bound
+leaves inside the tie band get a hull verdict, in lexicographic order.  The
+package's one LP is in :func:`hull_distance`, at unit scale, and its one
+NNLS in :func:`_hull_weights`, which first tries a plain least-squares solve
+and calls NNLS only when that gives a negative weight; every hull distance
+is :func:`witness_distance` of weights, a hull point as witness: the NNLS or
+LP weights here, a point's own t = |z|^2 in :mod:`.toric`.
+``scipy.optimize`` is imported on the first NNLS or LP, not with the
+package, so hulls whose least-squares weights are all ``>= 0``, the paper's
+fixtures among them, never load it.
 All tolerances are explicit.
 
 Conventions used throughout the package:
@@ -51,9 +52,10 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -70,10 +72,14 @@ DEGENERACY_BAND = 10.0
 #: Relative numerical-rank cut (see :func:`numerical_rank`).
 DEFAULT_RANK_TOL = 1e-8
 
-#: Subsets per batched SVD in :func:`check_weak_hyperbolicity`, and bases per
-#: stacked solve in :func:`.toric._vertices`.  Bounds the memory for large
-#: C(n, 2m) and the work done before an early exit.
+#: Subsets per stacked ``slogdet`` in :func:`check_weak_hyperbolicity`, and
+#: bases per stacked solve in :func:`.toric._vertices`.  Bounds the memory for
+#: large C(n, 2m) and the work done before an early exit.
 _SUBSET_BLOCK = 256
+
+#: Squared Frobenius norm below which :func:`_sigma_min_floors` proves
+#: nothing: above it, underflow is far below the rounding its proof allows for.
+_FLOOR_FROBENIUS = 2.0**-900
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,7 +322,22 @@ def _hull_points(points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise StructuralError("points must be a nonempty 2-d array")
+    if not np.isfinite(pts).all():
+        raise StructuralError("points must be finite")
     return pts
+
+
+def _unit_scale(points: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(points * 2**-e, e)``, with ``e`` putting the largest ``|entry|`` in [1/2, 1).
+
+    All-zero points keep ``e = 0``.  Multiplying by a power of two is exact
+    unless an entry underflows, and hulls scale with their points: the hull
+    LP and the weak-hyperbolicity screen run at this scale, where no
+    solver's absolute tolerance and no square or log of an entry is out of
+    range.
+    """
+    e = math.frexp(float(np.abs(points).max(initial=0.0)))[1]
+    return np.ldexp(points, -e), e
 
 
 def hull_distance(points: np.ndarray) -> float:
@@ -333,14 +354,18 @@ def hull_distance(points: np.ndarray) -> float:
     package call it only inside the tie band, where neither certificate of
     :func:`_hull_verdict` settles the verdict.  HiGHS runs at 1e-10 primal
     feasibility, its smallest: at its default 1e-7 a hull passing within 1e-8
-    of the origin can return a vertex twice as far as the optimum.
+    of the origin can return a vertex twice as far as the optimum.  That
+    tolerance is absolute, so the LP sees the points at unit scale
+    (:func:`_unit_scale`), and the distance is the same for ``c * points``,
+    ``c`` a power of two, up to the factor ``c``.
     """
     pts = _hull_points(points)
     p, d = pts.shape
+    scaled = _unit_scale(pts)[0].T
     c = np.zeros(p + 1)
     c[-1] = 1.0
     ones = np.ones((d, 1))
-    a_ub = np.block([[pts.T, -ones], [-pts.T, -ones]])
+    a_ub = np.block([[scaled, -ones], [-scaled, -ones]])
     a_eq = np.concatenate([np.ones(p), [0.0]]).reshape(1, -1)
     res = linprog(c, A_ub=a_ub, b_ub=np.zeros(2 * d), A_eq=a_eq, b_eq=[1.0], bounds=(0, None),
                   method="highs", options={"primal_feasibility_tolerance": 1e-10})
@@ -489,10 +514,13 @@ def in_tie_band(value, tol: float):
 def check_tolerances(tol: float, rank_tol: float = DEFAULT_RANK_TOL) -> None:
     """Reject a ``tol`` that is not finite and positive, or a ``rank_tol`` outside (0, 1).
 
+    A bool is neither: ``True`` would otherwise pass as ``tol = 1``, while
+    the range of ``rank_tol`` already excludes ``True`` and ``False``.
+
     The boundary check for every tolerance that comes from outside the
     program: the command line, and every public function that takes one.
     """
-    if not (math.isfinite(tol) and tol > 0):
+    if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol > 0):
         raise StructuralError(f"tol must be finite and positive, got {tol!r}")
     if not 0 < rank_tol < 1:
         raise StructuralError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
@@ -508,6 +536,29 @@ def check_siegel(cfg: Configuration, tol: float = 1e-9) -> tuple[bool, bool]:
     return _hull_verdict(cfg.realified_lambdas(), tol)
 
 
+def _sigma_min_floors(mats: np.ndarray) -> np.ndarray:
+    """Proven lower bounds on ``sigma_min`` of each ``k x k`` matrix of the stack ``mats``.
+
+    The entries must be below 1 in magnitude, as :func:`_unit_scale` leaves
+    them.  A bound is nan, or not positive, where nothing is proved: for a
+    singular matrix (``slogdet`` gives -inf) and where the squared Frobenius
+    norm is below :data:`_FLOOR_FROBENIUS`.  :func:`check_weak_hyperbolicity`
+    gives the formula and proves it.
+    """
+    k = mats.shape[-1]
+    h = (k - 1) / 2
+    eps = np.finfo(float).eps
+    eta = k**3 * 2.0 ** (k - 2) * eps  # the proof's eta and a, with u = eps / 2
+    a = k * eta + 500 * k * (k + 11) * eps
+    logdet = np.linalg.slogdet(mats).logabsdet
+    frob2 = np.einsum("sij,sij->s", mats, mats)
+    # Clamped, a zero frob2 takes no log of 0; its bound is replaced below.
+    logf = np.log(np.maximum(frob2, _FLOOR_FROBENIUS))
+    floors = np.exp(logdet - h * logf + (h * math.log(k - 1) - a)) - 2 * eta * np.sqrt(frob2)
+    floors[frob2 < _FLOOR_FROBENIUS] = np.nan
+    return floors
+
+
 def check_weak_hyperbolicity(
     cfg: Configuration, tol: float = 1e-9
 ) -> tuple[bool, tuple[int, ...] | None, bool]:
@@ -520,26 +571,78 @@ def check_weak_hyperbolicity(
     subset, ``degenerate`` is set when any subset's hull distance lies in
     the band.
 
-    For the square matrix P of a subset's 2m realified rows, every hull
-    point P^T t satisfies ``|P^T t|_inf >= |P^T t|_2 / sqrt(2m) >=
-    sigma_min(P) / (2m)``.  One batched SVD per block of subsets evaluates
-    that bound, less a rounding allowance; a subset whose bound exceeds the
-    band is neither a violator nor a tie; the others get a
-    :func:`_hull_verdict`.
+    For the square matrix P of a subset's ``k = 2m`` realified rows, every
+    hull point ``P^T t`` satisfies ``|P^T t|_inf >= |P^T t|_2 / sqrt(k) >=
+    sigma_k(P) / k``.  By AM-GM on ``sigma_1^2, ..., sigma_{k-1}^2``, whose
+    sum is at most ``F^2 = |P|_F^2``,
+
+        sigma_k >= |det P| ((k - 1) / F^2)^h,   h = (k - 1) / 2;
+
+    for ``k = 2`` this is ``|det P| / F``.  The points are first scaled by
+    a power of two (:func:`_unit_scale`), and the cut ``10 * tol`` by the
+    same power.  Then one stacked ``np.linalg.slogdet`` per block of subsets
+    gives ``l = log|det P|`` (LAPACK ``getrf`` with partial pivoting; a
+    singular matrix gives -inf and does not raise), and
+    :func:`_sigma_min_floors` evaluates
+
+        lower = exp(l - h log F^2 + (h log(k - 1) - a)) - 2 eta F,
+        eta = k^3 2^(k-1) u,   a = k eta + 1000 k (k + 11) u,
+
+    ``u = eps / 2``.  A subset is cleared only where ``lower > k * cut`` is
+    True, so a nan or -inf leaves it flagged; the flagged subsets get a
+    :func:`_hull_verdict` on the unscaled points, in lexicographic order.
+
+    Why a cleared subset's hull distance exceeds the cut (first order in
+    ``u``, ``gamma_j = j u / (1 - j u)``; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 3 and 9):
+
+    1. After scaling every entry is below 1.  A subset whose computed
+       ``F^2`` is below ``2^-900`` (:data:`_FLOOR_FROBENIUS`) is never
+       cleared; above it, underflow in the scaling, the squares and the LU
+       is far below the terms that follow, which ignore it.
+    2. ``getrf`` returns ``L U = Pi P + dP`` with ``|dP| <= gamma_k |L||U|``
+       (Thm 9.3).  Partial pivoting keeps ``|l_ij| <= 1`` and ``|u_ij| <=
+       2^(k-1) max |p_ij| <= 2^(k-1) F`` (the growth factor, sec. 9.3), so
+       every entry of ``|L||U|`` is at most ``k 2^(k-1) F`` and ``|dP|_F <=
+       eta F``.
+    3. The product ``D`` of the ``|u_ii|`` is exactly ``|det Q|`` for ``Q =
+       P + Pi^T dP``.  By AM-GM, ``sigma_k(Q) >= D ((k - 1) / |Q|_F^2)^h``
+       with ``|Q|_F <= (1 + eta) F``, and by Weyl ``sigma_k(P) >=
+       sigma_k(Q) - eta F``.  The computed ``F^2``, a sum of ``k^2``
+       squares, is within ``gamma_{k^2}`` of the exact one.  Together these
+       lose a factor ``1 - (k - 1) eta - h k^2 u`` and the term ``eta F``.
+    4. Taking each log and exp within 4 ulps: the ``k`` logs that
+       ``slogdet`` sums are at most 745 in magnitude (``2^-1074 <= |u_ii| <
+       2^k``), so ``l`` is within ``745 k (k + 7) u`` of ``log D``.  The
+       rest of the exponent, ``h log F^2`` at most ``625 h`` in magnitude
+       (``2^-900 <= F^2 < k^2``) and a constant, and then the exp, the
+       difference and the product ``k * cut`` add at most ``(1490 k + 7701 h
+       + 10) u``.
+
+    The ``a`` in the exponent exceeds the relative losses of steps 3 and 4,
+    ``745 k^2 + 6705 k + 7701 h + h k^2 + 10`` units of ``u`` plus ``(k - 1)
+    eta``, by at least ``255 k^2`` units, which covers the second-order
+    terms, and ``2 eta F`` covers ``eta F`` with its rounding.  So ``lower``
+    is at most ``sigma_k(P)`` and ``lower / k`` at most the hull distance.
+    The scaled cut is exact, raised to the smallest normal float where it
+    would underflow and infinite where it would overflow, so it is never
+    below the exact one.
     """
     check_tolerances(tol)
     pts = cfg.realified_lambdas()
+    scaled, shift = _unit_scale(pts)
     size = 2 * cfg.m
-    # A backward-stable SVD gets each singular value to within a small
-    # multiple of size * eps * sigma_max.
-    allowance = 16 * size * np.finfo(float).eps
+    try:
+        cut = size * max(math.ldexp(DEGENERACY_BAND * tol, -shift), sys.float_info.min)
+    except OverflowError:  # a cut above every hull distance clears nothing
+        cut = math.inf
     subsets = combinations(range(cfg.n), size)
     degenerate = False
-    while block := list(islice(subsets, _SUBSET_BLOCK)):
-        sigma = np.linalg.svd(pts[np.array(block)], compute_uv=False)
-        bound = (sigma[:, -1] - allowance * sigma[:, 0]) / size
-        for i in np.flatnonzero(bound <= DEGENERACY_BAND * tol):
-            subset = block[i]
+    # Flat, then reshaped: fromiter takes ints 2.5 times faster than k-tuples.
+    while len(block := np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_BLOCK)),
+                                   np.intp).reshape(-1, size)):
+        cleared = _sigma_min_floors(scaled[block]) > cut
+        for subset in map(tuple, block[~cleared].tolist()):
             inside, tie = _hull_verdict(pts[list(subset)], tol)
             if inside:
                 return False, subset, tie

@@ -65,18 +65,39 @@ def admissible_brute(points, m: int, tol: float = 1e-9) -> tuple[bool, bool]:
     return siegel, weak
 
 
+def svd_screen_flags(points, size: int, tol: float = 1e-9) -> list[tuple[int, ...]]:
+    """The ``size``-subsets, in lexicographic order, that the SVD screen leaves flagged.
+
+    Every hull point ``P^T t`` of a subset's square matrix ``P`` has
+    ``|P^T t|_inf >= sigma_min(P) / size``.  A subset is flagged when that
+    bound, less the rounding allowance of a backward-stable SVD (each
+    singular value within ``16 size eps sigma_max``), does not clear the tie
+    band: the reference for the determinant screen of
+    ``check_weak_hyperbolicity``, which must flag the same subsets.
+    """
+    from momentangle import config
+
+    pts = np.asarray(points, dtype=float)
+    allowance = 16 * size * np.finfo(float).eps
+    flagged = []
+    for subset in combinations(range(pts.shape[0]), size):
+        sigma = np.linalg.svd(pts[list(subset)], compute_uv=False)
+        if not (sigma[-1] - allowance * sigma[0]) / size > config.DEGENERACY_BAND * tol:
+            flagged.append(subset)
+    return flagged
+
+
 def admissibility_lp_reference(cfg, tol: float = 1e-9):
     """Admissibility fields by one LP per hull verdict, and the hulls that tied.
 
     Every verdict is ``hull_distance <= tol`` and every tie flag
     ``in_tie_band``, both from the library's LP (:func:`hull_distance`):
-    once for the whole configuration, then for each 2m-subset, in
-    lexicographic order, whose SVD bound ``sigma_min / (2m)`` less a rounding
-    allowance does not clear the tie band.  With a violator, only its own tie
-    joins the Siegel one.  Returns ``((siegel, weak_hyperbolicity,
-    violating_subset, degenerate), ties)``, where ``ties`` lists the hulls
-    that set ``degenerate``: ``None`` for the whole configuration, else the
-    subset.
+    once for the whole configuration, then for each 2m-subset that
+    :func:`svd_screen_flags` leaves flagged, in lexicographic order.  With a
+    violator, only its own tie joins the Siegel one.  Returns ``((siegel,
+    weak_hyperbolicity, violating_subset, degenerate), ties)``, where
+    ``ties`` lists the hulls that set ``degenerate``: ``None`` for the whole
+    configuration, else the subset.
     """
     from momentangle import config
 
@@ -85,12 +106,7 @@ def admissibility_lp_reference(cfg, tol: float = 1e-9):
     siegel = dist <= tol
     siegel_ties = [None] if config.in_tie_band(dist, tol) else []
     subset_ties = []
-    size = 2 * cfg.m
-    allowance = 16 * size * np.finfo(float).eps
-    for subset in combinations(range(cfg.n), size):
-        sigma = np.linalg.svd(pts[list(subset)], compute_uv=False)
-        if (sigma[-1] - allowance * sigma[0]) / size > config.DEGENERACY_BAND * tol:
-            continue
+    for subset in svd_screen_flags(pts, 2 * cfg.m, tol):
         dist = config.hull_distance(pts[list(subset)])
         tie = [subset] if config.in_tie_band(dist, tol) else []
         if dist <= tol:

@@ -32,6 +32,8 @@ from momentangle import (
 )
 from momentangle.config import (
     DEGENERACY_BAND,
+    _sigma_min_floors,
+    _unit_scale,
     complexify,
     in_tie_band,
     numerical_rank,
@@ -42,6 +44,7 @@ from _oracles import (
     admissible_brute,
     first_subset_around_origin_brute,
     origin_in_hull_brute,
+    svd_screen_flags,
 )
 from conftest import NEGATIVE_LEAST_SQUARES, roots_of_unity
 
@@ -194,12 +197,13 @@ def test_lp_verdicts_match_brute_hull_oracle(seed):
     assert weak == weak_b
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from(["antipodal", "even-roots"]))
-@settings(max_examples=40, deadline=None)
-def test_weak_hyperbolicity_matches_brute_on_planted_violators(seed, design):
-    # Gaussian configurations never violate weak hyperbolicity; these do, so
-    # the subsets the SVD bound cannot clear reach the LP.
-    rng = np.random.default_rng(seed)
+def _planted_violator(rng, design: str) -> Configuration:
+    """A classical configuration, n <= 8 and m <= 2, that violates weak hyperbolicity.
+
+    ``antipodal`` plants lambda_b = -c lambda_a in a Gaussian configuration;
+    ``even-roots`` takes odd powers of even roots of unity, so that
+    lambda_{j + n/2} = -lambda_j up to scale.
+    """
     m = int(rng.integers(1, 3))
     if design == "antipodal":
         n = int(rng.integers(max(4, 2 * m + 1), 9))
@@ -207,11 +211,19 @@ def test_weak_hyperbolicity_matches_brute_on_planted_violators(seed, design):
         a, b = sorted(rng.choice(n, size=2, replace=False))
         lam[b] = -rng.uniform(0.5, 2.0) * lam[a]
     else:
-        # Odd powers of even roots: lambda_{j + n/2} = -lambda_j up to scale.
         n = 2 * int(rng.integers(m + 1, 5))
         phases = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=m))
         lam = roots_of_unity(n, (1, 3)[:m]) * phases * rng.uniform(0.5, 2.0, size=(n, 1))
-    cfg = Configuration(lambdas=lam, kind="classical")
+    return Configuration(lambdas=lam, kind="classical")
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["antipodal", "even-roots"]))
+@settings(max_examples=40, deadline=None)
+def test_weak_hyperbolicity_matches_brute_on_planted_violators(seed, design):
+    # Gaussian configurations never violate weak hyperbolicity; these do, so
+    # the subsets the determinant screen cannot clear reach the LP.
+    cfg = _planted_violator(np.random.default_rng(seed), design)
+    m = cfg.m
     ok, subset, degenerate = check_weak_hyperbolicity(cfg)
     pts = cfg.realified_lambdas()
     _, weak = admissible_brute(pts, m)
@@ -223,13 +235,73 @@ def test_weak_hyperbolicity_matches_brute_on_planted_violators(seed, design):
 def test_generic_configuration_needs_no_weak_hyperbolicity_lp(monkeypatch):
     rng = np.random.default_rng(12)
     lam = rng.normal(size=(12, 3)) + 1j * rng.normal(size=(12, 3))
-    calls = []
+    calls, verdicts = [], []
     hull_distance_lp = momentangle.config.hull_distance
+    hull_verdict = momentangle.config._hull_verdict
     monkeypatch.setattr(momentangle.config, "hull_distance",
                         lambda pts: calls.append(pts) or hull_distance_lp(pts))
+    monkeypatch.setattr(momentangle.config, "_hull_verdict",
+                        lambda pts, tol: verdicts.append(pts) or hull_verdict(pts, tol))
     verdict = check_weak_hyperbolicity(Configuration(lambdas=lam, kind="classical"))
     assert verdict == (True, None, False)
     assert len(calls) == 0
+    assert len(verdicts) == 0  # the screen clears all C(12, 6) = 924 subsets
+
+
+@pytest.mark.parametrize("design", ["criterion-1", "antipodal", "even-roots"])
+def test_determinant_screen_flags_the_svd_screen_subsets(monkeypatch, design):
+    """The determinant screen sends the SVD screen's subsets to a hull
+    verdict, in order, up to the first violator; configurations drawn as
+    in acceptance criterion 1 (seed 101) and planted violators."""
+    seen = []
+    hull_verdict = momentangle.config._hull_verdict
+    monkeypatch.setattr(momentangle.config, "_hull_verdict",
+                        lambda pts, tol: seen.append(pts) or hull_verdict(pts, tol))
+    rng = np.random.default_rng(101)
+    for _ in range(40):
+        if design == "criterion-1":
+            m, n = int(rng.integers(1, 3)), int(rng.integers(5, 9))
+            cfg = Configuration(rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+        else:
+            cfg = _planted_violator(rng, design)
+        seen.clear()
+        violator = check_weak_hyperbolicity(cfg)[1]
+        pts = cfg.realified_lambdas()
+        flagged = svd_screen_flags(pts, 2 * cfg.m)
+        if violator is not None:
+            flagged = flagged[:flagged.index(violator) + 1]
+        assert len(seen) == len(flagged)
+        assert all(np.array_equal(got, pts[list(s)]) for got, s in zip(seen, flagged))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([2, 4, 6]),
+       st.sampled_from(["gaussian", "singular", "near-singular"]), st.sampled_from([0, 500, -500]))
+@example(0, 2, "near-singular", 0)
+@example(1, 6, "singular", -500)
+@settings(max_examples=60, deadline=None)
+def test_sigma_min_floors_never_exceed_the_svd(seed, k, kind, power):
+    """The determinant screen's bound, rounding allowance included, is at
+    most sigma_min from the SVD: on Gaussian matrices, on matrices with a
+    repeated row, and on matrices with sigma_min / sigma_max from 1 down to
+    1e-14 and every other singular value 1, at scales 2^0 and 2^+-500,
+    evaluated at unit scale as ``check_weak_hyperbolicity`` does."""
+    rng = np.random.default_rng(seed)
+    mats = rng.normal(size=(50, k, k))
+    if kind == "singular":
+        mats[:, -1] = mats[:, 0]
+    elif kind == "near-singular":
+        # sigma_1 = ... = sigma_{k-1} = 1 is where the AM-GM bound is tight.
+        u, _, vt = np.linalg.svd(mats)
+        sigma = np.ones((50, 1, k))
+        sigma[..., -1] = 10.0 ** -rng.uniform(0.0, 14.0, size=(50, 1))
+        mats = u * sigma @ vt
+    mats = np.ldexp(mats, power)
+    scaled, shift = _unit_scale(mats)
+    floors = np.ldexp(_sigma_min_floors(scaled), shift)
+    sigma_min = np.linalg.svd(mats, compute_uv=False)[:, -1]
+    assert not np.any(floors > sigma_min)
+    if kind == "gaussian":
+        assert np.all(floors > 0)
 
 
 HULL_DESIGNS = ("random", "antipodal", "subset-tie", "hull-tie")
@@ -457,6 +529,24 @@ def test_admissibility_invariant_under_rotation_and_permutation(seed):
     assert check_admissible(cfg).admissible == check_admissible(rotated).admissible
 
 
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([66, -66, 200, -200]))
+@settings(max_examples=40, deadline=None)
+def test_admissibility_invariant_under_power_of_two_scaling(seed, antipodal, power):
+    """Scaling lambda and tol by the same power of two keeps the report:
+    the hull LP runs at unit scale, where HiGHS's absolute feasibility
+    tolerance means the same for every scale, and so does the screen."""
+    if antipodal:
+        cfg = _planted_violator(np.random.default_rng(seed), "antipodal")
+    else:
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 3))
+        n = int(rng.integers(max(4, 2 * m + 1), 9))
+        cfg = Configuration(rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m)))
+    lam = cfg.lambdas
+    scaled = Configuration(np.ldexp(lam.real, power) + 1j * np.ldexp(lam.imag, power))
+    assert check_admissible(scaled, np.ldexp(1e-9, power)) == check_admissible(cfg, 1e-9)
+
+
 def test_mixed_admissibility_needs_every_subset(mixed_general_m2):
     assert check_mixed_admissible(mixed_general_m2).admissible
     # Per-component fine, jointly broken: second row constant at 1 fails
@@ -538,10 +628,18 @@ def test_loader_rejects_malformed_documents(tmp_path):
         load_configuration(str(bad))
 
 
-def test_boundary_rejects_bools_and_non_finite_numbers(pentagon, mixed_s2):
+def test_boundary_rejects_bools_and_non_finite_numbers(pentagon, mixed_s2, capfd):
     for weights in ([np.nan] * 5, [1.0, 1.0, np.inf, 1.0, 1.0]):
         with pytest.raises(StructuralError):
             Configuration(lambdas=pentagon.lambdas, weights_b=weights)
+    points = pentagon.realified_lambdas()
+    points[2, 0] = np.nan
+    with pytest.raises(StructuralError, match="points must be finite"):
+        origin_in_hull(points)
+    points[2, 0] = np.inf
+    with pytest.raises(StructuralError, match="points must be finite"):
+        hull_distance(points)
+    assert capfd.readouterr() == ("", "")  # no LAPACK complaint on the way
     with pytest.raises(StructuralError):
         Configuration(lambdas=pentagon.lambdas, kind="mixed-m1", s=True)
 
@@ -561,12 +659,13 @@ def test_boundary_rejects_bools_and_non_finite_numbers(pentagon, mixed_s2):
     "origin_in_hull", "check_siegel", "check_weak_hyperbolicity", "check_admissible",
     "check_mixed_admissible", "gale_transform", "fiber_polytope", "moment_image_check",
     "fiber_count", "fiber_points", "isotropy_stratum"])
-@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, True])
 def test_public_functions_reject_a_malformed_tol(pentagon, mixed_general_m2, batch, name, tol):
     """A tol that is not finite and positive raises at the boundary instead
     of deciding: with tol = -1, fiber_count over the uniform direction of
-    the 7-gon m = 2 configuration gave 4 where the default gives 1, and
-    tol = inf put the origin in any hull."""
+    the 7-gon m = 2 configuration gave 4 where the default gives 1,
+    tol = inf put the origin in any hull, and tol = True ran at tol = 1 and
+    called the pentagon not admissible."""
     mixed, point, direction = mixed_general_m2, batch(mixed_general_m2, 1)[0], np.arange(1.0, 8.0)
     call = {
         "origin_in_hull": lambda t: origin_in_hull(pentagon.realified_lambdas(), t),
