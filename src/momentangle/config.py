@@ -421,14 +421,17 @@ def _hull_verdict(points: np.ndarray, tol: float) -> tuple[bool, bool]:
       / |y|_1``.  The minimum, recomputed and less a rounding allowance,
       must exceed ``DEGENERACY_BAND * tol * |y|_1``.
 
-    Both certificates are recomputed from ``points``; the solver's answer is
-    never taken on trust.  Otherwise, or when there are no weights (NNLS
-    fails to converge), the LP decides as :func:`hull_distance` ``<= tol``
-    and :func:`in_tie_band`.
+    The weights are those of the points at unit scale (:func:`_unit_scale`):
+    the ones row of ``A`` does not scale with ``P``, so weights solved at the
+    caller's scale differ from scale to scale, and at scales far from 1
+    neither certificate cleared.  Both certificates are recomputed from
+    ``points``; the solver's answer is never taken on trust.  Otherwise, or
+    when there are no weights (NNLS fails to converge), the LP decides as
+    :func:`hull_distance` ``<= tol`` and :func:`in_tie_band`.
     """
     pts = _hull_points(points)
     p, d = pts.shape
-    t = _hull_weights(pts)
+    t = _hull_weights(_unit_scale(pts)[0])
     if t is not None:
         # A computed dot product of k terms is off by at most k * eps times
         # the sum of the absolute products; 16 leaves room for the rest.
@@ -797,9 +800,9 @@ def configuration_to_dict(cfg: Configuration) -> dict:
         "m": cfg.m,
         "n": cfg.n,
         "kind": cfg.kind,
-        "lambdas": [[[float(v.real), float(v.imag)] for v in row] for row in cfg.lambdas],
-        "weights_a": [float(x) for x in cfg.weights_a],
-        "weights_b": [float(x) for x in cfg.weights_b],
+        "lambdas": np.stack([cfg.lambdas.real, cfg.lambdas.imag], axis=-1).tolist(),
+        "weights_a": cfg.weights_a.tolist(),
+        "weights_b": cfg.weights_b.tolist(),
     }
     if cfg.s is not None:
         data["s"] = cfg.s

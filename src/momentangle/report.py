@@ -5,6 +5,15 @@ writer here is deliberately manual: keys sorted, compact separators, floats
 always rendered with 17 significant digits (enough to round-trip IEEE
 doubles), no locale or whitespace variation.  Complex numbers serialize as
 [re, im] pairs, matching the configuration schema.
+
+:func:`canonical_json` walks the document once and writes a ``%`` template:
+each float becomes a ``%.17g`` placeholder and goes into a list, and a ``%``
+in a string or key is written ``%%``.  One ``%`` then formats every float of
+the report.  Before it, the floats are checked: a nan or inf raises
+``ValueError`` (:func:`format_float`'s), and every -0.0 becomes 0.  A bad
+key or an unknown type raises ``TypeError`` where the walk meets it, after
+a nan or inf met before it: the error, and its message, are those of one
+plain recursion that formats each float where it stands.
 """
 
 from __future__ import annotations
@@ -30,38 +39,59 @@ def format_float(value: float) -> str:
 
 def canonical_json(obj) -> str:
     """Serialize to deterministic JSON (sorted keys, pinned float format)."""
-    pieces: list[str] = []
-    _write(obj, pieces)
-    return "".join(pieces)
+    template: list[str] = []
+    floats: list[float] = []
+    try:
+        _write(obj, template, floats)
+    except (TypeError, ValueError):
+        _check_finite(floats)  # a nan or inf the walk met first raises instead
+        raise
+    _check_finite(floats)
+    if 0.0 in floats:  # -0.0 == 0.0 too; adding 0.0 changes no other float's bits
+        floats = [value + 0.0 for value in floats]
+    return "".join(template) % tuple(floats)
 
 
-def _write(obj, out: list[str]) -> None:
+def _check_finite(floats: list[float]) -> None:
+    """Raise :func:`format_float`'s ``ValueError`` at the first nan or inf of ``floats``."""
+    if not math.isfinite(sum(floats)):  # finite terms may overflow the sum: look
+        for value in floats:
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value in report: {value}")
+
+
+_FLOAT = "%.17g"
+
+
+def _write(obj, out: list[str], floats: list[float]) -> None:
     # The exact types a report is made of first, then every type by isinstance.
     kind = type(obj)
     if kind is float:
-        out.append(format_float(obj))
+        out.append(_FLOAT)
+        floats.append(obj)
     elif kind is dict:
-        _write_dict(obj, out)
+        _write_dict(obj, out, floats)
     elif kind is list or kind is tuple:
-        _write_list(obj, out)
+        _write_list(obj, out, floats)
     elif kind is str:
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(_string(obj))
     elif kind is int:
         out.append(str(obj))
     else:
-        _write_other(obj, out)
+        _write_other(obj, out, floats)
 
 
-def _write_other(obj, out: list[str]) -> None:
+def _write_other(obj, out: list[str], floats: list[float]) -> None:
     # No two branches match one value.
     if isinstance(obj, float):  # np.float64 is a float too
-        out.append(format_float(obj))
+        out.append(_FLOAT)
+        floats.append(float(obj))
     elif isinstance(obj, dict):
-        _write_dict(obj, out)
+        _write_dict(obj, out, floats)
     elif isinstance(obj, (list, tuple)):
-        _write_list(obj, out)
+        _write_list(obj, out, floats)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
+        out.append(_string(obj))
     elif obj is None:
         out.append("null")
     elif isinstance(obj, bool) or isinstance(obj, np.bool_):
@@ -69,56 +99,72 @@ def _write_other(obj, out: list[str]) -> None:
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, np.floating):
-        out.append(format_float(float(obj)))
+        out.append(_FLOAT)
+        floats.append(float(obj))
     elif isinstance(obj, (complex, np.complexfloating)):
-        out.append(f"[{format_float(obj.real)},{format_float(obj.imag)}]")
+        out.append("[%.17g,%.17g]")
+        floats += float(obj.real), float(obj.imag)
     elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out)
+        _write(obj.tolist(), out, floats)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 
-def _write_dict(obj: dict, out: list[str]) -> None:
+def _write_dict(obj: dict, out: list[str], floats: list[float]) -> None:
     out.append("{")
-    for i, key in enumerate(sorted(obj)):
-        if not isinstance(key, str):
-            raise TypeError(f"report keys must be strings, got {key!r}")
-        out.append(_key(key) if i == 0 else "," + _key(key))
-        _write(obj[key], out)
+    for key, text in _keys(tuple(obj)):
+        out.append(text)
+        _write(obj[key], out, floats)
     out.append("}")
 
 
-#: The float types whose lists take the one-``%`` path of :func:`_write_list`.
-_FLOAT_TYPES = frozenset({float, np.float64})
+@lru_cache(maxsize=1024)
+def _keys(keys: tuple) -> tuple[tuple[str, str], ...]:
+    """A dict's keys in sorted order, each with its text: comma, key and colon.
+
+    Raises ``TypeError`` at the first key, in sorted order, that is not a
+    string; only key sets of strings are cached.
+    """
+    texts = []
+    for i, key in enumerate(sorted(keys)):
+        if not isinstance(key, str):
+            raise TypeError(f"report keys must be strings, got {key!r}")
+        texts.append((key, ("," if i else "") + _string(key) + ":"))
+    return tuple(texts)
 
 
-def _write_list(obj, out: list[str]) -> None:
-    if obj and _FLOAT_TYPES.issuperset(map(type, obj)):
-        text = _floats(len(obj)) % tuple(obj)
-        # nan and inf hold an "n", and a "-0" token is -0.0: format_float
-        # raises on the first and normalizes the second.
-        if "n" in text or "-0," in text + ",":
-            text = ",".join(map(format_float, obj))
-        out.append("[" + text + "]")
+_FLOAT_TYPES, _INT_TYPES = frozenset({float, np.float64}), frozenset({int})
+
+
+def _write_list(obj, out: list[str], floats: list[float]) -> None:
+    if not obj:
+        out.append("[]")
+        return
+    kinds = set(map(type, obj))
+    if kinds <= _FLOAT_TYPES:
+        out.append(_floats(len(obj)))
+        # Python floats only: a sum of np.float64 warns when it overflows.
+        floats += map(float, obj) if np.float64 in kinds else obj
+    elif kinds == _INT_TYPES:
+        out.append("[" + ",".join(map(str, obj)) + "]")
     else:
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(",")
-            _write(item, out)
+            _write(item, out, floats)
         out.append("]")
 
 
 @lru_cache(maxsize=256)
 def _floats(count: int) -> str:
-    """The ``%`` template of ``count`` floats in the report's format, comma-separated."""
-    return ",".join(["%.17g"] * count)
+    """The template of a list of ``count`` floats, brackets included."""
+    return "[" + ",".join([_FLOAT] * count) + "]"
 
 
-@lru_cache(maxsize=4096)
-def _key(key: str) -> str:
-    """A dict key as it appears in the report, with its colon."""
-    return json.dumps(key, ensure_ascii=True) + ":"
+def _string(text: str) -> str:
+    """A string as it appears in the template: JSON, with each ``%`` doubled."""
+    return json.dumps(text, ensure_ascii=True).replace("%", "%%")
 
 
 def sha256_hex(text: str) -> str:

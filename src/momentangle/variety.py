@@ -60,7 +60,6 @@ equations, and with them a link of its own.
 
 from __future__ import annotations
 
-import math
 import weakref
 from dataclasses import dataclass
 from itertools import islice
@@ -377,6 +376,23 @@ def _zero_mask(cfg: Configuration, X: np.ndarray, tol: float = ZERO_TOL) -> np.n
     return re * re + im * im <= tol
 
 
+def _zero_patterns(cfg: Configuration, X: np.ndarray) -> list[tuple[int, ...]]:
+    """The zero pattern of each row of ``X``: the indices of its :func:`_zero_mask`.
+
+    Each row gets one code, the bytes of its packed mask, and each distinct
+    code's tuple is built once, for any ``w_count``: the rows of a block
+    share a handful of patterns.
+    """
+    if not cfg.w_count:
+        return [()] * len(X)
+    zero = _zero_mask(cfg, X)
+    packed = np.packbits(zero, axis=1)
+    codes = packed.view(f"V{packed.shape[1]}")[:, 0].tolist()
+    rows = dict(zip(codes, range(len(codes))))  # a row of each code
+    patterns = {code: tuple(np.flatnonzero(zero[i]).tolist()) for code, i in rows.items()}
+    return [patterns[code] for code in codes]
+
+
 #: Traces of ``J J^T`` that :func:`_jacobian_ranks` screens: far enough from
 #: underflow and overflow that the rounding model of its proof holds.
 _SCREEN_TRACES = (2.0**-900, 2.0**900)
@@ -466,8 +482,7 @@ def _certify_block(
     jac, R = _evaluate(*link, X)
     res_norms = np.max(np.abs(R), axis=1)
     ranks = _jacobian_ranks(jac, rank_tol)
-    zero = _zero_mask(cfg, X)
-    has_zero = zero.any(axis=1).tolist()
+    patterns = _zero_patterns(cfg, X)
 
     out: list[VarietyPoint | NumericalError] = []
     for i, (res_norm, rank) in enumerate(zip(res_norms.tolist(), ranks.tolist())):
@@ -482,7 +497,7 @@ def _certify_block(
             out.append(VarietyPoint(
                 coordinates=X[i],
                 residual_norm=res_norm,
-                zero_pattern=tuple(np.flatnonzero(zero[i]).tolist()) if has_zero[i] else (),
+                zero_pattern=patterns[i],
             ))
     return out
 
@@ -549,6 +564,12 @@ def _start_source():
     re-keys them with counter 0 and an empty buffer, the state
     ``Philox(key=...)`` starts in, so the streams equal a fresh generator
     per attempt bit for bit.
+
+    Each row's squared norm is its own ``row.dot(row)``, as in
+    ``np.linalg.norm`` of one vector; the rows are divided by the square
+    roots all at once after the loop.  A square root and a division are
+    correctly rounded wherever they run, so the starts are those of
+    dividing each row by ``math.sqrt(row.dot(row))`` in the loop, bit for bit.
     """
     key = np.zeros(2, dtype=np.uint64)
     bits = np.random.Philox(key=key)
@@ -559,11 +580,13 @@ def _start_source():
     def draw(seed: int, first: int, size: int, dim: int) -> np.ndarray:
         key[0] = seed % (1 << 64)
         starts = np.empty((size, dim))
-        for index, row in enumerate(starts, first):
-            key[1] = index % (1 << 64)
+        squares = np.empty(size)
+        for i, row in enumerate(starts):
+            key[1] = (first + i) % (1 << 64)
             bits.state = state
             gen.standard_normal(out=row)
-            row /= math.sqrt(row.dot(row))  # np.linalg.norm of a vector, bit for bit
+            squares[i] = row.dot(row)
+        starts /= np.sqrt(squares)[:, None]
         return starts
 
     return draw

@@ -547,6 +547,36 @@ def test_admissibility_invariant_under_power_of_two_scaling(seed, antipodal, pow
     assert check_admissible(scaled, np.ldexp(1e-9, power)) == check_admissible(cfg, 1e-9)
 
 
+def test_hull_certificates_are_scale_invariant(monkeypatch):
+    """The hull weights are solved at unit scale, so scaling lambda and tol
+    by 2^+-66 or 2^+-200 runs no more hull-distance LPs than scale 1.
+    Solved at the caller's scale, these 40 configurations ran 0 LPs at
+    scale 1 and 53 to 58 at each other scale."""
+    lps = []
+    hull_distance = momentangle.config.hull_distance
+    monkeypatch.setattr(momentangle.config, "hull_distance",
+                        lambda points: lps.append(1) or hull_distance(points))
+    configurations = []
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            configurations.append(_planted_violator(rng, "antipodal"))
+        else:
+            m = int(rng.integers(1, 3))
+            n = int(rng.integers(max(4, 2 * m + 1), 9))
+            configurations.append(Configuration(rng.normal(size=(n, m))
+                                                + 1j * rng.normal(size=(n, m))))
+    counts = {}
+    for power in (0, 66, -66, 200, -200):
+        lps.clear()
+        for cfg in configurations:
+            lam = cfg.lambdas
+            check_admissible(Configuration(np.ldexp(lam.real, power) + 1j * np.ldexp(lam.imag, power)),
+                             np.ldexp(1e-9, power))
+        counts[power] = len(lps)
+    assert all(count <= counts[0] for count in counts.values()), counts
+
+
 def test_mixed_admissibility_needs_every_subset(mixed_general_m2):
     assert check_mixed_admissible(mixed_general_m2).admissible
     # Per-component fine, jointly broken: second row constant at 1 fails

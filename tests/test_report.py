@@ -120,11 +120,30 @@ EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e30
                1.7976931348623157e308, 1e-5, -1e-5, 0.5, -0.5, 1e16, 1e17]
 FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS))
 BAD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf])
+#: Zeros of both signs and subnormals, as pinned sample coordinates hold them.
+TINY_FLOATS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310]),
+                        st.floats(allow_subnormal=True, min_value=-1e-307, max_value=1e-307))
+#: Strings with the ``%`` the writer's template doubles.
+TEXT = st.one_of(st.text(max_size=4), st.text(alphabet="%s.17g-0", max_size=6))
+#: Lists of ints mixed with bools and numpy integers, beside all-int lists.
+INT_LISTS = st.lists(st.one_of(st.integers(), st.booleans(),
+                               st.integers(-2**63, 2**63 - 1).map(np.int64),
+                               st.booleans().map(np.bool_)), max_size=6)
+
+
+def _records(floats):
+    """Lists of dicts with one key set, a float list, a float and an int list, like sample points."""
+    floats = st.one_of(floats, TINY_FLOATS)
+    return st.lists(st.fixed_dictionaries({
+        "coordinates": st.lists(floats, min_size=1, max_size=14),
+        "residual": floats,
+        "zero_pattern": st.lists(st.integers(0, 70), max_size=3),
+    }), max_size=4)
 
 
 def _leaves(floats):
     return st.one_of(
-        st.none(), st.booleans(), st.integers(), st.text(max_size=4), floats,
+        st.none(), st.booleans(), st.integers(), TEXT, floats,
         floats.map(np.float64), st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
         st.integers(-2**63, 2**63 - 1).map(np.int64),
         st.booleans().map(np.bool_), st.builds(complex, floats, floats),
@@ -135,10 +154,11 @@ def _leaves(floats):
                            st.just(np.float64(-0.0))), max_size=40),
         st.lists(floats, max_size=6).map(np.array),
         st.lists(st.lists(floats, min_size=2, max_size=2), max_size=3).map(np.array),
+        st.lists(st.integers(), max_size=6), INT_LISTS, _records(floats),
     )
 
 
-def _documents(leaves, keys=st.text(max_size=4)):
+def _documents(leaves, keys=TEXT):
     return st.recursive(leaves, lambda inner: st.one_of(
         st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
         st.dictionaries(keys, inner, max_size=4)), max_leaves=20)
@@ -158,8 +178,14 @@ def test_canonical_json_matches_the_plain_recursion(obj):
     assert canonical_json(obj) == canonical_json_reference(obj)
 
 
+#: A nan or inf, then a dict whose keys are not strings, or the other way round.
+_NAN_THEN_BAD_KEY = st.tuples(BAD_FLOATS, st.dictionaries(st.integers(0, 3), FLOATS, min_size=1))
+
+
 @given(_documents(_leaves(st.one_of(FLOATS, BAD_FLOATS)) | st.builds(object),
-                  st.one_of(st.text(max_size=2), st.integers(0, 3), st.none())))
+                  st.one_of(TEXT, st.integers(0, 3), st.none()))
+       | _NAN_THEN_BAD_KEY.map(list) | _NAN_THEN_BAD_KEY.map(lambda pair: [pair[1], pair[0]])
+       | _NAN_THEN_BAD_KEY.map(lambda pair: {"a": pair[0], "b": pair[1]}))
 @settings(max_examples=200, deadline=None)
 def test_canonical_json_raises_as_the_plain_recursion(obj):
     """nan/inf, non-string keys and unknown types: the same error, the same message."""

@@ -137,6 +137,50 @@ def test_zero_pattern_sampling(mixed_s1, mixed_s2, mixed_general_m2):
         assert np.all(np.abs(p.w_block(mixed_s1)) <= 1e-8)
 
 
+def _zero_pattern_oracle(cfg, X):
+    return [tuple(np.flatnonzero(row).tolist()) for row in variety._zero_mask(cfg, X)]
+
+
+def test_zero_patterns_match_the_mask_on_every_stratum(mixed_general_m3, batch):
+    """Each point's zero pattern is the indices of its zero mask, on the generic
+    points and on each of the seven strata, and so is each row's of one block
+    that stacks all eight."""
+    cfg = mixed_general_m3
+    strata = [None] + [K for size in (1, 2, 3) for K in combinations(range(3), size)]
+    blocks = []
+    for K in strata:
+        points = batch(cfg, 4, K)
+        X = np.array([p.coordinates for p in points])
+        assert [p.zero_pattern for p in points] == _zero_pattern_oracle(cfg, X)
+        assert {p.zero_pattern for p in points} == {K or ()}
+        blocks.append(X)
+    X = np.concatenate(blocks)[np.random.default_rng(0).permutation(4 * len(strata))]
+    assert variety._zero_patterns(cfg, X) == _zero_pattern_oracle(cfg, X)
+
+
+def test_zero_patterns_match_the_mask_beyond_63_w_coordinates():
+    """A mixed-m1 link with s = 70: the codes of the zero masks are wider than
+    one 64-bit word, on sampled points and on rows with random masks."""
+    cfg = Configuration(lambdas=roots_of_unity(5, (1,)), kind="mixed-m1", s=70)
+    strata = [(0, 7, 8, 62, 63, 64, 69), (64,), (69,), (0, 69)]
+    points = [p for K in strata for p in sample_with_zero_pattern(cfg, K, 2, seed=0)]
+    points += sample_points(cfg, 2, seed=0)
+    X = np.array([p.coordinates for p in points])
+    assert [p.zero_pattern for p in points] == _zero_pattern_oracle(cfg, X)
+    assert [p.zero_pattern for p in points] == [K for K in strata for _ in range(2)] + [()] * 2
+    assert variety._zero_patterns(cfg, X) == _zero_pattern_oracle(cfg, X)
+    rng = np.random.default_rng(7)
+    X = rng.normal(size=(40, cfg.ambient_real_dim))
+    masks = rng.random((8, cfg.w_count)) < 0.3
+    masks[0] = False
+    masks[1] = True
+    masks[3] = masks[2]
+    masks[3, 66] = not masks[2, 66]  # two masks that differ past the 64th w only
+    pinned = np.repeat(masks[rng.integers(0, 8, size=40)], 2, axis=1)
+    X[:, : 2 * cfg.w_count][pinned] = 0.0
+    assert variety._zero_patterns(cfg, X) == _zero_pattern_oracle(cfg, X)
+
+
 def test_zero_pattern_validation(pentagon, mixed_general_m2):
     with pytest.raises(StructuralError):
         sample_with_zero_pattern(pentagon, (0,), 1)
