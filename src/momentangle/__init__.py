@@ -10,11 +10,13 @@ from .config import (
     check_regularity_rank,
     check_siegel,
     check_weak_hyperbolicity,
+    complexify,
     configuration_from_dict,
     configuration_to_dict,
     hull_distance,
     load_configuration,
     origin_in_hull,
+    realify,
 )
 from .errors import (
     NumericalError,
@@ -78,11 +80,9 @@ from .actions import (
 from .variety import (
     VarietyPoint,
     certify,
-    complexify,
     evaluate_system,
     jacobian_rank,
     project_to_variety,
-    realify,
     sample_points,
     sample_with_zero_pattern,
     system_jacobian,

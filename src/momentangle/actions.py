@@ -13,7 +13,7 @@ Three commuting symmetry layers act on the links:
   display.)
 
 All actions preserve the defining residuals analytically; the implementations
-re-certify numerically and return fresh points.
+re-certify numerically, at :data:`.variety.DEFAULT_TOL`, and return fresh points.
 
 The branched covering ``p`` sends (w, z) to z/|z| on the unit sphere.  Its
 fibers are computed by radial rescaling: a unit direction zhat lifts to
@@ -48,7 +48,7 @@ from itertools import product
 
 import numpy as np
 
-from .config import DEFAULT_RANK_TOL, Configuration, check_tolerances, in_tie_band
+from .config import DEFAULT_RANK_TOL, Configuration, check_tolerances, in_tie_band, realify
 from .errors import NumericalError, StructuralError
 from .variety import (
     _ATTEMPT_BLOCK,
@@ -59,7 +59,6 @@ from .variety import (
     _link,
     _zero_mask,
     certify,
-    realify,
 )
 
 UNIT_TOL = 1e-12
@@ -121,8 +120,7 @@ def _validate_signs(signs: np.ndarray) -> None:
         raise StructuralError("signs must be exactly +1 or -1")
 
 
-def torus_act(cfg: Configuration, point: VarietyPoint, phases,
-              tol: float = DEFAULT_TOL) -> VarietyPoint:
+def torus_act(cfg: Configuration, point: VarietyPoint, phases) -> VarietyPoint:
     """Rotate each z_j by the unit phase u_j; w block untouched."""
     u = np.atleast_1d(np.asarray(phases, dtype=complex))
     if u.shape != (cfg.n,):
@@ -130,11 +128,10 @@ def torus_act(cfg: Configuration, point: VarietyPoint, phases,
     _validate_phases(u)
     w = point.w_block(cfg)
     z = point.z_block(cfg)
-    return certify(cfg, realify(np.concatenate([w, u * z])), tol=tol)
+    return certify(cfg, realify(np.concatenate([w, u * z])))
 
 
-def sign_act(cfg: Configuration, point: VarietyPoint, signs,
-             tol: float = DEFAULT_TOL) -> VarietyPoint:
+def sign_act(cfg: Configuration, point: VarietyPoint, signs) -> VarietyPoint:
     """Flip the signs of chosen w_k (mixed-general links only)."""
     if cfg.kind != "mixed-general":
         raise StructuralError("the sign action is defined for mixed-general links")
@@ -144,11 +141,10 @@ def sign_act(cfg: Configuration, point: VarietyPoint, signs,
     _validate_signs(sigma)
     w = point.w_block(cfg)
     z = point.z_block(cfg)
-    return certify(cfg, realify(np.concatenate([sigma * w, z])), tol=tol)
+    return certify(cfg, realify(np.concatenate([sigma * w, z])))
 
 
-def foliation_flow(cfg: Configuration, point: VarietyPoint, T,
-                   tol: float = DEFAULT_TOL) -> VarietyPoint:
+def foliation_flow(cfg: Configuration, point: VarietyPoint, T) -> VarietyPoint:
     """Time-one map of the leafwise flow with parameter T (classical links).
 
     The velocity at T = 0 is the closed-form kernel vector v(T, 0); tests
@@ -163,7 +159,7 @@ def foliation_flow(cfg: Configuration, point: VarietyPoint, T,
     c = 2.0 * np.real(cfg.lambdas @ T_arr)
     phases = np.exp(-1j * c / cfg.weights_b)
     z = point.z_block(cfg)
-    return certify(cfg, realify(phases * z), tol=tol)
+    return certify(cfg, realify(phases * z))
 
 
 def branched_cover(cfg: Configuration, point: VarietyPoint) -> np.ndarray:

@@ -11,9 +11,10 @@ count     number of weight cycles N(n) up to rotation (or +reflection)
 sample    draw and certify points, optionally on a stratum
 
 Exit codes: 0 = pass, 1 = verification or admissibility failure,
-2 = usage/parse/structural error.  All numbers print with 17 significant
-digits; pass ``--json PATH`` to write a canonical JSON report whose bytes
-depend only on the manifest (config, seed, tolerances, flags, timestamp).
+2 = usage/parse/structural error or a report that cannot be written.  All
+numbers print with 17 significant digits; pass ``--json PATH`` to write a
+canonical JSON report whose bytes depend only on the manifest (config,
+seed, tolerances, flags, timestamp).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import numpy as np
 from . import __version__
 from .config import (
     DEFAULT_RANK_TOL,
+    HULL_TOL,
     check_admissible,
     check_mixed_admissible,
     complexify,
@@ -38,9 +40,10 @@ from .errors import NumericalError, StructuralError
 from .forms import VOLUME_MODULUS_RTOL, evaluate_stack, vanishes, volume_sign
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
-from .toric import _checked_scale, _gale_polytope
+from .toric import FEASIBILITY_TOL, _checked_scale, _gale_polytope
 from .actions import _fibers
-from .variety import ZERO_TOL, _sample, _stratum
+from .variety import (DEFAULT_TOL, ZERO_TOL, _sample, _stratum, sample_points,
+                      sample_with_zero_pattern)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -84,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide admissibility of a configuration")
     p.add_argument("config")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=HULL_TOL)
     _common_flags(p)
     p.set_defaults(func=cmd_check)
 
@@ -92,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--samples", type=int, default=20, help="samples per stratum")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     _common_flags(p)
     p.set_defaults(func=cmd_verify)
@@ -107,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gale", help="Gale-transform polytope of a configuration")
     p.add_argument("config")
     p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=FEASIBILITY_TOL)
     _common_flags(p)
     p.set_defaults(func=cmd_gale)
 
@@ -131,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--rank-tol", type=float, default=DEFAULT_RANK_TOL)
     p.add_argument("--pattern", help="comma-separated w indices to pin to zero "
                                      "(mixed-general)")
@@ -156,12 +159,14 @@ def _checked_samples(samples: int) -> int:
     return samples
 
 
-def _manifest(args, command: str, cfg_dict: dict | None, tolerances: dict) -> RunManifest:
+def _manifest(args, command: str, cfg, tolerances: dict) -> RunManifest:
+    """The run's manifest; ``cfg`` is the loaded configuration, hashed, or None."""
     timestamp = args.timestamp or datetime.now(timezone.utc).isoformat()
+    cfg_hash = None if cfg is None else sha256_hex(canonical_json(configuration_to_dict(cfg)))
     return RunManifest(
         command=command,
         config_path=getattr(args, "config", None),
-        config_hash=None if cfg_dict is None else sha256_hex(canonical_json(cfg_dict)),
+        config_hash=cfg_hash,
         seed=getattr(args, "seed", None),
         tolerances=tolerances,
         timestamp=timestamp,
@@ -170,9 +175,14 @@ def _manifest(args, command: str, cfg_dict: dict | None, tolerances: dict) -> Ru
 
 
 def _emit(args, manifest: RunManifest, result: dict) -> None:
+    """Write the report to ``--json``, if given; a path that cannot be written is a usage error."""
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(build_report(manifest, result))
+        report = build_report(manifest, result)
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            raise StructuralError(f"cannot write report: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +191,7 @@ def _emit(args, manifest: RunManifest, result: dict) -> None:
 
 def cmd_check(args) -> int:
     cfg = load_configuration(args.config)
-    cfg_dict = configuration_to_dict(cfg)
-    manifest = _manifest(args, "check", cfg_dict, {"tol": args.tol})
+    manifest = _manifest(args, "check", cfg, {"tol": args.tol})
 
     if cfg.kind == "classical" or cfg.m == 1:
         report = check_admissible(cfg, args.tol)
@@ -246,8 +255,7 @@ def _verification_cases(cfg, samples, seed, tol, rank_tol):
 
 def cmd_verify(args) -> int:
     cfg = load_configuration(args.config)
-    cfg_dict = configuration_to_dict(cfg)
-    manifest = _manifest(args, "verify", cfg_dict,
+    manifest = _manifest(args, "verify", cfg,
                          {"tol": args.tol, "rank_tol": args.rank_tol})
 
     cases = _verification_cases(cfg, _checked_samples(args.samples), args.seed, args.tol,
@@ -309,15 +317,14 @@ def cmd_classify(args) -> int:
         except ValueError as exc:
             raise StructuralError(f"cannot parse weights {args.weights!r}") from exc
         weights = CyclicWeights(parsed)  # its StructuralError is a ValueError too
-        cfg_dict = None
+        cfg = None
         source = {"weights": list(weights.weights)}
     else:
         cfg = load_configuration(args.config)
-        cfg_dict = configuration_to_dict(cfg)
         weights = normalize_configuration(cfg)
         source = {"normalized_weights": list(weights.weights)}
         print(f"normalized weights: {','.join(str(x) for x in weights.weights)}")
-    manifest = _manifest(args, "classify", cfg_dict, manifest_tols)
+    manifest = _manifest(args, "classify", cfg, manifest_tols)
 
     diffeo = classify(weights, args.s)
     print(f"{diffeo.description()}, dim {diffeo.manifold_dimension}")
@@ -338,8 +345,7 @@ def cmd_classify(args) -> int:
 def cmd_gale(args) -> int:
     cfg = load_configuration(args.config)
     c = _checked_scale(cfg, args.c)
-    cfg_dict = configuration_to_dict(cfg)
-    manifest = _manifest(args, "gale", cfg_dict, {"tol": args.tol, "c": args.c})
+    manifest = _manifest(args, "gale", cfg, {"tol": args.tol, "c": args.c})
 
     report = check_admissible(cfg, args.tol)
     if not report.admissible:
@@ -360,8 +366,7 @@ def cmd_gale(args) -> int:
 
 def cmd_cover(args) -> int:
     cfg = load_configuration(args.config)
-    cfg_dict = configuration_to_dict(cfg)
-    manifest = _manifest(args, "cover", cfg_dict, {"tol": args.tol})
+    manifest = _manifest(args, "cover", cfg, {"tol": args.tol})
 
     directions: list[np.ndarray] = []
     if args.direction:
@@ -412,23 +417,22 @@ def cmd_count(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg = load_configuration(args.config)
-    cfg_dict = configuration_to_dict(cfg)
-    manifest = _manifest(args, "sample", cfg_dict,
-                         {"tol": args.tol, "rank_tol": args.rank_tol})
+    manifest = _manifest(args, "sample", cfg, {"tol": args.tol, "rank_tol": args.rank_tol})
 
-    if args.pattern and args.null_stratum:
+    if args.pattern is not None and args.null_stratum:
         raise StructuralError("--pattern and --null-stratum are mutually exclusive")
-    pinned, null_sum = [], False
-    if args.pattern:
+    count = _checked_samples(args.samples)
+    if args.pattern is not None:
         try:
             pattern = tuple(int(x) for x in args.pattern.split(","))
         except ValueError as exc:
             raise StructuralError(f"cannot parse pattern {args.pattern!r}") from exc
-        pinned, null_sum = _stratum(cfg, pattern)
+        points = sample_with_zero_pattern(cfg, pattern, count, args.seed, args.tol,
+                                          args.rank_tol)
     elif args.null_stratum:
-        pinned, null_sum = _stratum(cfg, None)
-    (points,) = _sample(cfg, [(pinned, args.seed, _checked_samples(args.samples))], args.tol,
-                        args.rank_tol, null_sum=null_sum)
+        points = sample_with_zero_pattern(cfg, None, count, args.seed, args.tol, args.rank_tol)
+    else:
+        points = sample_points(cfg, count, args.seed, args.tol, args.rank_tol)
 
     worst = max(p.residual_norm for p in points)
     print(f"certified {len(points)} points; worst residual {format_float(worst)}")

@@ -56,7 +56,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, islice
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -72,9 +72,14 @@ DEGENERACY_BAND = 10.0
 #: Relative numerical-rank cut (see :func:`numerical_rank`).
 DEFAULT_RANK_TOL = 1e-8
 
-#: Subsets per stacked ``slogdet`` in :func:`check_weak_hyperbolicity`, and
-#: bases per stacked solve in :func:`.toric._vertices`.  Bounds the memory for
-#: large C(n, 2m) and the work done before an early exit.
+#: Default hull-distance cut of the hull verdicts (:func:`origin_in_hull`,
+#: the Siegel and weak-hyperbolicity checks) and of the ``check`` command.
+HULL_TOL = 1e-9
+
+#: Rows per block of :func:`_subset_blocks`: subsets per stacked ``slogdet`` in
+#: :func:`check_weak_hyperbolicity`, and bases per stacked solve in
+#: :func:`.toric._vertices`.  Bounds the memory for large C(n, 2m) and the
+#: work done before an early exit.
 _SUBSET_BLOCK = 256
 
 #: Squared Frobenius norm below which :func:`_sigma_min_floors` proves
@@ -269,6 +274,19 @@ class MixedAdmissibilityReport:
         return tuple(K for K, rep in sorted(self.reports.items()) if not rep.admissible)
 
 
+def _subset_blocks(n: int, k: int) -> Iterator[np.ndarray]:
+    """The k-subsets of range(n) in lexicographic order, as blocks of index rows.
+
+    Each block is an ``(rows, k)`` array with at most :data:`_SUBSET_BLOCK`
+    rows, in ``itertools.combinations`` order.  Built flat, then reshaped:
+    ``fromiter`` takes ints 2.5 times faster than k-tuples.
+    """
+    subsets = combinations(range(n), k)
+    while len(block := np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_BLOCK)),
+                                   np.intp).reshape(-1, k)):
+        yield block
+
+
 def realify(values: np.ndarray) -> np.ndarray:
     """Interleave a complex vector into (Re, Im, Re, Im, ...), along the last axis."""
     values = np.asarray(values, dtype=complex)
@@ -448,7 +466,7 @@ def _hull_verdict(points: np.ndarray, tol: float) -> tuple[bool, bool]:
     return dist <= tol, in_tie_band(dist, tol)
 
 
-def origin_in_hull(points: np.ndarray, tol: float = 1e-9) -> bool:
+def origin_in_hull(points: np.ndarray, tol: float = HULL_TOL) -> bool:
     """Whether the origin lies in the convex hull of the rows of ``points``.
 
     The verdict of :func:`_hull_verdict`: a hull distance of at most ``tol``.
@@ -529,7 +547,7 @@ def check_tolerances(tol: float, rank_tol: float = DEFAULT_RANK_TOL) -> None:
         raise StructuralError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
 
 
-def check_siegel(cfg: Configuration, tol: float = 1e-9) -> tuple[bool, bool]:
+def check_siegel(cfg: Configuration, tol: float = HULL_TOL) -> tuple[bool, bool]:
     """Siegel condition: 0 in H(Lambda).  Returns ``(verdict, degenerate)``.
 
     ``degenerate`` is set when the hull distance lies in the tie band
@@ -563,7 +581,7 @@ def _sigma_min_floors(mats: np.ndarray) -> np.ndarray:
 
 
 def check_weak_hyperbolicity(
-    cfg: Configuration, tol: float = 1e-9
+    cfg: Configuration, tol: float = HULL_TOL
 ) -> tuple[bool, tuple[int, ...] | None, bool]:
     """Weak hyperbolicity: 0 not in the hull of any 2m of the lambda_j.
 
@@ -639,11 +657,8 @@ def check_weak_hyperbolicity(
         cut = size * max(math.ldexp(DEGENERACY_BAND * tol, -shift), sys.float_info.min)
     except OverflowError:  # a cut above every hull distance clears nothing
         cut = math.inf
-    subsets = combinations(range(cfg.n), size)
     degenerate = False
-    # Flat, then reshaped: fromiter takes ints 2.5 times faster than k-tuples.
-    while len(block := np.fromiter(chain.from_iterable(islice(subsets, _SUBSET_BLOCK)),
-                                   np.intp).reshape(-1, size)):
+    for block in _subset_blocks(cfg.n, size):
         cleared = _sigma_min_floors(scaled[block]) > cut
         for subset in map(tuple, block[~cleared].tolist()):
             inside, tie = _hull_verdict(pts[list(subset)], tol)
@@ -660,7 +675,7 @@ def hull_dimension(cfg: Configuration, rank_tol: float = DEFAULT_RANK_TOL) -> in
     return int(numerical_rank(sigma, rank_tol))
 
 
-def check_admissible(cfg: Configuration, tol: float = 1e-9) -> AdmissibilityReport:
+def check_admissible(cfg: Configuration, tol: float = HULL_TOL) -> AdmissibilityReport:
     """Decide admissibility (Siegel + weak hyperbolicity) of a configuration.
 
     Ties at the tolerance boundary — hull distances inside the band
@@ -680,7 +695,8 @@ def check_admissible(cfg: Configuration, tol: float = 1e-9) -> AdmissibilityRepo
     )
 
 
-def check_mixed_admissible(cfg: Configuration, tol: float = 1e-9) -> MixedAdmissibilityReport:
+def check_mixed_admissible(cfg: Configuration,
+                           tol: float = HULL_TOL) -> MixedAdmissibilityReport:
     """Admissibility of every nonempty sub-configuration (lambda^k_j)_{k in K}.
 
     For mixed varieties the quadrics indexed by a subset K keep acting on the

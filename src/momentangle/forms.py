@@ -118,11 +118,12 @@ from math import factorial
 
 import numpy as np
 
-from .config import DEFAULT_RANK_TOL, Configuration, in_tie_band, numerical_rank, rank_cut
+from .config import (DEFAULT_RANK_TOL, Configuration, complexify, in_tie_band, numerical_rank,
+                     rank_cut, realify)
 from .errors import NumericalError, StructuralError
 from .pfaffian import _pfaffians
 from .variety import (_ATTEMPT_BLOCK, VarietyPoint, _ambient, _tangent_frames, _zero_mask,
-                      complexify, realify, tangent_frame)
+                      tangent_frame)
 
 
 @dataclass(frozen=True)

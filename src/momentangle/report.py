@@ -3,15 +3,17 @@
 Reports must be byte-identical across runs with the same inputs, so the JSON
 writer here is deliberately manual: keys sorted, compact separators, floats
 always rendered with 17 significant digits (enough to round-trip IEEE
-doubles), no locale or whitespace variation.  Complex numbers serialize as
-[re, im] pairs, matching the configuration schema.
+doubles), no locale or whitespace variation.  A report is made of JSON's
+types only: dict, list (or tuple), str, int, float, bool and None, each of
+exactly that type.  Producers convert NumPy values with ``.tolist()``,
+``float(...)`` or ``int(...)``; anything else raises ``TypeError``.
 
 :func:`canonical_json` walks the document once and writes a ``%`` template:
 each float becomes a ``%.17g`` placeholder and goes into a list, and a ``%``
 in a string or key is written ``%%``.  One ``%`` then formats every float of
 the report.  Before it, the floats are checked: a nan or inf raises
 ``ValueError`` (:func:`format_float`'s), and every -0.0 becomes 0.  A bad
-key or an unknown type raises ``TypeError`` where the walk meets it, after
+key or any other type raises ``TypeError`` where the walk meets it, after
 a nan or inf met before it: the error, and its message, are those of one
 plain recursion that formats each float where it stands.
 """
@@ -23,8 +25,6 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 
 def format_float(value: float) -> str:
@@ -64,7 +64,6 @@ _FLOAT = "%.17g"
 
 
 def _write(obj, out: list[str], floats: list[float]) -> None:
-    # The exact types a report is made of first, then every type by isinstance.
     kind = type(obj)
     if kind is float:
         out.append(_FLOAT)
@@ -77,37 +76,12 @@ def _write(obj, out: list[str], floats: list[float]) -> None:
         out.append(_string(obj))
     elif kind is int:
         out.append(str(obj))
-    else:
-        _write_other(obj, out, floats)
-
-
-def _write_other(obj, out: list[str], floats: list[float]) -> None:
-    # No two branches match one value.
-    if isinstance(obj, float):  # np.float64 is a float too
-        out.append(_FLOAT)
-        floats.append(float(obj))
-    elif isinstance(obj, dict):
-        _write_dict(obj, out, floats)
-    elif isinstance(obj, (list, tuple)):
-        _write_list(obj, out, floats)
-    elif isinstance(obj, str):
-        out.append(_string(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
     elif obj is None:
         out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, np.floating):
-        out.append(_FLOAT)
-        floats.append(float(obj))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        out.append("[%.17g,%.17g]")
-        floats += float(obj.real), float(obj.imag)
-    elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), out, floats)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+        raise TypeError(f"cannot serialize {kind.__name__} into a report")
 
 
 def _write_dict(obj: dict, out: list[str], floats: list[float]) -> None:
@@ -133,19 +107,15 @@ def _keys(keys: tuple) -> tuple[tuple[str, str], ...]:
     return tuple(texts)
 
 
-_FLOAT_TYPES, _INT_TYPES = frozenset({float, np.float64}), frozenset({int})
-
-
 def _write_list(obj, out: list[str], floats: list[float]) -> None:
     if not obj:
         out.append("[]")
         return
     kinds = set(map(type, obj))
-    if kinds <= _FLOAT_TYPES:
+    if kinds == {float}:
         out.append(_floats(len(obj)))
-        # Python floats only: a sum of np.float64 warns when it overflows.
-        floats += map(float, obj) if np.float64 in kinds else obj
-    elif kinds == _INT_TYPES:
+        floats += obj
+    elif kinds == {int}:
         out.append("[" + ",".join(map(str, obj)) + "]")
     else:
         out.append("[")

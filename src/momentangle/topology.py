@@ -33,7 +33,7 @@ from math import comb, gcd
 
 import numpy as np
 
-from .config import Configuration, _is_int, check_admissible
+from .config import Configuration, _is_int, check_admissible, check_tolerances
 from .errors import StructuralError
 
 ANGULAR_TOL = 1e-9
@@ -155,8 +155,10 @@ def normalize_configuration(
 
     Raises if some lambda_j comes within ``angular_tol`` of an antipode —
     that is a weak-hyperbolicity failure at tolerance scale, and the grouping
-    would be arbitrary.
+    would be arbitrary.  An ``angular_tol`` that is not finite and positive
+    raises StructuralError.
     """
+    check_tolerances(angular_tol)
     if cfg.m != 1:
         raise StructuralError("normalization is defined for planar (m = 1) configurations")
     report = check_admissible(cfg)

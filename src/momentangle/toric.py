@@ -40,17 +40,16 @@ w^2 + F(z) = 0 actually induce; the big-moment-map residual test pins it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import combinations, islice
 
 import numpy as np
 
 from .config import (
-    _SUBSET_BLOCK,
     Configuration,
     _hull_verdict,
     _hull_weights,
     _is_int,
     _solve_rows,
+    _subset_blocks,
     check_admissible,
     check_mixed_admissible,
     check_tolerances,
@@ -81,6 +80,7 @@ class PolytopeDescription:
     dim: int
 
     def contains(self, x, tol: float = FEASIBILITY_TOL) -> bool:
+        check_tolerances(tol)
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient_dim,):
             raise StructuralError(f"expected a vector of length {self.ambient_dim}")
@@ -168,8 +168,7 @@ def _vertices(A: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     # r rows with the solutions of At = b, when it is consistent
     rows, rhs = u[:, :r].T @ A, u[:, :r].T @ b
     found: list[np.ndarray] = []
-    bases = combinations(range(n), r)
-    while len(block := np.fromiter(islice(bases, _SUBSET_BLOCK), np.dtype((np.intp, r)))):
+    for block in _subset_blocks(n, r):
         mats = rows.T[block].transpose(0, 2, 1)
         sol = _solve_rows(mats, np.broadcast_to(rhs, block.shape)[..., None])[..., 0]
         ok = np.all(np.isfinite(sol) & (sol >= -1e-11), axis=1)
@@ -219,8 +218,11 @@ def gale_transform(cfg: Configuration, c: float = 1.0,
 
 
 def _checked_scale(cfg: Configuration, c) -> float:
-    """c as a float; :class:`StructuralError` unless it is positive and finite, and so is c * lambda."""
-    c = float(np.real(c)) if np.isreal(c) else np.nan
+    """c as a float; :class:`StructuralError` unless it is positive and finite, and so is c * lambda.
+
+    A bool is not a scale: ``True`` would otherwise pass as c = 1.
+    """
+    c = float(np.real(c)) if np.isreal(c) and not isinstance(c, (bool, np.bool_)) else np.nan
     if not (0 < c < np.inf and c * float(np.max(np.abs(realify(cfg.lambdas)))) < np.inf):
         raise StructuralError("c must be a positive finite real, with c * lambda finite")
     return c

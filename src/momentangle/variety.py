@@ -67,8 +67,7 @@ from itertools import islice
 import numpy as np
 
 from .config import (DEFAULT_RANK_TOL, Configuration, _is_int, _solve_rows, check_tolerances,
-                     numerical_rank)
-from .config import complexify, realify  # noqa: F401  (realify is re-exported)
+                     complexify, numerical_rank)
 from .errors import (
     NumericalError,
     ProjectionError,
@@ -234,15 +233,18 @@ def _gauss_newton_steps(jac: np.ndarray, rhs: np.ndarray, rhs_max: np.ndarray) -
 def _min_norm_steps(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solutions of ``jac[i] @ step = rhs[i]``, by SVD.
 
-    The singular-value cut is ``lstsq``'s: ``eps * max(M, N) * sigma_1``.
+    The singular-value cut is ``lstsq``'s: ``eps * max(M, N) * sigma_1``, the
+    :func:`.config.numerical_rank` cut at ``rank_tol = eps * max(M, N)``.  The
+    values are in descending order, so those above it are the first ``rank``.
     The exact fallback of :func:`_gauss_newton_steps`, for the rows whose
     normal-equation step fails its check.  A step lies in range(J^T), so it
     is set to exactly zero on the zero columns of ``jac``, where the SVD
     leaves rounding: a stratum's pinned coordinates are such columns.
     """
     u, sigma, vh = np.linalg.svd(jac, full_matrices=False)
-    cut = _EPS * max(jac.shape[1:]) * sigma[:, :1]
-    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=sigma > cut)
+    rank = numerical_rank(sigma, _EPS * max(jac.shape[1:]))
+    kept = np.arange(sigma.shape[1]) < rank[:, None]
+    inv = np.divide(1.0, sigma, out=np.zeros_like(sigma), where=kept)
     coef = (rhs[:, None, :] @ u)[:, 0] * inv
     step = (coef[:, None, :] @ vh)[:, 0]
     step[~jac.any(axis=1)] = 0.0

@@ -816,35 +816,30 @@ def _format_float_reference(value) -> str:
 def canonical_json_reference(obj) -> str:
     """Canonical report JSON by one plain recursion: sorted keys, compact
     separators, every float through ``format(x, ".17g")`` with -0.0 written
-    as 0 and nan/inf raising ``ValueError``, complex numbers as [re, im]."""
+    as 0 and nan/inf raising ``ValueError``.  JSON's types only, each of
+    exactly that type: any other value raises ``TypeError``."""
     out: list[str] = []
 
     def write(obj) -> None:
-        if isinstance(obj, float):  # np.float64 is a float too
+        kind = type(obj)
+        if kind is float:
             out.append(_format_float_reference(obj))
         elif obj is None:
             out.append("null")
-        elif isinstance(obj, bool) or isinstance(obj, np.bool_):
+        elif kind is bool:
             out.append("true" if obj else "false")
-        elif isinstance(obj, (int, np.integer)):
-            out.append(str(int(obj)))
-        elif isinstance(obj, np.floating):
-            out.append(_format_float_reference(float(obj)))
-        elif isinstance(obj, (complex, np.complexfloating)):
-            out.append(f"[{_format_float_reference(obj.real)},"
-                       f"{_format_float_reference(obj.imag)}]")
-        elif isinstance(obj, str):
+        elif kind is int:
+            out.append(str(obj))
+        elif kind is str:
             out.append(json.dumps(obj, ensure_ascii=True))
-        elif isinstance(obj, np.ndarray):
-            write(obj.tolist())
-        elif isinstance(obj, (list, tuple)):
+        elif kind in (list, tuple):
             out.append("[")
             for i, item in enumerate(obj):
                 if i:
                     out.append(",")
                 write(item)
             out.append("]")
-        elif isinstance(obj, dict):
+        elif kind is dict:
             out.append("{")
             for i, key in enumerate(sorted(obj)):
                 if not isinstance(key, str):
@@ -856,7 +851,7 @@ def canonical_json_reference(obj) -> str:
                 write(obj[key])
             out.append("}")
         else:
-            raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+            raise TypeError(f"cannot serialize {kind.__name__} into a report")
 
     write(obj)
     return "".join(out)

@@ -622,6 +622,37 @@ def test_sample_bad_pattern_exits_two(tmp_path, mixed_general_m2, capsys):
     assert main(["sample", path, "--pattern", "7"]) == 2
 
 
+def test_sample_empty_pattern_exits_two(tmp_path, mixed_general_m2, capsys):
+    """An empty ``--pattern`` is a pattern that does not parse, not a missing one."""
+    path = write_config(tmp_path, mixed_general_m2)
+    assert main(["sample", path, "--pattern", "", "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot parse pattern ''\n"
+    assert captured.out == ""
+
+
+def test_sample_empty_pattern_and_null_stratum_conflict(tmp_path, mixed_s2, capsys):
+    path = write_config(tmp_path, mixed_s2)
+    assert main(["sample", path, "--pattern", "", "--null-stratum", "--samples", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "mutually exclusive" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, option, constant", [
+    ("check", "--tol", momentangle.config.HULL_TOL),
+    ("verify", "--tol", momentangle.variety.DEFAULT_TOL),
+    ("verify", "--rank-tol", momentangle.config.DEFAULT_RANK_TOL),
+    ("gale", "--tol", momentangle.toric.FEASIBILITY_TOL),
+    ("cover", "--tol", momentangle.variety.ZERO_TOL),
+    ("sample", "--tol", momentangle.variety.DEFAULT_TOL),
+    ("sample", "--rank-tol", momentangle.config.DEFAULT_RANK_TOL),
+])
+def test_tolerance_defaults_are_the_library_constants(command, option, constant):
+    args = cli._build_parser().parse_args([command, "cfg.json"])
+    assert getattr(args, option[2:].replace("-", "_")) == constant
+
+
 TOLERANCE_FLAGS = [
     ["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"], ["--tol", "-1"],
     ["--rank-tol", "nan"], ["--rank-tol", "2"], ["--rank-tol", "-1"],
@@ -646,6 +677,20 @@ def test_tolerances_outside_their_range_exit_two(tmp_path, pentagon, mixed_gener
     assert "error:" in captured.err
     assert captured.out == ""
     assert not report.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "verify", "count"])
+def test_an_unwritable_report_path_exits_two(tmp_path, pentagon, capsys, command):
+    """The verdict is printed, then the report cannot be written: a usage error, not a crash."""
+    path = write_config(tmp_path, pentagon)
+    argv = {"check": ["check", path], "verify": ["verify", path, "--samples", "2"],
+            "count": ["count", "--n", "5"]}[command]
+    report = tmp_path / "missing" / "report.json"
+    assert main(argv + ["--json", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write report: ")
+    assert captured.out
+    assert not report.parent.exists()
 
 
 # ---------------------------------------------------------------------------

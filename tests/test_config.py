@@ -3,6 +3,7 @@
 import copy
 import json
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,11 +29,14 @@ from momentangle import (
     isotropy_stratum,
     load_configuration,
     moment_image_check,
+    normalize_configuration,
     origin_in_hull,
 )
 from momentangle.config import (
+    _SUBSET_BLOCK,
     DEGENERACY_BAND,
     _sigma_min_floors,
+    _subset_blocks,
     _unit_scale,
     complexify,
     in_tie_band,
@@ -688,15 +692,18 @@ def test_boundary_rejects_bools_and_non_finite_numbers(pentagon, mixed_s2, capfd
 @pytest.mark.parametrize("name", [
     "origin_in_hull", "check_siegel", "check_weak_hyperbolicity", "check_admissible",
     "check_mixed_admissible", "gale_transform", "fiber_polytope", "moment_image_check",
-    "fiber_count", "fiber_points", "isotropy_stratum"])
+    "fiber_count", "fiber_points", "isotropy_stratum", "normalize_configuration", "contains"])
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0, True])
 def test_public_functions_reject_a_malformed_tol(pentagon, mixed_general_m2, batch, name, tol):
     """A tol that is not finite and positive raises at the boundary instead
     of deciding: with tol = -1, fiber_count over the uniform direction of
     the 7-gon m = 2 configuration gave 4 where the default gives 1,
     tol = inf put the origin in any hull, and tol = True ran at tol = 1 and
-    called the pentagon not admissible."""
+    called the pentagon not admissible.  An angular_tol of -1 or nan skipped
+    normalize_configuration's antipode guard, and contains(vertex, -1)
+    called a polytope's own vertex outside it."""
     mixed, point, direction = mixed_general_m2, batch(mixed_general_m2, 1)[0], np.arange(1.0, 8.0)
+    gale = gale_transform(pentagon)
     call = {
         "origin_in_hull": lambda t: origin_in_hull(pentagon.realified_lambdas(), t),
         "check_siegel": lambda t: check_siegel(pentagon, t),
@@ -709,10 +716,22 @@ def test_public_functions_reject_a_malformed_tol(pentagon, mixed_general_m2, bat
         "fiber_count": lambda t: fiber_count(mixed, direction, t),
         "fiber_points": lambda t: fiber_points(mixed, direction, t),
         "isotropy_stratum": lambda t: isotropy_stratum(mixed, point, t),
+        "normalize_configuration": lambda t: normalize_configuration(pentagon, t),
+        "contains": lambda t: gale.contains(gale.vertices[0], t),
     }[name]
     call(1e-8)
     with pytest.raises(StructuralError, match="tol must be finite and positive"):
         call(tol)
+
+
+@pytest.mark.parametrize("n, k", [(8, 4), (256, 1), (257, 1)])  # C(n, k) = 70, 256, 257
+def test_subset_blocks_walk_the_combinations_in_order(n, k):
+    blocks = list(_subset_blocks(n, k))
+    assert [len(block) for block in blocks[:-1]] == [_SUBSET_BLOCK] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= _SUBSET_BLOCK
+    assert all(block.shape[1:] == (k,) and block.dtype == np.intp for block in blocks)
+    assert [tuple(row) for block in blocks for row in block.tolist()] == list(
+        combinations(range(n), k))
 
 
 # Integers stay small: a large ``s`` is legal and allocates that many

@@ -85,7 +85,7 @@ def test_gale_vertices_do_not_depend_on_c(pentagon, c):
     np.testing.assert_array_equal(b.equalities[-1][0], a.equalities[-1][0])
 
 
-@pytest.mark.parametrize("c", [np.inf, np.nan, 0.0, -1.0])
+@pytest.mark.parametrize("c", [np.inf, np.nan, 0.0, -1.0, True, np.bool_(True)])
 def test_gale_rejects_a_scale_that_is_not_positive_and_finite(pentagon, c):
     with pytest.raises(StructuralError, match="positive finite"):
         gale_transform(pentagon, c=c)
