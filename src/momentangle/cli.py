@@ -13,8 +13,13 @@ sample    draw and certify points, optionally on a stratum
 Exit codes: 0 = pass, 1 = verification or admissibility failure,
 2 = usage/parse/structural error or a report that cannot be written.  All
 numbers print with 17 significant digits; pass ``--json PATH`` to write a
-canonical JSON report whose bytes depend only on the manifest (config,
-seed, tolerances, flags, timestamp).
+canonical JSON report.  Identical command lines with a pinned
+``--timestamp`` write identical bytes.  The manifest records the command,
+configuration, seed, tolerances, timestamp and version, not every flag.
+
+:func:`main` owns the run path: it loads the configuration, records the
+manifest and writes the report.  Each ``cmd_*`` only computes and prints,
+and returns its exit code with the report's result (None: no report).
 """
 
 from __future__ import annotations
@@ -55,7 +60,17 @@ ANGLE_LIMIT = 1e-6
 def main(argv=None) -> int:
     args = _build_parser().parse_args(_join_direction(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        cfg = None if getattr(args, "config", None) is None else load_configuration(args.config)
+        manifest = _manifest(args, cfg)
+        code, result = args.func(args, cfg)
+        if args.json and result is not None:
+            report = build_report(manifest, result)
+            try:
+                with open(args.json, "w", encoding="utf-8") as fh:
+                    fh.write(report)
+            except OSError as exc:
+                raise StructuralError(f"cannot write report: {exc}") from exc
+        return code
     except StructuralError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -159,51 +174,32 @@ def _checked_samples(samples: int) -> int:
     return samples
 
 
-def _manifest(args, command: str, cfg, tolerances: dict) -> RunManifest:
-    """The run's manifest; ``cfg`` is the loaded configuration, hashed, or None."""
-    timestamp = args.timestamp or datetime.now(timezone.utc).isoformat()
+def _manifest(args, cfg) -> RunManifest:
+    """The run's manifest, read off the parsed arguments; ``cfg`` is hashed, or None."""
+    timestamp = args.timestamp
+    if timestamp is None:  # "" is a pinned timestamp too
+        timestamp = datetime.now(timezone.utc).isoformat()
     cfg_hash = None if cfg is None else sha256_hex(canonical_json(configuration_to_dict(cfg)))
     return RunManifest(
-        command=command,
+        command=args.command,
         config_path=getattr(args, "config", None),
         config_hash=cfg_hash,
         seed=getattr(args, "seed", None),
-        tolerances=tolerances,
+        tolerances={name: value for name, value in vars(args).items()
+                    if name in ("tol", "rank_tol", "c")},
         timestamp=timestamp,
         version=__version__,
     )
-
-
-def _emit(args, manifest: RunManifest, result: dict) -> None:
-    """Write the report to ``--json``, if given; a path that cannot be written is a usage error."""
-    if args.json:
-        report = build_report(manifest, result)
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report)
-        except OSError as exc:
-            raise StructuralError(f"cannot write report: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 
-def cmd_check(args) -> int:
-    cfg = load_configuration(args.config)
-    manifest = _manifest(args, "check", cfg, {"tol": args.tol})
-
+def cmd_check(args, cfg) -> tuple[int, dict | None]:
     if cfg.kind == "classical" or cfg.m == 1:
         report = check_admissible(cfg, args.tol)
-        result = {
-            "admissible": report.admissible,
-            "siegel": report.siegel,
-            "weak_hyperbolicity": report.weak_hyperbolicity,
-            "violating_subset": None if report.violating_subset is None
-            else list(report.violating_subset),
-            "hull_dimension": report.hull_dimension,
-            "degenerate": report.degenerate,
-        }
+        result = {**vars(report), "admissible": report.admissible}
         admissible = report.admissible
         print(f"siegel: {'PASS' if report.siegel else 'FAIL'}")
         wh = "PASS" if report.weak_hyperbolicity else f"FAIL (subset {report.violating_subset})"
@@ -220,8 +216,7 @@ def cmd_check(args) -> int:
         for K, rep in sorted(mixed.reports.items()):
             print(f"components {list(K)}: {'PASS' if rep.admissible else 'FAIL'}")
     print(f"admissible: {'yes' if admissible else 'no'}")
-    _emit(args, manifest, result)
-    return EXIT_OK if admissible else EXIT_FAIL
+    return EXIT_OK if admissible else EXIT_FAIL, result
 
 
 def _verification_cases(cfg, samples, seed, tol, rank_tol):
@@ -253,11 +248,7 @@ def _verification_cases(cfg, samples, seed, tol, rank_tol):
     return cases
 
 
-def cmd_verify(args) -> int:
-    cfg = load_configuration(args.config)
-    manifest = _manifest(args, "verify", cfg,
-                         {"tol": args.tol, "rank_tol": args.rank_tol})
-
+def cmd_verify(args, cfg) -> tuple[int, dict | None]:
     cases = _verification_cases(cfg, _checked_samples(args.samples), args.seed, args.tol,
                                 args.rank_tol)
     checks: dict[str, tuple[int, int]] = {}
@@ -303,55 +294,38 @@ def cmd_verify(args) -> int:
         print(f"{name}: {'PASS' if passed else 'FAIL'} ({ok}/{total})")
         result["checks"][name] = {"passed": ok, "total": total}
     result["all_passed"] = all_ok
-    _emit(args, manifest, result)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return EXIT_OK if all_ok else EXIT_FAIL, result
 
 
-def cmd_classify(args) -> int:
-    if (args.weights is None) == (args.config is None):
+def cmd_classify(args, cfg) -> tuple[int, dict | None]:
+    if (args.weights is None) == (cfg is None):
         raise StructuralError("give either --weights or a configuration file")
-    manifest_tols: dict = {}
-    if args.weights is not None:
+    if cfg is None:
         try:
             parsed = tuple(int(x) for x in args.weights.split(","))
         except ValueError as exc:
             raise StructuralError(f"cannot parse weights {args.weights!r}") from exc
         weights = CyclicWeights(parsed)  # its StructuralError is a ValueError too
-        cfg = None
-        source = {"weights": list(weights.weights)}
+        source = {"weights": weights.weights}
     else:
-        cfg = load_configuration(args.config)
         weights = normalize_configuration(cfg)
-        source = {"normalized_weights": list(weights.weights)}
+        source = {"normalized_weights": weights.weights}
         print(f"normalized weights: {','.join(str(x) for x in weights.weights)}")
-    manifest = _manifest(args, "classify", cfg, manifest_tols)
 
     diffeo = classify(weights, args.s)
     print(f"{diffeo.description()}, dim {diffeo.manifold_dimension}")
     if not diffeo.hypothesis_ok:
         print("note: outside the n > 3 hypothesis")
-    result = dict(source)
-    result.update({
-        "s": diffeo.s,
-        "summands": [list(pair) for pair in diffeo.summands],
-        "manifold_dimension": diffeo.manifold_dimension,
-        "hypothesis_ok": diffeo.hypothesis_ok,
-        "description": diffeo.description(),
-    })
-    _emit(args, manifest, result)
-    return EXIT_OK
+    return EXIT_OK, {**source, **vars(diffeo), "description": diffeo.description()}
 
 
-def cmd_gale(args) -> int:
-    cfg = load_configuration(args.config)
+def cmd_gale(args, cfg) -> tuple[int, dict | None]:
     c = _checked_scale(cfg, args.c)
-    manifest = _manifest(args, "gale", cfg, {"tol": args.tol, "c": args.c})
-
     report = check_admissible(cfg, args.tol)
     if not report.admissible:
         print(f"configuration not admissible (violating subset "
               f"{report.violating_subset})", file=sys.stderr)
-        return EXIT_FAIL
+        return EXIT_FAIL, None
     poly = _gale_polytope(cfg, c, args.tol)
     expected_dim = cfg.n - 2 * cfg.m - 1
     print(f"dimension: {poly.dim} (expected {expected_dim})")
@@ -360,14 +334,10 @@ def cmd_gale(args) -> int:
         print("  " + " ".join(format_float(x) for x in v))
     result = poly.to_dict()
     result["expected_dim"] = expected_dim
-    _emit(args, manifest, result)
-    return EXIT_OK if poly.dim == expected_dim else EXIT_FAIL
+    return EXIT_OK if poly.dim == expected_dim else EXIT_FAIL, result
 
 
-def cmd_cover(args) -> int:
-    cfg = load_configuration(args.config)
-    manifest = _manifest(args, "cover", cfg, {"tol": args.tol})
-
+def cmd_cover(args, cfg) -> tuple[int, dict | None]:
     directions: list[np.ndarray] = []
     if args.direction:
         try:
@@ -403,22 +373,16 @@ def cmd_cover(args) -> int:
             "radius": info.radius,
             "near_branch": info.near_branch,
         })
-    _emit(args, manifest, {"fibers": rows, "all_passed": all_ok})
-    return EXIT_OK if all_ok else EXIT_FAIL
+    return EXIT_OK if all_ok else EXIT_FAIL, {"fibers": rows, "all_passed": all_ok}
 
 
-def cmd_count(args) -> int:
-    manifest = _manifest(args, "count", None, {})
+def cmd_count(args, cfg) -> tuple[int, dict | None]:
     value = count_diffeo_types(args.n, args.equivalence)
     print(value)
-    _emit(args, manifest, {"n": args.n, "equivalence": args.equivalence, "count": value})
-    return EXIT_OK
+    return EXIT_OK, {"n": args.n, "equivalence": args.equivalence, "count": value}
 
 
-def cmd_sample(args) -> int:
-    cfg = load_configuration(args.config)
-    manifest = _manifest(args, "sample", cfg, {"tol": args.tol, "rank_tol": args.rank_tol})
-
+def cmd_sample(args, cfg) -> tuple[int, dict | None]:
     if args.pattern is not None and args.null_stratum:
         raise StructuralError("--pattern and --null-stratum are mutually exclusive")
     count = _checked_samples(args.samples)
@@ -448,8 +412,7 @@ def cmd_sample(args) -> int:
             for p in points
         ],
     }
-    _emit(args, manifest, result)
-    return EXIT_OK
+    return EXIT_OK, result
 
 
 if __name__ == "__main__":

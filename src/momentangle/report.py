@@ -143,7 +143,12 @@ def sha256_hex(text: str) -> str:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Everything needed to reproduce a report byte for byte."""
+    """Where a report came from: command, configuration, seed, tolerances, timestamp, version.
+
+    It does not record every flag (``--samples``, ``--pattern`` and the like
+    are left out), so equal manifests do not imply equal reports; identical
+    command lines with a pinned timestamp do.
+    """
 
     command: str
     config_path: str | None
@@ -154,15 +159,7 @@ class RunManifest:
     version: str
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_path": self.config_path,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "tolerances": dict(self.tolerances),
-            "timestamp": self.timestamp,
-            "version": self.version,
-        }
+        return dict(vars(self))
 
 
 def build_report(manifest: RunManifest, result: dict) -> str:

@@ -300,8 +300,13 @@ def moment_image_check(
     (no LP), and (iii) optionally |w|^2 <= 1 - c.
     (The w block itself need not lie in the hull of the c-scaled lambda_j;
     the hull fact that actually holds is (ii).)
+    c = inf sum |z_j|^2 lies in (0, 1] on every link, so a ``c_estimate``
+    outside it, nan or a bool raises :class:`StructuralError`.
     """
     check_tolerances(tol)
+    if c_estimate is not None and (isinstance(c_estimate, (bool, np.bool_))
+                                   or not 0.0 < c_estimate <= 1.0):
+        raise StructuralError(f"c_estimate must lie in (0, 1], got {c_estimate!r}")
     w, t = big_moment_map(cfg, point)
     wsq = float(np.sum(np.abs(w) ** 2))
     quad = cfg.lambdas.T @ t + w**2

@@ -276,6 +276,15 @@ def test_gale_non_admissible_exits_one(tmp_path, capsys):
     assert "not admissible" in capsys.readouterr().err
 
 
+def test_gale_non_admissible_writes_no_report(tmp_path, capsys):
+    lam = np.exp(1j * np.array([0.0, 0.3, 0.6, 0.9, 1.2])).reshape(5, 1)
+    path = write_config(tmp_path, Configuration(kind="classical", lambdas=lam))
+    report = tmp_path / "report.json"
+    assert main(["gale", path, "--json", str(report)]) == 1
+    assert "not admissible" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_gale_lists_every_vertex_above_eight_coordinates(tmp_path, capsys):
     """The 11-gon's Gale polytope has n (n^2 - 1) / 24 = 55 vertices."""
     path = write_config(tmp_path, Configuration(kind="classical",
@@ -707,6 +716,48 @@ def test_reports_are_byte_identical_for_identical_manifests(tmp_path, pentagon):
     assert main(argv + ["--json", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
     assert b"NaN" not in first.read_bytes()
+
+
+@pytest.mark.parametrize("argv, tolerances, seed", [
+    (["check", "CFG", "--tol", "1e-8"], {"tol": 1e-8}, None),
+    (["verify", "CFG", "--samples", "2", "--seed", "5", "--tol", "1e-9", "--rank-tol", "1e-7"],
+     {"tol": 1e-9, "rank_tol": 1e-7}, 5),
+    (["classify", "CFG"], {}, None),
+    (["classify", "--weights", "1,1,1,1,1"], {}, None),
+    (["gale", "CFG", "--tol", "1e-8", "--c", "2"], {"tol": 1e-8, "c": 2.0}, None),
+    (["cover", "MIXED", "--samples", "2", "--seed", "5", "--tol", "1e-9"], {"tol": 1e-9}, 5),
+    (["count", "--n", "7"], {}, None),
+    (["sample", "CFG", "--samples", "2", "--seed", "5", "--tol", "1e-9", "--rank-tol", "1e-7"],
+     {"tol": 1e-9, "rank_tol": 1e-7}, 5),
+], ids=["check", "verify", "classify-config", "classify-weights", "gale", "cover", "count",
+        "sample"])
+def test_the_manifest_is_read_off_the_command_line(tmp_path, pentagon, mixed_general_m2,
+                                                   argv, tolerances, seed):
+    """Each command's manifest names it and holds exactly its parsed --tol, --rank-tol and
+    --c; only the runs without a configuration file record none."""
+    paths = {"CFG": write_config(tmp_path, pentagon),
+             "MIXED": write_config(tmp_path, mixed_general_m2, "mixed.json")}
+    argv = [paths.get(arg, arg) for arg in argv]
+    report = tmp_path / "report.json"
+    assert main(argv + ["--timestamp", "T", "--json", str(report)]) == 0
+    manifest = json.loads(report.read_text())["manifest"]
+    assert manifest["command"] == argv[0]
+    assert manifest["tolerances"] == tolerances
+    assert manifest["seed"] == seed
+    assert manifest["timestamp"] == "T"
+    config = next((arg for arg in argv if arg in paths.values()), None)
+    assert manifest["config_path"] == config
+    assert (manifest["config_hash"] is None) == (config is None)
+
+
+def test_an_empty_timestamp_is_kept(tmp_path, pentagon):
+    """``--timestamp ""`` pins the timestamp to the empty string, not to the current time."""
+    path = write_config(tmp_path, pentagon)
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["check", path, "--timestamp", "", "--json", str(first)]) == 0
+    assert main(["check", path, "--timestamp", "", "--json", str(second)]) == 0
+    assert json.loads(first.read_text())["manifest"]["timestamp"] == ""
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_main_reuses_one_parser_without_carrying_flags(tmp_path, mixed_general_m2):

@@ -431,6 +431,17 @@ def test_lp_calls_go_through_one_helper(mixed_general_m2, batch, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("c_estimate", [True, np.bool_(True), np.nan, -1.0, 0.0, 1.5, np.inf],
+                         ids=["bool", "numpy-bool", "nan", "negative", "zero", "above-one", "inf"])
+def test_moment_image_check_rejects_a_c_estimate_outside_zero_one(mixed_general_m2, batch,
+                                                                  c_estimate):
+    """c = inf sum |z_j|^2 lies in (0, 1]: anything else, or a bool, is not an estimate of it."""
+    point = batch(mixed_general_m2, 1)[0]
+    with pytest.raises(StructuralError, match="c_estimate"):
+        moment_image_check(mixed_general_m2, point, c_estimate=c_estimate)
+    assert moment_image_check(mixed_general_m2, point, c_estimate=1.0).w_bound_ok is not None
+
+
 def test_moment_image_check_rejects_w_off_the_link(mixed_general_m2, batch):
     """Scaling w off the link keeps -w^2 / sum(t) inside the hull of the
     lambda_j, but no longer with t / sum(t) as the weights."""
