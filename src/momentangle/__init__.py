@@ -48,6 +48,7 @@ from .forms import (
     rank_trichotomy,
     subspace_angle,
     symplectic_leaf_rank,
+    verify,
 )
 from .pfaffian import pfaffian
 from .topology import CyclicWeights, DiffeoType, classify, count_diffeo_types, normalize_configuration

@@ -17,9 +17,11 @@ canonical JSON report.  Identical command lines with a pinned
 ``--timestamp`` write identical bytes.  The manifest records the command,
 configuration, seed, tolerances, timestamp and version, not every flag.
 
-:func:`main` owns the run path: it loads the configuration, records the
-manifest and writes the report.  Each ``cmd_*`` only computes and prints,
-and returns its exit code with the report's result (None: no report).
+:func:`main` owns the run path: it loads the configuration, takes the
+timestamp before the command runs and, when ``--json`` is given and the
+command returns a result, records the manifest and writes the report.  Each
+``cmd_*`` only computes and prints, and returns its exit code with the
+report's result (None: no report).
 """
 
 from __future__ import annotations
@@ -42,29 +44,28 @@ from .config import (
     load_configuration,
 )
 from .errors import NumericalError, StructuralError
-from .forms import VOLUME_MODULUS_RTOL, evaluate_stack, vanishes, volume_sign
+from .forms import verify
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
 from .toric import FEASIBILITY_TOL, _checked_scale, _gale_polytope
 from .actions import _fibers
-from .variety import (DEFAULT_TOL, ZERO_TOL, _sample, _stratum, sample_points,
-                      sample_with_zero_pattern)
+from .variety import DEFAULT_TOL, ZERO_TOL, sample_points, sample_with_zero_pattern
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-ANGLE_LIMIT = 1e-6
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(_join_direction(sys.argv[1:] if argv is None else argv))
     try:
         cfg = None if getattr(args, "config", None) is None else load_configuration(args.config)
-        manifest = _manifest(args, cfg)
+        timestamp = args.timestamp
+        if timestamp is None:  # "" is a pinned timestamp too
+            timestamp = datetime.now(timezone.utc).isoformat()
         code, result = args.func(args, cfg)
         if args.json and result is not None:
-            report = build_report(manifest, result)
+            report = build_report(_manifest(args, cfg, timestamp), result)
             try:
                 with open(args.json, "w", encoding="utf-8") as fh:
                     fh.write(report)
@@ -174,11 +175,8 @@ def _checked_samples(samples: int) -> int:
     return samples
 
 
-def _manifest(args, cfg) -> RunManifest:
+def _manifest(args, cfg, timestamp: str) -> RunManifest:
     """The run's manifest, read off the parsed arguments; ``cfg`` is hashed, or None."""
-    timestamp = args.timestamp
-    if timestamp is None:  # "" is a pinned timestamp too
-        timestamp = datetime.now(timezone.utc).isoformat()
     cfg_hash = None if cfg is None else sha256_hex(canonical_json(configuration_to_dict(cfg)))
     return RunManifest(
         command=args.command,
@@ -219,82 +217,12 @@ def cmd_check(args, cfg) -> tuple[int, dict | None]:
     return EXIT_OK if admissible else EXIT_FAIL, result
 
 
-def _verification_cases(cfg, samples, seed, tol, rank_tol):
-    """(name, points) pairs covering every degeneracy stratum.
-
-    The strata on the ambient link are sampled in one call; the null quadric
-    of a mixed-m1 link with s >= 2 adds two equations, so it takes another.
-    """
-    names, strata = ["generic"], [((), seed, samples)]
-    if cfg.kind == "mixed-m1":
-        names.append("stratum w = 0")
-        strata.append((_stratum(cfg, tuple(range(cfg.s)))[0], seed + 1, samples))
-    elif cfg.kind == "mixed-general":
-        from itertools import combinations
-        index = 1
-        for size in range(1, cfg.m + 1):
-            for K in combinations(range(cfg.m), size):
-                names.append(f"stratum w{sorted(K)} = 0")
-                strata.append((_stratum(cfg, K)[0], seed + index, samples))
-                index += 1
-    cases = list(zip(names, _sample(cfg, strata, tol=tol, rank_tol=rank_tol)))
-    if cfg.kind == "mixed-m1" and cfg.s >= 2:
-        # The null quadric minus {w = 0}: kernel stays 1-dimensional and
-        # the form stays contact there, so these points count as generic
-        # for the per-point checks below.
-        cases += zip(["null-quadric stratum"],
-                     _sample(cfg, [((), seed + 2, samples)], tol=tol, rank_tol=rank_tol,
-                             null_sum=True))
-    return cases
-
-
 def cmd_verify(args, cfg) -> tuple[int, dict | None]:
-    cases = _verification_cases(cfg, _checked_samples(args.samples), args.seed, args.tol,
-                                args.rank_tol)
-    checks: dict[str, tuple[int, int]] = {}
-
-    def record(name: str, ok: np.ndarray) -> None:
-        """(passed, total) of one check over the points it applies to; none, no entry."""
-        if ok.size:
-            checks[name] = (int(np.count_nonzero(ok)), ok.size)
-
-    points = [point for _, case_points in cases for point in case_points]
-    ev = evaluate_stack(cfg, points, args.rank_tol)
-    volume, modulus = ev.contact_volume, ev.contact_volume_modulus
-    cap = ev.ker_alpha_cap_ker_dalpha_dim
-    zero = cap > 0  # rank B < d + 1: the volume vanishes (forms module docstring)
-    # The first point calibrates the orientation (forms.orientation_sign).
-    kappa = 0.0 if cfg.kind == "classical" else volume_sign(volume[0], cap[0])
-    record("jacobian rank maximal", ev.jacobian_rank == cfg.equation_count)
-    record("kernel dimensions per stratum",
-           (ev.ker_dalpha_dim == ev.expected_kernel_dims[:, 0])
-           & (ev.ker_alpha_cap_ker_dalpha_dim == ev.expected_kernel_dims[:, 1]))
-    record("closed-form kernel family agreement", ev.family_angle < ANGLE_LIMIT)
-    if cfg.kind == "classical":
-        record("contact volume vanishes (total degeneracy)", zero)
-        record(f"Poisson leaf rank {2 * cfg.m}", ev.leaf_rank == 2 * cfg.m)
-        record("leaf 2-form degeneracy",
-               vanishes(ev.leaf_two_form_magnitude, ev.leaf_two_form_bound))
-    else:
-        # The volume vanishes exactly where ker dalpha jumps: the strata with
-        # ker alpha cap ker dalpha != 0 in the dimension table.
-        degenerate = ev.expected_kernel_dims[:, 1] > 0
-        record("contact volume vanishes on degenerate strata", zero[degenerate])
-        matches = np.abs(np.abs(volume) - modulus) <= VOLUME_MODULUS_RTOL * modulus
-        record("contact volume positive off degenerate strata",
-               ((kappa * volume > 0) & ~zero & matches)[~degenerate])
-    record("no indeterminate ranks", ~ev.indeterminate)
-
-    all_ok = True
-    result: dict = {"cases": [name for name, _ in cases], "checks": {}}
-    for name in sorted(checks):
-        ok, total = checks[name]
-        passed = ok == total
-        all_ok &= passed
-        print(f"{name}: {'PASS' if passed else 'FAIL'} ({ok}/{total})")
-        result["checks"][name] = {"passed": ok, "total": total}
-    result["all_passed"] = all_ok
-    return EXIT_OK if all_ok else EXIT_FAIL, result
+    result = verify(cfg, _checked_samples(args.samples), args.seed, args.tol, args.rank_tol)
+    for name, check in result["checks"].items():
+        passed, total = check["passed"], check["total"]
+        print(f"{name}: {'PASS' if passed == total else 'FAIL'} ({passed}/{total})")
+    return EXIT_OK if result["all_passed"] else EXIT_FAIL, result
 
 
 def cmd_classify(args, cfg) -> tuple[int, dict | None]:

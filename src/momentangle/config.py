@@ -445,17 +445,20 @@ def _hull_verdict(points: np.ndarray, tol: float) -> tuple[bool, bool]:
     neither certificate cleared.  Both certificates are recomputed from
     ``points``; the solver's answer is never taken on trust.  Otherwise, or
     when there are no weights (NNLS fails to converge), the LP decides as
-    :func:`hull_distance` ``<= tol`` and :func:`in_tie_band`.
+    :func:`hull_distance` ``<= tol``, a tie when the distance lies in
+    :func:`in_tie_band` widened by the inside certificate's rounding
+    allowance: a ``tol`` below that allowance gets a tie, not a confident
+    verdict that rounding alone decided.
     """
     pts = _hull_points(points)
     p, d = pts.shape
+    # A computed dot product of k terms is off by at most k * eps times the
+    # sum of the absolute products; 16 leaves room for the rest.
+    eps = np.finfo(float).eps
+    allowance = float(16 * p * eps * np.abs(pts).max())
     t = _hull_weights(_unit_scale(pts)[0])
     if t is not None:
-        # A computed dot product of k terms is off by at most k * eps times
-        # the sum of the absolute products; 16 leaves room for the rest.
-        eps = np.finfo(float).eps
-        if t.sum() > 0 and (witness_distance(pts, t) + 16 * p * eps * np.abs(pts).max()
-                            <= tol / DEGENERACY_BAND):
+        if t.sum() > 0 and witness_distance(pts, t) + allowance <= tol / DEGENERACY_BAND:
             return True, False
         y = pts.T @ t
         norms = np.linalg.norm(pts, axis=1)
@@ -463,7 +466,8 @@ def _hull_verdict(points: np.ndarray, tol: float) -> tuple[bool, bool]:
         if margin > DEGENERACY_BAND * tol * np.abs(y).sum():
             return False, False
     dist = hull_distance(pts)
-    return dist <= tol, in_tie_band(dist, tol)
+    tie = tol / DEGENERACY_BAND - allowance < dist <= DEGENERACY_BAND * tol + allowance
+    return dist <= tol, tie
 
 
 def origin_in_hull(points: np.ndarray, tol: float = HULL_TOL) -> bool:

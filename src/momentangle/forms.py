@@ -102,13 +102,13 @@ tie band (:func:`.config.in_tie_band`) around its cut set ``indeterminate``.
 So "the contact volume vanishes" is a rank verdict, rank B < d + 1, with the
 tie band of the kernel dimensions; B never vanishes, as its border is
 alpha != 0.  The Pfaffian of B gives the volume's value and sign, and
-``verify`` also asks it to agree with the modulus k! * sqrt(prod_i
+:func:`verify` also asks it to agree with the modulus k! * sqrt(prod_i
 sigma_i(B)) to ``VOLUME_MODULUS_RTOL``.  The rank rule is meaningless for a
 matrix that vanishes identically in exact arithmetic — a pure-roundoff
 matrix is "full rank" relative to itself — so the leaf 2-form, which does,
-comes with a per-point bound on its modulus, from the point's own data, for
-:func:`vanishes` to compare against: so no verdict depends on the frame
-dimension or on the scale of lambda.
+comes with a per-point bound on its modulus, from the point's own data, that
+:func:`verify` scales by ``VANISHING_FACTOR``: so no verdict depends on the
+frame dimension or on the scale of lambda.
 """
 
 from __future__ import annotations
@@ -122,8 +122,8 @@ from .config import (DEFAULT_RANK_TOL, Configuration, complexify, in_tie_band, n
                      rank_cut, realify)
 from .errors import NumericalError, StructuralError
 from .pfaffian import _pfaffians
-from .variety import (_ATTEMPT_BLOCK, VarietyPoint, _ambient, _tangent_frames, _zero_mask,
-                      tangent_frame)
+from .variety import (_ATTEMPT_BLOCK, DEFAULT_TOL, VarietyPoint, _ambient, _tangent_frames,
+                      _verification_cases, _zero_mask, tangent_frame)
 
 
 @dataclass(frozen=True)
@@ -362,7 +362,7 @@ class StackEvaluation:
     fields are set for classical configurations only.
     ``contact_volume_modulus`` is k! * sqrt(prod_i sigma_i(B)), which
     |``contact_volume``| equals in exact arithmetic; ``leaf_two_form_bound``
-    bounds the modulus of the field before it (:func:`vanishes`).
+    bounds the modulus of the field before it (:func:`_leaf_magnitudes`).
     """
 
     jacobian_rank: np.ndarray
@@ -472,25 +472,18 @@ def contact_volume(cfg: Configuration, point: VarietyPoint) -> float:
 
 
 #: The leaf 2-form, which vanishes identically in exact arithmetic, reads zero
-#: when its modulus is at most this factor times its per-point bound
-#: (:func:`vanishes`).
+#: in :func:`verify` when its modulus is at most this factor times its
+#: per-point bound (:func:`_leaf_magnitudes`).
 VANISHING_FACTOR = 1e-9
 
-#: ``verify`` counts a contact volume positive only when |Pf B| lies within
-#: this relative distance of its modulus k! * sqrt(prod_i sigma_i(B)), two
-#: unrelated algorithms for one number.
+#: :func:`verify` counts a contact volume positive only when |Pf B| lies
+#: within this relative distance of its modulus k! * sqrt(prod_i sigma_i(B)),
+#: two unrelated algorithms for one number.
 VOLUME_MODULUS_RTOL = 1e-6
 
-
-def vanishes(value, bound):
-    """Whether ``|value| <= VANISHING_FACTOR * bound``, elementwise: the test
-    of the leaf 2-form, whose ``bound`` comes from the point's own data
-    (:func:`_leaf_magnitudes`).
-
-    The contact volume needs no such cut: it vanishes exactly where B is
-    singular, which the rank rule decides (module docstring).
-    """
-    return np.abs(value) <= VANISHING_FACTOR * bound
+#: Largest principal angle (radians) between the closed-form kernel family
+#: and the numerical kernel of dalpha that :func:`verify` counts as agreement.
+ANGLE_LIMIT = 1e-6
 
 
 def _bordered(a: np.ndarray, dmat: np.ndarray) -> np.ndarray:
@@ -633,10 +626,10 @@ def orientation_sign(cfg: Configuration, reference: VarietyPoint) -> float:
     degeneracy stratum (where the volume vanishes identically).
     """
     ev = evaluate_stack(cfg, [reference])
-    return volume_sign(ev.contact_volume[0], ev.ker_alpha_cap_ker_dalpha_dim[0])
+    return _volume_sign(ev.contact_volume[0], ev.ker_alpha_cap_ker_dalpha_dim[0])
 
 
-def volume_sign(volume: float, cap_dim: int) -> float:
+def _volume_sign(volume: float, cap_dim: int) -> float:
     """:func:`orientation_sign` from the reference point's contact volume and
     its dim(ker alpha cap ker dalpha), the corank of B: the volume vanishes
     when that is positive."""
@@ -646,3 +639,45 @@ def volume_sign(volume: float, cap_dim: int) -> float:
             "cannot calibrate the orientation"
         )
     return 1.0 if volume > 0 else -1.0
+
+
+def verify(cfg: Configuration, samples: int, seed: int = 0, tol: float = DEFAULT_TOL,
+           rank_tol: float = DEFAULT_RANK_TOL) -> dict:
+    """Sample every stratum (:func:`.variety._verification_cases`) and check the
+    form propositions at its points, evaluated in one :func:`evaluate_stack`.
+
+    Returns the ``result`` of a ``momentangle verify`` report: the stratum
+    names as ``cases``; as ``checks``, ``{"passed": p, "total": t}`` per check
+    that applies to some point, in name order; and ``all_passed``.
+    """
+    cases = _verification_cases(cfg, samples, seed, tol, rank_tol)
+    ev = evaluate_stack(cfg, [point for _, points in cases for point in points], rank_tol)
+    volume, modulus = ev.contact_volume, ev.contact_volume_modulus
+    cap, expected = ev.ker_alpha_cap_ker_dalpha_dim, ev.expected_kernel_dims
+    zero = cap > 0  # rank B < d + 1: the volume vanishes (module docstring)
+    # The first point calibrates the orientation (orientation_sign).
+    kappa = 0.0 if cfg.kind == "classical" else _volume_sign(volume[0], cap[0])
+    oks = {
+        "jacobian rank maximal": ev.jacobian_rank == cfg.equation_count,
+        "kernel dimensions per stratum":
+            (ev.ker_dalpha_dim == expected[:, 0]) & (cap == expected[:, 1]),
+        "closed-form kernel family agreement": ev.family_angle < ANGLE_LIMIT,
+        "no indeterminate ranks": ~ev.indeterminate,
+    }
+    if cfg.kind == "classical":
+        oks["contact volume vanishes (total degeneracy)"] = zero
+        oks[f"Poisson leaf rank {2 * cfg.m}"] = ev.leaf_rank == 2 * cfg.m
+        oks["leaf 2-form degeneracy"] = (np.abs(ev.leaf_two_form_magnitude)
+                                         <= VANISHING_FACTOR * ev.leaf_two_form_bound)
+    else:
+        # The volume vanishes exactly where ker dalpha jumps: the strata with
+        # ker alpha cap ker dalpha != 0 in the dimension table.
+        degenerate = expected[:, 1] > 0
+        matches = np.abs(np.abs(volume) - modulus) <= VOLUME_MODULUS_RTOL * modulus
+        oks["contact volume vanishes on degenerate strata"] = zero[degenerate]
+        oks["contact volume positive off degenerate strata"] = (
+            (kappa * volume > 0) & ~zero & matches)[~degenerate]
+    checks = {name: {"passed": int(np.count_nonzero(ok)), "total": ok.size}
+              for name, ok in sorted(oks.items()) if ok.size}
+    return {"cases": [name for name, _ in cases], "checks": checks,
+            "all_passed": all(c["passed"] == c["total"] for c in checks.values())}

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from itertools import islice
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -778,3 +778,32 @@ def _sample(
         for run, size in block:
             run.accept(status[row : row + size], certified)
             row += size
+
+
+def _verification_cases(cfg: Configuration, samples: int, seed: int, tol: float,
+                        rank_tol: float) -> list[tuple[str, list[VarietyPoint]]]:
+    """(name, points) pairs covering every degeneracy stratum, for :func:`.forms.verify`.
+
+    The strata on the ambient link are sampled in one call; the null quadric
+    of a mixed-m1 link with s >= 2 adds two equations, so it takes another.
+    """
+    names, strata = ["generic"], [((), seed, samples)]
+    if cfg.kind == "mixed-m1":
+        names.append("stratum w = 0")
+        strata.append((_stratum(cfg, tuple(range(cfg.s)))[0], seed + 1, samples))
+    elif cfg.kind == "mixed-general":
+        index = 1
+        for size in range(1, cfg.m + 1):
+            for K in combinations(range(cfg.m), size):
+                names.append(f"stratum w{sorted(K)} = 0")
+                strata.append((_stratum(cfg, K)[0], seed + index, samples))
+                index += 1
+    cases = list(zip(names, _sample(cfg, strata, tol=tol, rank_tol=rank_tol)))
+    if cfg.kind == "mixed-m1" and cfg.s >= 2:
+        # The null quadric minus {w = 0}: kernel stays 1-dimensional and
+        # the form stays contact there, so these points count as generic
+        # for the per-point checks of verify.
+        cases += zip(["null-quadric stratum"],
+                     _sample(cfg, [((), seed + 2, samples)], tol=tol, rank_tol=rank_tol,
+                             null_sum=True))
+    return cases

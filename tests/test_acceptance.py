@@ -336,5 +336,5 @@ def test_criterion_11_reproducibility(announce, tmp_path, pentagon, mixed_s2):
         assert main(argv + ["--json", str(first)]) == 0
         assert main(argv + ["--json", str(second)]) == 0
         identical &= first.read_bytes() == second.read_bytes()
-    announce(11, "identical manifests produce byte-identical JSON reports",
-             identical)
+    announce(11, "identical command lines with a pinned --timestamp produce byte-identical "
+                 "JSON reports", identical)

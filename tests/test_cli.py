@@ -20,6 +20,7 @@ import pytest
 import momentangle.actions
 import momentangle.config
 import momentangle.forms
+import momentangle.report
 import momentangle.toric
 import momentangle.variety
 from momentangle import cli
@@ -203,6 +204,56 @@ def test_verify_counts_a_positive_volume_below_its_zero_bound_as_zero(tmp_path, 
     out = capsys.readouterr().out
     assert "contact volume positive off degenerate strata: FAIL (1/3)" in out
     assert "contact volume vanishes on degenerate strata: PASS (3/3)" in out
+
+
+FIXTURES = ["pentagon", "hexagon_m2", "mixed_s1", "mixed_s2", "mixed_general_m1",
+            "mixed_general_m2", "mixed_general_m3"]
+
+
+def _verify_report(tmp_path, cfg, seed, code):
+    """The ``result`` of a ``verify --json`` run, its exit code asserted."""
+    report = tmp_path / "report.json"
+    assert main(["verify", write_config(tmp_path, cfg), "--samples", "3", "--seed", str(seed),
+                 "--json", str(report)]) == code
+    return json.loads(report.read_text())["result"]
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_verify_reports_the_library_verdict(tmp_path, request, capsys, fixture):
+    """``verify`` writes exactly what ``momentangle.verify`` returns, and prints one
+    line per check in its order."""
+    cfg = request.getfixturevalue(fixture)
+    result = _verify_report(tmp_path, cfg, 5, 0)
+    assert result == momentangle.verify(cfg, 3, 5)
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: PASS ({check['passed']}/{check['total']})"
+        for name, check in result["checks"].items()]
+    assert list(result["checks"]) == sorted(result["checks"])
+
+
+def _plant_volume_that_does_not_vanish(monkeypatch):
+    monkeypatch.setattr(momentangle.forms, "_expected_dims",
+                        lambda leaves: np.tile([3, 2], (len(leaves), 1)))
+
+
+def _plant_shrunk_volumes(monkeypatch):
+    volumes = momentangle.forms._volumes
+
+    def shrunk(a, dmat):
+        volume, modulus, sigma = volumes(a, dmat)
+        volume[1:] *= 1e-12
+        return volume, modulus, sigma
+
+    monkeypatch.setattr(momentangle.forms, "_volumes", shrunk)
+
+
+@pytest.mark.parametrize("plant", [_plant_volume_that_does_not_vanish, _plant_shrunk_volumes])
+def test_a_failing_verify_reports_the_library_verdict(tmp_path, mixed_s1, monkeypatch, plant):
+    """The planted failures above: exit 1, and the report is the library's result."""
+    plant(monkeypatch)
+    result = _verify_report(tmp_path, mixed_s1, 0, 1)
+    assert result == momentangle.verify(mixed_s1, 3, 0)
+    assert result["all_passed"] is False
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +835,20 @@ def test_main_reuses_one_parser_without_carrying_flags(tmp_path, mixed_general_m
     assert in_a_row == single
     assert json.loads(in_a_row[1])["result"]["points"][0]["zero_pattern"] == []
     assert json.loads(in_a_row[3])["manifest"]["tolerances"] == {"tol": 1e-9}
+
+
+def test_a_run_without_a_report_hashes_nothing(tmp_path, pentagon, monkeypatch):
+    """The manifest, and with it the configuration's hash, is built only for a report."""
+    calls = []
+    sha256_hex = momentangle.report.sha256_hex
+    for module in (momentangle.report, cli):
+        monkeypatch.setattr(module, "sha256_hex",
+                            lambda text: calls.append(text) or sha256_hex(text))
+    path = write_config(tmp_path, pentagon)
+    assert main(["check", path]) == 0
+    assert calls == []
+    assert main(["check", path, "--json", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_report_embeds_config_hash(tmp_path, pentagon, mixed_s1):

@@ -126,6 +126,17 @@ def test_tie_band_is_measured_in_the_sup_norm():
     assert report.degenerate
 
 
+@pytest.mark.parametrize("tol", [1e-20, 1e-300])
+def test_a_tol_below_the_rounding_of_the_hull_verdict_is_a_tie(pentagon, tol):
+    # The LP puts the pentagon's hull about 5.6e-17 from the origin, which it
+    # holds: with a tol far below that rounding, the verdict must say so.
+    report = check_admissible(pentagon, tol)
+    assert report.degenerate is True
+    assert not report.admissible
+    default = check_admissible(pentagon)
+    assert (default.admissible, default.degenerate) == (True, False)
+
+
 def test_numerical_rank_edge_cases():
     assert numerical_rank(np.array([])) == 0
     assert numerical_rank(np.zeros(3)) == 0

@@ -41,10 +41,9 @@ from momentangle import (
     tangent_frame,
 )
 from momentangle import forms, sample_points
-from momentangle.cli import ANGLE_LIMIT, _verification_cases
 from momentangle.config import DEFAULT_RANK_TOL, DEGENERACY_BAND
-from momentangle.forms import VOLUME_MODULUS_RTOL
-from momentangle.variety import ZERO_TOL
+from momentangle.forms import ANGLE_LIMIT, VOLUME_MODULUS_RTOL
+from momentangle.variety import ZERO_TOL, _verification_cases
 
 from conftest import roots_of_unity
 from _oracles import (

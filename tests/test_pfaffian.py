@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momentangle import Configuration, StructuralError, evaluate_stack, forms, pfaffian
-from momentangle.cli import _verification_cases
 from momentangle.pfaffian import _pfaffians
+from momentangle.variety import _verification_cases
 
 from _oracles import hadamard_volume_bound, pfaffian_lapack, pfaffian_naive
 from conftest import roots_of_unity

@@ -762,15 +762,14 @@ def test_stacked_sample_builds_one_philox(mixed_general_m3, monkeypatch):
 def test_verify_projects_and_certifies_once_per_link_and_round(fixture, request, monkeypatch):
     """The verification cases take one sampler call per link, and one projection and
     one certificate per round: as many rounds as the link's slowest stratum alone."""
-    from momentangle import cli
     cfg = request.getfixturevalue(fixture)
     calls = []
-    sample = cli._sample
-    monkeypatch.setattr(cli, "_sample", lambda cfg, strata, **kwargs:
+    sample = variety._sample
+    monkeypatch.setattr(variety, "_sample", lambda cfg, strata, **kwargs:
                         calls.append((strata, kwargs)) or sample(cfg, strata, **kwargs))
     projections = _calls(monkeypatch, "_project_block")
     certificates = _calls(monkeypatch, "_certify_block")
-    cases = cli._verification_cases(cfg, 3, 7, 1e-10, 1e-8)
+    cases = variety._verification_cases(cfg, 3, 7, 1e-10, 1e-8)
     assert [len(points) for _, points in cases] == [3] * len(cases)
     assert len(projections) == len(certificates)
     stacked = len(projections)
@@ -781,7 +780,7 @@ def test_verify_projects_and_certifies_once_per_link_and_round(fixture, request,
         rounds = []
         for stratum in strata:
             projections.clear()
-            variety._sample(cfg, [stratum], **kwargs)
+            sample(cfg, [stratum], **kwargs)
             rounds.append(len(projections))
         expected += max(rounds)
     assert stacked == expected
