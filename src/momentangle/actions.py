@@ -48,7 +48,8 @@ from itertools import product
 
 import numpy as np
 
-from .config import DEFAULT_RANK_TOL, Configuration, check_tolerances, in_tie_band, realify
+from .config import (DEFAULT_RANK_TOL, Configuration, check_tolerances, complexify, in_tie_band,
+                     realify)
 from .errors import NumericalError, StructuralError
 from .variety import (
     _ATTEMPT_BLOCK,
@@ -302,6 +303,28 @@ def _fibers(cfg: Configuration, directions, tol: float
             start += len(rows)
             error = next((p for p in results if isinstance(p, NumericalError)), None)
             yield count, results if error is None else error
+
+
+def random_directions(cfg: Configuration, count: int, seed: int) -> list[np.ndarray]:
+    """``count`` unit directions in C^n: ``normal(size=2n)`` draws over their norms, in turn,
+    from one Philox generator keyed (seed mod 2^64, 0)."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed % (1 << 64), 0],
+                                                            dtype=np.uint64)))
+    return [complexify(v) / np.linalg.norm(v)
+            for v in (rng.normal(size=2 * cfg.n) for _ in range(count))]
+
+
+def cover(cfg: Configuration, directions, tol: float = ZERO_TOL) -> Iterator[tuple[bool, dict]]:
+    """Per direction, in turn: whether its fiber count equals its constructed preimages, and
+    its report row.  Slices are certified as :func:`_fibers` takes them; a failing candidate's
+    error is raised when its direction is reached."""
+    for direction, (info, preimages) in zip(directions, _fibers(cfg, directions, tol)):
+        if isinstance(preimages, NumericalError):
+            raise preimages
+        yield info.count == len(preimages), {
+            "direction": [[float(c.real), float(c.imag)] for c in direction],
+            "count": info.count, "constructed": len(preimages), "radius": info.radius,
+            "near_branch": info.near_branch}
 
 
 def sign_orbit(cfg: Configuration, point: VarietyPoint) -> list[VarietyPoint]:

@@ -20,8 +20,8 @@ configuration, seed, tolerances, timestamp and version, not every flag.
 :func:`main` owns the run path: it loads the configuration, takes the
 timestamp before the command runs and, when ``--json`` is given and the
 command returns a result, records the manifest and writes the report.  Each
-``cmd_*`` only computes and prints, and returns its exit code with the
-report's result (None: no report).
+``cmd_*`` parses its flags, calls the library, which decides every verdict,
+prints, and returns its exit code with the report's result (None: no report).
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ from .errors import NumericalError, StructuralError
 from .forms import verify
 from .report import RunManifest, build_report, canonical_json, format_float, sha256_hex
 from .topology import CyclicWeights, classify, count_diffeo_types, normalize_configuration
-from .toric import FEASIBILITY_TOL, _checked_scale, _gale_polytope
-from .actions import _fibers
+from .toric import FEASIBILITY_TOL, gale_check
+from .actions import cover, random_directions
 from .variety import DEFAULT_TOL, ZERO_TOL, sample_points, sample_with_zero_pattern
 
 EXIT_OK = 0
@@ -248,25 +248,20 @@ def cmd_classify(args, cfg) -> tuple[int, dict | None]:
 
 
 def cmd_gale(args, cfg) -> tuple[int, dict | None]:
-    c = _checked_scale(cfg, args.c)
-    report = check_admissible(cfg, args.tol)
-    if not report.admissible:
+    gale = gale_check(cfg, args.c, args.tol)
+    if gale.polytope is None:
         print(f"configuration not admissible (violating subset "
-              f"{report.violating_subset})", file=sys.stderr)
+              f"{gale.admissibility.violating_subset})", file=sys.stderr)
         return EXIT_FAIL, None
-    poly = _gale_polytope(cfg, c, args.tol)
-    expected_dim = cfg.n - 2 * cfg.m - 1
-    print(f"dimension: {poly.dim} (expected {expected_dim})")
-    print(f"vertices: {len(poly.vertices)}")
-    for v in poly.vertices:
+    print(f"dimension: {gale.polytope.dim} (expected {gale.expected_dim})")
+    print(f"vertices: {len(gale.polytope.vertices)}")
+    for v in gale.polytope.vertices:
         print("  " + " ".join(format_float(x) for x in v))
-    result = poly.to_dict()
-    result["expected_dim"] = expected_dim
-    return EXIT_OK if poly.dim == expected_dim else EXIT_FAIL, result
+    result = {**gale.polytope.to_dict(), "expected_dim": gale.expected_dim}
+    return EXIT_OK if gale.passed else EXIT_FAIL, result
 
 
 def cmd_cover(args, cfg) -> tuple[int, dict | None]:
-    directions: list[np.ndarray] = []
     if args.direction:
         try:
             flat = np.array([float(x) for x in args.direction.split(",")])
@@ -274,33 +269,17 @@ def cmd_cover(args, cfg) -> tuple[int, dict | None]:
             raise StructuralError(f"cannot parse direction {args.direction!r}") from exc
         if flat.size != 2 * cfg.n:
             raise StructuralError(f"direction needs {2 * cfg.n} numbers (re,im pairs)")
-        directions.append(complexify(flat))
+        directions = [complexify(flat)]
     else:
-        rng = np.random.Generator(np.random.Philox(key=np.array(
-            [args.seed % (1 << 64), 0], dtype=np.uint64)))
-        for _ in range(_checked_samples(args.samples)):
-            v = rng.normal(size=2 * cfg.n)
-            directions.append(complexify(v) / np.linalg.norm(v))
-
-    all_ok = True
-    rows = []
-    for i, (direction, (info, preimages)) in enumerate(
-            zip(directions, _fibers(cfg, directions, args.tol))):
-        if isinstance(preimages, NumericalError):
-            raise preimages
-        ok = info.count == len(preimages)
+        directions = random_directions(cfg, _checked_samples(args.samples), args.seed)
+    all_ok, rows = True, []
+    for i, (ok, row) in enumerate(cover(cfg, directions, args.tol)):
         all_ok &= ok
-        flag = " (near branch locus)" if info.near_branch else ""
-        print(f"direction {i}: fiber count {info.count}, "
-              f"constructed preimages {len(preimages)}{flag}"
+        flag = " (near branch locus)" if row["near_branch"] else ""
+        print(f"direction {i}: fiber count {row['count']}, "
+              f"constructed preimages {row['constructed']}{flag}"
               f" -> {'PASS' if ok else 'FAIL'}")
-        rows.append({
-            "direction": [[float(c.real), float(c.imag)] for c in direction],
-            "count": info.count,
-            "constructed": len(preimages),
-            "radius": info.radius,
-            "near_branch": info.near_branch,
-        })
+        rows.append(row)
     return EXIT_OK if all_ok else EXIT_FAIL, {"fibers": rows, "all_passed": all_ok}
 
 

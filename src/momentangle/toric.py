@@ -44,6 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import (
+    AdmissibilityReport,
     Configuration,
     _hull_verdict,
     _hull_weights,
@@ -196,53 +197,59 @@ def _build_polytope(A: np.ndarray, b: np.ndarray,
     return PolytopeDescription(n, equalities, inequalities, vertices=vertices, dim=dim)
 
 
-def gale_transform(cfg: Configuration, c: float = 1.0,
-                   tol: float = FEASIBILITY_TOL) -> PolytopeDescription:
-    """The polytope {t >= 0, sum_j t_j c lambda_j = 0, sum t_j = 1}.
+@dataclass(frozen=True)
+class GaleCheck:
+    """Admissibility, the Gale polytope (None unless admissible) and its dimension verdict."""
 
-    Requires an admissible configuration; its affine dimension is then
-    n - 2m - 1.  The scaling c > 0 is mathematically irrelevant (the
-    homogeneous constraint absorbs it) and kept only to match the usual
-    presentation: it scales the λ rows of ``equalities`` and nothing else.
+    admissibility: AdmissibilityReport
+    polytope: PolytopeDescription | None
+    expected_dim: int  # n - 2m - 1
+    passed: bool  # the polytope has dimension expected_dim
+
+
+def gale_check(cfg: Configuration, c: float = 1.0, tol: float = FEASIBILITY_TOL) -> GaleCheck:
+    """The gale gate (tolerance, scale c, one admissibility sweep), then the Gale polytope.
+
+    c must be a positive finite real with c * lambda finite; a bool is no
+    scale.  The polytope comes from the unscaled rows, so no c moves its
+    vertices or dimension (the relative rank cut could drop scaled rows).
     """
     check_tolerances(tol)
-    c = _checked_scale(cfg, c)
-    report = check_admissible(cfg, tol)
-    if not report.admissible:
-        raise StructuralError(
-            "gale_transform needs an admissible configuration "
-            f"(siegel={report.siegel}, weak_hyperbolicity={report.weak_hyperbolicity}, "
-            f"violating_subset={report.violating_subset})"
-        )
-    return _gale_polytope(cfg, c, tol)
-
-
-def _checked_scale(cfg: Configuration, c) -> float:
-    """c as a float; :class:`StructuralError` unless it is positive and finite, and so is c * lambda.
-
-    A bool is not a scale: ``True`` would otherwise pass as c = 1.
-    """
     c = float(np.real(c)) if np.isreal(c) and not isinstance(c, (bool, np.bool_)) else np.nan
     if not (0 < c < np.inf and c * float(np.max(np.abs(realify(cfg.lambdas)))) < np.inf):
         raise StructuralError("c must be a positive finite real, with c * lambda finite")
-    return c
-
-
-def _gale_polytope(cfg: Configuration, c: float, tol: float) -> PolytopeDescription:
-    """:func:`gale_transform` of a configuration already found admissible, for a checked c
-    (:func:`_checked_scale`).
-
-    The vertices, support and dimension come from the unscaled rows, so no
-    c moves them; scaling the rows instead would let the relative rank cut
-    drop the λ rows (c -> 0) or the simplex row (c -> inf).
-    """
+    report = check_admissible(cfg, tol)
+    expected_dim = cfg.n - 2 * cfg.m - 1
+    if not report.admissible:
+        return GaleCheck(report, None, expected_dim, False)
     A, b = _equality_rows(cfg.lambdas, np.zeros(cfg.m, dtype=complex), 1.0)
     poly = _build_polytope(A, b, tol)
     if poly.is_empty:
         raise NumericalError("Gale polytope empty for an admissible configuration "
                              "(internal inconsistency)")
     A[:-1] *= c  # the presented rows
-    return replace(poly, equalities=tuple(zip(A, map(float, b))))
+    poly = replace(poly, equalities=tuple(zip(A, map(float, b))))
+    return GaleCheck(report, poly, expected_dim, poly.dim == expected_dim)
+
+
+def gale_transform(cfg: Configuration, c: float = 1.0,
+                   tol: float = FEASIBILITY_TOL) -> PolytopeDescription:
+    """The polytope {t >= 0, sum_j t_j c lambda_j = 0, sum t_j = 1}, by :func:`gale_check`.
+
+    Requires an admissible configuration; its affine dimension is then
+    n - 2m - 1.  The scaling c > 0 is mathematically irrelevant (the
+    homogeneous constraint absorbs it) and kept only to match the usual
+    presentation: it scales the λ rows of ``equalities`` and nothing else.
+    """
+    gale = gale_check(cfg, c, tol)
+    if gale.polytope is None:
+        report = gale.admissibility
+        raise StructuralError(
+            "gale_transform needs an admissible configuration "
+            f"(siegel={report.siegel}, weak_hyperbolicity={report.weak_hyperbolicity}, "
+            f"violating_subset={report.violating_subset})"
+        )
+    return gale.polytope
 
 
 def fiber_polytope(cfg: Configuration, w,

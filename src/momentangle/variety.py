@@ -504,6 +504,14 @@ def _certify_block(
     return out
 
 
+def _check_tol(tol: float, rank_tol: float) -> None:
+    """:func:`.config.check_tolerances`, and a certification ``tol`` at most ``ZERO_TOL``:
+    above it a certified |w_k|^2 can miss |F_k(z)| by more than the cut deciding the zeros."""
+    check_tolerances(tol, rank_tol)
+    if tol > ZERO_TOL:
+        raise StructuralError(f"tol must not exceed ZERO_TOL = {ZERO_TOL!r}, got {tol!r}")
+
+
 def certify(
     cfg: Configuration,
     coords: np.ndarray,
@@ -512,11 +520,11 @@ def certify(
 ) -> VarietyPoint:
     """Certify an ambient point as a regular point of the link.
 
-    Checks the residual infinity norm against ``tol`` and requires the real
-    Jacobian to have full rank (2m+1 rows, or 3 for mixed-m1).  The frame
-    is not built here; :func:`tangent_frame` builds it.
+    Checks the residual infinity norm against ``tol`` (:func:`_check_tol`) and
+    requires the real Jacobian to have full rank (2m+1 rows, or 3 for
+    mixed-m1).  The frame is not built here; :func:`tangent_frame` builds it.
     """
-    check_tolerances(tol, rank_tol)
+    _check_tol(tol, rank_tol)
     point = _certify_block(cfg, _link(cfg), _ambient(cfg, [coords]), tol, rank_tol)[0]
     if isinstance(point, NumericalError):
         raise point
@@ -746,7 +754,7 @@ def _sample(
             raise StructuralError("count must be positive")
     if max_attempts_per_point < 1:
         raise StructuralError("max_attempts_per_point must be positive")
-    check_tolerances(tol, rank_tol)
+    _check_tol(tol, rank_tol)
     dim = cfg.ambient_real_dim
     ambient, (grad, rhs) = _link(cfg), _link(cfg, null_sum)
     draw = _start_source()

@@ -7,6 +7,7 @@ determinism is checked at the byte level.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import os
@@ -336,6 +337,36 @@ def test_gale_non_admissible_writes_no_report(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_gale_reports_the_library_verdict(tmp_path, request, capsys, fixture):
+    """``gale`` writes the polytope and expected dimension of ``momentangle.gale_check``
+    and exits on its verdict."""
+    cfg = request.getfixturevalue(fixture)
+    gale = momentangle.gale_check(cfg)
+    report = tmp_path / "gale.json"
+    assert main(["gale", write_config(tmp_path, cfg), "--json", str(report)]) == 0
+    assert gale.passed and gale.admissibility.admissible
+    assert json.loads(report.read_text())["result"] == {**gale.polytope.to_dict(),
+                                                        "expected_dim": gale.expected_dim}
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        f"dimension: {gale.polytope.dim} (expected {gale.expected_dim})",
+        f"vertices: {len(gale.polytope.vertices)}"]
+
+
+def test_a_non_admissible_gale_reports_the_library_verdict(tmp_path, capsys):
+    """The half-plane input of the tests above: no polytope in the library, exit 1 and no
+    report from the command, and the library's violating subset on stderr."""
+    lam = np.exp(1j * np.array([0.0, 0.3, 0.6, 0.9, 1.2])).reshape(5, 1)
+    cfg = Configuration(kind="classical", lambdas=lam)
+    gale = momentangle.gale_check(cfg)
+    assert gale.polytope is None and not gale.passed and not gale.admissibility.admissible
+    report = tmp_path / "gale.json"
+    assert main(["gale", write_config(tmp_path, cfg), "--json", str(report)]) == 1
+    assert not report.exists()
+    assert capsys.readouterr().err == ("configuration not admissible (violating subset "
+                                       f"{gale.admissibility.violating_subset})\n")
+
+
 def test_gale_lists_every_vertex_above_eight_coordinates(tmp_path, capsys):
     """The 11-gon's Gale polytope has n (n^2 - 1) / 24 = 55 vertices."""
     path = write_config(tmp_path, Configuration(kind="classical",
@@ -376,6 +407,36 @@ def test_cover_random_directions(tmp_path, mixed_general_m2, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
     assert "fiber count 4" in out
+
+
+@pytest.mark.parametrize("fixture", ["mixed_general_m1", "mixed_general_m2", "mixed_general_m3"])
+def test_cover_reports_the_library_verdict(tmp_path, request, capsys, fixture):
+    """``cover --samples 3 --seed 4`` writes the rows of ``momentangle.cover`` over
+    ``random_directions(cfg, 3, 4)`` and prints one line per row."""
+    cfg = request.getfixturevalue(fixture)
+    verdicts = list(momentangle.cover(cfg, momentangle.random_directions(cfg, 3, 4)))
+    report = tmp_path / "cover.json"
+    assert main(["cover", write_config(tmp_path, cfg), "--samples", "3", "--seed", "4",
+                 "--json", str(report)]) == 0
+    assert json.loads(report.read_text())["result"] == {
+        "fibers": [row for _, row in verdicts], "all_passed": all(ok for ok, _ in verdicts)}
+    assert capsys.readouterr().out.splitlines() == [
+        f"direction {i}: fiber count {row['count']}, constructed preimages {row['count']}"
+        f"{' (near branch locus)' if row['near_branch'] else ''} -> PASS"
+        for i, (_, row) in enumerate(verdicts)]
+
+
+def test_random_directions_are_unit_philox_draws(mixed_general_m2):
+    """Each direction is one ``normal(size=2n)`` draw of the generator keyed
+    (seed mod 2^64, 0), over its norm; a negative seed wraps."""
+    n = mixed_general_m2.n
+    for seed in (0, 7, -1):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0],
+                                                                dtype=np.uint64)))
+        draws = [rng.normal(size=2 * n) for _ in range(3)]
+        got = momentangle.random_directions(mixed_general_m2, 3, seed)
+        assert [d.tobytes() for d in got] == [
+            (momentangle.complexify(v) / np.linalg.norm(v)).tobytes() for v in draws]
 
 
 def test_cover_explicit_direction(tmp_path, mixed_general_m1, capsys):
@@ -671,6 +732,26 @@ def test_only_the_forms_build_tangent_frames(tmp_path, pentagon, mixed_s2, mixed
         main(["verify", paths[0], "--samples", "2"])
 
 
+@pytest.mark.parametrize("command, tol", [("sample", "1e-7"), ("sample", "1e300"),
+                                          ("verify", "1")])
+def test_a_tol_above_the_zero_cut_exits_two(tmp_path, mixed_general_m2, capsys, command, tol):
+    """A certified residual above ``ZERO_TOL`` could cross the cut that decides the zero
+    pattern: the tol is a usage error, and no report is written."""
+    report = tmp_path / "report.json"
+    assert main([command, write_config(tmp_path, mixed_general_m2), "--samples", "2",
+                 "--tol", tol, "--json", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: tol must not exceed ZERO_TOL")
+    assert captured.out == "" and not report.exists()
+
+
+def test_sample_at_the_zero_cut_certifies_large_lambdas(tmp_path, hexagon_m2, capsys):
+    """``--tol 1e-8``, the workaround for lambda scaled by 1e7, still samples."""
+    cfg = Configuration(kind="classical", lambdas=hexagon_m2.lambdas * 1e7)
+    assert main(["sample", write_config(tmp_path, cfg), "--samples", "5", "--tol", "1e-8"]) == 0
+    assert capsys.readouterr().out.startswith("certified 5 points")
+
+
 def test_sample_pattern_and_null_conflict(tmp_path, mixed_s2, capsys):
     path = write_config(tmp_path, mixed_s2)
     assert main(["sample", path, "--pattern", "0", "--null-stratum"]) == 2
@@ -758,7 +839,7 @@ def test_an_unwritable_report_path_exits_two(tmp_path, pentagon, capsys, command
 # ---------------------------------------------------------------------------
 
 
-def test_reports_are_byte_identical_for_identical_manifests(tmp_path, pentagon):
+def test_identical_command_lines_with_a_pinned_timestamp_write_identical_bytes(tmp_path, pentagon):
     path = write_config(tmp_path, pentagon)
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", path, "--samples", "4", "--seed", "11",
@@ -940,3 +1021,16 @@ def test_scipy_optimize_is_imported_only_by_commands_that_solve(tmp_path, pentag
                           env=_fresh_env(), check=True, capture_output=True, text=True,
                           timeout=120)
     assert done.stdout.splitlines()[-1] == f"{solves} {solves}"
+
+
+def test_the_cli_imports_no_private_name():
+    """Every verdict comes from the library's public functions: ``cli.py`` imports no
+    ``_``-prefixed name from a ``momentangle`` module (a dunder like ``__version__`` is
+    public)."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").split(".")[0] == "momentangle")
+               for alias in node.names
+               if alias.name.startswith("_") and not alias.name.startswith("__")]
+    assert private == []

@@ -31,6 +31,7 @@ from momentangle import (
     system_jacobian,
     tangent_frame,
     variety,
+    verify,
 )
 
 from _oracles import jacobian_ranks_reference, sample_reference, system_oracle
@@ -499,6 +500,30 @@ def test_tolerances_are_checked_at_the_boundary(pentagon, mixed_s2, batch, tol, 
     if tol != 1e-10:
         with pytest.raises(StructuralError):
             project_to_variety(pentagon, coords, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-6, 1.0, 1e300])
+def test_a_certification_tol_above_the_zero_cut_is_rejected(
+        pentagon, mixed_general_m2, batch, tol):
+    """Above ``ZERO_TOL`` a certified residual can exceed the cut that decides a
+    point's zero pattern, so certify, both samplers and verify refuse such a tol."""
+    coords = batch(pentagon, 1)[0].coordinates
+    calls = [lambda: certify(pentagon, coords, tol=tol),
+             lambda: sample_points(pentagon, 1, tol=tol),
+             lambda: sample_with_zero_pattern(mixed_general_m2, (0,), 1, tol=tol),
+             lambda: verify(mixed_general_m2, 2, tol=tol)]
+    for call in calls:
+        with pytest.raises(StructuralError, match="ZERO_TOL"):
+            call()
+
+
+def test_a_certification_tol_at_the_zero_cut_is_accepted(pentagon, mixed_general_m2, batch):
+    """``tol = ZERO_TOL`` (the large-|lambda| workaround) still certifies and samples."""
+    tol = variety.ZERO_TOL
+    coords = batch(pentagon, 1)[0].coordinates
+    assert certify(pentagon, coords, tol=tol).residual_norm <= tol
+    assert len(sample_points(pentagon, 2, tol=tol)) == 2
+    assert len(sample_with_zero_pattern(mixed_general_m2, (0,), 2, tol=tol)) == 2
 
 
 @st.composite
