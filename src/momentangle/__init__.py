@@ -26,28 +26,18 @@ from .errors import (
     StructuralError,
 )
 from .forms import (
-    FormEvaluation,
     RankTrichotomy,
     StackEvaluation,
-    alpha_on_frame,
     closed_form_kernel_vector,
-    contact_volume,
     coordinate_weights,
-    dalpha_on_frame,
     eval_alpha,
     eval_dalpha,
     evaluate_stack,
-    expected_kernel_dims,
-    kernel_analysis,
-    kernel_family_angle,
     kernel_family_basis,
-    leaf_two_form_magnitude,
     null_quadric_value,
-    numerical_kernel,
     orientation_sign,
     rank_trichotomy,
     subspace_angle,
-    symplectic_leaf_rank,
     verify,
 )
 from .pfaffian import pfaffian

@@ -57,6 +57,7 @@ from .variety import (
     ZERO_TOL,
     VarietyPoint,
     _certify_block,
+    _check_tol,
     _link,
     _zero_mask,
     certify,
@@ -246,7 +247,8 @@ def fiber_points(cfg: Configuration, direction,
     in some live w_k.  A candidate that fails certification raises its
     error.  Exponential in m, meant for m <= 3.  Directions with |F_k|
     in the near-branch band may fail certification for the w_k = 0 choice —
-    counts there are inherently ill-conditioned.
+    counts there are inherently ill-conditioned.  A ``tol`` above
+    ``ZERO_TOL`` raises StructuralError (:func:`.variety._check_tol`).
     """
     ((_, points),) = _fibers(cfg, [direction], tol)
     if isinstance(points, NumericalError):
@@ -286,8 +288,11 @@ def _fibers(cfg: Configuration, directions, tol: float
     is validated, its candidates are stacked and certified in blocks of at
     most ``_ATTEMPT_BLOCK`` rows, and its results are yielded before the
     next slice is built, so memory does not grow with the number of
-    directions.
+    directions.  A ``tol`` above ``ZERO_TOL`` raises StructuralError, as in
+    :func:`.variety.certify`: a lift whose w_k is cut to zero misses the link
+    by up to ``tol``.
     """
+    _check_tol(tol, DEFAULT_RANK_TOL)
     link = _link(cfg)
     step = max(1, _ATTEMPT_BLOCK >> cfg.m)
     for lo in range(0, len(directions), step):

@@ -547,6 +547,11 @@ def check_tolerances(tol: float, rank_tol: float = DEFAULT_RANK_TOL) -> None:
     """
     if isinstance(tol, (bool, np.bool_)) or not (math.isfinite(tol) and tol > 0):
         raise StructuralError(f"tol must be finite and positive, got {tol!r}")
+    _check_rank_tol(rank_tol)
+
+
+def _check_rank_tol(rank_tol: float) -> None:
+    """The ``rank_tol`` half of :func:`check_tolerances`, for functions that take no ``tol``."""
     if not 0 < rank_tol < 1:
         raise StructuralError(f"rank_tol must lie in (0, 1), got {rank_tol!r}")
 
@@ -674,6 +679,7 @@ def check_weak_hyperbolicity(
 
 def hull_dimension(cfg: Configuration, rank_tol: float = DEFAULT_RANK_TOL) -> int:
     """Affine dimension of the convex hull of the lambda_j in R^{2m}."""
+    _check_rank_tol(rank_tol)
     pts = cfg.realified_lambdas()
     sigma = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
     return int(numerical_rank(sigma, rank_tol))
@@ -725,8 +731,10 @@ def check_regularity_rank(
     For admissible configurations this equals m + 1 whenever the origin lies
     in the hull of the selected lambda_j — the regularity lemma behind the
     maximal-rank property of the quadric system.  Computed as half the real
-    rank of the realified matrix.
+    rank of the realified matrix.  A ``rank_tol`` outside (0, 1) raises
+    StructuralError.
     """
+    _check_rank_tol(rank_tol)
     J = sorted(set(int(j) for j in subset))
     if not J or J[0] < 0 or J[-1] >= cfg.n:
         raise StructuralError("subset must be a nonempty subset of range(n)")

@@ -40,7 +40,7 @@ the zero rule and the ranks could disagree is ``indeterminate``.  The cut
 is absolute while the slope scales like 1/|lambda|^2 (about 4e-4 at
 lambda * 100), so far from unit scale the two can part outside the band.
 
-``contact_volume`` evaluates ``alpha ^ (dalpha)^k`` (k = (dim-1)/2) on the
+The contact volume is ``alpha ^ (dalpha)^k`` (k = (dim-1)/2) on the
 point's oriented orthonormal frame, with a_i = alpha(e_i) and
 M = dalpha(e_i, e_j).  Its expansion in the d minors of M is the first-row
 expansion of one bordered Pfaffian:
@@ -83,18 +83,15 @@ alpha-ranks and the volume's modulus, and one call of the rank rule ranks
 dalpha and B together; the leaf span is one SVD of a stack; the closed-form
 family is one array of (T, mu) parameters, zero-padded to the width 2m+1
 (v(0, 0) = 0); the bordered Pfaffians are one stacked elimination.  A
-point's values do not depend on the stack it is evaluated in, and each
-one-point function (:func:`kernel_analysis`, :func:`kernel_family_angle`,
-:func:`contact_volume`, :func:`orientation_sign`,
-:func:`symplectic_leaf_rank`, :func:`leaf_two_form_magnitude`,
-:func:`rank_trichotomy`) reads its result from one
-``evaluate_stack(cfg, [point], rank_tol)`` call: so a point gets the same
-values, every rank included, alone as in any stack, even where a singular
-value sits at the cut.  Only the defect-2 plane of :func:`rank_trichotomy`
-builds a frame of its own (:func:`_on_frame`), and takes the plane from the
-right singular vectors of that frame's B.  Coordinate vectors from
-outside pass :func:`.variety._ambient`: a wrong length or shape, or a
-non-finite entry, raises StructuralError.
+point's values do not depend on the stack it is evaluated in: one point's
+are ``evaluate_stack(cfg, [point], rank_tol)``, which
+:func:`orientation_sign` and :func:`rank_trichotomy` read, so a point gets
+the same values, every rank included, alone as in any stack, even where a
+singular value sits at the cut.  Only the defect-2 plane of
+:func:`rank_trichotomy` builds a frame of its own (:func:`_on_frame`), and
+takes the plane from the right singular vectors of that frame's B.
+Coordinate vectors from outside pass :func:`.variety._ambient`: a wrong
+length or shape, or a non-finite entry, raises StructuralError.
 
 Numerical-rank note: ranks use the relative rule of
 :func:`.config.numerical_rank`, and singular values of dalpha or B in the
@@ -124,18 +121,6 @@ from .errors import NumericalError, StructuralError
 from .pfaffian import _pfaffians
 from .variety import (_ATTEMPT_BLOCK, DEFAULT_TOL, VarietyPoint, _ambient, _tangent_frames,
                       _verification_cases, _zero_mask, tangent_frame)
-
-
-@dataclass(frozen=True)
-class FormEvaluation:
-    """Pointwise kernel/rank data of (alpha, dalpha) on the tangent frame."""
-
-    ker_dalpha_dim: int
-    ker_alpha_cap_ker_dalpha_dim: int
-    rank_dalpha_on_ker_alpha: int
-    contact_volume: float
-    trichotomy: str  # "contact" | "defect2" | "deep"
-    indeterminate: bool
 
 
 @dataclass(frozen=True)
@@ -174,16 +159,6 @@ def eval_dalpha(cfg: Configuration, u, v) -> float:
     u, v = _ambient(cfg, [u, v])
     wt = coordinate_weights(cfg)
     return float(4.0 * np.sum(wt * (u[0::2] * v[1::2] - u[1::2] * v[0::2])))
-
-
-def alpha_on_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
-    """Vector of alpha(e_i) over the point's tangent frame columns."""
-    return _on_frame(cfg, point)[1]
-
-
-def dalpha_on_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
-    """Skew matrix M[i, j] = dalpha(e_i, e_j) over the tangent frame."""
-    return _on_frame(cfg, point)[2]
 
 
 def _on_frame(cfg: Configuration, point: VarietyPoint) -> tuple[np.ndarray, ...]:
@@ -289,11 +264,6 @@ def _family_parameters(cfg: Configuration, coords: np.ndarray,
     return T, mu
 
 
-def expected_kernel_dims(cfg: Configuration, point: VarietyPoint) -> tuple[int, int]:
-    """(dim ker dalpha|_T, dim ker alpha cap ker dalpha): (2l+1, 2l) for l leaves."""
-    return tuple(_expected_dims(_leaves(cfg, _ambient(cfg, [point.coordinates])))[0].tolist())
-
-
 def _expected_dims(leaves: np.ndarray) -> np.ndarray:
     """(2l+1, 2l) for the l leaves (:func:`_leaves`) at each point of a stack: ``(N, 2)``."""
     cap = 2 * np.count_nonzero(leaves, axis=1)
@@ -301,16 +271,15 @@ def _expected_dims(leaves: np.ndarray) -> np.ndarray:
 
 
 def _dalpha_kernels(frames: np.ndarray, dmat: np.ndarray, rank_tol: float):
-    """One full SVD of each dalpha: its singular values, ranks and masked kernel.
+    """One full SVD of each dalpha: its singular values and masked kernel.
 
-    The kernel is ``frames @ V^T`` with the first ``rank`` columns zeroed,
-    so every point keeps the fixed width d and the span is exactly the
-    numerical kernel.
+    The kernel is ``frames @ V^T`` with the columns below dalpha's rank
+    zeroed, so every point keeps the fixed width d and the span is exactly
+    the numerical kernel.
     """
     _, sigma, vh = np.linalg.svd(dmat)
-    rank = numerical_rank(sigma, rank_tol)
-    keep = np.arange(sigma.shape[-1]) >= rank[:, None]
-    return sigma, rank, (frames @ vh.transpose(0, 2, 1)) * keep[:, None, :]
+    keep = np.arange(sigma.shape[-1]) >= numerical_rank(sigma, rank_tol)[:, None]
+    return sigma, (frames @ vh.transpose(0, 2, 1)) * keep[:, None, :]
 
 
 def _rank_checks(sigma_d: np.ndarray, sigma_b: np.ndarray, rank_tol: float):
@@ -327,31 +296,6 @@ def _rank_checks(sigma_d: np.ndarray, sigma_b: np.ndarray, rank_tol: float):
     sigmas[:, 0, :-1], sigmas[:, 1] = sigma_d, sigma_b
     indeterminate = in_tie_band(sigmas, rank_cut(sigmas, rank_tol)).any(axis=(1, 2))
     return numerical_rank(sigmas, rank_tol), indeterminate
-
-
-def kernel_analysis(
-    cfg: Configuration,
-    point: VarietyPoint,
-    rank_tol: float = DEFAULT_RANK_TOL,
-) -> FormEvaluation:
-    """Kernel dimensions, restricted rank and contact volume at a point.
-
-    Read from ``evaluate_stack(cfg, [point], rank_tol)``, so everything is
-    computed in the coordinates of the point's orthonormal tangent frame.
-    Singular values in the tie band of the rank cut
-    (:func:`.config.in_tie_band`) set ``indeterminate`` instead of silently
-    rounding the verdict.
-    """
-    ev = evaluate_stack(cfg, [point], rank_tol)
-    d, rank_r = cfg.manifold_dim, int(ev.rank_dalpha_on_ker_alpha[0])
-    return FormEvaluation(
-        ker_dalpha_dim=int(ev.ker_dalpha_dim[0]),
-        ker_alpha_cap_ker_dalpha_dim=int(ev.ker_alpha_cap_ker_dalpha_dim[0]),
-        rank_dalpha_on_ker_alpha=rank_r,
-        contact_volume=float(ev.contact_volume[0]),
-        trichotomy="contact" if rank_r == d - 1 else "defect2" if rank_r == d - 3 else "deep",
-        indeterminate=bool(ev.indeterminate[0]),
-    )
 
 
 @dataclass(frozen=True)
@@ -384,8 +328,9 @@ def evaluate_stack(
     points: list[VarietyPoint],
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> StackEvaluation:
-    """:func:`kernel_analysis`, :func:`kernel_family_angle`, the Jacobian rank
-    and, on classical links, the leaf checks, for a stack of points at once.
+    """The kernel dimensions and ranks of (alpha, dalpha), the contact volume,
+    the closed-form family's angle, the Jacobian rank and, on classical
+    links, the leaf checks, for a stack of points at once.
 
     Every certified point of a configuration has frame dimension
     ``manifold_dim``, so all strata stack together: each SVD runs over a
@@ -416,7 +361,7 @@ def _evaluate_block(cfg: Configuration, coords: np.ndarray, rank_tol: float) -> 
     d = frames.shape[2]
     a = _alpha_stack(cfg, coords, frames)
     dmat = _dalpha_stack(cfg, frames)
-    sigma_d, _, kernel = _dalpha_kernels(frames, dmat, rank_tol)
+    sigma_d, kernel = _dalpha_kernels(frames, dmat, rank_tol)
     volume, modulus, sigma_b = _volumes(a, dmat)
     ranks, indeterminate = _rank_checks(sigma_d, sigma_b, rank_tol)
     leaves = _leaves(cfg, coords)
@@ -452,23 +397,21 @@ def rank_trichotomy(
     With frame dimension 2k+1 the restricted rank is 2k (contact), 2k-2
     (a single degenerate 2-plane, which is ker alpha cap ker dalpha and is
     returned in ambient coordinates), or lower (total degeneracy beyond one
-    block, as on classical links with m >= 2).  The label and rank are
-    :func:`kernel_analysis`'s; only the defect-2 plane builds a frame of its
-    own.  The plane is the frame part of ker B (module docstring): the right
-    singular vectors of B past its rank, rank + 2, mapped by the frame.
+    block, as on classical links with m >= 2).  The rank is
+    ``evaluate_stack(cfg, [point], rank_tol)``'s; only the defect-2 plane
+    builds a frame of its own.  The plane is the frame part of ker B (module
+    docstring): the right singular vectors of B past its rank, rank + 2,
+    mapped by the frame.
     """
-    evaluation = kernel_analysis(cfg, point, rank_tol)
-    label, rank = evaluation.trichotomy, evaluation.rank_dalpha_on_ker_alpha
-    if label == "defect2":
+    d = cfg.manifold_dim
+    rank = int(evaluate_stack(cfg, [point], rank_tol).rank_dalpha_on_ker_alpha[0])
+    if rank == d - 1:
+        return RankTrichotomy("contact", rank, d - 1, None)
+    if rank == d - 3:
         frame, a, dmat = _on_frame(cfg, point)
         vh = np.linalg.svd(_bordered(a[None], dmat[None])[0])[2]
-        return RankTrichotomy(label, rank, 2, frame @ vh[rank + 2 :, 1:].T)
-    return RankTrichotomy(label, rank, cfg.manifold_dim - 1 if label == "contact" else 0, None)
-
-
-def contact_volume(cfg: Configuration, point: VarietyPoint) -> float:
-    """alpha ^ (dalpha)^k on the oriented orthonormal tangent frame."""
-    return float(evaluate_stack(cfg, [point]).contact_volume[0])
+        return RankTrichotomy("defect2", rank, 2, frame @ vh[rank + 2 :, 1:].T)
+    return RankTrichotomy("deep", rank, 0, None)
 
 
 #: The leaf 2-form, which vanishes identically in exact arithmetic, reads zero
@@ -558,55 +501,6 @@ def _orth(stack: np.ndarray) -> np.ndarray:
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
     rank = numerical_rank(s, max(stack.shape[1:]) * np.finfo(float).eps)
     return u * (np.arange(s.shape[-1]) < rank[:, None])[:, None, :]
-
-
-def numerical_kernel(
-    cfg: Configuration, point: VarietyPoint, rank_tol: float = DEFAULT_RANK_TOL
-) -> np.ndarray:
-    """Ambient orthonormal basis of ker(dalpha|_T), from the SVD of dalpha."""
-    frames = tangent_frame(cfg, point)[None]
-    _, rank, kernel = _dalpha_kernels(frames, _dalpha_stack(cfg, frames), rank_tol)
-    return kernel[0][:, int(rank[0]):]
-
-
-def kernel_family_angle(cfg: Configuration, point: VarietyPoint,
-                        rank_tol: float = DEFAULT_RANK_TOL) -> float:
-    """Largest principal angle between the closed-form kernel family and the
-    numerically computed kernel of dalpha on the tangent frame."""
-    return float(evaluate_stack(cfg, [point], rank_tol).family_angle[0])
-
-
-def symplectic_leaf_rank(
-    cfg: Configuration, point: VarietyPoint, rank_tol: float = DEFAULT_RANK_TOL
-) -> int:
-    """Rank of the Poisson structure at a classical point.
-
-    Equals the dimension of the symplectic leaf through the point, i.e. the
-    span of the 2m closed-form leaf vectors v(T, 0) with T running over the
-    standard real basis of C^m.  For admissible configurations the R^{2m}
-    action is locally free, so this is exactly 2m.
-
-    Note dalpha itself restricts to *zero* on the leaf span (the leaves are
-    tangent to ker alpha cap ker dalpha); the leaf symplectic structure is
-    the one transported from R^{2m} by the action.  Use
-    :func:`leaf_two_form_magnitude` to check the vanishing.
-    """
-    return int(_leaf_evaluation(cfg, point, rank_tol).leaf_rank[0])
-
-
-def leaf_two_form_magnitude(cfg: Configuration, point: VarietyPoint) -> float:
-    """max |dalpha(v_a, v_b)| over the leaf vectors — identically 0 in exact
-    arithmetic (dalpha is totally degenerate on the leaves)."""
-    return float(_leaf_evaluation(cfg, point).leaf_two_form_magnitude[0])
-
-
-def _leaf_evaluation(cfg: Configuration, point: VarietyPoint,
-                     rank_tol: float = DEFAULT_RANK_TOL) -> StackEvaluation:
-    """``evaluate_stack(cfg, [point], rank_tol)`` at a classical point, the
-    only kind whose leaf fields it sets."""
-    if cfg.kind != "classical":
-        raise StructuralError("symplectic leaves are defined for classical links")
-    return evaluate_stack(cfg, [point], rank_tol)
 
 
 def _leaf_magnitudes(cfg: Configuration, leaf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -66,8 +66,8 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .config import (DEFAULT_RANK_TOL, Configuration, _is_int, _solve_rows, check_tolerances,
-                     complexify, numerical_rank)
+from .config import (DEFAULT_RANK_TOL, Configuration, _check_rank_tol, _is_int, _solve_rows,
+                     check_tolerances, complexify, numerical_rank)
 from .errors import (
     NumericalError,
     ProjectionError,
@@ -557,7 +557,9 @@ def tangent_frame(cfg: Configuration, point: VarietyPoint) -> np.ndarray:
 
 
 def jacobian_rank(cfg: Configuration, point: VarietyPoint, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Numerical rank of the real Jacobian at a point, from the SVD that builds its frame."""
+    """Numerical rank of the real Jacobian at a point, from the SVD that builds its frame;
+    a ``rank_tol`` outside (0, 1) raises StructuralError."""
+    _check_rank_tol(rank_tol)
     return int(_tangent_frames(cfg, _ambient(cfg, [point.coordinates]), rank_tol)[1][0])
 
 

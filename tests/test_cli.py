@@ -595,6 +595,27 @@ def test_cover_passes_at_a_tolerance_equal_to_a_directions_own_magnitude(
     assert cases >= 40
 
 
+def test_cover_rejects_a_tol_between_the_zero_cut_and_a_live_magnitude(
+        tmp_path, mixed_general_m2, capsys):
+    """With |F_0| r^2 = 5.1e-8, ``--tol 1e-7`` cut w_0 to zero, the lifts missed
+    the link by 5.1e-8 and cover exited 1 on a certification failure; a tol
+    above ``ZERO_TOL`` is a usage error, as for sample and verify.  The
+    default tol still passes with 4 preimages, inside the near-branch band."""
+    lifts = [math.sqrt(1 / 7 + 0.05 * math.cos(4 * math.pi * j / 7) + (6e-8 if j == 0 else 0))
+             for j in range(7)]
+    direction = np.array(lifts, dtype=complex)
+    assert 5e-8 < momentangle.fiber_count(mixed_general_m2, direction).quadric_magnitudes[0] < 1e-7
+    with pytest.raises(momentangle.StructuralError, match="tol must not exceed ZERO_TOL"):
+        momentangle.fiber_points(mixed_general_m2, direction, 1e-7)
+    path = write_config(tmp_path, mixed_general_m2)
+    text = ",".join(f"{x!r},0" for x in lifts)
+    assert main(["cover", path, f"--direction={text}", "--tol", "1e-7"]) == 2
+    assert capsys.readouterr().err.startswith("error: tol must not exceed ZERO_TOL")
+    assert main(["cover", path, f"--direction={text}"]) == 0
+    assert capsys.readouterr().out == ("direction 0: fiber count 4, constructed preimages 4"
+                                       " (near branch locus) -> PASS\n")
+
+
 def test_cover_validates_each_direction_once(tmp_path, mixed_general_m2, capsys, monkeypatch):
     unit_direction = momentangle.actions._unit_direction
     calls = []
@@ -733,7 +754,7 @@ def test_only_the_forms_build_tangent_frames(tmp_path, pentagon, mixed_s2, mixed
 
 
 @pytest.mark.parametrize("command, tol", [("sample", "1e-7"), ("sample", "1e300"),
-                                          ("verify", "1")])
+                                          ("verify", "1"), ("cover", "1e-7"), ("cover", "1")])
 def test_a_tol_above_the_zero_cut_exits_two(tmp_path, mixed_general_m2, capsys, command, tol):
     """A certified residual above ``ZERO_TOL`` could cross the cut that decides the zero
     pattern: the tol is a usage error, and no report is written."""

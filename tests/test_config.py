@@ -27,6 +27,7 @@ from momentangle import (
     gale_transform,
     hull_distance,
     isotropy_stratum,
+    jacobian_rank,
     load_configuration,
     moment_image_check,
     normalize_configuration,
@@ -34,11 +35,13 @@ from momentangle import (
 )
 from momentangle.config import (
     _SUBSET_BLOCK,
+    DEFAULT_RANK_TOL,
     DEGENERACY_BAND,
     _sigma_min_floors,
     _subset_blocks,
     _unit_scale,
     complexify,
+    hull_dimension,
     in_tie_band,
     numerical_rank,
     rank_cut,
@@ -612,6 +615,20 @@ def test_regularity_rank_frozen_values(pentagon):
     assert check_regularity_rank(same, range(5)) == 1
     # A full admissible pentagon subset reaches the maximal rank m + 1.
     assert check_regularity_rank(pentagon, range(5)) == 2
+
+
+@pytest.mark.parametrize("rank_tol", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1.0, True])
+def test_rank_functions_reject_a_rank_tol_outside_the_unit_interval(pentagon, batch, rank_tol):
+    """At a certified pentagon point the default ``rank_tol`` gives 3, 2 and 2;
+    nan, 1.0 or True gave 0 for all three instead of raising."""
+    point = batch(pentagon, 1)[0]
+    calls = [lambda t: jacobian_rank(pentagon, point, t),
+             lambda t: check_regularity_rank(pentagon, range(5), t),
+             lambda t: hull_dimension(pentagon, t)]
+    assert [call(DEFAULT_RANK_TOL) for call in calls] == [3, 2, 2]
+    for call in calls:
+        with pytest.raises(StructuralError, match="rank_tol must lie in"):
+            call(rank_tol)
 
 
 def test_properties_and_sub_configuration(mixed_general_m2, mixed_s2):

@@ -13,30 +13,21 @@ from momentangle import (
     NumericalError,
     StructuralError,
     VarietyPoint,
-    alpha_on_frame,
     certify,
     closed_form_kernel_vector,
-    contact_volume,
     coordinate_weights,
-    dalpha_on_frame,
     eval_alpha,
     eval_dalpha,
     evaluate_stack,
-    expected_kernel_dims,
     fiber_count,
     isotropy_stratum,
-    kernel_analysis,
-    kernel_family_angle,
     kernel_family_basis,
-    leaf_two_form_magnitude,
     null_quadric_value,
-    numerical_kernel,
     orientation_sign,
     project_to_variety,
     rank_trichotomy,
     sign_orbit,
     subspace_angle,
-    symplectic_leaf_rank,
     system_jacobian,
     tangent_frame,
 )
@@ -63,7 +54,7 @@ FIXTURES = ["pentagon", "hexagon_m2", "mixed_s1", "mixed_s2", "mixed_general_m1"
 #: partial stratum w_0 = 0 of the s = 2 link, and more of its null cone.
 EXTRA_STRATA = {"mixed_s2": [(0,), "null"]}
 EXACT_FIELDS = ["jacobian_rank", "ker_dalpha_dim", "ker_alpha_cap_ker_dalpha_dim",
-                "indeterminate"]
+                "rank_dalpha_on_ker_alpha", "indeterminate"]
 
 
 def alpha_oracle(cfg, point, vector):
@@ -110,7 +101,7 @@ def test_dalpha_is_derivative_of_alpha(pentagon):
 def test_frame_evaluations_match_pointwise(pentagon, batch):
     point = batch(pentagon, 1)[0]
     frame = tangent_frame(pentagon, point)
-    mat = dalpha_on_frame(pentagon, point)
+    mat = forms._on_frame(pentagon, point)[2]
     for i in range(frame.shape[1]):
         for j in range(frame.shape[1]):
             assert mat[i, j] == pytest.approx(
@@ -166,11 +157,11 @@ def test_closed_form_vectors_mixed_general(mixed_general_m2, batch):
 ])
 def test_indeterminate_follows_the_tie_band(pentagon, batch, rank_tol, indeterminate):
     point = batch(pentagon, 1)[0]
-    ev = kernel_analysis(pentagon, point, rank_tol)
-    assert ev.indeterminate is indeterminate
+    ev = evaluate_stack(pentagon, [point], rank_tol)
+    assert bool(ev.indeterminate[0]) is indeterminate
     if rank_tol < 1.0:
         # the flag does not move the verdicts: the ranks are the default ones
-        assert (ev.ker_dalpha_dim, ev.ker_alpha_cap_ker_dalpha_dim) == (3, 2)
+        assert (ev.ker_dalpha_dim[0], ev.ker_alpha_cap_ker_dalpha_dim[0]) == (3, 2)
 
 
 def test_rank_checks_match_the_oracle_row_by_row():
@@ -205,24 +196,24 @@ def test_rank_checks_match_the_oracle_row_by_row():
 def test_kernel_dims_classical(pentagon, hexagon_m2, batch):
     for cfg, expect in [(pentagon, (3, 2)), (hexagon_m2, (5, 4))]:
         for point in batch(cfg, 6):
-            ev = kernel_analysis(cfg, point)
-            assert (ev.ker_dalpha_dim, ev.ker_alpha_cap_ker_dalpha_dim) == expect
-            assert expected_kernel_dims(cfg, point) == expect
-            assert not ev.indeterminate
+            ev = evaluate_stack(cfg, [point])
+            assert (ev.ker_dalpha_dim[0], ev.ker_alpha_cap_ker_dalpha_dim[0]) == expect
+            assert tuple(ev.expected_kernel_dims[0]) == expect
+            assert not ev.indeterminate[0]
 
 
 def test_kernel_dims_mixed_m1_strata(mixed_s1, mixed_s2, batch):
     for cfg in (mixed_s1, mixed_s2):
         for point in batch(cfg, 6):
-            ev = kernel_analysis(cfg, point)
-            assert (ev.ker_dalpha_dim, ev.ker_alpha_cap_ker_dalpha_dim) == (1, 0)
-            assert ev.trichotomy == "contact"
+            ev = evaluate_stack(cfg, [point])
+            assert (ev.ker_dalpha_dim[0], ev.ker_alpha_cap_ker_dalpha_dim[0]) == (1, 0)
+            assert rank_trichotomy(cfg, point).label == "contact"
         pattern = tuple(range(cfg.w_count))
         for point in batch(cfg, 6, pattern):
-            ev = kernel_analysis(cfg, point)
-            assert (ev.ker_dalpha_dim, ev.ker_alpha_cap_ker_dalpha_dim) == (3, 2)
-            assert ev.trichotomy == "defect2"
-            assert abs(ev.contact_volume) < 1e-9 * contact_volume_scale(cfg)
+            ev = evaluate_stack(cfg, [point])
+            assert (ev.ker_dalpha_dim[0], ev.ker_alpha_cap_ker_dalpha_dim[0]) == (3, 2)
+            assert rank_trichotomy(cfg, point).label == "defect2"
+            assert abs(ev.contact_volume[0]) < 1e-9 * contact_volume_scale(cfg)
 
 
 def test_null_cone_points_with_nonzero_w_stay_contact(mixed_s2, batch):
@@ -234,11 +225,11 @@ def test_null_cone_points_with_nonzero_w_stay_contact(mixed_s2, batch):
     for point in batch(mixed_s2, 6, "null"):
         w = point.w_block(mixed_s2)
         assert abs(np.sum(w**2)) <= 1e-9 and np.all(np.abs(w) > 1e-3)
-        ev = kernel_analysis(mixed_s2, point)
-        assert (ev.ker_dalpha_dim, ev.ker_alpha_cap_ker_dalpha_dim) == (1, 0)
-        assert ev.trichotomy == "contact"
-        assert kappa * ev.contact_volume > 0
-        assert kernel_family_angle(mixed_s2, point) < 1e-6
+        ev = evaluate_stack(mixed_s2, [point])
+        assert (ev.ker_dalpha_dim[0], ev.ker_alpha_cap_ker_dalpha_dim[0]) == (1, 0)
+        assert rank_trichotomy(mixed_s2, point).label == "contact"
+        assert kappa * ev.contact_volume[0] > 0
+        assert ev.family_angle[0] < 1e-6
 
 
 def test_kernel_dims_mixed_general_strata(mixed_general_m2, batch):
@@ -246,10 +237,10 @@ def test_kernel_dims_mixed_general_strata(mixed_general_m2, batch):
              ((1,), (3, 2), "defect2"), ((0, 1), (5, 4), "deep")]
     for pattern, dims, label in cases:
         for point in batch(mixed_general_m2, 4, pattern):
-            ev = kernel_analysis(mixed_general_m2, point)
-            assert (ev.ker_dalpha_dim, ev.ker_alpha_cap_ker_dalpha_dim) == dims
-            assert ev.trichotomy == label
-            assert expected_kernel_dims(mixed_general_m2, point) == dims
+            ev = evaluate_stack(mixed_general_m2, [point])
+            assert (ev.ker_dalpha_dim[0], ev.ker_alpha_cap_ker_dalpha_dim[0]) == dims
+            assert rank_trichotomy(mixed_general_m2, point).label == label
+            assert tuple(ev.expected_kernel_dims[0]) == dims
 
 
 def test_zero_pattern_and_expected_dims_agree_at_the_zero_cut(mixed_general_m2, batch):
@@ -265,7 +256,8 @@ def test_zero_pattern_and_expected_dims_agree_at_the_zero_cut(mixed_general_m2, 
         coords = project_to_variety(cfg, start)
         coords[0:2] *= cut / np.hypot(*coords[0:2])  # w_0^2 moves by about 1e-16
         point = certify(cfg, coords)
-        assert (point.zero_pattern == (0,)) == (expected_kernel_dims(cfg, point) == (3, 2))
+        expected = tuple(evaluate_stack(cfg, [point]).expected_kernel_dims[0])
+        assert (point.zero_pattern == (0,)) == (expected == (3, 2))
         patterns.add(point.zero_pattern)
     assert patterns == {(), (0,)}  # the rounding of |w_0|^2 falls on both sides
 
@@ -362,10 +354,12 @@ def test_kernel_family_matches_svd_kernel(mixed_s1, mixed_general_m2, batch):
     for cfg in (mixed_s1, mixed_general_m2):
         for point in batch(cfg, 5):
             basis = kernel_family_basis(cfg, point.coordinates)
-            numeric = numerical_kernel(cfg, point)
+            ev = evaluate_stack(cfg, [point])
+            frame, _, dmat = forms._on_frame(cfg, point)
+            numeric = frame @ np.linalg.svd(dmat)[2][cfg.manifold_dim - ev.ker_dalpha_dim[0]:].T
             assert basis.shape[1] == numeric.shape[1]
             assert subspace_angle(basis, numeric) < 1e-6
-            assert kernel_family_angle(cfg, point) < 1e-6
+            assert ev.family_angle[0] < 1e-6
 
 
 #: Links whose w's carry form weights: (lambdas, kind, s).
@@ -396,7 +390,7 @@ def test_kernel_family_holds_for_any_positive_weights(link, data):
     weights_b = data.draw(st.lists(positive, min_size=len(lambdas), max_size=len(lambdas)))
     cfg = Configuration(lambdas, kind, s, weights_a, weights_b)
     for point in points:
-        assert kernel_family_angle(cfg, point) < ANGLE_LIMIT
+        assert evaluate_stack(cfg, [point]).family_angle[0] < ANGLE_LIMIT
 
 
 @pytest.mark.parametrize("fixture", FIXTURES)
@@ -411,8 +405,8 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypat
     nothing with the elimination; family angles agree to 1e-12 rad.
     Evaluated alone, a point gets exactly the values it gets inside the
     stack.  The restricted rank and the trichotomy label, which ``verify``
-    does not record, are compared through ``kernel_analysis``, the N = 1
-    call of the same rank checks.
+    does not record, are compared too: the rank off the stack, the label
+    through ``rank_trichotomy``.
     """
     cfg = request.getfixturevalue(fixture)
     cases = _verification_cases(cfg, 20, 0, 1e-10, DEFAULT_RANK_TOL)
@@ -426,9 +420,7 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypat
         ref = point_checks_reference(cfg, point)
         for field in EXACT_FIELDS + ["leaf_rank"] * classical:
             assert getattr(stack, field)[i] == ref[field], (field, i)
-        single = kernel_analysis(cfg, point)
-        for field in EXACT_FIELDS[1:] + ["rank_dalpha_on_ker_alpha", "trichotomy"]:
-            assert getattr(single, field) == ref[field], (field, i)
+        assert rank_trichotomy(cfg, point).label == ref["trichotomy"], i
         assert tuple(stack.expected_kernel_dims[i]) == ref["expected_kernel_dims"]
         assert stack.contact_volume[i] == pytest.approx(
             ref["contact_volume"], rel=PFAFFIAN_REL_TOL, abs=PFAFFIAN_REL_TOL * scale)
@@ -462,29 +454,12 @@ def test_stacked_evaluation_matches_per_point_oracle(fixture, request, monkeypat
 def test_evaluate_stack_checks_its_points_at_the_boundary(pentagon, mixed_general_m2, batch,
                                                           case):
     """No points, a point of another configuration, or a stack mixing one
-    with a good point raise StructuralError, as ``kernel_analysis`` does."""
+    with a good point raise StructuralError."""
     good, other = batch(mixed_general_m2, 1)[0], batch(pentagon, 1)[0]
     points = {"no points": [], "another link": [other], "ragged": [good, other]}[case]
     match = "at least one point" if case == "no points" else "ambient vector of length 18"
     with pytest.raises(StructuralError, match=match):
         evaluate_stack(mixed_general_m2, points)
-    if case == "another link":
-        with pytest.raises(StructuralError, match=match):
-            kernel_analysis(mixed_general_m2, other)
-
-
-def test_kernel_analysis_ranks_dalpha_from_the_stacks_svd(mixed_general_m2, batch):
-    """With ``rank_tol`` at a ratio of dalpha's own singular values, where the
-    verdict turns on their last bits, ``kernel_analysis`` gives the kernel
-    dimension ``evaluate_stack`` gives."""
-    cfg = mixed_general_m2
-    for point in batch(cfg, 40):
-        dmat = forms._dalpha_stack(cfg, tangent_frame(cfg, point)[None])[0]
-        sigma = np.linalg.svd(dmat)[1]
-        for rank_tol in sigma[1:-1] / sigma[0]:
-            if 0 < rank_tol < 1:
-                alone = kernel_analysis(cfg, point, rank_tol).ker_dalpha_dim
-                assert alone == evaluate_stack(cfg, [point], rank_tol).ker_dalpha_dim[0]
 
 
 def test_rank_trichotomy_details(pentagon, mixed_s1, mixed_general_m2, batch):
@@ -508,8 +483,8 @@ def test_rank_trichotomy_details(pentagon, mixed_s1, mixed_general_m2, batch):
 
 def test_rank_trichotomy_builds_one_frame(pentagon, mixed_s1, mixed_general_m2, batch,
                                           monkeypatch):
-    """The label and rank are ``kernel_analysis``'s, and only a defect-2
-    verdict builds a frame of its own: one ``_on_frame`` call for its plane."""
+    """The rank is ``evaluate_stack``'s, and only a defect-2 verdict builds
+    a frame of its own: one ``_on_frame`` call for its plane."""
     calls = []
     on_frame = forms._on_frame
     monkeypatch.setattr(forms, "_on_frame",
@@ -521,9 +496,8 @@ def test_rank_trichotomy_builds_one_frame(pentagon, mixed_s1, mixed_general_m2, 
         calls.clear()
         verdict = rank_trichotomy(cfg, point)
         assert len(calls) == frames
-        evaluation = kernel_analysis(cfg, point)
-        assert verdict.label == evaluation.trichotomy == label
-        assert verdict.rank == evaluation.rank_dalpha_on_ker_alpha
+        assert verdict.label == label
+        assert verdict.rank == evaluate_stack(cfg, [point]).rank_dalpha_on_ker_alpha[0]
 
 
 @pytest.mark.parametrize("fixture, pattern", [
@@ -549,7 +523,7 @@ def test_defect2_perp_basis_spans_the_cap(pentagon, batch):
     # the returned plane is tangent and killed by both alpha and dalpha
     basis = verdict.perp_basis
     frame = tangent_frame(pentagon, point)
-    a = alpha_on_frame(pentagon, point) @ (frame.T @ basis)
+    a = forms._on_frame(pentagon, point)[1] @ (frame.T @ basis)
     assert np.abs(a).max() < 1e-8
     for column in basis.T:
         for other in frame.T:
@@ -578,7 +552,7 @@ def test_classical_volume_vanishes(pentagon, hexagon_m2, batch):
     for cfg in (pentagon, hexagon_m2):
         zero_scale = 1e-9 * contact_volume_scale(cfg)
         for point in batch(cfg, 4):
-            assert abs(contact_volume(cfg, point)) < zero_scale
+            assert abs(evaluate_stack(cfg, [point]).contact_volume[0]) < zero_scale
 
 
 def test_orientation_sign_consistency(mixed_s1, batch):
@@ -586,7 +560,7 @@ def test_orientation_sign_consistency(mixed_s1, batch):
     kappa = orientation_sign(mixed_s1, points[0])
     assert kappa in (1.0, -1.0)
     for point in points:
-        assert kappa * contact_volume(mixed_s1, point) > 0
+        assert kappa * evaluate_stack(mixed_s1, [point]).contact_volume[0] > 0
 
 
 def test_orientation_sign_rejects_degenerate_reference(mixed_s1, batch):
@@ -595,13 +569,12 @@ def test_orientation_sign_rejects_degenerate_reference(mixed_s1, batch):
         orientation_sign(mixed_s1, stratum_point)
 
 
-def test_symplectic_leaf_rank(pentagon, hexagon_m2, mixed_s1, batch):
+def test_leaf_rank_and_two_form_on_classical_links(pentagon, hexagon_m2, batch):
     for cfg, rank in [(pentagon, 2), (hexagon_m2, 4)]:
         for point in batch(cfg, 4):
-            assert symplectic_leaf_rank(cfg, point) == rank
-            assert leaf_two_form_magnitude(cfg, point) <= 1e-10
-    with pytest.raises(StructuralError):
-        symplectic_leaf_rank(mixed_s1, batch(mixed_s1, 1)[0])
+            ev = evaluate_stack(cfg, [point])
+            assert ev.leaf_rank[0] == rank
+            assert ev.leaf_two_form_magnitude[0] <= 1e-10
 
 
 def test_null_quadric_value(mixed_s2, pentagon, batch):
@@ -626,9 +599,9 @@ def test_subspace_angle_sanity():
         subspace_angle(np.ones(4), e[:, :1])
 
 
-#: The functions of ``forms`` that take coordinate vectors (or, for
-#: ``expected_kernel_dims``, a point's), each called with ``bad`` in one slot
-#: and a good point ``x`` in the others.
+#: The functions of ``forms`` that take coordinate vectors (and, as
+#: ``expected_kernel_dims``, ``evaluate_stack`` at a point with them), each
+#: called with ``bad`` in one slot and a good point ``x`` in the others.
 COORDINATE_CALLS = {
     "closed_form_kernel_vector": lambda cfg, x, bad: closed_form_kernel_vector(cfg, bad, 0.5j, 1.0),
     "kernel_family_basis": lambda cfg, x, bad: kernel_family_basis(cfg, bad),
@@ -637,7 +610,7 @@ COORDINATE_CALLS = {
     "eval_alpha vector": lambda cfg, x, bad: eval_alpha(cfg, x, bad),
     "eval_dalpha": lambda cfg, x, bad: eval_dalpha(cfg, x, bad),
     "expected_kernel_dims":
-        lambda cfg, x, bad: expected_kernel_dims(cfg, VarietyPoint(bad, 0.0, ())),
+        lambda cfg, x, bad: evaluate_stack(cfg, [VarietyPoint(bad, 0.0, ())]).expected_kernel_dims,
 }
 #: Malformed versions of a coordinate vector of length 14, and the error they raise.
 BAD_COORDINATES = {

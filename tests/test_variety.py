@@ -23,7 +23,6 @@ from momentangle import (
     evaluate_stack,
     evaluate_system,
     jacobian_rank,
-    kernel_analysis,
     project_to_variety,
     realify,
     sample_points,
@@ -449,7 +448,6 @@ def test_sampler_accepts_every_integer_seed(mixed_s2, seed, stratum):
 
 
 ON_POINTS = {"tangent_frame": variety.tangent_frame, "jacobian_rank": variety.jacobian_rank,
-             "kernel_analysis": kernel_analysis,
              "evaluate_stack": lambda cfg, point: evaluate_stack(cfg, [point])}
 
 
